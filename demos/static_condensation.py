@@ -2,11 +2,11 @@
 Static condensation: eliminate interior velocity unknowns per cell.
 
 Interior DOFs couple only within their own cell, so dense local Schur
-complements reduce the global system to the edge and pressure unknowns
-(plus the zero-mean multiplier).  The reduced solve reproduces the full
-solution to rounding while roughly halving the factorized system.  At
-these desk scales the per-cell eliminations cost more wall time than
-the smaller factorization saves; the payoff grows with problem size.
+complements reduce the global system to the edge and pressure unknowns.
+The reduced solve reproduces the full solution to rounding while
+roughly halving the factorized system.  At these desk scales the
+per-cell eliminations cost more wall time than the smaller
+factorization saves; the payoff grows with problem size.
 """
 import numpy as np
 
@@ -29,7 +29,7 @@ for degree in (1, 2):
             np.abs(full.velocity.coeffs - red.velocity.coeffs).max(),
             np.abs(full.pressure.coeffs - red.pressure.coeffs).max(),
         )
-        n_full = len(system.free) + system.num_pressure_dofs + 1
+        n_full = len(system.free) + system.num_pressure_dofs
         print(
             f"  n={n:<3d} unknowns {n_full} -> {red.num_reduced} "
             f"({100 * red.num_reduced / n_full:.0f}%)  max DOF gap {gap:.2e}  "

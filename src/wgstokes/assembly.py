@@ -4,8 +4,8 @@ The velocity matrix A sums the weak-gradient Gram matrices and the jump
 stabilizer over cells; B couples the weak divergence with the pressure
 test space.  Boundary-edge velocity DOFs carry projected Dirichlet data
 and are eliminated at solve time (they are marked, not removed, here).
-The pressure zero-mean gauge is handled by the solver through a single
-Lagrange-multiplier row built from the pressure moment vector assembled
+The solver pins one pressure DOF and then shifts the pressure to zero
+mean, measuring the mean with the pressure moment vector assembled
 alongside.
 
 Cells contribute in index order, so assembled matrices are bit-identical
@@ -32,7 +32,7 @@ class SaddleSystem:
     load : (n_u,) array
         Body-force moments (nonzero only on interior DOFs).
     pressure_moments : (n_p,) array
-        Integrals of the pressure basis functions; the zero-mean row.
+        Integrals of the pressure basis functions; they measure the mean.
     fixed_mask : (n_u,) bool
         True on boundary-edge velocity DOFs.
     fixed_values : (n_u,) array

@@ -4,9 +4,7 @@ Cell bases are monomials in ((x - x_T)/h_T, (y - y_T)/h_T) centered at the
 cell centroid and scaled by the cell diameter; edge bases are monomials in
 the arc-length parameter centered at the edge midpoint and scaled by the
 edge length.  The scaling keeps local Gram matrices well conditioned
-independently of the mesh size.  An optional L2-orthonormalization (via a
-Cholesky factor of the Gram matrix on the given cell) can be applied on
-top for nearly degenerate cells.
+independently of the mesh size.
 """
 
 import numpy as np
@@ -35,18 +33,14 @@ class CellBasis:
         Scaling center (the cell centroid).
     scale : float
         Length scale (the cell diameter).
-    transform : (n, n) array, optional
-        Coefficient matrix V applied on the right of the raw monomial
-        values: basis = raw @ V.  Used by the orthonormalization option.
     """
 
-    def __init__(self, degree, center, scale, transform=None):
+    def __init__(self, degree, center, scale):
         self.degree = degree
         self.center = np.asarray(center, dtype=float)
         self.scale = float(scale)
         self.exponents = np.asarray(monomial_exponents(degree), dtype=int)
         self.dim = len(self.exponents)
-        self.transform = transform
 
     def _local(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -57,10 +51,7 @@ class CellBasis:
         loc = self._local(pts)
         a = self.exponents[:, 0]
         b = self.exponents[:, 1]
-        vals = loc[:, 0][:, None] ** a[None, :] * loc[:, 1][:, None] ** b[None, :]
-        if self.transform is not None:
-            vals = vals @ self.transform
-        return vals
+        return loc[:, 0][:, None] ** a[None, :] * loc[:, 1][:, None] ** b[None, :]
 
     def eval_grad(self, pts):
         """Basis gradients at physical points; shape (npts, dim, 2)."""
@@ -76,20 +67,7 @@ class CellBasis:
         yb1 = y ** np.maximum(b - 1, 0)[None, :]
         gx = ax * xa1 * (y ** b[None, :]) / self.scale
         gy = by * (x ** a[None, :]) * yb1 / self.scale
-        grad = np.stack([gx, gy], axis=-1)
-        if self.transform is not None:
-            grad = np.einsum("pid,ij->pjd", grad, self.transform)
-        return grad
-
-    def orthonormalized(self, rule):
-        """Return a copy whose functions are L2-orthonormal w.r.t. `rule`."""
-        vals = self.eval(rule.points)
-        gram = vals.T @ (vals * rule.weights[:, None])
-        chol = np.linalg.cholesky(gram)
-        v = np.linalg.inv(chol).T
-        if self.transform is not None:
-            v = self.transform @ v
-        return CellBasis(self.degree, self.center, self.scale, transform=v)
+        return np.stack([gx, gy], axis=-1)
 
 
 class EdgeBasis:

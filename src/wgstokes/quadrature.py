@@ -9,6 +9,7 @@ polynomial of total degree <= d exactly, with strictly positive weights.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -25,8 +26,16 @@ class QuadratureRule:
 
 
 def gauss_points(exactness):
-    """1D Gauss-Legendre nodes/weights on [0, 1] exact to degree `exactness`."""
-    n = max(1, (exactness + 2) // 2)
+    """1D Gauss-Legendre nodes/weights on [0, 1] exact to degree `exactness`.
+
+    Returns fresh arrays; the nodes are computed once per point count.
+    """
+    s, w = _gauss_nodes(max(1, (exactness + 2) // 2))
+    return s.copy(), w.copy()
+
+
+@lru_cache(maxsize=None)
+def _gauss_nodes(n):
     x, w = leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 

@@ -1,19 +1,19 @@
 """Saddle-point solves, with optional static condensation.
 
 The solved system couples the free velocity DOFs (interior blocks plus
-interior-edge blocks), all pressure DOFs, and one Lagrange multiplier
-enforcing the zero-mean pressure gauge:
+interior-edge blocks) with the pressure DOFs:
 
-    [ A_ff   -B_fᵀ   0 ] [u_f]   [F_f - A_fx u_x]
-    [ -B_f    0      m ] [ p ] = [    B_x u_x    ]
-    [  0      mᵀ     0 ] [ γ ]   [       0       ]
+    [ A_ff   -B_fᵀ ] [u_f]   [F_f - A_fx u_x]
+    [ -B_f    0    ] [ p ] = [    B_x u_x    ]
 
-where x marks the eliminated Dirichlet DOFs and m holds the pressure
-basis integrals.  For compatible boundary data the multiplier γ vanishes
-(up to roundoff).  The default path factorizes the sparse matrix
-directly; a MINRES path exists behind a flag.  Static condensation
+where x marks the eliminated Dirichlet DOFs.  The pressure is fixed only
+up to a constant, so pressure DOF 0 (the constant coefficient of cell 0)
+is pinned to zero and its row and column are dropped; the pinned row's
+equation follows from the others for compatible boundary data.  A shift
+by the pressure mean then sets the zero-mean gauge.  The default path
+factorizes the sparse matrix directly; static condensation first
 eliminates the per-cell interior velocity blocks through dense local
-Schur complements before the global solve.
+Schur complements.
 """
 
 import json
@@ -22,7 +22,7 @@ import time
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import LinearOperator, minres, splu
+from scipy.sparse.linalg import splu
 
 from .errors import SolverError
 from .spaces import PressureFunction, WeakFunction
@@ -35,58 +35,47 @@ class SolveReport:
         self,
         velocity,
         pressure,
-        multiplier,
         residual,
         momentum_residual,
         mass_residual,
-        method,
         condensed,
         num_free_velocity,
         num_pressure,
         num_reduced,
         wall_time,
-        iterations=None,
     ):
         self.velocity = velocity
         self.pressure = pressure
-        self.multiplier = multiplier
         self.residual = residual
         self.momentum_residual = momentum_residual
         self.mass_residual = mass_residual
-        self.method = method
         self.condensed = condensed
         self.num_free_velocity = num_free_velocity
         self.num_pressure = num_pressure
         self.num_reduced = num_reduced
         self.wall_time = wall_time
-        self.iterations = iterations
 
     def to_json(self):
         return json.dumps(
             {
-                "method": self.method,
                 "condensed": self.condensed,
                 "residual": self.residual,
                 "momentum_residual": self.momentum_residual,
                 "mass_residual": self.mass_residual,
-                "multiplier": self.multiplier,
                 "num_free_velocity": self.num_free_velocity,
                 "num_pressure": self.num_pressure,
                 "num_reduced": self.num_reduced,
                 "wall_time": self.wall_time,
-                "iterations": self.iterations,
             }
         )
 
 
-def solve(system, method="direct", condense=False, residual_tol=1e-10, minres_rtol=1e-12):
-    """Solve an assembled SaddleSystem.
+def solve(system, condense=False, residual_tol=1e-10):
+    """Solve an assembled SaddleSystem by sparse LU factorization.
 
     Parameters
     ----------
     system : SaddleSystem
-    method : {"direct", "minres"}
-        Sparse LU factorization (default) or preconditioned MINRES.
     condense : bool
         Eliminate interior velocity DOFs cell-by-cell first, solve the
         reduced system, then recover the interior unknowns.
@@ -98,33 +87,17 @@ def solve(system, method="direct", condense=False, residual_tol=1e-10, minres_rt
     fixed = system.fixed_mask
     ubar = system.fixed_values
     A, B, m = system.A, system.B, system.pressure_moments
-    n_p = system.num_pressure_dofs
 
     A_ff = A[free][:, free].tocsr()
     B_f = B[:, free].tocsr()
     rhs_u = system.load[free] - A[free][:, fixed] @ ubar[fixed]
     rhs_p = B[:, fixed] @ ubar[fixed]
-    rhs = np.concatenate([rhs_u, rhs_p, [0.0]])
 
     if condense:
-        u_f, p, gamma, n_reduced = _condensed_solve(system, A_ff, B_f, rhs_u, rhs_p)
-        iterations = None
+        u_f, p, n_reduced = _condensed_solve(system, A_ff, B_f, rhs_u, rhs_p)
     else:
         n_reduced = None
-        K = _saddle_matrix(A_ff, B_f, m)
-        if method == "direct":
-            try:
-                x = splu(K).solve(rhs)
-            except RuntimeError as err:  # singular factorization
-                raise SolverError(f"sparse factorization failed: {err}") from err
-            iterations = None
-        elif method == "minres":
-            x, iterations = _minres_solve(system, K, rhs, minres_rtol)
-        else:
-            raise SolverError(f"unknown solve method {method!r}")
-        u_f = x[: len(free)]
-        p = x[len(free) : len(free) + n_p]
-        gamma = float(x[-1])
+        u_f, p = _solve_pinned(A_ff, -B_f.T, None, rhs_u, rhs_p, "sparse")
 
     if not np.isfinite(u_f).all() or not np.isfinite(p).all():
         raise SolverError("solve produced non-finite values (singular system?)")
@@ -132,108 +105,66 @@ def solve(system, method="direct", condense=False, residual_tol=1e-10, minres_rt
     # full velocity vector: solved free DOFs + projected boundary data
     u_full = ubar.copy()
     u_full[free] = u_f
+    # pressure gauge: shift the pinned solution to zero mean
+    p = p - _pressure_mean(system, p)
 
-    # residuals on the full system (momentum tested on free rows only)
+    # residuals on the full unpinned system (momentum tested on free rows only)
     r_mom = (A @ u_full - B.T @ p)[free] - system.load[free]
-    r_mass = B @ u_full - m * gamma
+    r_mass = B @ u_full
     r_mean = float(m @ p)
-    scale = max(float(np.linalg.norm(rhs)), 1e-30)
+    rhs_norm = float(np.linalg.norm(np.concatenate([rhs_u, rhs_p])))
+    scale = max(rhs_norm, 1e-30)
     momentum_residual = float(np.linalg.norm(r_mom))
     mass_residual = float(np.linalg.norm(r_mass))
     residual = float(np.sqrt(momentum_residual**2 + mass_residual**2 + r_mean**2)) / scale
-    if not residual <= residual_tol and np.linalg.norm(rhs) > 0:
+    if not residual <= residual_tol and rhs_norm > 0:
         raise SolverError(
             f"relative algebraic residual {residual:.3e} exceeds {residual_tol:g}"
         )
 
-    # pressure gauge: remove the roundoff-level mean
-    p = p - _pressure_mean(system, p)
-    pressure = PressureFunction(system.ops.dofmap, p)
-    velocity = WeakFunction(system.ops.dofmap, u_full)
-
     return SolveReport(
-        velocity=velocity,
-        pressure=pressure,
-        multiplier=gamma,
+        velocity=WeakFunction(system.ops.dofmap, u_full),
+        pressure=PressureFunction(system.ops.dofmap, p),
         residual=residual,
         momentum_residual=momentum_residual,
         mass_residual=mass_residual,
-        method="condensed-direct" if condense else method,
         condensed=condense,
         num_free_velocity=len(free),
-        num_pressure=n_p,
+        num_pressure=system.num_pressure_dofs,
         num_reduced=n_reduced,
         wall_time=time.perf_counter() - t0,
-        iterations=iterations,
     )
 
 
 def _pressure_mean(system, p):
-    """Mean-value coefficient shift: returns c with mean(p - c*1) = 0.
+    """Mean-value shift: returns s with mean(p - s) = 0.
 
-    The constant function has coefficient 1 on each cell's first basis
-    function only for the raw monomial basis; compute the shift through
-    the moment vector to stay basis-agnostic.
+    The first scaled monomial of every cell is the constant 1, so the
+    shift sits on each cell's constant coefficient.
     """
-    m = system.pressure_moments
-    mean = float(m @ p)  # integral of p_h over the domain
+    mean = float(system.pressure_moments @ p)  # integral of p_h over the domain
     area = float(system.ops.mesh.areas.sum())
     shift = np.zeros_like(p)
-    dofmap = system.ops.dofmap
-    for c in range(system.ops.mesh.num_cells):
-        # coefficients of the constant (mean/area) on cell c
-        const = _constant_coeffs(system.ops, c) * (mean / area)
-        shift[dofmap.pressure_dofs(c)] = const
+    shift[:: system.ops.dofmap.dim_cell_low] = mean / area
     return shift
 
 
-def _constant_coeffs(ops, c):
-    """Coefficients representing the constant 1 in cell c's pressure basis."""
-    basis = ops.cell_basis_low[c]
-    if basis.transform is None:
-        out = np.zeros(basis.dim)
-        out[0] = 1.0
-        return out
-    # orthonormalized basis: solve the (tiny) Vandermonde-free projection
-    moments = ops.cell_moments(c, lambda pts: np.ones(len(pts)), ops.degree - 1, 0)
-    return ops.solve_cell_mass(c, moments, degree=ops.degree - 1)
+def _solve_pinned(K_uu, K_up, K_pp, rhs_u, rhs_p, what):
+    """Solve [[K_uu, K_up], [K_upᵀ, K_pp]] [u; p] = [rhs_u; rhs_p] with p[0] = 0.
 
-
-def _saddle_matrix(A_ff, B_f, m):
-    mcol = sparse.csc_matrix(m[:, None])
-    K = sparse.bmat(
-        [[A_ff, -B_f.T, None], [-B_f, None, mcol], [None, mcol.T, None]], format="csc"
-    )
-    return K
-
-
-def _minres_solve(system, K, rhs, rtol):
-    """MINRES with a block-diagonal preconditioner: diag(A) and pressure mass."""
-    n_u = len(system.free)
-    n_p = system.num_pressure_dofs
-    diag_a = K.diagonal()[:n_u]
-    diag_a = np.where(diag_a > 0, diag_a, 1.0)
-    Mp = system.pressure_mass()
-    Mp_factor = splu(Mp.tocsc())
-    gamma_scale = float(np.mean(Mp.diagonal()))
-
-    def apply_prec(r):
-        out = np.empty_like(r)
-        out[:n_u] = r[:n_u] / diag_a
-        out[n_u : n_u + n_p] = Mp_factor.solve(r[n_u : n_u + n_p])
-        out[-1] = r[-1] / gamma_scale
-        return out
-
-    M = LinearOperator(K.shape, matvec=apply_prec)
-    counter = {"n": 0}
-
-    def cb(_):
-        counter["n"] += 1
-
-    x, info = minres(K, rhs, M=M, rtol=rtol, maxiter=50 * K.shape[0], callback=cb)
-    if info != 0:
-        raise SolverError(f"MINRES did not converge (info={info}, iters={counter['n']})")
-    return x, counter["n"]
+    The constant pressure spans the kernel of the symmetric saddle
+    matrix; dropping pressure row and column 0 removes it.  ``K_pp`` may
+    be None for a zero block.  Returns u and the full pressure vector.
+    """
+    K_up = K_up.tocsc()[:, 1:]
+    K_pp = None if K_pp is None else K_pp.tocsr()[1:, 1:]
+    K = sparse.bmat([[K_uu, K_up], [K_up.T, K_pp]], format="csc")
+    try:
+        x = splu(K).solve(np.concatenate([rhs_u, rhs_p[1:]]))
+    except RuntimeError as err:  # singular factorization
+        raise SolverError(f"{what} factorization failed: {err}") from err
+    n_u = K_uu.shape[0]
+    return x[:n_u], np.concatenate([[0.0], x[n_u:]])
 
 
 # -- static condensation ------------------------------------------------
@@ -250,7 +181,6 @@ def _condensed_solve(system, A_ff, B_f, rhs_u, rhs_p):
     mesh = ops.mesh
     dofmap = ops.dofmap
     free = system.free
-    m = system.pressure_moments
 
     # positions of each global free DOF inside the free numbering
     free_pos = np.full(dofmap.num_velocity_dofs, -1, dtype=int)
@@ -328,18 +258,7 @@ def _condensed_solve(system, A_ff, B_f, rhs_u, rhs_p):
         (np.concatenate(P_vals), (np.concatenate(P_rows), np.concatenate(P_cols))),
         shape=(n_p, n_p),
     ).tocsr()
-    mcol = sparse.csc_matrix(m[:, None])
-    K_red = sparse.bmat(
-        [[S_ee, C, None], [C.T, P, mcol], [None, mcol.T, None]], format="csc"
-    )
-    rhs_red = np.concatenate([rhs_e, rhs_q, [0.0]])
-    try:
-        x = splu(K_red).solve(rhs_red)
-    except RuntimeError as err:
-        raise SolverError(f"condensed factorization failed: {err}") from err
-    u_e = x[:n_e]
-    p = x[n_e : n_e + n_p]
-    gamma = float(x[-1])
+    u_e, p = _solve_pinned(S_ee, C, P, rhs_e, rhs_q, "condensed")
 
     # recover interior unknowns cell by cell
     u_f = np.zeros(len(free))
@@ -347,5 +266,5 @@ def _condensed_solve(system, A_ff, B_f, rhs_u, rhs_p):
     for c, (chol, Aie, Bi, iloc, eloc, pdofs) in enumerate(factors):
         rhs_i = rhs_u[iloc] - Aie @ u_f[eloc] + Bi.T @ p[pdofs]
         u_f[iloc] = cho_solve(chol, rhs_i)
-    n_reduced = n_e + n_p + 1
-    return u_f, p, gamma, n_reduced
+    n_reduced = n_e + n_p
+    return u_f, p, n_reduced

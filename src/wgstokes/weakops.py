@@ -42,12 +42,9 @@ class ElementOps:
     mesh : PolygonalMesh
     degree : int
         Velocity interior degree k >= 1.
-    orthonormalize : bool
-        Replace the scaled monomial cell bases by their L2-orthonormalized
-        versions (helps nearly degenerate cells; default off).
     """
 
-    def __init__(self, mesh, degree, orthonormalize=False):
+    def __init__(self, mesh, degree):
         self.mesh = mesh
         self.degree = int(degree)
         self.dofmap = DofMap(mesh, degree)
@@ -60,19 +57,9 @@ class ElementOps:
         self.edge_basis = [
             EdgeBasis(k - 1, *mesh.edge_vertices(e)) for e in range(mesh.num_edges)
         ]
-        self.cell_basis = []
-        self.cell_basis_low = []
-        for c in range(mesh.num_cells):
-            center = mesh.centroids[c]
-            scale = mesh.diameters[c]
-            full = CellBasis(k, center, scale)
-            low = CellBasis(k - 1, center, scale)
-            if orthonormalize:
-                rule = self.cell_rule(c)
-                full = full.orthonormalized(rule)
-                low = low.orthonormalized(rule)
-            self.cell_basis.append(full)
-            self.cell_basis_low.append(low)
+        cells = list(zip(mesh.centroids, mesh.diameters))
+        self.cell_basis = [CellBasis(k, center, scale) for center, scale in cells]
+        self.cell_basis_low = [CellBasis(k - 1, center, scale) for center, scale in cells]
 
         self._build_edge_mass()
         self._build_cell_ops()

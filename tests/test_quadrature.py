@@ -3,6 +3,7 @@ import pytest
 
 from wgstokes.quadrature import (
     edge_rule,
+    gauss_points,
     polygon_area,
     polygon_centroid,
     polygon_rule,
@@ -50,6 +51,16 @@ def test_edge_rule_weights_sum_to_length():
     rule = edge_rule([0, 0], [3, 4], 5)
     assert rule.weights.sum() == pytest.approx(5.0, abs=1e-14)
     assert (rule.weights > 0).all()
+
+
+def test_gauss_points_are_fresh_copies():
+    """Memoized nodes must not be shared: a caller's edit cannot leak."""
+    s, w = gauss_points(7)
+    expected = s.copy(), w.copy()
+    s[:] = -1.0
+    w *= 0.0
+    again = gauss_points(7)
+    assert np.array_equal(again[0], expected[0]) and np.array_equal(again[1], expected[1])
 
 
 def test_triangle_reference_factorials():
