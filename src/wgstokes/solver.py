@@ -12,8 +12,8 @@ is pinned to zero and its row and column are dropped; the pinned row's
 equation follows from the others for compatible boundary data.  A shift
 by the pressure mean then sets the zero-mean gauge.  The default path
 factorizes the sparse matrix directly; static condensation first
-eliminates the per-cell interior velocity blocks through dense local
-Schur complements.
+eliminates the interior velocity DOFs, whose block of A_ff is
+block-diagonal, one block per cell.
 """
 
 import json
@@ -21,7 +21,6 @@ import time
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
@@ -77,8 +76,8 @@ def solve(system, condense=False, residual_tol=1e-10):
     ----------
     system : SaddleSystem
     condense : bool
-        Eliminate interior velocity DOFs cell-by-cell first, solve the
-        reduced system, then recover the interior unknowns.
+        Eliminate the interior velocity DOFs first, solve the reduced
+        edge-and-pressure system, then recover the interior unknowns.
     residual_tol : float
         Maximum admissible relative algebraic residual.
     """
@@ -159,10 +158,13 @@ def _solve_pinned(K_uu, K_up, K_pp, rhs_u, rhs_p, what):
     K_up = K_up.tocsc()[:, 1:]
     K_pp = None if K_pp is None else K_pp.tocsr()[1:, 1:]
     K = sparse.bmat([[K_uu, K_up], [K_up.T, K_pp]], format="csc")
+    b = np.concatenate([rhs_u, rhs_p[1:]])
     try:
-        x = splu(K).solve(np.concatenate([rhs_u, rhs_p[1:]]))
+        lu = splu(K)
     except RuntimeError as err:  # singular factorization
         raise SolverError(f"{what} factorization failed: {err}") from err
+    x = lu.solve(b)
+    x += lu.solve(b - K @ x)  # one refinement step: LU rounding grows with the mesh
     n_u = K_uu.shape[0]
     return x[:n_u], np.concatenate([[0.0], x[n_u:]])
 
@@ -171,100 +173,40 @@ def _solve_pinned(K_uu, K_up, K_pp, rhs_u, rhs_p, what):
 
 
 def _condensed_solve(system, A_ff, B_f, rhs_u, rhs_p):
-    """Eliminate interior velocity DOFs per cell, solve, and recover them.
+    """Eliminate the interior velocity DOFs, solve, and recover them.
 
-    Interior DOFs couple only within their own cell, so the interior
-    block of A_ff is block-diagonal and the Schur complement onto the
-    edge and pressure unknowns assembles cell by cell.
+    DofMap numbers the interior DOFs first, cell-major, and none of them
+    is fixed, so they are the first ``interior_size`` free DOFs.  They
+    couple only within their own cell: A_ii is block-diagonal with one SPD
+    block per cell.  With A_ii = L Lᵀ and W = L⁻¹ (block-diagonal too),
+    the Schur complement onto the edge and pressure unknowns is a few
+    sparse products, symmetric by construction.
     """
-    ops = system.ops
-    mesh = ops.mesh
-    dofmap = ops.dofmap
-    free = system.free
+    dofmap = system.ops.dofmap
+    n_i, nb = dofmap.interior_size, 2 * dofmap.dim_cell
+    n_cells = n_i // nb
 
-    # positions of each global free DOF inside the free numbering
-    free_pos = np.full(dofmap.num_velocity_dofs, -1, dtype=int)
-    free_pos[free] = np.arange(len(free))
+    coo = A_ff[:n_i, :n_i].tocoo()
+    blocks = np.zeros((n_cells, nb, nb))
+    blocks[coo.row // nb, coo.row % nb, coo.col % nb] = coo.data
+    try:
+        L = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError as err:
+        lowest = np.linalg.eigvalsh(blocks)[:, 0]
+        c = int(np.argmin(lowest))
+        raise SolverError(
+            f"interior block of cell {c} is not positive definite "
+            f"(smallest eigenvalue {lowest[c]:.3e})"
+        ) from err
+    cells = np.arange(n_cells)
+    W = sparse.bsr_matrix((np.linalg.inv(L), cells, np.append(cells, n_cells)), shape=(n_i, n_i))
 
-    interior_free = []  # per cell: interior DOFs in free numbering
-    edge_free = []  # per cell: free edge DOFs in free numbering
-    for c in range(mesh.num_cells):
-        interior_free.append(free_pos[dofmap.interior_dofs(c)])
-        ed = np.concatenate([dofmap.edge_dofs(e) for e in mesh.cell_edges[c]])
-        pos = free_pos[ed]
-        edge_free.append(pos[pos >= 0])
-
-    # reduced velocity unknowns = free edge DOFs (keep their free-number order)
-    is_interior = np.zeros(len(free), dtype=bool)
-    for idx in interior_free:
-        is_interior[idx] = True
-    edge_unknowns = np.nonzero(~is_interior)[0]
-    red_pos = np.full(len(free), -1, dtype=int)
-    red_pos[edge_unknowns] = np.arange(len(edge_unknowns))
-    n_e = len(edge_unknowns)
-    n_p = system.num_pressure_dofs
-
-    A_csr = A_ff.tocsr()
-    B_csr = B_f.tocsr()
-
-    S_rows, S_cols, S_vals = [], [], []  # Schur corrections to the edge block
-    C_rows, C_cols, C_vals = [], [], []  # edge-pressure coupling corrections
-    P_rows, P_cols, P_vals = [], [], []  # pressure-pressure block
-    rhs_e = rhs_u[edge_unknowns].copy()
-    rhs_q = rhs_p.copy()
-    factors = []
-
-    for c in range(mesh.num_cells):
-        iloc = interior_free[c]
-        eloc = edge_free[c]
-        pdofs = dofmap.pressure_dofs(c)
-        Aii = A_csr[iloc][:, iloc].toarray()
-        Aie = A_csr[iloc][:, eloc].toarray()
-        Bi = B_csr[pdofs][:, iloc].toarray()
-        Fi = rhs_u[iloc]
-        try:
-            chol = cho_factor(Aii)
-        except np.linalg.LinAlgError as err:
-            raise SolverError(f"interior block of cell {c} is singular: {err}") from err
-        factors.append((chol, Aie, Bi, iloc, eloc, pdofs))
-        Zi = cho_solve(chol, Aie)  # Aii^{-1} A_ie
-        Yi = cho_solve(chol, Bi.T)  # Aii^{-1} B_iᵀ
-        wi = cho_solve(chol, Fi)  # Aii^{-1} F_i
-        epos = red_pos[eloc]
-        gr, gc = np.meshgrid(epos, epos, indexing="ij")
-        S_rows.append(gr.ravel())
-        S_cols.append(gc.ravel())
-        S_vals.append(-(Aie.T @ Zi).ravel())
-        gr, gc = np.meshgrid(epos, pdofs, indexing="ij")
-        C_rows.append(gr.ravel())
-        C_cols.append(gc.ravel())
-        C_vals.append((Aie.T @ Yi).ravel())
-        gr, gc = np.meshgrid(pdofs, pdofs, indexing="ij")
-        P_rows.append(gr.ravel())
-        P_cols.append(gc.ravel())
-        P_vals.append(-(Bi @ Yi).ravel())
-        rhs_e[epos] -= Aie.T @ wi
-        rhs_q[pdofs] += Bi @ wi
-
-    S_ee = A_csr[edge_unknowns][:, edge_unknowns] + sparse.coo_matrix(
-        (np.concatenate(S_vals), (np.concatenate(S_rows), np.concatenate(S_cols))),
-        shape=(n_e, n_e),
-    ).tocsr()
-    C = sparse.coo_matrix(
-        (np.concatenate(C_vals), (np.concatenate(C_rows), np.concatenate(C_cols))),
-        shape=(n_e, n_p),
-    ).tocsr() - B_csr[:, edge_unknowns].T
-    P = sparse.coo_matrix(
-        (np.concatenate(P_vals), (np.concatenate(P_rows), np.concatenate(P_cols))),
-        shape=(n_p, n_p),
-    ).tocsr()
-    u_e, p = _solve_pinned(S_ee, C, P, rhs_e, rhs_q, "condensed")
-
-    # recover interior unknowns cell by cell
-    u_f = np.zeros(len(free))
-    u_f[edge_unknowns] = u_e
-    for c, (chol, Aie, Bi, iloc, eloc, pdofs) in enumerate(factors):
-        rhs_i = rhs_u[iloc] - Aie @ u_f[eloc] + Bi.T @ p[pdofs]
-        u_f[iloc] = cho_solve(chol, rhs_i)
-    n_reduced = n_e + n_p
-    return u_f, p, n_reduced
+    G = (W @ A_ff[:n_i, n_i:]).tocsr()  # L⁻¹ A_ie
+    H = (W @ B_f[:, :n_i].T).tocsr()  # L⁻¹ B_iᵀ
+    w = W @ rhs_u[:n_i]  # L⁻¹ F_i
+    S = A_ff[n_i:, n_i:] - G.T @ G
+    C = G.T @ H - B_f[:, n_i:].T
+    P = -(H.T @ H)
+    u_e, p = _solve_pinned(S, C, P, rhs_u[n_i:] - G.T @ w, rhs_p + H.T @ w, "condensed")
+    u_i = W.T @ (w - G @ u_e + H @ p)
+    return np.concatenate([u_i, u_e]), p, len(u_e) + len(p)

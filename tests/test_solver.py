@@ -7,6 +7,7 @@ import pytest
 
 from wgstokes.assembly import assemble
 from wgstokes.cases import get_case
+from wgstokes.errors import SolverError
 from wgstokes.mesh import generate_mesh
 from wgstokes.projections import project_pressure, project_velocity
 from wgstokes.solver import solve
@@ -55,7 +56,7 @@ def test_polynomial_solutions_reproduced(case_name, degree, family):
     assert np.abs(report.pressure.coeffs - p_exact.coeffs).max() <= 1e-9
 
 
-def test_pressure_gauge_and_multiplier(ops_quad_k2):
+def test_pressure_gauge_and_mass_rows(ops_quad_k2):
     case = get_case("taylor-trig")
     system = assemble(ops_quad_k2, body_force=case.f, boundary_velocity=case.g)
     report = solve(system)
@@ -65,22 +66,46 @@ def test_pressure_gauge_and_multiplier(ops_quad_k2):
 
 
 @pytest.mark.parametrize(
-    "ops_name",
+    "family, degree, n, seed",
     [
-        pytest.param("ops_quad_k1", id="uniform-quad-k1"),
-        pytest.param("ops_poly_k2", id="perturbed-polygon-k2"),
+        pytest.param("uniform-quad", 1, 4, 0, id="uniform-quad-k1"),
+        pytest.param("perturbed-polygon", 2, 4, 1, id="perturbed-polygon-k2"),
+        pytest.param("hexagonal", 2, 4, 0, id="hexagonal-k2"),
+        pytest.param("uniform-quad", 3, 4, 0, id="uniform-quad-k3"),
+        # LU rounding in the full path reached 4e-9 here before the
+        # refinement step in the pinned solve
+        pytest.param("perturbed-polygon", 2, 32, 1, id="perturbed-polygon-k2-n32"),
     ],
 )
-def test_condensed_solve_matches_full(ops_name, request):
+def test_condensed_solve_matches_full(family, degree, n, seed):
     """Both direct paths agree, here with nonzero Dirichlet data."""
     case = get_case("taylor-trig")
-    system = assemble(request.getfixturevalue(ops_name), body_force=case.f, boundary_velocity=case.g)
+    ops = ElementOps(generate_mesh(family, n, seed=seed), degree)
+    system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
     assert np.abs(system.fixed_values).max() > 0.1
     full = solve(system)
     red = solve(system, condense=True)
     assert np.abs(full.velocity.coeffs - red.velocity.coeffs).max() <= 1e-9
     assert np.abs(full.pressure.coeffs - red.pressure.coeffs).max() <= 1e-9
     assert red.condensed and not full.condensed
+
+
+def test_condensed_solve_names_indefinite_cell(ops_quad_k1):
+    case = get_case("taylor-trig")
+    system = assemble(ops_quad_k1, body_force=case.f, boundary_velocity=case.g)
+    A = system.A.tocsr(copy=True)
+    idx = ops_quad_k1.dofmap.interior_dofs(5)
+    A[idx, idx] = -np.abs(A.diagonal()[idx])
+    system.A = A
+    with pytest.raises(SolverError, match=r"interior block of cell 5 "):
+        solve(system, condense=True)
+
+
+def test_residual_above_tolerance_raises(ops_quad_k1):
+    case = get_case("taylor-trig")
+    system = assemble(ops_quad_k1, body_force=case.f, boundary_velocity=case.g)
+    with pytest.raises(SolverError, match="exceeds"):
+        solve(system, residual_tol=0.0)
 
 
 def test_condensed_system_size(ops_quad_k1):
