@@ -19,7 +19,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError
 from .projections import project_gradient, project_pressure, project_velocity
-from .weakops import NONPOLY_EXACTNESS
+from .weakops import data_exactness
 
 # Dense inf-sup eigensolves refuse meshes with more pressure DOFs than the
 # cap; the ceiling bounds how far a caller may raise it.
@@ -53,87 +53,65 @@ def triple_bar_norm(ops, v):
     Squares the weak gradient over each cell and the scaled trace jumps
     over each cell side; equals sqrt(v' A v) up to rounding.
     """
-    total = 0.0
-    for c in range(ops.mesh.num_cells):
-        rule = ops.cell_rule(c)
-        vals_low = ops.cell_basis_low[c].eval(rule.points)
-        grad = np.einsum("pr,ijr->pij", vals_low, ops.weak_gradient(v, c))
-        total += rule.weights @ (grad**2).sum(axis=(1, 2))
-        h = ops.mesh.diameters[c]
-        for s, e in enumerate(ops.mesh.cell_edges[c]):
-            erule = ops.edge_rule(e)
-            evals = ops.edge_basis[e].eval(erule.points)
-            jump = evals @ ops.trace_jump(v, c, s).T  # (npts, 2)
-            total += (erule.weights @ (jump**2).sum(axis=1)) / h
+    cells, edges = ops.cell_quadrature, ops.edge_quadrature
+    nlow = ops.dofmap.dim_cell_low
+    grad = np.einsum("pr,pijr->pij", cells.values[:, :nlow], ops.weak_gradient(v)[cells.cell])
+    jump = np.einsum("qb,hib->hqi", edges.values, ops.trace_jump(v))
+    weights = edges.weights[ops.side_edge] / ops.mesh.diameters[ops.side_cell][:, None]
+    total = cells.weights @ (grad**2).sum(axis=(1, 2)) + np.sum(weights * (jump**2).sum(axis=2))
     return float(np.sqrt(max(total, 0.0)))
 
 
 def weak_divergence_norm(ops, v):
     """L2 norm of the weak divergence over the whole mesh."""
-    total = 0.0
-    for c in range(ops.mesh.num_cells):
-        d = ops.weak_divergence(v, c)
-        total += d @ ops.mass_low[c] @ d
-    return float(np.sqrt(max(total, 0.0)))
+    return _mass_norm(ops.weak_divergence(v), ops.mass_low)
 
 
 def velocity_interior_norm(ops, v):
     """L2 norm of the interior (cellwise) part of a discrete velocity."""
-    total = 0.0
-    for c in range(ops.mesh.num_cells):
-        coeffs = v.interior(c)
-        total += np.einsum("ir,rs,is->", coeffs, ops.mass_cell[c], coeffs)
-    return float(np.sqrt(max(total, 0.0)))
+    return _mass_norm(v.v0, ops.mass)
 
 
 def pressure_norm(ops, p):
-    total = 0.0
-    for c in range(ops.mesh.num_cells):
-        coeffs = p.cell(c)
-        total += coeffs @ ops.mass_low[c] @ coeffs
+    return _mass_norm(p.cellwise, ops.mass_low)
+
+
+def _mass_norm(coeffs, mass):
+    """sqrt of the sum over cells of c' M c, for coeffs (n_cells, [d,] n)."""
+    c = coeffs.reshape(len(coeffs), -1, mass.shape[-1])
+    return _root(np.einsum("cir,crs,cis->", c, mass, c))
+
+
+def _root(total):
     return float(np.sqrt(max(total, 0.0)))
 
 
-def _norm_exactness(data_degree):
-    return NONPOLY_EXACTNESS if data_degree is None else 2 * data_degree
+def _l2_error(ops, exact, coeffs, data_degree):
+    """L2 distance between a field and cellwise polynomials.
+
+    exact maps (n, 2) points to (n, ...) values; coeffs (n_cells, ..., dim)
+    holds the polynomial coefficients of each cell.
+    """
+    table = ops.cell_table(data_exactness(data_degree, data_degree))
+    vals = table.values[:, : coeffs.shape[-1]]
+    approx = np.einsum("pr,p...r->p...", vals, coeffs[table.cell])
+    diff = np.asarray(exact(table.points), dtype=float) - approx
+    return _root(table.weights @ (diff**2).reshape(len(diff), -1).sum(axis=1))
 
 
 def velocity_interior_error(ops, v, u, data_degree=None):
     """L2 distance between an exact velocity and the interior part of v."""
-    total = 0.0
-    ex = _norm_exactness(data_degree)
-    for c in range(ops.mesh.num_cells):
-        rule = ops.cell_rule(c, ex)
-        vals = ops.cell_basis[c].eval(rule.points)
-        diff = np.asarray(u(rule.points), dtype=float) - vals @ v.interior(c).T
-        total += rule.weights @ (diff**2).sum(axis=1)
-    return float(np.sqrt(max(total, 0.0)))
+    return _l2_error(ops, u, v.v0, data_degree)
 
 
 def pressure_error(ops, p_h, p, data_degree=None):
     """L2 distance between an exact pressure and a discrete one."""
-    total = 0.0
-    ex = _norm_exactness(data_degree)
-    for c in range(ops.mesh.num_cells):
-        rule = ops.cell_rule(c, ex)
-        vals = ops.cell_basis_low[c].eval(rule.points)
-        diff = np.asarray(p(rule.points), dtype=float) - vals @ p_h.cell(c)
-        total += rule.weights @ diff**2
-    return float(np.sqrt(max(total, 0.0)))
+    return _l2_error(ops, p, p_h.cellwise, data_degree)
 
 
 def gradient_projection_error(ops, grad_u, data_degree=None):
     """L2 distance between an exact Jacobian field and its cellwise projection."""
-    proj = project_gradient(ops, grad_u, data_degree)
-    total = 0.0
-    ex = _norm_exactness(data_degree)
-    for c in range(ops.mesh.num_cells):
-        rule = ops.cell_rule(c, ex)
-        vals = ops.cell_basis_low[c].eval(rule.points)
-        approx = np.einsum("pr,ijr->pij", vals, proj[c])
-        diff = np.asarray(grad_u(rule.points), dtype=float) - approx
-        total += rule.weights @ (diff**2).sum(axis=(1, 2))
-    return float(np.sqrt(max(total, 0.0)))
+    return _l2_error(ops, grad_u, project_gradient(ops, grad_u, data_degree), data_degree)
 
 
 # -- error bundles -------------------------------------------------------
@@ -237,58 +215,50 @@ def consistency_functionals(ops, case):
     exact velocity.  "total" = gradient - pressure + stabilizer, the
     right-hand side of the error equation.
     """
-    mesh, dofmap = ops.mesh, ops.dofmap
     d = case.data_degree
     gproj = project_gradient(ops, case.grad_u, d)
-    pproj = project_pressure(ops, case.p, d)
-    qu = project_velocity(ops, case.u, d)
-    edge_ex = NONPOLY_EXACTNESS if d is None else d + ops.degree
+    pproj = project_pressure(ops, case.p, d).cellwise
+    jump = ops.trace_jump(project_velocity(ops, case.u, d))
 
-    nk, ne = dofmap.dim_cell, dofmap.dim_edge
-    ell = np.zeros(dofmap.num_velocity_dofs)
-    theta = np.zeros_like(ell)
-    stab = np.zeros_like(ell)
+    cells, edges, normals = ops.side_cell, ops.side_edge, ops.side_normal
+    table = ops.edge_table(data_exactness(d, ops.degree))
+    pts = table.points[edges]  # (n_sides, q, 2)
+    flat = pts.reshape(-1, 2)
+    kvals = ops.basis_values(pts, cells[:, None])  # (n_sides, q, dim_cell)
+    lowvals = kvals[..., : ops.dofmap.dim_cell_low]
+    grad_res = np.asarray(case.grad_u(flat), dtype=float).reshape(pts.shape + (2,))
+    grad_res -= np.einsum("hqr,hijr->hqij", lowvals, gproj[cells])
+    pres_res = np.asarray(case.p(flat), dtype=float).reshape(pts.shape[:2])
+    pres_res -= np.einsum("hqr,hr->hq", lowvals, pproj[cells])
+    wts = table.weights[edges][..., None]
 
-    for c in range(mesh.num_cells):
-        normals = mesh.cell_normals(c)
-        h = mesh.diameters[c]
-        idofs = dofmap.interior_dofs(c)
-        for s, e in enumerate(mesh.cell_edges[c]):
-            erule = ops.edge_rule(e, edge_ex)
-            pts, wts = erule.points, erule.weights
-            kvals = ops.cell_basis[c].eval(pts)
-            evals = ops.edge_basis[e].eval(pts)
-            lowvals = ops.cell_basis_low[c].eval(pts)
-            n = normals[s]
-            edofs = dofmap.edge_dofs(e)
+    def edge_integrals(res):
+        """Pair (n_sides, q, 2) weighted values with P_k traces and, negated, edge bases."""
+        return _side_functional(
+            ops,
+            np.einsum("hqa,hqi->hia", kvals, res),
+            -np.einsum("qb,hqi->hib", table.values, res),
+        )
 
-            grad_res = np.asarray(case.grad_u(pts), dtype=float) - np.einsum(
-                "pr,ijr->pij", lowvals, gproj[c]
-            )
-            rvec = grad_res @ n  # (npts, 2)
-            pres_res = np.asarray(case.p(pts), dtype=float) - lowvals @ pproj.cell(c)
-            pvec = pres_res[:, None] * n[None, :]
-
-            jump = ops.trace_jump(qu, c, s)  # (2, ne)
-            mjump = jump @ ops.edge_mass[e].T / h
-            R = ops.trace_proj[c][s]
-
-            for i in (0, 1):
-                cell_rows = idofs[i * nk : (i + 1) * nk]
-                edge_rows = edofs[i * ne : (i + 1) * ne]
-                ell[cell_rows] += kvals.T @ (wts * rvec[:, i])
-                ell[edge_rows] -= evals.T @ (wts * rvec[:, i])
-                theta[cell_rows] += kvals.T @ (wts * pvec[:, i])
-                theta[edge_rows] -= evals.T @ (wts * pvec[:, i])
-                stab[cell_rows] += R.T @ mjump[i]
-                stab[edge_rows] -= mjump[i]
-
+    ell = edge_integrals(wts * np.einsum("hqij,hj->hqi", grad_res, normals))
+    theta = edge_integrals(wts * pres_res[..., None] * normals[:, None, :])
+    mjump = np.einsum("hib,hcb->hic", jump, ops.edge_mass[edges])
+    mjump /= ops.mesh.diameters[cells][:, None, None]
+    stab = _side_functional(ops, np.einsum("hba,hib->hia", ops.trace, mjump), -mjump)
     return {
         "gradient": ell,
         "pressure": theta,
         "stabilizer": stab,
         "total": ell - theta + stab,
     }
+
+
+def _side_functional(ops, interior, edge):
+    """Velocity-DOF vector from per-side interior (n_sides, 2, dim_cell) and
+    edge (n_sides, 2, dim_edge) contributions."""
+    vb = np.zeros((ops.mesh.num_edges,) + edge.shape[1:])
+    np.add.at(vb, ops.side_edge, edge)
+    return np.concatenate([ops.per_cell(interior).ravel(), vb.ravel()])
 
 
 def dual_norms(system, vectors):
@@ -337,12 +307,9 @@ def verify_error_equation(system, case, report, n_random=50, seed=0):
     energies = np.sqrt(np.einsum("if,if->f", tests, A_ff @ tests))
     worst = float(np.max(np.abs(residual[free] @ tests) / energies))
 
-    moments = system.B @ e_vec
-    mass = 0.0
-    for c in range(ops.mesh.num_cells):
-        mb = moments[ops.dofmap.pressure_dofs(c)]
-        mass += mb @ ops.solve_cell_mass(c, mb, degree=ops.degree - 1)
-    return worst, float(np.sqrt(max(mass, 0.0)))
+    moments = (system.B @ e_vec).reshape(ops.mesh.num_cells, -1)
+    mass = np.sum(moments * ops.solve_cell_mass(moments, degree=ops.degree - 1))
+    return worst, _root(mass)
 
 
 # -- convergence rates -----------------------------------------------------
@@ -405,17 +372,17 @@ class ConvergenceRecord:
     def column(self, name):
         return [row[name] for row in self.rows]
 
-    def rates(self, window=3):
+    def rates(self):
         """Rate label for each error column."""
-        return {name: rate_label(self.hs, self.column(name), window) for name in ERROR_COLUMNS}
+        return {name: rate_label(self.hs, self.column(name)) for name in ERROR_COLUMNS}
 
-    def write_csv(self, path, window=3):
+    def write_csv(self, path):
         """Write the per-level table plus a trailing rates row.
 
         Floats are written with repr so identical runs produce identical
         bytes.
         """
-        rates = self.rates(window)
+        rates = self.rates()
         with open(path, "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
@@ -428,7 +395,7 @@ class ConvergenceRecord:
                 )
             writer.writerow(["rates", "", ""] + [rates[name] for name in ERROR_COLUMNS] + [""])
 
-    def format_table(self, window=3):
+    def format_table(self):
         """Human-readable fixed-width table for terminal output."""
         header = f"{'level':>5} {'h':>10} {'cells':>7}" + "".join(
             f"{name:>14}" for name in ERROR_COLUMNS
@@ -441,7 +408,7 @@ class ConvergenceRecord:
                 + "".join(f"{row[name]:>14.4e}" for name in ERROR_COLUMNS)
                 + f"{beta:>10}"
             )
-        rates = self.rates(window)
+        rates = self.rates()
         lines.append(
             f"{'rates':>5} {'':>10} {'':>7}"
             + "".join(f"{rates[name]:>14}" for name in ERROR_COLUMNS)

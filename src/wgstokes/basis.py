@@ -23,6 +23,40 @@ def space_dimension(degree):
     return (degree + 1) * (degree + 2) // 2
 
 
+def _powers(loc, degree):
+    """Lists [x^0 .. x^degree] and [y^0 .. y^degree] at (..., 2) points."""
+    px, py = [np.ones(loc.shape[:-1])], [np.ones(loc.shape[:-1])]
+    for _ in range(degree):
+        px.append(px[-1] * loc[..., 0])
+        py.append(py[-1] * loc[..., 1])
+    return px, py
+
+
+def monomials(loc, degree):
+    """Monomials up to `degree` at (..., 2) local coordinates; shape (..., dim).
+
+    Columns follow `monomial_exponents`, so the values of a lower degree
+    are the leading columns.
+    """
+    px, py = _powers(loc, degree)
+    out = np.empty(loc.shape[:-1] + (space_dimension(degree),))
+    for col, (a, b) in enumerate(monomial_exponents(degree)):
+        out[..., col] = px[a] * py[b]
+    return out
+
+
+def monomial_gradients(loc, degree):
+    """Gradients of `monomials` in the local coordinates; shape (..., dim, 2)."""
+    px, py = _powers(loc, degree)
+    out = np.zeros(loc.shape[:-1] + (space_dimension(degree), 2))
+    for col, (a, b) in enumerate(monomial_exponents(degree)):
+        if a:
+            out[..., col, 0] = a * px[a - 1] * py[b]
+        if b:
+            out[..., col, 1] = b * px[a] * py[b - 1]
+    return out
+
+
 class CellBasis:
     """Scaled monomial basis of P_degree on one cell.
 
@@ -39,35 +73,16 @@ class CellBasis:
         self.degree = degree
         self.center = np.asarray(center, dtype=float)
         self.scale = float(scale)
-        self.exponents = np.asarray(monomial_exponents(degree), dtype=int)
-        self.dim = len(self.exponents)
-
-    def _local(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (pts - self.center) / self.scale
+        self.dim = space_dimension(degree)
 
     def eval(self, pts):
         """Basis values at physical points; shape (npts, dim)."""
-        loc = self._local(pts)
-        a = self.exponents[:, 0]
-        b = self.exponents[:, 1]
-        return loc[:, 0][:, None] ** a[None, :] * loc[:, 1][:, None] ** b[None, :]
+        return monomials((np.atleast_2d(pts) - self.center) / self.scale, self.degree)
 
     def eval_grad(self, pts):
         """Basis gradients at physical points; shape (npts, dim, 2)."""
-        loc = self._local(pts)
-        a = self.exponents[:, 0].astype(float)
-        b = self.exponents[:, 1].astype(float)
-        x = loc[:, 0][:, None]
-        y = loc[:, 1][:, None]
-        # d/dx [x^a y^b] = a x^(a-1) y^b, with the 0^(-1) case masked away
-        ax = np.where(a >= 1, a, 0.0)[None, :]
-        by = np.where(b >= 1, b, 0.0)[None, :]
-        xa1 = x ** np.maximum(a - 1, 0)[None, :]
-        yb1 = y ** np.maximum(b - 1, 0)[None, :]
-        gx = ax * xa1 * (y ** b[None, :]) / self.scale
-        gy = by * (x ** a[None, :]) * yb1 / self.scale
-        return np.stack([gx, gy], axis=-1)
+        local = (np.atleast_2d(pts) - self.center) / self.scale
+        return monomial_gradients(local, self.degree) / self.scale
 
 
 class EdgeBasis:

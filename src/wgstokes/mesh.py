@@ -94,6 +94,14 @@ class PolygonalMesh:
                     f"cell {ci} is not CCW or has non-positive area ({area:g})"
                 )
             loop.setflags(write=False)
+        sizes = np.array([len(loop) for loop in self.cells])
+        for m in np.unique(sizes[sizes > 3]):
+            group = np.nonzero(sizes == m)[0]
+            crossed = group[_sides_cross(self.vertices[np.stack([self.cells[c] for c in group])])]
+            if len(crossed):
+                raise MeshValidationError(
+                    f"cell {crossed[0]} is self-intersecting: two sides cross"
+                )
 
     def _build_edges(self):
         edge_ids = {}
@@ -185,6 +193,31 @@ class PolygonalMesh:
             f"PolygonalMesh({self.num_vertices} vertices, {self.num_edges} edges, "
             f"{self.num_cells} cells, h={self.mesh_size:.4g})"
         )
+
+
+def _sides_cross(p):
+    """For (n, m, 2) closed loops, whether two non-adjacent sides of each meet.
+
+    Collinear sides meet only where they overlap, so a straight run of
+    hanging vertices passes.
+    """
+    m = p.shape[1]
+    i, j = np.triu_indices(m, 2)
+    i, j = i[j - i < m - 1], j[j - i < m - 1]  # sides 0 and m-1 are adjacent
+    q = np.roll(p, -1, axis=1)
+    a, b, c, d = p[:, i], q[:, i], p[:, j], q[:, j]
+    tol = 1e-12 * (p.max(axis=1) - p.min(axis=1)).max(axis=1)[:, None] ** 2
+
+    def side(p0, p1, x):  # side of the line p0 -> p1 that x is on, 0 within tol
+        u, v = p1 - p0, x - p0
+        cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+        return np.where(np.abs(cross) <= tol, 0, np.sign(cross))
+
+    s1, s2 = side(a, b, c), side(a, b, d)
+    meet = (s1 * s2 <= 0) & (side(c, d, a) * side(c, d, b) <= 0)
+    t = np.stack([((x - a) * (b - a)).sum(-1) for x in (c, d)])  # c, d along a -> b
+    overlap = (t.max(0) >= -tol) & (t.min(0) <= ((b - a) ** 2).sum(-1) + tol)
+    return (meet & ((s1 != 0) | (s2 != 0) | overlap)).any(axis=1)
 
 
 # -- generators --------------------------------------------------------

@@ -25,12 +25,8 @@ def project_velocity(ops, u, data_degree=None):
         Total polynomial degree of u's components, if polynomial.
     """
     out = WeakFunction.zeros(ops.dofmap)
-    for c in range(ops.mesh.num_cells):
-        moments = ops.cell_moments(c, u, ops.degree, data_degree)  # (2, nk)
-        out.interior(c)[:] = ops.solve_cell_mass(c, moments)
-    for e in range(ops.mesh.num_edges):
-        moments = ops.edge_moments(e, u, data_degree)  # (2, ne)
-        out.edge(e)[:] = ops.solve_edge_mass(e, moments)
+    out.v0[:] = ops.solve_cell_mass(ops.cell_moments(u, ops.degree, data_degree))
+    out.vb[:] = ops.solve_edge_mass(ops.edge_moments(u, data_degree))
     return out
 
 
@@ -40,18 +36,16 @@ def project_boundary_velocity(ops, g, data_degree=None):
     Returns a WeakFunction that is zero except on boundary edges.
     """
     out = WeakFunction.zeros(ops.dofmap)
-    for e in np.nonzero(ops.mesh.boundary_edges)[0]:
-        moments = ops.edge_moments(e, g, data_degree)
-        out.edge(e)[:] = ops.solve_edge_mass(e, moments)
+    edges = np.nonzero(ops.mesh.boundary_edges)[0]
+    out.vb[edges] = ops.solve_edge_mass(ops.edge_moments(g, data_degree, edges), edges)
     return out
 
 
 def project_pressure(ops, p, data_degree=None):
     """Cellwise P_{k-1} projection of a scalar field."""
     out = PressureFunction.zeros(ops.dofmap)
-    for c in range(ops.mesh.num_cells):
-        moments = ops.cell_moments(c, p, ops.degree - 1, data_degree)
-        out.cell(c)[:] = ops.solve_cell_mass(c, moments, degree=ops.degree - 1)
+    low = ops.degree - 1
+    out.cellwise[:] = ops.solve_cell_mass(ops.cell_moments(p, low, data_degree), low)
     return out
 
 
@@ -61,19 +55,10 @@ def project_gradient(ops, grad_u, data_degree=None):
     grad_u maps (n, 2) points to (n, 2, 2) Jacobians (entry [i, j] is
     d u_i / d x_j).  Returns an (num_cells, 2, 2, dim_cell_low) array.
     """
-    nc = ops.mesh.num_cells
-    nlow = ops.dofmap.dim_cell_low
-    out = np.empty((nc, 2, 2, nlow))
-    for c in range(nc):
-        flat = lambda pts: np.asarray(grad_u(pts), dtype=float).reshape(-1, 4)
-        moments = ops.cell_moments(c, flat, ops.degree - 1, data_degree)  # (4, nlow)
-        coeffs = ops.solve_cell_mass(c, moments, degree=ops.degree - 1)
-        out[c] = coeffs.reshape(2, 2, nlow)
-    return out
+    low = ops.degree - 1
+    return ops.solve_cell_mass(ops.cell_moments(grad_u, low, data_degree), low)
 
 
 def project_divergence(ops, div_u, data_degree=None):
     """Cellwise P_{k-1} projection of a scalar divergence field."""
-    return project_pressure(ops, div_u, data_degree).coeffs.reshape(
-        ops.mesh.num_cells, ops.dofmap.dim_cell_low
-    )
+    return project_pressure(ops, div_u, data_degree).cellwise

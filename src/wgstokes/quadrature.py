@@ -6,6 +6,8 @@ falling back to ear clipping otherwise.  Each triangle carries a tensor
 Gauss-Legendre rule mapped through the collapsed-square (Duffy) transform,
 so a rule of requested polynomial exactness ``d`` integrates every
 polynomial of total degree <= d exactly, with strictly positive weights.
+That rule is built once per exactness on the reference triangle and
+mapped affinely onto all triangles of a polygon at once.
 """
 
 from dataclasses import dataclass
@@ -56,66 +58,79 @@ def triangle_rule(a, b, c, exactness):
     The triangle must be positively oriented (CCW); weights are positive and
     sum to its area.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if area2 <= 0.0:
+    tri = np.asarray([a, b, c], dtype=float)
+    if _doubled_areas(tri[None])[0] <= 0.0:
         raise ValueError("triangle_rule expects a CCW (positive-area) triangle")
-    u, wu = gauss_points(exactness + 1)  # Duffy multiplies degree by (1 - u)
-    v, wv = gauss_points(exactness + 1)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    lam1 = U.ravel()
-    lam2 = (V * (1.0 - U)).ravel()
-    pts = a[None, :] + np.outer(lam1, b - a) + np.outer(lam2, c - a)
-    w = (np.outer(wu * (1.0 - u), wv)).ravel() * area2
+    pts, w = _map_triangles(tri[None], exactness)
     return QuadratureRule(pts, w, exactness)
 
 
-def _signed_area(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+@lru_cache(maxsize=None)
+def _reference_triangle(exactness):
+    """Duffy-collapsed tensor rule on the unit triangle: points (q, 2), weights (q,).
+
+    The weights sum to 1/2; the arrays are shared and read-only.
+    """
+    u, wu = gauss_points(exactness + 1)  # Duffy multiplies degree by (1 - u)
+    v, wv = gauss_points(exactness + 1)
+    U, V = np.meshgrid(u, v, indexing="ij")
+    points = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
+    ref = points, np.outer(wu * (1.0 - u), wv).ravel()
+    for arr in ref:
+        arr.setflags(write=False)
+    return ref
+
+
+def _cross(u, v):
+    """z-component of u x v for (..., 2) vectors."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _doubled_areas(tris):
+    """Twice the signed areas of a (t, 3, 2) stack of triangles."""
+    return _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+
+
+def _map_triangles(tris, exactness):
+    """The reference rule mapped affinely onto each of (t, 3, 2) CCW triangles.
+
+    Returns points (t * q, 2) and weights (t * q,), triangle-major.
+    """
+    lam, w = _reference_triangle(exactness)
+    a = tris[:, :1]
+    pts = a + lam @ (tris[:, 1:] - a)  # a + lam1 (b - a) + lam2 (c - a)
+    return pts.reshape(-1, 2), (_doubled_areas(tris)[:, None] * w).ravel()
+
+
+def _shoelace(poly):
+    """The loop's next vertices and the cross products x_i y_(i+1) - x_(i+1) y_i."""
+    nxt = np.concatenate([poly[1:], poly[:1]])
+    return nxt, _cross(poly, nxt)
 
 
 def _ear_clip(poly):
-    """Split a simple polygon into CCW triangles by ear clipping."""
-    idx = list(range(len(poly)))
-    tris = []
-    guard = 0
+    """Split a simple polygon into CCW triangles (index triples) by ear clipping.
+
+    An ear is a strictly convex corner whose closed triangle holds no other
+    remaining vertex: clipping across a vertex on an ear's edge, such as a
+    hanging vertex, would cut outside the polygon.
+    """
+    idx, tris = list(range(len(poly))), []
     while len(idx) > 3:
-        guard += 1
-        if guard > 10000:
+        for pos in range(len(idx)):
+            ear = [idx[pos - 1], idx[pos], idx[(pos + 1) % len(idx)]]
+            tri = poly[ear]
+            area2 = _doubled_areas(tri[None])[0]
+            # the other vertices relative to each corner, tested against each edge
+            rel = poly[[j for j in idx if j not in ear]][:, None] - tri
+            blocked = (_cross(np.roll(tri, -1, axis=0) - tri, rel) >= -1e-12 * area2).all(axis=1)
+            if area2 > 0.0 and not blocked.any():
+                tris.append(ear)
+                del idx[pos]
+                break
+        else:
             raise ValueError("ear clipping failed; polygon may be non-simple")
-        n = len(idx)
-        clipped = False
-        for pos in range(n):
-            i0, i1, i2 = idx[pos - 1], idx[pos], idx[(pos + 1) % n]
-            a, b, c = poly[i0], poly[i1], poly[i2]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= 0.0:
-                continue  # reflex corner, not an ear
-            # no remaining vertex may sit inside the candidate ear
-            others = [j for j in idx if j not in (i0, i1, i2)]
-            if others and _any_inside(poly[others], a, b, c):
-                continue
-            tris.append((i0, i1, i2))
-            del idx[pos]
-            clipped = True
-            break
-        if not clipped:
-            raise ValueError("ear clipping failed; polygon may be non-simple")
-    tris.append(tuple(idx))
-    return tris
-
-
-def _any_inside(pts, a, b, c):
-    def side(p, q, r):
-        return (q[0] - p[0]) * (r[:, 1] - p[1]) - (q[1] - p[1]) * (r[:, 0] - p[0])
-
-    eps = 1e-14
-    return bool(
-        np.any((side(a, b, pts) > eps) & (side(b, c, pts) > eps) & (side(c, a, pts) > eps))
-    )
+    return tris + [idx]
 
 
 def polygon_rule(poly, exactness):
@@ -131,43 +146,23 @@ def polygon_rule(poly, exactness):
     poly = np.asarray(poly, dtype=float)
     if len(poly) < 3:
         raise ValueError("polygon needs at least 3 vertices")
-    if _signed_area(poly) <= 0.0:
+    nxt, cross = _shoelace(poly)
+    if cross.sum() <= 0.0:
         raise ValueError("polygon must be CCW with positive area")
-    centroid = polygon_centroid(poly)
     # Fan from the centroid when every fan triangle is positively oriented.
-    fans = []
-    ok = True
-    for i in range(len(poly)):
-        a, b = poly[i], poly[(i + 1) % len(poly)]
-        cross = (a[0] - centroid[0]) * (b[1] - centroid[1]) - (a[1] - centroid[1]) * (
-            b[0] - centroid[0]
-        )
-        if cross <= 0.0:
-            ok = False
-            break
-        fans.append((centroid, a, b))
-    if not ok:
-        fans = [(poly[i], poly[j], poly[k]) for i, j, k in _ear_clip(poly)]
-    pts = []
-    wts = []
-    for a, b, c in fans:
-        r = triangle_rule(a, b, c, exactness)
-        pts.append(r.points)
-        wts.append(r.weights)
-    return QuadratureRule(np.vstack(pts), np.concatenate(wts), exactness)
+    tris = np.stack([np.broadcast_to(polygon_centroid(poly), poly.shape), poly, nxt], axis=1)
+    if (_doubled_areas(tris) <= 0.0).any():
+        tris = poly[np.asarray(_ear_clip(poly))]
+    pts, w = _map_triangles(tris, exactness)
+    return QuadratureRule(pts, w, exactness)
 
 
 def polygon_area(poly):
-    return float(_signed_area(np.asarray(poly, dtype=float)))
+    return 0.5 * float(_shoelace(np.asarray(poly, dtype=float))[1].sum())
 
 
 def polygon_centroid(poly):
     """Area centroid of a simple CCW polygon."""
     poly = np.asarray(poly, dtype=float)
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    a = 0.5 * cross.sum()
-    cx = np.sum((x + xn) * cross) / (6.0 * a)
-    cy = np.sum((y + yn) * cross) / (6.0 * a)
-    return np.array([cx, cy])
+    nxt, cross = _shoelace(poly)
+    return ((poly + nxt) * cross[:, None]).sum(axis=0) / (3.0 * cross.sum())

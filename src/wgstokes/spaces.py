@@ -31,8 +31,6 @@ class DofMap:
         self.interior_size = mesh.num_cells * 2 * self.dim_cell
         self.num_velocity_dofs = self.interior_size + mesh.num_edges * 2 * self.dim_edge
         self.num_pressure_dofs = mesh.num_cells * self.dim_cell_low
-        self._cell_dofs = None
-        self._boundary_mask = None
 
     # -- velocity numbering -------------------------------------------
 
@@ -47,53 +45,17 @@ class DofMap:
         return np.arange(start, start + 2 * self.dim_edge)
 
     def cell_dofs(self, c):
-        """All velocity DOFs seen by cell c, in local layout order.
-
-        Local layout: [v0x (dim_cell), v0y (dim_cell)] then per side s
-        [vbx (dim_edge), vby (dim_edge)] in loop order.
-        """
-        if self._cell_dofs is None:
-            self._cell_dofs = [None] * self.mesh.num_cells
-        cached = self._cell_dofs[c]
-        if cached is None:
-            parts = [self.interior_dofs(c)]
-            for e in self.mesh.cell_edges[c]:
-                parts.append(self.edge_dofs(e))
-            cached = np.concatenate(parts)
-            self._cell_dofs[c] = cached
-        return cached
-
-    def local_size(self, c):
-        return 2 * self.dim_cell + 2 * self.dim_edge * len(self.mesh.cells[c])
-
-    def component_maps(self, c):
-        """Positions of the x/y scalar sub-vectors inside the local layout.
-
-        Returns an int array of shape (2, dim_cell + m*dim_edge): row i
-        lists where component i's scalar coefficients (interior first,
-        then per-side edge blocks) sit in the local vector layout.
-        """
-        m = len(self.mesh.cells[c])
-        nk, ne = self.dim_cell, self.dim_edge
-        out = np.empty((2, nk + m * ne), dtype=int)
-        for comp in (0, 1):
-            out[comp, :nk] = comp * nk + np.arange(nk)
-            for s in range(m):
-                out[comp, nk + s * ne : nk + (s + 1) * ne] = (
-                    2 * nk + s * 2 * ne + comp * ne + np.arange(ne)
-                )
-        return out
+        """All velocity DOFs seen by cell c: the interior block, then each
+        side's edge block in loop order."""
+        edges = [self.edge_dofs(e) for e in self.mesh.cell_edges[c]]
+        return np.concatenate([self.interior_dofs(c)] + edges)
 
     # -- boundary -------------------------------------------------------
 
     def boundary_velocity_mask(self):
         """Boolean mask over velocity DOFs: True on boundary-edge blocks."""
-        if self._boundary_mask is None:
-            mask = np.zeros(self.num_velocity_dofs, dtype=bool)
-            for e in np.nonzero(self.mesh.boundary_edges)[0]:
-                mask[self.edge_dofs(e)] = True
-            self._boundary_mask = mask
-        return self._boundary_mask
+        edges = np.repeat(self.mesh.boundary_edges, 2 * self.dim_edge)
+        return np.concatenate([np.zeros(self.interior_size, dtype=bool), edges])
 
     # -- pressure numbering ---------------------------------------------
 
@@ -136,9 +98,15 @@ class WeakFunction:
         start = self.dofmap.interior_size + e * 2 * ne
         return self.coeffs[start : start + 2 * ne].reshape(2, ne)
 
-    def local(self, c):
-        """Local coefficient vector of cell c (copy)."""
-        return self.coeffs[self.dofmap.cell_dofs(c)]
+    @property
+    def v0(self):
+        """(n_cells, 2, dim_cell) view of all interior coefficients."""
+        return self.coeffs[: self.dofmap.interior_size].reshape(-1, 2, self.dofmap.dim_cell)
+
+    @property
+    def vb(self):
+        """(n_edges, 2, dim_edge) view of all edge coefficients."""
+        return self.coeffs[self.dofmap.interior_size :].reshape(-1, 2, self.dofmap.dim_edge)
 
     def copy(self):
         return WeakFunction(self.dofmap, self.coeffs.copy())
@@ -173,6 +141,11 @@ class PressureFunction:
         """(dim_cell_low,) view of cell c's coefficients."""
         nl = self.dofmap.dim_cell_low
         return self.coeffs[c * nl : (c + 1) * nl]
+
+    @property
+    def cellwise(self):
+        """(n_cells, dim_cell_low) view of all coefficients."""
+        return self.coeffs.reshape(-1, self.dofmap.dim_cell_low)
 
     def copy(self):
         return PressureFunction(self.dofmap, self.coeffs.copy())

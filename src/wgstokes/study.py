@@ -45,10 +45,8 @@ class StudyConfig:
     n0: int = 4
     levels: int = 4
     seed: int = 0
-    jitter: float = 0.2
     condense: bool = False
     inf_sup_cap: int = BETA_DOF_CAP
-    rate_window: int = 3
     dump_prefix: str = ""
 
 
@@ -68,7 +66,7 @@ class StudyResult:
             f"case={self.config.case} family={self.config.family} "
             f"degree={self.config.degree} levels={self.config.levels} n0={self.config.n0}"
         ]
-        lines.append(self.record.format_table(self.config.rate_window))
+        lines.append(self.record.format_table())
         for name, target in self.expected.items():
             got = self.rates[name]
             shown = got if got else "n/a"
@@ -82,9 +80,7 @@ def run_study(config):
     case = get_case(config.case)
     record = ConvergenceRecord()
     for level in range(config.levels):
-        mesh = generate_mesh(
-            config.family, config.n0 * 2**level, seed=config.seed, jitter=config.jitter
-        )
+        mesh = generate_mesh(config.family, config.n0 * 2**level, seed=config.seed)
         ops = ElementOps(mesh, config.degree)
         system = assemble(
             ops,
@@ -102,14 +98,14 @@ def run_study(config):
 
 
 def _gate(config, record):
-    rates = record.rates(config.rate_window)
+    rates = record.rates()
     expected = {name: order(config.degree) for name, order in GATED_RATES.items()}
     failures = []
     for name, target in expected.items():
         label = rates[name]
         if label == "exact":
             continue
-        fitted = fit_rate(record.hs, record.column(name), config.rate_window)
+        fitted = fit_rate(record.hs, record.column(name))
         if fitted is None or fitted < target - RATE_MARGIN:
             shown = "n/a" if fitted is None else f"{fitted:.3f}"
             failures.append(f"{name} rate {shown} below {target - RATE_MARGIN:.1f}")

@@ -1,4 +1,4 @@
-"""Discrete weak differential operators and local element matrices.
+"""Discrete weak differential operators, held as stacks over cells and sides.
 
 For a velocity field v = {v0, vb} on a cell T the weak gradient is the
 tensor polynomial G in [P_{k-1}(T)]^{2x2} defined against every test
@@ -8,40 +8,99 @@ tensor q of the same space through integration by parts,
 
 where div acts row-wise and n is the outward normal; the weak divergence
 is the scalar analogue in P_{k-1}(T).  Both reduce to scalar problems per
-velocity component, solved with the (factored) P_{k-1} mass matrix.
+velocity component, solved with the P_{k-1} mass matrix.
 
 The stabilizer couples the trace of v0 with vb through the edgewise L2
 projection: s_T(v, w) = h_T^{-1} <P_e v0 - vb, P_e w0 - wb>_dT summed over
 the sides of T, where P_e projects onto the edge polynomial space.
 
-:class:`ElementOps` precomputes, per cell, the factored mass matrices, the
-weak-operator coefficient maps, and the local velocity/divergence/pressure
-matrices used by assembly and analysis.  Quadrature rules are cached per
-(entity, exactness); scheme matrices always use the default exactness
-(2k+2 on cells, 2k+1 on edges), which integrates every scheme integrand
-exactly.  Data-dependent integrals request higher exactness through the
-``data_degree`` arguments.
+:class:`ElementOps` concatenates every cell's quadrature rule into one flat
+table (points, weights, the cell of each point), evaluates the scaled
+monomials there once, and reduces per cell with ``np.add.reduceat``.  A
+*side* is one cell seeing one of its edges; sides are numbered cell-major
+in loop order.  Edge-basis values at an edge's Gauss points are the same
+reference table on every edge, since both use the canonical parameter.
+The local operators are stacks over cells or sides (shapes below); the
+scheme tables use the default exactness (2k+2 on cells, 2k+1 on edges),
+which integrates every scheme integrand exactly.  Data-dependent integrals
+build a table per call, at the exactness `data_exactness` assigns.
 """
 
-import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from dataclasses import dataclass
 
-from .quadrature import edge_rule, polygon_rule
-from .basis import CellBasis, EdgeBasis
+import numpy as np
+
+from .basis import CellBasis, EdgeBasis, monomial_gradients, monomials, space_dimension
+from .errors import MeshValidationError
+from .quadrature import edge_rule, gauss_points, polygon_rule
 from .spaces import DofMap
 
 #: total quadrature exactness used when data is not polynomial
 NONPOLY_EXACTNESS = 20
 
 
-class ElementOps:
-    """Per-cell operator workspace for one (mesh, degree) pair.
+def data_exactness(data_degree, degree):
+    """Rule exactness for data of total degree `data_degree` times a P_degree function.
 
-    Parameters
+    None marks non-polynomial data, which gets NONPOLY_EXACTNESS.
+    """
+    return NONPOLY_EXACTNESS if data_degree is None else data_degree + degree
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """All cell rules concatenated: points (N, 2), weights (N,), the owning
+    cell of each point (N,), each cell's first point (n_cells,), and the
+    P_k basis values (N, dim_cell); P_{k-1} values are the first columns."""
+
+    points: np.ndarray
+    weights: np.ndarray
+    cell: np.ndarray
+    starts: np.ndarray
+    values: np.ndarray
+
+    def integrate(self, subscripts, first, *rest):
+        """Per-cell integrals of einsum(subscripts, first, *rest), points on axis 0.
+
+        The weights scale `first`, so the einsum result is the one (N, ...)
+        temporary; the integrals have shape (n_cells, ...).
+        """
+        weighted = self.weights.reshape((-1,) + (1,) * (np.ndim(first) - 1)) * first
+        return np.add.reduceat(np.einsum(subscripts, weighted, *rest), self.starts, axis=0)
+
+
+@dataclass(frozen=True)
+class EdgeTable:
+    """Gauss rules of a set of edges: points (n, q, 2), weights (n, q), and
+    the edge-basis values (q, dim_edge), which every edge shares."""
+
+    points: np.ndarray
+    weights: np.ndarray
+    values: np.ndarray
+
+
+class ElementOps:
+    """Local operator stacks for one (mesh, degree) pair.
+
+    Attributes
     ----------
-    mesh : PolygonalMesh
-    degree : int
-        Velocity interior degree k >= 1.
+    cell_quadrature : CellTable
+    edge_quadrature : EdgeTable
+        The scheme rules of all cells and all edges.
+    mass : (n_cells, dim_cell, dim_cell)
+        P_k cell masses; ``mass_low`` is the leading P_{k-1} block.
+    edge_mass : (n_edges, dim_edge, dim_edge)
+    side_cell, side_edge : (n_sides,)
+        Cell and edge of each side; ``side_starts`` (n_cells,) is the
+        first side of each cell, ``side_normal`` (n_sides, 2) its outward
+        normal.
+    grad_interior : (n_cells, 2, dim_cell_low, dim_cell)
+        [c, j] maps a scalar's interior coefficients to the P_{k-1}
+        coefficients of its weak derivative in direction j.
+    grad_side : (n_sides, 2, dim_cell_low, dim_edge)
+        The same from the edge coefficients seen through one side.
+    trace : (n_sides, dim_edge, dim_cell)
+        Edge projection of the P_k cell basis restricted to the side.
     """
 
     def __init__(self, mesh, degree):
@@ -49,222 +108,160 @@ class ElementOps:
         self.degree = int(degree)
         self.dofmap = DofMap(mesh, degree)
         k = self.degree
+        nlow = self.dofmap.dim_cell_low
         self.cell_exactness = 2 * k + 2
         self.edge_exactness = 2 * k + 1
-        self._cell_rules = {}
-        self._edge_rules = {}
-
-        self.edge_basis = [
-            EdgeBasis(k - 1, *mesh.edge_vertices(e)) for e in range(mesh.num_edges)
-        ]
         cells = list(zip(mesh.centroids, mesh.diameters))
         self.cell_basis = [CellBasis(k, center, scale) for center, scale in cells]
         self.cell_basis_low = [CellBasis(k - 1, center, scale) for center, scale in cells]
 
-        self._build_edge_mass()
-        self._build_cell_ops()
+        counts = np.array([len(loop) for loop in mesh.cells])
+        self.side_cell = np.repeat(np.arange(mesh.num_cells), counts)
+        self.side_edge = np.concatenate(mesh.cell_edges)
+        self.side_starts = np.cumsum(counts) - counts
+        start = mesh.vertices[np.concatenate(mesh.cells)]
+        following = np.arange(len(start)) + 1
+        following[self.side_starts + counts - 1] = self.side_starts
+        t = start[following] - start
+        # CCW loops: the outward normal is the tangent turned by -90 degrees
+        self.side_normal = np.column_stack([t[:, 1], -t[:, 0]]) / np.hypot(*t.T)[:, None]
 
-    # -- quadrature caches ---------------------------------------------
+        self.cell_quadrature = cq = self._cell_table(self.cell_exactness)
+        self.edge_quadrature = eq = self._edge_table(self.edge_exactness)
+
+        vals = cq.values
+        grads_low = monomial_gradients(self._local(cq.points, cq.cell), k - 1)
+        grads_low /= mesh.diameters[cq.cell][:, None, None]
+        self.mass = cq.integrate("pa,pb->pab", vals, vals)
+        self.mass_low = self.mass[:, :nlow, :nlow]
+        # interior part tested with the gradients of the low basis
+        moments = cq.integrate("prj,pa->pjra", grads_low, vals)
+        self.grad_interior = -np.linalg.solve(self.mass_low[:, None], moments)
+
+        self.edge_mass = np.einsum("eq,qa,qb->eab", eq.weights, eq.values, eq.values)
+        side_vals = self.basis_values(eq.points[self.side_edge], self.side_cell[:, None])
+        # edge-basis moments of the cell basis on each side: (n_sides, dim_edge, dim_cell)
+        T = np.einsum("hq,qb,hqa->hba", eq.weights[self.side_edge], eq.values, side_vals)
+        self.trace = np.linalg.solve(self.edge_mass[self.side_edge], T)
+        flux = np.linalg.solve(self.mass_low[self.side_cell], T[:, :, :nlow].transpose(0, 2, 1))
+        self.grad_side = self.side_normal[:, :, None, None] * flux[:, None]
+
+    # -- quadrature tables ---------------------------------------------
+
+    def _local(self, points, cells):
+        """Scaled coordinates of points (..., 2) about the centroids of `cells` (...)."""
+        mesh = self.mesh
+        return (points - mesh.centroids[cells]) / mesh.diameters[cells][..., None]
+
+    def basis_values(self, points, cells):
+        """P_k basis values of `cells` (...) at points (..., 2); shape (..., dim_cell)."""
+        return monomials(self._local(points, cells), self.degree)
 
     def cell_rule(self, c, exactness=None):
+        """Quadrature rule of cell c, exact to max(exactness, scheme exactness)."""
         ex = self.cell_exactness if exactness is None else max(exactness, self.cell_exactness)
-        key = (c, ex)
-        rule = self._cell_rules.get(key)
-        if rule is None:
-            rule = polygon_rule(self.mesh.cell_vertices(c), ex)
-            self._cell_rules[key] = rule
-        return rule
+        try:
+            return polygon_rule(self.mesh.cell_vertices(c), ex)
+        except ValueError as err:
+            raise MeshValidationError(f"cell {c}: {err}") from err
 
-    def edge_rule(self, e, exactness=None):
+    def cell_table(self, exactness=None):
+        """Rules of all cells at the given exactness; the scheme table if it suffices."""
+        if exactness is None or exactness <= self.cell_exactness:
+            return self.cell_quadrature
+        return self._cell_table(exactness)
+
+    def _cell_table(self, exactness):
+        rules = [self.cell_rule(c, exactness) for c in range(self.mesh.num_cells)]
+        counts = np.array([len(rule.weights) for rule in rules])
+        cell = np.repeat(np.arange(self.mesh.num_cells), counts)
+        points = np.concatenate([rule.points for rule in rules])
+        return CellTable(
+            points=points,
+            weights=np.concatenate([rule.weights for rule in rules]),
+            cell=cell,
+            starts=np.cumsum(counts) - counts,
+            values=self.basis_values(points, cell),
+        )
+
+    def edge_table(self, exactness=None, edges=None):
+        """Rules of the given edges (default: all); the scheme table if it suffices."""
         ex = self.edge_exactness if exactness is None else max(exactness, self.edge_exactness)
-        key = (e, ex)
-        rule = self._edge_rules.get(key)
-        if rule is None:
-            rule = edge_rule(*self.mesh.edge_vertices(e), ex)
-            self._edge_rules[key] = rule
-        return rule
+        if edges is None and ex == self.edge_exactness:
+            return self.edge_quadrature
+        return self._edge_table(ex, edges)
 
-    def data_cell_exactness(self, data_degree):
-        """Rule exactness for cell moments of data against the P_k basis."""
-        if data_degree is None:
-            return NONPOLY_EXACTNESS
-        return data_degree + self.degree
-
-    def data_edge_exactness(self, data_degree):
-        if data_degree is None:
-            return NONPOLY_EXACTNESS
-        return data_degree + self.degree - 1
-
-    # -- mass matrices ----------------------------------------------------
-
-    def _build_edge_mass(self):
-        self.edge_mass = []
-        self._edge_mass_chol = []
-        for e in range(self.mesh.num_edges):
-            rule = self.edge_rule(e)
-            vals = self.edge_basis[e].eval(rule.points)
-            M = vals.T @ (vals * rule.weights[:, None])
-            self.edge_mass.append(M)
-            self._edge_mass_chol.append(cho_factor(M))
-
-    def _build_cell_ops(self):
-        mesh, k = self.mesh, self.degree
-        nk = self.dofmap.dim_cell
-        nlow = self.dofmap.dim_cell_low
-        ne = self.dofmap.dim_edge
-        self.mass_cell = []
-        self._mass_cell_chol = []
-        self.mass_low = []
-        self._mass_low_chol = []
-        self.grad_map = []  # (2, nlow, nsc): scalar weak-gradient components
-        self.trace_proj = []  # per cell: list of (ne, nk) trace-projection maps
-        self.stab_scalar = []  # (nsc, nsc)
-        self.cell_matrix = []  # (nloc, nloc): gradient part + stabilizer
-        self.div_matrix = []  # (nlow, nloc): weak-divergence coefficients
-        self.pressure_coupling = []  # (nlow, nloc): mass-weighted divergence
-        self.edge_owner = [None] * mesh.num_edges  # first (cell, side) seeing each edge
-
-        for c in range(mesh.num_cells):
-            rule = self.cell_rule(c)
-            w = rule.weights[:, None]
-            vals_k = self.cell_basis[c].eval(rule.points)
-            vals_low = self.cell_basis_low[c].eval(rule.points)
-            grads_low = self.cell_basis_low[c].eval_grad(rule.points)
-            M_k = vals_k.T @ (vals_k * w)
-            M_low = vals_low.T @ (vals_low * w)
-            chol_low = cho_factor(M_low)
-            self.mass_cell.append(M_k)
-            self._mass_cell_chol.append(cho_factor(M_k))
-            self.mass_low.append(M_low)
-            self._mass_low_chol.append(chol_low)
-
-            sides = mesh.cell_edges[c]
-            m = len(sides)
-            normals = mesh.cell_normals(c)
-            nsc = nk + m * ne
-            h_T = mesh.diameters[c]
-
-            # moment blocks: interior part tested with grad of the low basis
-            D = np.einsum("prj,p,pi->jri", grads_low, rule.weights, vals_k)  # (2, nlow, nk)
-
-            rhs = np.zeros((2, nlow, nsc))
-            rhs[:, :, :nk] = -D
-            traces = []
-            edge_blocks = []  # (T_s, F_s, M_e, chol_e) per side for the stabilizer
-            for s, e in enumerate(sides):
-                if self.edge_owner[e] is None:
-                    self.edge_owner[e] = (c, s)
-                erule = self.edge_rule(e)
-                ew = erule.weights[:, None]
-                evals = self.edge_basis[e].eval(erule.points)
-                kvals = self.cell_basis[c].eval(erule.points)
-                lowvals = self.cell_basis_low[c].eval(erule.points)
-                T_s = evals.T @ (kvals * ew)  # (ne, nk)
-                F_s = lowvals.T @ (evals * ew)  # (nlow, ne)
-                col = slice(nk + s * ne, nk + (s + 1) * ne)
-                for j in (0, 1):
-                    rhs[j, :, col] = normals[s, j] * F_s
-                traces.append(T_s)
-                edge_blocks.append((T_s, e))
-            W = np.empty((2, nlow, nsc))
-            for j in (0, 1):
-                W[j] = cho_solve(chol_low, rhs[j])
-            self.grad_map.append(W)
-            self.trace_proj.append(
-                [cho_solve(self._edge_mass_chol[e], T_s) for T_s, e in edge_blocks]
-            )
-
-            # scalar stabilizer: h_T^{-1} <P_e u0 - ub, P_e w0 - wb>_e per side
-            S = np.zeros((nsc, nsc))
-            for s, (T_s, e) in enumerate(edge_blocks):
-                M_e = self.edge_mass[e]
-                R = self.trace_proj[c][s]  # (ne, nk): trace projection of P_k basis
-                col = slice(nk + s * ne, nk + (s + 1) * ne)
-                S[:nk, :nk] += T_s.T @ R
-                S[:nk, col] -= T_s.T
-                S[col, :nk] -= T_s
-                S[col, col] += M_e
-            S /= h_T
-            self.stab_scalar.append(S)
-
-            # vector-valued local matrices
-            comp = self.dofmap.component_maps(c)
-            nloc = 2 * nk + 2 * m * ne
-            K_sc = W[0].T @ M_low @ W[0] + W[1].T @ M_low @ W[1] + S
-            A_T = np.zeros((nloc, nloc))
-            for i in (0, 1):
-                A_T[np.ix_(comp[i], comp[i])] += K_sc
-            self.cell_matrix.append(A_T)
-
-            Dv = np.zeros((nlow, nloc))
-            for j in (0, 1):
-                Dv[:, comp[j]] = W[j]
-            self.div_matrix.append(Dv)
-            self.pressure_coupling.append(M_low @ Dv)
+    def _edge_table(self, exactness, edges=None):
+        edges = range(self.mesh.num_edges) if edges is None else edges
+        rules = [edge_rule(*self.mesh.edge_vertices(e), exactness) for e in edges]
+        # Gauss points of the unit reference edge, in the canonical parameter
+        s, _ = gauss_points(exactness)
+        reference = EdgeBasis(self.degree - 1, (0.0, 0.0), (1.0, 0.0))
+        return EdgeTable(
+            points=np.array([rule.points for rule in rules]).reshape(-1, len(s), 2),
+            weights=np.array([rule.weights for rule in rules]).reshape(-1, len(s)),
+            values=reference.eval(np.column_stack([s, np.zeros_like(s)])),
+        )
 
     # -- weak operators applied to coefficient vectors --------------------
 
-    def weak_gradient(self, v, c):
-        """Weak gradient of v on cell c: (2, 2, dim_cell_low) coefficients.
+    def per_cell(self, side_values):
+        """Sum a (n_sides, ...) stack over the sides of each cell; (n_cells, ...)."""
+        return np.add.reduceat(side_values, self.side_starts, axis=0)
 
-        Entry [i, j] holds the P_{k-1} coefficients of d v_i / d x_j.
+    def weak_gradient(self, v):
+        """Weak gradients of v on all cells: (n_cells, 2, 2, dim_cell_low).
+
+        Entry [c, i, j] holds the P_{k-1} coefficients of d v_i / d x_j.
         """
-        comp = self.dofmap.component_maps(c)
-        local = v.local(c)
-        W = self.grad_map[c]
-        out = np.empty((2, 2, self.dofmap.dim_cell_low))
-        for i in (0, 1):
-            sc = local[comp[i]]
-            for j in (0, 1):
-                out[i, j] = W[j] @ sc
-        return out
+        sides = np.einsum("hjrb,hib->hijr", self.grad_side, v.vb[self.side_edge])
+        return np.einsum("cjra,cia->cijr", self.grad_interior, v.v0) + self.per_cell(sides)
 
-    def weak_divergence(self, v, c):
-        """Weak divergence of v on cell c: (dim_cell_low,) coefficients."""
-        return self.div_matrix[c] @ v.local(c)
+    def weak_divergence(self, v):
+        """Weak divergences of v on all cells: (n_cells, dim_cell_low)."""
+        grad = self.weak_gradient(v)
+        return grad[:, 0, 0] + grad[:, 1, 1]
 
-    def trace_jump(self, v, c, s):
-        """Edge-space coefficients of (P_e v0 - vb) on side s of cell c; (2, dim_edge)."""
-        e = self.mesh.cell_edges[c][s]
-        R = self.trace_proj[c][s]
-        return v.interior(c) @ R.T - v.edge(e)
+    def trace_jump(self, v):
+        """Edge coefficients of (P_e v0 - vb) on every side: (n_sides, 2, dim_edge)."""
+        interior = np.einsum("hba,hia->hib", self.trace, v.v0[self.side_cell])
+        return interior - v.vb[self.side_edge]
 
     # -- data moments ------------------------------------------------------
 
-    def cell_moments(self, c, func, degree, data_degree=None):
-        """Integrals of `func` against the degree-`degree` cell basis.
+    def cell_moments(self, func, degree, data_degree=None):
+        """Integrals of `func` against the degree-`degree` basis of every cell.
 
         func maps (n, 2) points to (n,) scalars or (n, d) stacks; returns
-        (dim,) or (d, dim) accordingly.
+        (n_cells, dim) or (n_cells, d, dim) accordingly.
         """
-        rule = self.cell_rule(c, self.data_cell_exactness(data_degree))
-        basis = self.cell_basis[c] if degree == self.degree else self.cell_basis_low[c]
-        vals = basis.eval(rule.points)
-        f = np.asarray(func(rule.points), dtype=float)
-        if f.ndim == 1:
-            return vals.T @ (rule.weights * f)
-        return (vals.T @ (rule.weights[:, None] * f)).T
+        table = self.cell_table(data_exactness(data_degree, degree))
+        f = np.asarray(func(table.points), dtype=float)
+        vals = table.values[:, : space_dimension(degree)]
+        return table.integrate("p...,pa->p...a", f, vals)
 
-    def edge_moments(self, e, func, data_degree=None):
-        """Integrals of `func` against the edge basis; (dim,) or (d, dim)."""
-        rule = self.edge_rule(e, self.data_edge_exactness(data_degree))
-        vals = self.edge_basis[e].eval(rule.points)
-        f = np.asarray(func(rule.points), dtype=float)
-        if f.ndim == 1:
-            return vals.T @ (rule.weights * f)
-        return (vals.T @ (rule.weights[:, None] * f)).T
+    def edge_moments(self, func, data_degree=None, edges=None):
+        """Integrals of `func` against the edge basis of the given edges (default: all).
 
-    def solve_cell_mass(self, c, moments, degree=None):
-        """Apply the inverse cell mass matrix (degree k or k-1) to moments.
-
-        Accepts (dim,) or (d, dim) stacks; the result has the same shape.
+        Returns (n, dim_edge) or (n, d, dim_edge) for (n,) or (n, d) values.
         """
-        deg = self.degree if degree is None else degree
-        chol = self._mass_cell_chol[c] if deg == self.degree else self._mass_low_chol[c]
-        m = np.asarray(moments, dtype=float)
-        return cho_solve(chol, m) if m.ndim == 1 else cho_solve(chol, m.T).T
+        table = self.edge_table(data_exactness(data_degree, self.degree - 1), edges)
+        n, q = table.weights.shape
+        f = np.asarray(func(table.points.reshape(-1, 2)), dtype=float)
+        f = f.reshape((n, q) + f.shape[1:])
+        return np.einsum("eq,eq...,qb->e...b", table.weights, f, table.values)
 
-    def solve_edge_mass(self, e, moments):
-        m = np.asarray(moments, dtype=float)
-        chol = self._edge_mass_chol[e]
-        return cho_solve(chol, m) if m.ndim == 1 else cho_solve(chol, m.T).T
+    def solve_cell_mass(self, moments, degree=None):
+        """Apply the inverse cell masses (degree k or k-1) to (n_cells, [d,] dim) moments."""
+        n = space_dimension(self.degree if degree is None else degree)
+        return _solve_stack(self.mass[:, :n, :n], moments)
+
+    def solve_edge_mass(self, moments, edges=None):
+        """Apply the inverse edge masses to (n, [d,] dim_edge) moments of `edges`."""
+        return _solve_stack(self.edge_mass if edges is None else self.edge_mass[edges], moments)
+
+
+def _solve_stack(mats, moments):
+    m = np.asarray(moments, dtype=float)
+    rhs = m.reshape(len(m), -1, m.shape[-1]).transpose(0, 2, 1)
+    return np.linalg.solve(mats, rhs).transpose(0, 2, 1).reshape(m.shape)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wgstokes.mesh import generate_mesh
+from wgstokes.mesh import PolygonalMesh, generate_mesh
 from wgstokes.weakops import ElementOps
 
 
@@ -57,6 +57,21 @@ def quad_mesh_4():
 @pytest.fixture(scope="session")
 def poly_mesh_4():
     return generate_mesh("perturbed-polygon", 4, seed=1)
+
+
+@pytest.fixture(scope="session")
+def hostile_mesh():
+    """The unit square as a nonconvex U cell and the slot cell inside it.
+
+    The U (ear-clipped, not star-shaped about its centroid) has collinear
+    vertices on its bottom and left sides and a hanging vertex on the slot
+    bottom, where the slot cell's side is split in two.
+    """
+    vertices = [
+        (0, 0), (0.5, 0), (1, 0), (1, 1), (0.75, 1), (0.75, 0.25),
+        (0.5, 0.25), (0.25, 0.25), (0.25, 1), (0, 1), (0, 0.5),
+    ]  # fmt: skip
+    return PolygonalMesh(vertices, [list(range(11)), [7, 6, 5, 4, 8]])
 
 
 @pytest.fixture(scope="session")

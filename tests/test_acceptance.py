@@ -78,24 +78,24 @@ def sweep():
     return {"levels": levels, "elapsed": time.perf_counter() - t0}
 
 
-def test_commutativity_identities():
+def test_commutativity_identities(hostile_mesh):
     """Weak operators of projected fields equal projections of exact ones."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
+    meshes = (generate_mesh("uniform-quad", 4), generate_mesh("perturbed-polygon", 4, seed=1))
     for degree in (1, 2):
-        for family, seed in (("uniform-quad", 0), ("perturbed-polygon", 1)):
-            ops = ElementOps(generate_mesh(family, 4, seed=seed), degree)
+        for mesh in meshes + (hostile_mesh,):
+            ops = ElementOps(mesh, degree)
             for _ in range(5):
                 field = PolyField(degree + 2, rng)
                 v = project_velocity(ops, field.u, data_degree=field.degree)
                 pg = project_gradient(ops, field.grad, data_degree=field.degree - 1)
                 pd = project_divergence(ops, field.div, data_degree=field.degree - 1)
                 scale = max(np.abs(pg).max(), np.abs(pd).max(), 1e-30)
-                for c in range(ops.mesh.num_cells):
-                    gap_g = np.abs(ops.weak_gradient(v, c) - pg[c]).max()
-                    gap_d = np.abs(ops.weak_divergence(v, c) - pd[c]).max()
-                    worst = max(worst, gap_g / scale, gap_d / scale)
+                gap_g = np.abs(ops.weak_gradient(v) - pg).max()
+                gap_d = np.abs(ops.weak_divergence(v) - pd).max()
+                worst = max(worst, gap_g / scale, gap_d / scale)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-11 and elapsed < 5.0
     record_acceptance(
@@ -105,12 +105,12 @@ def test_commutativity_identities():
     assert elapsed < 5.0
 
 
-def test_energy_norm_identity(ops_quad_k1, ops_poly_k2):
+def test_energy_norm_identity(ops_quad_k1, ops_poly_k2, hostile_mesh):
     """The velocity quadratic form reproduces the energy norm squared."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(202)
     worst = 0.0
-    for ops in (ops_quad_k1, ops_poly_k2):
+    for ops in (ops_quad_k1, ops_poly_k2, ElementOps(hostile_mesh, 2)):
         A = assemble(ops).A
         for _ in range(50):
             v = WeakFunction.random(ops.dofmap, rng, zero_boundary=True)
@@ -126,32 +126,31 @@ def test_energy_norm_identity(ops_quad_k1, ops_poly_k2):
     assert elapsed < 5.0
 
 
-def test_polynomial_exactness():
+def test_polynomial_exactness(hostile_mesh):
     """Divergence-free polynomial data is reproduced to rounding."""
     t0 = time.perf_counter()
     worst = {"interior": 0.0, "edge": 0.0, "pressure": 0.0}
-    for degree in (1, 2):
-        case = get_case(f"poly-exact-k{degree}")
-        for family, seed in (("uniform-quad", 0), ("perturbed-polygon", 1)):
-            ops = ElementOps(generate_mesh(family, 4, seed=seed), degree)
-            system = assemble(
-                ops, body_force=case.f, boundary_velocity=case.g, data_degree=case.data_degree
-            )
-            report = solve(system)
-            qu = project_velocity(ops, case.u, data_degree=case.data_degree)
-            qp = project_pressure(ops, case.p, data_degree=case.data_degree)
-            gap_u = np.abs(report.velocity.coeffs - qu.coeffs)
-            interior = np.concatenate(
-                [np.asarray(ops.dofmap.interior_dofs(c)).ravel() for c in range(ops.mesh.num_cells)]
-            )
-            edges = np.concatenate(
-                [np.asarray(ops.dofmap.edge_dofs(e)).ravel() for e in range(ops.mesh.num_edges)]
-            )
-            worst["interior"] = max(worst["interior"], gap_u[interior].max())
-            worst["edge"] = max(worst["edge"], gap_u[edges].max())
-            worst["pressure"] = max(
-                worst["pressure"], np.abs(report.pressure.coeffs - qp.coeffs).max()
-            )
+    meshes = (generate_mesh("uniform-quad", 4), generate_mesh("perturbed-polygon", 4, seed=1))
+    # poly-exact-k2 on the hostile mesh at k=2 and, as a P2 field in P3, at k=3
+    runs = [(1, "poly-exact-k1", mesh) for mesh in meshes]
+    runs += [(2, "poly-exact-k2", mesh) for mesh in meshes + (hostile_mesh,)]
+    runs += [(3, "poly-exact-k2", hostile_mesh)]
+    for degree, case_name, mesh in runs:
+        case = get_case(case_name)
+        ops = ElementOps(mesh, degree)
+        system = assemble(
+            ops, body_force=case.f, boundary_velocity=case.g, data_degree=case.data_degree
+        )
+        report = solve(system)
+        qu = project_velocity(ops, case.u, data_degree=case.data_degree)
+        qp = project_pressure(ops, case.p, data_degree=case.data_degree)
+        gap_u = np.abs(report.velocity.coeffs - qu.coeffs)
+        n_interior = ops.dofmap.interior_size
+        worst["interior"] = max(worst["interior"], gap_u[:n_interior].max())
+        worst["edge"] = max(worst["edge"], gap_u[n_interior:].max())
+        worst["pressure"] = max(
+            worst["pressure"], np.abs(report.pressure.coeffs - qp.coeffs).max()
+        )
     elapsed = time.perf_counter() - t0
     top = max(worst.values())
     ok = top <= 1e-9 and elapsed < 10.0
@@ -293,17 +292,20 @@ def test_discrete_incompressibility(sweep):
     assert worst <= 1e-9
 
 
-def test_condensation_equivalence(ops_quad_k1):
+def test_condensation_equivalence(ops_quad_k1, hostile_mesh):
     """Static condensation returns the same solution as the full solve."""
     t0 = time.perf_counter()
     case = get_case("taylor-trig")
-    system = assemble(ops_quad_k1, body_force=case.f, boundary_velocity=case.g)
-    full = solve(system)
-    red = solve(system, condense=True)
-    gap = max(
-        np.abs(full.velocity.coeffs - red.velocity.coeffs).max(),
-        np.abs(full.pressure.coeffs - red.pressure.coeffs).max(),
-    )
+    gap = 0.0
+    for ops in (ops_quad_k1, ElementOps(hostile_mesh, 2)):
+        system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
+        full = solve(system)
+        red = solve(system, condense=True)
+        gap = max(
+            gap,
+            np.abs(full.velocity.coeffs - red.velocity.coeffs).max(),
+            np.abs(full.pressure.coeffs - red.pressure.coeffs).max(),
+        )
     elapsed = time.perf_counter() - t0
     ok = gap <= 1e-9 and elapsed < 5.0
     record_acceptance(

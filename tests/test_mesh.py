@@ -131,6 +131,22 @@ class TestValidation:
         with pytest.raises(MeshValidationError):
             PolygonalMesh(verts, [[0, 1, 2]])
 
+    def test_self_intersecting_cell_rejected(self):
+        # positive signed area, but sides (1,3)-(2,1) and (1,1)-(2,3) cross
+        verts = [(0, 0), (3, 0), (3, 3), (1, 3), (2, 1), (1, 1), (2, 3), (0, 3)]
+        with pytest.raises(MeshValidationError, match="cell 0 is self-intersecting"):
+            PolygonalMesh(verts, [list(range(8))])
+
+    def test_pinched_cell_rejected(self):
+        # vertex 4 touches the opposite side (0,0)-(2,0) of its own loop
+        verts = [(0, 0), (2, 0), (2, 2), (1.5, 2), (1, 0), (0.5, 2), (0, 2)]
+        with pytest.raises(MeshValidationError, match="cell 0 is self-intersecting"):
+            PolygonalMesh(verts, [list(range(7))])
+
+    def test_collinear_and_hanging_vertices_accepted(self, hostile_mesh):
+        assert hostile_mesh.num_cells == 2
+        assert hostile_mesh.areas.sum() == pytest.approx(1.0, abs=1e-15)
+
 
 class TestIO:
     def test_roundtrip_identical(self, tmp_path):

@@ -35,6 +35,16 @@ SLOTTED_INTEGRALS = [
     (3, 2, 145229 / 1875000),
 ]
 
+# U shapes: [0, 2]^2 minus the slot [1/2, 3/2] x [1/2, 2], with collinear
+# vertices on the bottom and left sides; the second adds a hanging vertex
+# on the slot's bottom.  Ear clipping must not clip across a vertex lying on
+# an ear's edge.  Oracle values are square-minus-rectangle, exact.
+U_SHAPE = np.array(
+    [[0, 0], [1, 0], [2, 0], [2, 2], [1.5, 2], [1.5, 0.5], [0.5, 0.5], [0.5, 2], [0, 2], [0, 1]]
+)
+U_SHAPES = (U_SHAPE, np.insert(U_SHAPE, 6, [1.0, 0.5], axis=0))
+U_INTEGRALS = {(0, 0): 5 / 2, (1, 0): 5 / 2, (0, 1): 17 / 8, (3, 2): 709 / 96}
+
 
 def test_edge_rule_integrates_polynomials_exactly():
     p0, p1 = np.array([0.2, -0.3]), np.array([1.1, 0.7])
@@ -88,9 +98,11 @@ def test_pentagon_monomials(a, b, exact):
 
 @pytest.mark.parametrize("a,b,exact", SLOTTED_INTEGRALS)
 def test_slotted_square_monomials(a, b, exact):
-    rule = polygon_rule(SLOTTED, a + b)
-    got = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
-    assert got == pytest.approx(exact, rel=1e-13)
+    for poly, value in [(SLOTTED, exact)] + [(u, U_INTEGRALS[a, b]) for u in U_SHAPES]:
+        rule = polygon_rule(poly, a + b)
+        got = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
+        assert got == pytest.approx(value, rel=1e-13)
+        assert (rule.weights > 0).all()
 
 
 def test_slotted_square_is_not_star_shaped():

@@ -58,7 +58,7 @@ def test_cell_dofs_layout(mesh):
     dm = DofMap(mesh, 2)
     c = 0
     dofs = dm.cell_dofs(c)
-    assert dofs.shape == (dm.local_size(c),)
+    assert dofs.shape == (2 * dm.dim_cell + 2 * dm.dim_edge * len(mesh.cells[c]),)
     assert np.array_equal(dofs[: 2 * dm.dim_cell], dm.interior_dofs(c))
     offset = 2 * dm.dim_cell
     for e in mesh.cell_edges[c]:
@@ -66,28 +66,21 @@ def test_cell_dofs_layout(mesh):
         offset += 2 * dm.dim_edge
 
 
-def test_component_maps_cover_local_layout(mesh):
-    dm = DofMap(mesh, 2)
-    comp = dm.component_maps(0)
-    m = len(mesh.cells[0])
-    assert comp.shape == (2, dm.dim_cell + m * dm.dim_edge)
-    merged = np.sort(comp.ravel())
-    assert np.array_equal(merged, np.arange(dm.local_size(0)))
-
-
-def test_component_maps_match_views(mesh):
-    """Scalar sub-vectors extracted via component maps equal the views."""
+def test_stacked_views_match_blocks(mesh):
+    """The all-cell and all-edge views hold the per-entity blocks and write through."""
     dm = DofMap(mesh, 2)
     rng = np.random.default_rng(0)
     v = WeakFunction.random(dm, rng)
-    c = 1
-    local = v.local(c)
-    comp = dm.component_maps(c)
-    for i in (0, 1):
-        assert np.allclose(local[comp[i]][: dm.dim_cell], v.interior(c)[i])
-        for s, e in enumerate(mesh.cell_edges[c]):
-            block = local[comp[i]][dm.dim_cell + s * dm.dim_edge : dm.dim_cell + (s + 1) * dm.dim_edge]
-            assert np.allclose(block, v.edge(e)[i])
+    p = PressureFunction.random(dm, rng)
+    assert v.v0.shape == (mesh.num_cells, 2, dm.dim_cell)
+    assert v.vb.shape == (mesh.num_edges, 2, dm.dim_edge)
+    for c in range(mesh.num_cells):
+        assert np.array_equal(v.v0[c], v.interior(c))
+        assert np.array_equal(p.cellwise[c], p.cell(c))
+    for e in range(mesh.num_edges):
+        assert np.array_equal(v.vb[e], v.edge(e))
+    v.vb[3] = 7.0
+    assert np.all(v.coeffs[dm.edge_dofs(3)] == 7.0)
 
 
 def test_boundary_mask(mesh):

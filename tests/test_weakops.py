@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from wgstokes import weakops
 from wgstokes.assembly import eval_grad_product, eval_s
+from wgstokes.basis import EdgeBasis
+from wgstokes.errors import MeshValidationError
 from wgstokes.mesh import generate_mesh
+from wgstokes.quadrature import edge_rule
 from wgstokes.projections import (
     project_divergence,
     project_gradient,
@@ -22,14 +26,43 @@ def _grad_values(ops, coeffs, c, pts):
     return np.einsum("pr,ijr->pij", vals, coeffs)
 
 
+def test_quadrature_failure_names_the_cell(quad_mesh_4, monkeypatch):
+    def failing_rule(poly, exactness):
+        raise ValueError("ear clipping failed; polygon may be non-simple")
+
+    monkeypatch.setattr(weakops, "polygon_rule", failing_rule)
+    with pytest.raises(MeshValidationError, match=r"^cell 0: ear clipping failed"):
+        ElementOps(quad_mesh_4, 1)
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_stacks_match_per_cell_reference(degree, poly_mesh_4, hostile_mesh):
+    """The batched kernel reproduces a per-cell evaluation at each cell's own rule."""
+    for mesh in (poly_mesh_4, hostile_mesh):
+        ops = ElementOps(mesh, degree)
+        for c in range(mesh.num_cells):
+            rule = ops.cell_rule(c)
+            vals = ops.cell_basis[c].eval(rule.points)
+            assert np.allclose(ops.mass[c], vals.T @ (vals * rule.weights[:, None]), atol=1e-15)
+            for s, e in enumerate(mesh.cell_edges[c]):
+                h = ops.side_starts[c] + s
+                erule = edge_rule(*mesh.edge_vertices(e), ops.edge_exactness)
+                evals = EdgeBasis(degree - 1, *mesh.edge_vertices(e)).eval(erule.points)
+                kvals = ops.cell_basis[c].eval(erule.points)
+                mass_e = evals.T @ (evals * erule.weights[:, None])
+                trace = np.linalg.solve(mass_e, evals.T @ (kvals * erule.weights[:, None]))
+                assert np.allclose(ops.edge_mass[e], mass_e, rtol=1e-13, atol=1e-15)
+                assert np.allclose(ops.trace[h], trace, rtol=1e-12, atol=1e-13)
+                assert np.allclose(ops.side_normal[h], mesh.cell_normals(c)[s], atol=1e-15)
+                assert (ops.side_cell[h], ops.side_edge[h]) == (c, e)
+
+
 def test_constant_field_has_zero_operators(ops_quad_k1):
     ops = ops_quad_k1
     v = project_velocity(ops, lambda pts: np.tile([2.0, -3.0], (len(pts), 1)), data_degree=0)
-    for c in range(ops.mesh.num_cells):
-        assert np.allclose(ops.weak_gradient(v, c), 0.0, atol=1e-13)
-        assert np.allclose(ops.weak_divergence(v, c), 0.0, atol=1e-13)
-        for s in range(len(ops.mesh.cell_edges[c])):
-            assert np.allclose(ops.trace_jump(v, c, s), 0.0, atol=1e-13)
+    assert np.allclose(ops.weak_gradient(v), 0.0, atol=1e-13)
+    assert np.allclose(ops.weak_divergence(v), 0.0, atol=1e-13)
+    assert np.allclose(ops.trace_jump(v), 0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("ops_name", ["ops_quad_k1", "ops_quad_k2", "ops_poly_k2"])
@@ -38,8 +71,9 @@ def test_linear_field_gradient_oracle(ops_name, request):
     ops = request.getfixturevalue(ops_name)
     u = lambda pts: np.column_stack([pts[:, 0], np.zeros(len(pts))])
     v = project_velocity(ops, u, data_degree=1)
+    grads = ops.weak_gradient(v)
     for c in range(ops.mesh.num_cells):
-        g = ops.weak_gradient(v, c)
+        g = grads[c]
         pts = ops.cell_rule(c).points[:4]
         vals = _grad_values(ops, g, c, pts)
         assert np.allclose(vals, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
@@ -49,8 +83,7 @@ def test_linear_field_divergence_oracle(ops_quad_k1):
     """u = (x, y) has weak divergence identically 2."""
     ops = ops_quad_k1
     v = project_velocity(ops, lambda pts: pts.copy(), data_degree=1)
-    for c in range(ops.mesh.num_cells):
-        d = ops.weak_divergence(v, c)
+    for c, d in enumerate(ops.weak_divergence(v)):
         pts = ops.cell_rule(c).points[:4]
         vals = ops.cell_basis_low[c].eval(pts) @ d
         assert np.allclose(vals, 2.0, atol=1e-12)
@@ -61,22 +94,28 @@ def test_projected_quadratic_on_unit_cell():
     ops = ElementOps(generate_mesh("uniform-quad", 1), 1)
     u = lambda pts: np.column_stack([pts[:, 0] ** 2, np.zeros(len(pts))])
     v = project_velocity(ops, u, data_degree=2)
-    g = ops.weak_gradient(v, 0)
+    g = ops.weak_gradient(v)[0]
     mid = np.array([[0.5, 0.5]])
     vals = _grad_values(ops, g, 0, mid)
     # P0 average of [[2x, 0], [0, 0]] over the unit square
     assert np.allclose(vals, [[1.0, 0.0], [0.0, 0.0]], atol=1e-13)
-    dvals = ops.cell_basis_low[0].eval(mid) @ ops.weak_divergence(v, 0)
+    dvals = ops.cell_basis_low[0].eval(mid) @ ops.weak_divergence(v)[0]
     assert np.allclose(dvals, 1.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_stabilizer_matrix_symmetric_psd(degree, poly_mesh_4):
+    """The matrix of the jump stabilizer is symmetric positive semidefinite."""
     ops = ElementOps(poly_mesh_4, degree)
-    for c in range(ops.mesh.num_cells):
-        S = ops.stab_scalar[c]
-        assert np.allclose(S, S.T, atol=1e-14)
-        assert np.linalg.eigvalsh(S).min() >= -1e-12
+    n = ops.dofmap.num_velocity_dofs
+    jumps = np.stack([ops.trace_jump(WeakFunction(ops.dofmap, row)) for row in np.eye(n)])
+    weight = ops.edge_mass[ops.side_edge] / ops.mesh.diameters[ops.side_cell][:, None, None]
+    S = np.einsum("ahir,hrs->ahis", jumps, weight).reshape(n, -1) @ jumps.reshape(n, -1).T
+    assert np.allclose(S, S.T, atol=1e-14)
+    assert np.linalg.eigvalsh(S).min() >= -1e-12
+    v, w = np.random.default_rng(degree).standard_normal((2, n))
+    form = eval_s(ops, WeakFunction(ops.dofmap, v), WeakFunction(ops.dofmap, w))
+    assert np.isclose(v @ S @ w, form)
 
 
 def test_stabilizer_vanishes_for_conforming_linears(ops_quad_k2):
@@ -92,7 +131,7 @@ def test_stabilizer_single_edge_oracle(ops_quad_k1):
     ops = ops_quad_k1
     e = int(np.nonzero(~ops.mesh.boundary_edges)[0][0])
     v = WeakFunction.zeros(ops.dofmap)
-    one = ops.solve_edge_mass(e, ops.edge_moments(e, lambda pts: np.ones(len(pts)), 0))
+    one = ops.solve_edge_mass(ops.edge_moments(lambda pts: np.ones(len(pts)), 0))[e]
     v.edge(e)[0] = one
     length = ops.mesh.edge_lengths()[e]
     expected = sum(
@@ -119,9 +158,8 @@ def test_commutativity_fixed_polynomial(ops_name, request):
     v = project_velocity(ops, u, data_degree=4)
     pg = project_gradient(ops, grad, data_degree=3)
     pd = project_divergence(ops, div, data_degree=3)
-    for c in range(ops.mesh.num_cells):
-        assert np.allclose(ops.weak_gradient(v, c), pg[c], atol=1e-12)
-        assert np.allclose(ops.weak_divergence(v, c), pd[c], atol=1e-12)
+    assert np.allclose(ops.weak_gradient(v), pg, atol=1e-12)
+    assert np.allclose(ops.weak_divergence(v), pd, atol=1e-12)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -134,9 +172,8 @@ def test_commutativity_random_fields(degree, poly_mesh_4):
         pg = project_gradient(ops, field.grad, data_degree=field.degree - 1)
         pd = project_divergence(ops, field.div, data_degree=field.degree - 1)
         scale = max(np.abs(pg).max(), 1.0)
-        for c in range(ops.mesh.num_cells):
-            assert np.abs(ops.weak_gradient(v, c) - pg[c]).max() <= 1e-12 * scale
-            assert np.abs(ops.weak_divergence(v, c) - pd[c]).max() <= 1e-12 * scale
+        assert np.abs(ops.weak_gradient(v) - pg).max() <= 1e-12 * scale
+        assert np.abs(ops.weak_divergence(v) - pd).max() <= 1e-12 * scale
 
 
 def test_zero_function_maps_to_zero(ops_quad_k1):
@@ -144,9 +181,8 @@ def test_zero_function_maps_to_zero(ops_quad_k1):
     v = WeakFunction.zeros(ops.dofmap)
     assert eval_grad_product(ops, v, v) == 0.0
     assert eval_s(ops, v, v) == 0.0
-    for c in (0, ops.mesh.num_cells - 1):
-        assert np.all(ops.weak_gradient(v, c) == 0.0)
-        assert np.all(ops.weak_divergence(v, c) == 0.0)
+    assert np.all(ops.weak_gradient(v) == 0.0)
+    assert np.all(ops.weak_divergence(v) == 0.0)
 
 
 def test_interior_gradient_controlled_by_energy():
