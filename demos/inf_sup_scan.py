@@ -3,8 +3,11 @@ Discrete inf-sup (pressure stability) constant under refinement.
 
 beta_h is the square root of the smallest eigenvalue of the pressure
 Schur complement, generalized against the pressure mass matrix, on the
-zero-mean subspace.  A mesh-independent lower bound is what makes the
-saddle-point problem well posed; watch the values settle as h shrinks.
+zero-mean subspace.  It is found by shift-invert Lanczos iteration on
+one sparse LU of the saddle system per mesh, so the scan needs no dense
+matrix and no size limit.  A mesh-independent lower bound is what makes
+the saddle-point problem well posed; watch the values settle as h
+shrinks.
 
 Equivalent CLI:  wgstokes infsup --family <name>
 """

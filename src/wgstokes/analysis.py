@@ -8,23 +8,24 @@ exercise two independent code paths.
 Conventions: errors against the exact solution use quadrature boosted to
 the data degree (or a high fixed order for transcendental data); errors
 between two discrete fields use the cell mass matrices, which are exact.
+The inf-sup constant, by contrast, is algebraic: an iterative eigensolve
+that reuses the sparse factorization the level's solve already made.
 """
 
 import csv
 import dataclasses
 
 import numpy as np
-from scipy import linalg
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .errors import ConfigurationError
+from .assembly import block_diagonal
+from .errors import ConfigurationError, SolverError
 from .projections import project_gradient, project_pressure, project_velocity
+from .solver import factorize
 from .weakops import data_exactness
 
-# Dense inf-sup eigensolves refuse meshes with more pressure DOFs than the
-# cap; the ceiling bounds how far a caller may raise it.
-BETA_DOF_CAP = 1200
-BETA_DOF_CEILING = 5000
+# Relative accuracy asked of the Lanczos eigensolve behind beta_h.
+INF_SUP_TOL = 1e-10
 
 # Columns below this size are reported as resolved to rounding rather than
 # given a meaningless fitted rate.
@@ -170,36 +171,46 @@ def projection_errors(ops, case):
 # -- inf-sup stability ---------------------------------------------------
 
 
-def discrete_inf_sup(system, cap=BETA_DOF_CAP):
+def discrete_inf_sup(system, factor=None):
     """Discrete inf-sup constant of the assembled saddle system.
 
-    Computes the square root of the smallest eigenvalue of the pressure
-    Schur complement, generalized against the pressure mass matrix and
-    restricted to zero-mean pressures.  The eigensolve is dense, so meshes
-    with more pressure DOFs than `cap` return None; `cap` may not exceed
-    the hard ceiling.
+    beta_h² is the smallest eigenvalue of S_p q = lam M_p q over zero-mean
+    pressures, S_p = B_f A_ff⁻¹ B_fᵀ, M_p the pressure mass.  Solving the
+    pinned SaddleFactor (``factor`` from `solve`, else a new condensed
+    one: same result) with right-hand side [0; -r] gives p = T r, and
+    T S_p q = q - q_0 c for the constant pressure c.  With M_p = R Rᵀ and
+    z = Rᵀc / |Rᵀc|, Op = (I - zzᵀ) Rᵀ T R (I - zzᵀ) is symmetric, zero on
+    z and has eigenvalue 1/lam for every other eigenpair, so
+    beta_h = 1/sqrt(mu_max); Lanczos iteration (ARPACK) from a fixed start
+    vector finds mu_max.
     """
-    if cap > BETA_DOF_CEILING:
+    ops, n_p = system.ops, system.num_pressure_dofs
+    if n_p < 2:
         raise ConfigurationError(
-            f"inf-sup DOF cap {cap} exceeds the dense-solve ceiling {BETA_DOF_CEILING}"
+            f"the mesh has {n_p} pressure DOF and no nonzero zero-mean pressure; "
+            "the inf-sup constant needs at least 2"
         )
-    n_p = system.num_pressure_dofs
-    if n_p > cap:
-        return None
+    if factor is None:
+        factor = factorize(system, condense=True)
+    R = block_diagonal(np.linalg.cholesky(ops.mass_low))
+    z = R.T @ ops.dofmap.constant_pressure()
+    z /= np.linalg.norm(z)
+    zero_u = np.zeros(len(system.free))
 
-    free = system.free
-    lu = splu(system.A[free][:, free].tocsc())
-    Bt = system.B[:, free].T.toarray()  # (n_free, n_p)
-    X = np.empty_like(Bt)
-    for j0 in range(0, n_p, 64):
-        X[:, j0 : j0 + 64] = lu.solve(Bt[:, j0 : j0 + 64])
-    S = Bt.T @ X
-    S = 0.5 * (S + S.T)
+    def apply(y):
+        y = y - z * (z @ y)
+        x = R.T @ factor.solve(zero_u, -(R @ y))[1]
+        return x - z * (z @ x)
 
-    Z = linalg.null_space(system.pressure_moments[None, :])
-    M_p = system.pressure_mass().toarray()
-    lam = linalg.eigh(Z.T @ S @ Z, Z.T @ M_p @ Z, eigvals_only=True)
-    return float(np.sqrt(max(lam[0], 0.0)))
+    op = LinearOperator((n_p, n_p), matvec=apply, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n_p)
+    try:
+        mu = eigsh(op, k=1, which="LA", v0=v0, tol=INF_SUP_TOL, return_eigenvectors=False)
+    except ArpackNoConvergence as err:
+        raise SolverError(
+            f"inf-sup eigensolve did not converge on {n_p} pressure DOFs: {err}"
+        ) from err
+    return float(1.0 / np.sqrt(mu[0]))
 
 
 # -- consistency functionals ----------------------------------------------

@@ -16,12 +16,11 @@ import pathlib
 import sys
 
 from . import __version__
-from .analysis import BETA_DOF_CAP, discrete_inf_sup
+from .analysis import discrete_inf_sup
 from .assembly import assemble
 from .cases import list_cases, verify_case
 from .errors import WGError
 from .mesh import FAMILIES, generate_mesh
-from .solver import solve
 from .study import StudyConfig, run_study
 from .weakops import ElementOps
 
@@ -62,7 +61,6 @@ def build_parser():
     infsup.add_argument("--n0", type=int, default=8)
     infsup.add_argument("--levels", type=int, default=3)
     infsup.add_argument("--seed", type=int, default=0)
-    infsup.add_argument("--cap", type=int, default=BETA_DOF_CAP, help="dense eigensolve DOF cap")
     return parser
 
 
@@ -131,18 +129,13 @@ def cmd_infsup(args):
         mesh = generate_mesh(args.family, args.n0 * 2**level, seed=args.seed)
         ops = ElementOps(mesh, args.degree)
         system = assemble(ops)
-        beta = discrete_inf_sup(system, args.cap)
-        shown = "(over cap)" if beta is None else f"{beta:.6f}"
+        beta = discrete_inf_sup(system)
         print(
             f"{level:>5} {mesh.mesh_size:>10.4e} {mesh.num_cells:>7} "
-            f"{system.num_pressure_dofs:>7} {shown:>10}"
+            f"{system.num_pressure_dofs:>7} {beta:>10.6f}"
         )
         betas.append(beta)
-    computed = [b for b in betas if b is not None]
-    if not computed:
-        print("no level fit under the DOF cap")
-        return 1
-    lo, hi = min(computed), max(computed)
+    lo, hi = min(betas), max(betas)
     print(f"min {lo:.6f}  max {hi:.6f}  min/max {lo / hi:.4f}")
     return 0 if lo > 0.01 and lo / hi >= 0.75 else 1
 

@@ -13,9 +13,11 @@ equation follows from the others for compatible boundary data.  A shift
 by the pressure mean then sets the zero-mean gauge.  The default path
 factorizes the sparse matrix directly; static condensation first
 eliminates the interior velocity DOFs, whose block of A_ff is
-block-diagonal, one block per cell.
+block-diagonal, one block per cell.  Either way `solve` hands its one
+SaddleFactor back, so the level's inf-sup constant needs no other.
 """
 
+import dataclasses
 import json
 import time
 
@@ -27,46 +29,25 @@ from .errors import SolverError
 from .spaces import PressureFunction, WeakFunction
 
 
+@dataclasses.dataclass
 class SolveReport:
-    """Solution plus algebraic diagnostics."""
+    """Solution plus algebraic diagnostics and the SaddleFactor that produced them."""
 
-    def __init__(
-        self,
-        velocity,
-        pressure,
-        residual,
-        momentum_residual,
-        mass_residual,
-        condensed,
-        num_free_velocity,
-        num_pressure,
-        num_reduced,
-        wall_time,
-    ):
-        self.velocity = velocity
-        self.pressure = pressure
-        self.residual = residual
-        self.momentum_residual = momentum_residual
-        self.mass_residual = mass_residual
-        self.condensed = condensed
-        self.num_free_velocity = num_free_velocity
-        self.num_pressure = num_pressure
-        self.num_reduced = num_reduced
-        self.wall_time = wall_time
+    velocity: WeakFunction
+    pressure: PressureFunction
+    residual: float
+    momentum_residual: float
+    mass_residual: float
+    condensed: bool
+    num_free_velocity: int
+    num_pressure: int
+    num_reduced: int | None
+    wall_time: float
+    factor: "SaddleFactor"
 
     def to_json(self):
-        return json.dumps(
-            {
-                "condensed": self.condensed,
-                "residual": self.residual,
-                "momentum_residual": self.momentum_residual,
-                "mass_residual": self.mass_residual,
-                "num_free_velocity": self.num_free_velocity,
-                "num_pressure": self.num_pressure,
-                "num_reduced": self.num_reduced,
-                "wall_time": self.wall_time,
-            }
-        )
+        fields = dataclasses.fields(self)[2:-1]  # the diagnostics
+        return json.dumps({f.name: getattr(self, f.name) for f in fields})
 
 
 def solve(system, condense=False, residual_tol=1e-10):
@@ -80,36 +61,33 @@ def solve(system, condense=False, residual_tol=1e-10):
         edge-and-pressure system, then recover the interior unknowns.
     residual_tol : float
         Maximum admissible relative algebraic residual.
+
+    The report keeps the SaddleFactor; drop it when done with it.
     """
     t0 = time.perf_counter()
     free = system.free
-    fixed = system.fixed_mask
-    ubar = system.fixed_values
     A, B, m = system.A, system.B, system.pressure_moments
+    # boundary data sit on the fixed DOFs and are zero on the free ones
+    u = system.fixed_values.copy()
+    rhs_u, rhs_p = system.load[free] - (A @ u)[free], B @ u
 
-    A_ff = A[free][:, free].tocsr()
-    B_f = B[:, free].tocsr()
-    rhs_u = system.load[free] - A[free][:, fixed] @ ubar[fixed]
-    rhs_p = B[:, fixed] @ ubar[fixed]
+    factor = factorize(system, condense)
+    u[free], p = factor.solve(rhs_u, rhs_p)
+    # one refinement step on the free equations: LU rounding grows with the mesh
+    du, dp = factor.solve((system.load - A @ u + B.T @ p)[free], B @ u)
+    u[free] += du
+    p += dp
 
-    if condense:
-        u_f, p, n_reduced = _condensed_solve(system, A_ff, B_f, rhs_u, rhs_p)
-    else:
-        n_reduced = None
-        u_f, p = _solve_pinned(A_ff, -B_f.T, None, rhs_u, rhs_p, "sparse")
-
-    if not np.isfinite(u_f).all() or not np.isfinite(p).all():
+    if not np.isfinite(u).all() or not np.isfinite(p).all():
         raise SolverError("solve produced non-finite values (singular system?)")
 
-    # full velocity vector: solved free DOFs + projected boundary data
-    u_full = ubar.copy()
-    u_full[free] = u_f
-    # pressure gauge: shift the pinned solution to zero mean
-    p = p - _pressure_mean(system, p)
+    # pressure gauge: shift the pinned solution to zero mean (m @ p integrates p_h)
+    mean = float(m @ p) / float(system.ops.mesh.areas.sum())
+    p = p - mean * system.ops.dofmap.constant_pressure()
 
     # residuals on the full unpinned system (momentum tested on free rows only)
-    r_mom = (A @ u_full - B.T @ p)[free] - system.load[free]
-    r_mass = B @ u_full
+    r_mom = (A @ u - B.T @ p)[free] - system.load[free]
+    r_mass = B @ u
     r_mean = float(m @ p)
     rhs_norm = float(np.linalg.norm(np.concatenate([rhs_u, rhs_p])))
     scale = max(rhs_norm, 1e-30)
@@ -122,7 +100,7 @@ def solve(system, condense=False, residual_tol=1e-10):
         )
 
     return SolveReport(
-        velocity=WeakFunction(system.ops.dofmap, u_full),
+        velocity=WeakFunction(system.ops.dofmap, u),
         pressure=PressureFunction(system.ops.dofmap, p),
         residual=residual,
         momentum_residual=momentum_residual,
@@ -130,58 +108,69 @@ def solve(system, condense=False, residual_tol=1e-10):
         condensed=condense,
         num_free_velocity=len(free),
         num_pressure=system.num_pressure_dofs,
-        num_reduced=n_reduced,
+        num_reduced=factor.num_velocity + factor.num_pressure if condense else None,
         wall_time=time.perf_counter() - t0,
+        factor=factor,
     )
 
 
-def _pressure_mean(system, p):
-    """Mean-value shift: returns s with mean(p - s) = 0.
-
-    The first scaled monomial of every cell is the constant 1, so the
-    shift sits on each cell's constant coefficient.
-    """
-    mean = float(system.pressure_moments @ p)  # integral of p_h over the domain
-    area = float(system.ops.mesh.areas.sum())
-    shift = np.zeros_like(p)
-    shift[:: system.ops.dofmap.dim_cell_low] = mean / area
-    return shift
-
-
-def _solve_pinned(K_uu, K_up, K_pp, rhs_u, rhs_p, what):
-    """Solve [[K_uu, K_up], [K_upᵀ, K_pp]] [u; p] = [rhs_u; rhs_p] with p[0] = 0.
+class SaddleFactor:
+    """Sparse LU of the pinned matrix [[K_uu, K_up], [K_upᵀ, K_pp]].
 
     The constant pressure spans the kernel of the symmetric saddle
-    matrix; dropping pressure row and column 0 removes it.  ``K_pp`` may
-    be None for a zero block.  Returns u and the full pressure vector.
+    matrix; dropping pressure row and column 0 (p[0] = 0) removes it.
+    ``K_pp`` may be None for a zero block.  ``interior`` holds the
+    elimination (W, G, H) of the interior velocity DOFs on the condensed
+    path (see `factorize`), None on the full one.
     """
-    K_up = K_up.tocsc()[:, 1:]
-    K_pp = None if K_pp is None else K_pp.tocsr()[1:, 1:]
-    K = sparse.bmat([[K_uu, K_up], [K_up.T, K_pp]], format="csc")
-    b = np.concatenate([rhs_u, rhs_p[1:]])
-    try:
-        lu = splu(K)
-    except RuntimeError as err:  # singular factorization
-        raise SolverError(f"{what} factorization failed: {err}") from err
-    x = lu.solve(b)
-    x += lu.solve(b - K @ x)  # one refinement step: LU rounding grows with the mesh
-    n_u = K_uu.shape[0]
-    return x[:n_u], np.concatenate([[0.0], x[n_u:]])
+
+    def __init__(self, K_uu, K_up, K_pp, interior, what):
+        K_up = K_up.tocsc()[:, 1:]
+        K_pp = None if K_pp is None else K_pp.tocsr()[1:, 1:]
+        K = sparse.bmat([[K_uu, K_up], [K_up.T, K_pp]], format="csc")
+        try:
+            self.lu = splu(K)
+        except RuntimeError as err:  # singular factorization
+            raise SolverError(f"{what} factorization failed: {err}") from err
+        self.interior = interior
+        self.num_velocity = K_uu.shape[0]
+        self.num_pressure = K_up.shape[1] + 1
+
+    def solve(self, rhs_u, rhs_p):
+        """Free velocity and pressure (p[0] = 0); rhs_p[0], the pinned row, is unused."""
+        if self.interior is None:
+            return self._solve_pinned(rhs_u, rhs_p)
+        W, G, H = self.interior
+        n_i = W.shape[0]
+        w = W @ rhs_u[:n_i]  # L⁻¹ F_i
+        u_e, p = self._solve_pinned(rhs_u[n_i:] - G.T @ w, rhs_p + H.T @ w)
+        return np.concatenate([W.T @ (w - G @ u_e + H @ p), u_e]), p
+
+    def _solve_pinned(self, rhs_u, rhs_p):
+        x = self.lu.solve(np.concatenate([rhs_u, rhs_p[1:]]))
+        n_u = self.num_velocity
+        return x[:n_u], np.concatenate([[0.0], x[n_u:]])
 
 
-# -- static condensation ------------------------------------------------
+# -- factorization, with optional static condensation ---------------------
 
 
-def _condensed_solve(system, A_ff, B_f, rhs_u, rhs_p):
-    """Eliminate the interior velocity DOFs, solve, and recover them.
+def factorize(system, condense=False):
+    """The pinned SaddleFactor of the free saddle equations, condensed or not.
 
-    DofMap numbers the interior DOFs first, cell-major, and none of them
-    is fixed, so they are the first ``interior_size`` free DOFs.  They
-    couple only within their own cell: A_ii is block-diagonal with one SPD
-    block per cell.  With A_ii = L Lᵀ and W = L⁻¹ (block-diagonal too),
-    the Schur complement onto the edge and pressure unknowns is a few
-    sparse products, symmetric by construction.
+    `solve` builds one; callers that do not solve may build it alone.
+    For static condensation: DofMap numbers the interior DOFs first,
+    cell-major, and none of them is fixed, so they are the first
+    ``interior_size`` free DOFs.  They couple only within their own cell:
+    A_ii is block-diagonal with one SPD block per cell.  With A_ii = L Lᵀ
+    and W = L⁻¹ (block-diagonal too), the Schur complement onto the edge
+    and pressure unknowns is a few sparse products, symmetric by
+    construction.
     """
+    free = system.free
+    A_ff, B_f = system.A[free][:, free].tocsr(), system.B[:, free].tocsr()
+    if not condense:
+        return SaddleFactor(A_ff, -B_f.T, None, None, "sparse")
     dofmap = system.ops.dofmap
     n_i, nb = dofmap.interior_size, 2 * dofmap.dim_cell
     n_cells = n_i // nb
@@ -203,10 +192,7 @@ def _condensed_solve(system, A_ff, B_f, rhs_u, rhs_p):
 
     G = (W @ A_ff[:n_i, n_i:]).tocsr()  # L⁻¹ A_ie
     H = (W @ B_f[:, :n_i].T).tocsr()  # L⁻¹ B_iᵀ
-    w = W @ rhs_u[:n_i]  # L⁻¹ F_i
     S = A_ff[n_i:, n_i:] - G.T @ G
     C = G.T @ H - B_f[:, n_i:].T
     P = -(H.T @ H)
-    u_e, p = _solve_pinned(S, C, P, rhs_u[n_i:] - G.T @ w, rhs_p + H.T @ w, "condensed")
-    u_i = W.T @ (w - G @ u_e + H @ p)
-    return np.concatenate([u_i, u_e]), p, len(u_e) + len(p)
+    return SaddleFactor(S, C, P, (W, G, H), "condensed")

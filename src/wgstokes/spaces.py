@@ -63,6 +63,12 @@ class DofMap:
         start = c * self.dim_cell_low
         return np.arange(start, start + self.dim_cell_low)
 
+    def constant_pressure(self):
+        """Coefficients of the pressure 1: each cell's first scaled monomial is 1."""
+        c = np.zeros(self.num_pressure_dofs)
+        c[:: self.dim_cell_low] = 1.0
+        return c
+
 
 class WeakFunction:
     """Coefficients of one discrete velocity field {v0, vb}."""

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import linalg
+from scipy.sparse.linalg import splu
 
+from wgstokes import analysis, solver
 from wgstokes.mesh import PolygonalMesh, generate_mesh
 from wgstokes.weakops import ElementOps
 
@@ -47,6 +50,37 @@ class PolyField:
 
     def div(self, pts):
         return self._eval(self.cx, pts, dx=1) + self._eval(self.cy, pts, dy=1)
+
+
+def dense_inf_sup(system):
+    """Reference beta_h from a dense generalized eigensolve.
+
+    Forms the dense pressure Schur complement S = B_f A_ff^{-1} B_fᵀ and
+    takes the smallest eigenvalue of S q = lam M_p q on an orthonormal
+    basis of the zero-mean pressures.  Small meshes only.
+    """
+    free = system.free
+    Bt = system.B[:, free].T.toarray()
+    S = Bt.T @ splu(system.A[free][:, free].tocsc()).solve(Bt)
+    S = 0.5 * (S + S.T)
+    Z = linalg.null_space(system.pressure_moments[None, :])
+    M_p = system.pressure_mass().toarray()
+    lam = linalg.eigh(Z.T @ S @ Z, Z.T @ M_p @ Z, eigvals_only=True)
+    return float(np.sqrt(max(lam[0], 0.0)))
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Shapes of the sparse LU factorizations made by `solver` and `analysis`."""
+    calls = []
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    for module in (solver, analysis):
+        monkeypatch.setattr(module, "splu", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

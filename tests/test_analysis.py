@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from conftest import dense_inf_sup
+from wgstokes import analysis
 from wgstokes.analysis import (
-    BETA_DOF_CAP,
-    BETA_DOF_CEILING,
     CSV_COLUMNS,
     ConvergenceRecord,
     consistency_dual_norms,
@@ -23,9 +24,9 @@ from wgstokes.analysis import (
 )
 from wgstokes.assembly import assemble, eval_grad_product, eval_s
 from wgstokes.cases import ManufacturedCase, get_case
-from wgstokes.errors import ConfigurationError
+from wgstokes.errors import ConfigurationError, SolverError
 from wgstokes.mesh import generate_mesh
-from wgstokes.solver import solve
+from wgstokes.solver import factorize, solve
 from wgstokes.spaces import WeakFunction
 from wgstokes.weakops import ElementOps
 
@@ -160,12 +161,35 @@ def test_inf_sup_positive_and_family_consistent():
     assert hi <= 2 * lo
 
 
-def test_inf_sup_respects_cap(ops_quad_k1):
+@pytest.mark.parametrize(
+    "family, degree, n",
+    [(f, k, 8) for f in ("uniform-quad", "perturbed-polygon", "hexagonal") for k in (1, 2)]
+    + [("perturbed-polygon", 2, 16)],
+)
+def test_inf_sup_matches_dense_oracle(family, degree, n):
+    """Shift-invert on either factor path gives the dense beta_h."""
+    system = assemble(ElementOps(generate_mesh(family, n, seed=0), degree))
+    expected = dense_inf_sup(system)
+    assert discrete_inf_sup(system) == pytest.approx(expected, rel=1e-8)
+    for condense in (False, True):
+        factor = factorize(system, condense=condense)
+        assert discrete_inf_sup(system, factor) == pytest.approx(expected, rel=1e-8)
+
+
+def test_inf_sup_needs_two_pressure_dofs():
+    system = assemble(ElementOps(generate_mesh("uniform-quad", 1), 1))
+    with pytest.raises(ConfigurationError, match="has 1 pressure DOF"):
+        discrete_inf_sup(system)
+
+
+def test_inf_sup_eigensolve_failure_is_typed(ops_quad_k1, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(analysis, "eigsh", stalled)
     system = assemble(ops_quad_k1)
-    assert discrete_inf_sup(system, cap=2) is None
-    with pytest.raises(ConfigurationError):
-        discrete_inf_sup(system, cap=BETA_DOF_CEILING + 1)
-    assert BETA_DOF_CAP <= BETA_DOF_CEILING
+    with pytest.raises(SolverError, match=f"{system.num_pressure_dofs} pressure DOFs"):
+        discrete_inf_sup(system)
 
 
 def test_inf_sup_known_value():

@@ -206,10 +206,37 @@ def test_infsup_table(capsys):
     assert "min" in out and "max" in out
 
 
-def test_infsup_all_over_cap(capsys):
-    code = main(["infsup", "--n0", "4", "--levels", "1", "--cap", "2"])
-    assert code == 1
-    assert "over cap" in capsys.readouterr().out
+def test_infsup_factorizes_once_per_level(splu_calls):
+    assert main(["infsup", "--n0", "2", "--levels", "2"]) == 0
+    assert len(splu_calls) == 2
+
+
+def test_infsup_up_to_n64(capsys):
+    """n = 64 has 4,096 pressure DOFs; beta_h still comes from one sparse factor."""
+    code = main(["infsup", "--family", "uniform-quad", "--degree", "1", "--n0", "16", "--levels", "3"])
+    assert code == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:4]]
+    assert [int(row[3]) for row in rows] == [256, 1024, 4096]
+    betas = [float(row[4]) for row in rows]
+    assert betas == pytest.approx([0.588786, 0.532961, 0.501688], abs=1e-6)
+
+
+def test_infsup_two_pressure_dofs(capsys):
+    code = main(["infsup", "--family", "uniform-triangle", "--n0", "1", "--levels", "1"])
+    assert code == 0
+    assert "1.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infsup", "--n0", "1", "--levels", "1"],
+        ["study", "--n0", "1", "--degree", "1", "--family", "uniform-quad"],
+    ],
+)
+def test_one_pressure_dof_is_a_configuration_error(argv, capsys):
+    assert main(argv) == 2
+    assert "error: the mesh has 1 pressure DOF" in capsys.readouterr().err
 
 
 def test_parser_defaults():

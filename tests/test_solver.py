@@ -10,7 +10,7 @@ from wgstokes.cases import get_case
 from wgstokes.errors import SolverError
 from wgstokes.mesh import generate_mesh
 from wgstokes.projections import project_pressure, project_velocity
-from wgstokes.solver import solve
+from wgstokes.solver import factorize, solve
 from wgstokes.weakops import ElementOps
 
 
@@ -118,6 +118,14 @@ def test_condensed_system_size(ops_quad_k1):
     expected = 2 * dm.dim_edge * n_interior_edges + dm.num_pressure_dofs
     assert report.num_reduced == expected
     assert np.allclose(report.velocity.coeffs, 0.0, atol=1e-13)
+
+
+def test_lu_fill_stays_low():
+    """SuperLU's column ordering reads only the stored pattern; assemble's
+    finite-element pattern keeps the fill of the pinned full system low
+    (238,670 here; 504,615 when the stored x-y zeros are dropped)."""
+    factor = factorize(assemble(ElementOps(generate_mesh("uniform-quad", 16), 1)))
+    assert factor.lu.L.nnz + factor.lu.U.nnz <= 300_000
 
 
 def test_report_serializes(system_quad_k1):

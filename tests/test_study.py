@@ -1,6 +1,7 @@
 """Study driver: gating logic, grid construction, and record plumbing."""
 
 import numpy as np
+import pytest
 
 from wgstokes.study import GATED_RATES, RATE_MARGIN, StudyConfig, default_grid, run_study
 
@@ -34,16 +35,19 @@ def test_gated_rate_targets_scale_with_degree():
     assert RATE_MARGIN == 0.1
 
 
-def test_inf_sup_can_be_skipped():
-    config = StudyConfig(case="poly-exact-k1", degree=1, levels=1, n0=2, inf_sup_cap=0)
-    result = run_study(config)
-    assert result.record.rows[0]["beta_h"] is None
-
-
 def test_beta_recorded_by_default():
     config = StudyConfig(case="poly-exact-k1", degree=1, levels=1, n0=2)
     result = run_study(config)
     assert 0.5 < result.record.rows[0]["beta_h"] < 1.5
+
+
+@pytest.mark.parametrize("condense", [False, True])
+def test_one_factorization_per_level(condense, splu_calls):
+    """The solve's factor also serves the level's inf-sup constant."""
+    config = StudyConfig(case="poly-exact-k1", degree=1, levels=2, n0=2, condense=condense)
+    result = run_study(config)
+    assert len(splu_calls) == 2
+    assert all(row["beta_h"] > 0 for row in result.record.rows)
 
 
 def test_default_grid_covers_both_axes():
