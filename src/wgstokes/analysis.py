@@ -58,7 +58,8 @@ def triple_bar_norm(ops, v):
     nlow = ops.dofmap.dim_cell_low
     grad = np.einsum("pr,pijr->pij", cells.values[:, :nlow], ops.weak_gradient(v)[cells.cell])
     jump = np.einsum("qb,hib->hqi", edges.values, ops.trace_jump(v))
-    weights = edges.weights[ops.side_edge] / ops.mesh.diameters[ops.side_cell][:, None]
+    mesh = ops.mesh
+    weights = edges.weights[mesh.side_edge] / mesh.diameters[mesh.side_cell][:, None]
     total = cells.weights @ (grad**2).sum(axis=(1, 2)) + np.sum(weights * (jump**2).sum(axis=2))
     return float(np.sqrt(max(total, 0.0)))
 
@@ -231,7 +232,7 @@ def consistency_functionals(ops, case):
     pproj = project_pressure(ops, case.p, d).cellwise
     jump = ops.trace_jump(project_velocity(ops, case.u, d))
 
-    cells, edges, normals = ops.side_cell, ops.side_edge, ops.side_normal
+    cells, edges, normals = ops.mesh.side_cell, ops.mesh.side_edge, ops.mesh.side_normal
     table = ops.edge_table(data_exactness(d, ops.degree))
     pts = table.points[edges]  # (n_sides, q, 2)
     flat = pts.reshape(-1, 2)
@@ -268,7 +269,7 @@ def _side_functional(ops, interior, edge):
     """Velocity-DOF vector from per-side interior (n_sides, 2, dim_cell) and
     edge (n_sides, 2, dim_edge) contributions."""
     vb = np.zeros((ops.mesh.num_edges,) + edge.shape[1:])
-    np.add.at(vb, ops.side_edge, edge)
+    np.add.at(vb, ops.mesh.side_edge, edge)
     return np.concatenate([ops.per_cell(interior).ravel(), vb.ravel()])
 
 

@@ -165,10 +165,11 @@ def _sparse_maps(ops):
     """
     dm = ops.dofmap
     nk, nlow, ne, n_u = dm.dim_cell, dm.dim_cell_low, dm.dim_edge, dm.num_velocity_dofs
-    n_cells = ops.mesh.num_cells
-    cell_i, side_i = np.arange(2 * n_cells), np.arange(2 * len(ops.side_cell))
-    owner_i = 2 * np.repeat(ops.side_cell, 2) + side_i % 2
-    edge_col = dm.interior_size + (2 * np.repeat(ops.side_edge, 2) + side_i % 2) * ne
+    mesh = ops.mesh
+    n_cells = mesh.num_cells
+    cell_i, side_i = np.arange(2 * n_cells), np.arange(2 * len(mesh.side_cell))
+    owner_i = 2 * np.repeat(mesh.side_cell, 2) + side_i % 2
+    edge_col = dm.interior_size + (2 * np.repeat(mesh.side_edge, 2) + side_i % 2) * ne
     interior = np.repeat(ops.grad_interior.reshape(n_cells, 2 * nlow, nk), 2, axis=0)
     sides = np.repeat(ops.grad_side.reshape(-1, 2 * nlow, ne), 2, axis=0)
     G = _from_blocks(
@@ -191,14 +192,16 @@ def _sparse_maps(ops):
 
 def _side_mass(ops):
     """Stabilizer weight of each side: its edge mass over the cell diameter."""
-    return ops.edge_mass[ops.side_edge] / ops.mesh.diameters[ops.side_cell][:, None, None]
+    mesh = ops.mesh
+    return ops.edge_mass[mesh.side_edge] / mesh.diameters[mesh.side_cell][:, None, None]
 
 
 def _boundary_flux(ops, g, data_degree=None):
-    sides = np.nonzero(ops.mesh.boundary_edges[ops.side_edge])[0]
-    table = ops.edge_table(data_exactness(data_degree, 0), ops.side_edge[sides])
+    mesh = ops.mesh
+    sides = np.nonzero(mesh.boundary_edges[mesh.side_edge])[0]
+    table = ops.edge_table(data_exactness(data_degree, 0), mesh.side_edge[sides])
     values = np.asarray(g(table.points.reshape(-1, 2)), dtype=float).reshape(len(sides), -1, 2)
-    return float(np.einsum("sq,sqi,si->", table.weights, values, ops.side_normal[sides]))
+    return float(np.einsum("sq,sqi,si->", table.weights, values, mesh.side_normal[sides]))
 
 
 # -- matrix-free bilinear forms (independent of the assembled matrices) --

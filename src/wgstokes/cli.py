@@ -20,7 +20,7 @@ from .analysis import discrete_inf_sup
 from .assembly import assemble
 from .cases import list_cases, verify_case
 from .errors import WGError
-from .mesh import FAMILIES, generate_mesh
+from .mesh import FAMILIES, generate_mesh, refinement_ladder
 from .study import StudyConfig, run_study
 from .weakops import ElementOps
 
@@ -124,9 +124,10 @@ def cmd_verify(args):
 
 def cmd_infsup(args):
     betas = []
+    ladder = refinement_ladder(args.n0, args.levels)
     print(f"{'level':>5} {'h':>10} {'cells':>7} {'p-dofs':>7} {'beta_h':>10}")
-    for level in range(args.levels):
-        mesh = generate_mesh(args.family, args.n0 * 2**level, seed=args.seed)
+    for level, n in enumerate(ladder):
+        mesh = generate_mesh(args.family, n, seed=args.seed)
         ops = ElementOps(mesh, args.degree)
         system = assemble(ops)
         beta = discrete_inf_sup(system)

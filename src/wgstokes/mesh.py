@@ -1,8 +1,11 @@
 """Polygonal meshes of the unit square.
 
 A :class:`PolygonalMesh` is an immutable vertex/cell-loop structure with
-derived edge connectivity.  Four built-in generators cover the mesh
-families used throughout the package:
+derived edge connectivity, built on one *side table*: a side is one cell
+seeing one of its edges, and sides are numbered cell-major in loop order.
+Validation, edges and geometry are array operations over that table.
+Four built-in generators cover the mesh families used throughout the
+package:
 
 ``uniform-triangle``
     n x n grid of squares, each split along the SW-NE diagonal.
@@ -25,9 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import Voronoi
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import Voronoi, cKDTree
 
 from .errors import ConfigurationError, MeshFormatError, MeshValidationError
+from .quadrature import loop_groups, polygon_geometry
 
 FAMILIES = ("uniform-triangle", "uniform-quad", "perturbed-polygon", "hexagonal")
 
@@ -43,13 +49,25 @@ class PolygonalMesh:
     cells : sequence of int sequences
         CCW vertex loops, 0-based.
 
+    Side table
+    ----------
+    A side is one cell seeing one of its edges; side i of a cell runs from
+    its loop vertex i to loop vertex i+1, and sides are numbered cell-major.
+    side_cell, side_edge : (n_sides,) int arrays
+        Cell and edge of each side; ``side_starts`` (n_cells,) is the first
+        side of each cell.
+    side_vertices : (n_sides, 2) int array
+        Start and end vertex of each side.
+    side_normal : (n_sides, 2) float array
+        Outward unit normal of each side.
+
     Derived attributes
     ------------------
+    cells, cell_edges : lists of (m,) int arrays
+        Views of the side table: each cell's loop and the edges of its sides.
     edges : (ne, 2) int array
-        Unique edges, lower vertex index first (canonical orientation).
-    cell_edges : list of (m,) int arrays
-        Edge index of each cell side `i` (the side from loop vertex i to
-        loop vertex i+1).
+        Unique edges, lower vertex index first (canonical orientation),
+        numbered by first appearance in the side table.
     edge_cells : (ne, 2) int array
         Cells seeing the edge in canonical / anti-canonical direction;
         -1 where absent.  Boundary edges have exactly one -1.
@@ -64,81 +82,89 @@ class PolygonalMesh:
             raise MeshValidationError("vertices must be an (nv, 2) array")
         if not np.isfinite(self.vertices).all():
             raise MeshValidationError("non-finite vertex coordinates")
-        self.cells = [np.asarray(c, dtype=int) for c in cells]
         self.num_vertices = len(self.vertices)
-        self.num_cells = len(self.cells)
-        self._validate_cells()
-        self._build_edges()
+        self.num_cells = len(cells)
+        self._build_sides(cells)
         self._build_geometry()
-        self.vertices.setflags(write=False)
-        for arr in (self.edges, self.edge_cells, self.areas, self.centroids, self.diameters):
+        self._build_edges()
+        for arr in (self.vertices, self.side_cell, self.side_starts, self.side_vertices,
+                    self.side_edge, self.side_normal, self.edges, self.edge_cells,
+                    self.boundary_edges, self.areas, self.centroids, self.diameters):  # fmt: skip
             arr.setflags(write=False)
+        self.cells = np.split(self.side_vertices[:, 0], self.side_starts[1:])
+        self.cell_edges = np.split(self.side_edge, self.side_starts[1:])
 
     # -- construction -------------------------------------------------
 
-    def _validate_cells(self):
+    def _build_sides(self, cells):
         if self.num_cells == 0:
             raise MeshValidationError("mesh has no cells")
-        for ci, loop in enumerate(self.cells):
-            if len(loop) < 3:
-                raise MeshValidationError(f"cell {ci} has fewer than 3 vertices")
-            if (loop < 0).any() or (loop >= self.num_vertices).any():
-                raise MeshValidationError(f"cell {ci} references a missing vertex")
-            if len(np.unique(loop)) != len(loop):
-                raise MeshValidationError(f"cell {ci} repeats a vertex")
-            p = self.vertices[loop]
-            x, y = p[:, 0], p[:, 1]
-            area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-            if area <= 0.0:
+        sizes = np.fromiter(map(len, cells), dtype=int, count=self.num_cells)
+        if (sizes < 3).any():
+            raise MeshValidationError(f"cell {np.argmax(sizes < 3)} has fewer than 3 vertices")
+        self.side_starts = np.cumsum(sizes) - sizes
+        self.side_cell = np.repeat(np.arange(self.num_cells), sizes)
+        start = np.concatenate(cells).astype(int)
+        missing = (start < 0) | (start >= self.num_vertices)
+        if missing.any():
+            raise MeshValidationError(
+                f"cell {self.side_cell[np.argmax(missing)]} references a missing vertex"
+            )
+        key = np.sort(self.side_cell * self.num_vertices + start)
+        repeats = key[1:][key[1:] == key[:-1]]
+        if len(repeats):
+            raise MeshValidationError(f"cell {repeats[0] // self.num_vertices} repeats a vertex")
+        successor = _successors(self.side_starts, len(start))
+        self.side_vertices = np.column_stack([start, start[successor]])
+
+    def _build_geometry(self):
+        loops = self.vertices[self.side_vertices[:, 0]]
+        self.areas, self.diameters = np.empty((2, self.num_cells))
+        self.centroids = np.empty((self.num_cells, 2))
+        for group, p in loop_groups(loops, self.side_starts):
+            self.areas[group], self.centroids[group] = polygon_geometry(p)
+            if (self.areas[group] <= 0.0).any():
+                ci = group[np.argmax(self.areas[group] <= 0.0)]
                 raise MeshValidationError(
-                    f"cell {ci} is not CCW or has non-positive area ({area:g})"
+                    f"cell {ci} is not CCW or has non-positive area ({self.areas[ci]:g})"
                 )
-            loop.setflags(write=False)
-        sizes = np.array([len(loop) for loop in self.cells])
-        for m in np.unique(sizes[sizes > 3]):
-            group = np.nonzero(sizes == m)[0]
-            crossed = group[_sides_cross(self.vertices[np.stack([self.cells[c] for c in group])])]
+            crossed = group[_sides_cross(p)]
             if len(crossed):
                 raise MeshValidationError(
                     f"cell {crossed[0]} is self-intersecting: two sides cross"
                 )
+            d = p[:, :, None, :] - p[:, None, :, :]
+            self.diameters[group] = np.sqrt((d * d).sum(-1).max(axis=(1, 2)))
+        self.mesh_size = float(self.diameters.max())
+        t = self.vertices[self.side_vertices[:, 1]] - loops
+        # CCW loops: the outward normal is the tangent turned by -90 degrees
+        self.side_normal = np.column_stack([t[:, 1], -t[:, 0]]) / np.hypot(*t.T)[:, None]
 
     def _build_edges(self):
-        edge_ids = {}
-        edges = []
-        edge_cells = []
-        cell_edges = []
-        for ci, loop in enumerate(self.cells):
-            sides = np.empty(len(loop), dtype=int)
-            for s in range(len(loop)):
-                a, b = int(loop[s]), int(loop[(s + 1) % len(loop)])
-                key = (a, b) if a < b else (b, a)
-                e = edge_ids.get(key)
-                if e is None:
-                    e = len(edges)
-                    edge_ids[key] = e
-                    edges.append(key)
-                    edge_cells.append([-1, -1])
-                slot = 0 if a < b else 1  # canonical direction is low -> high
-                if edge_cells[e][slot] != -1:
-                    raise MeshValidationError(
-                        f"edge {key} traversed twice in the same direction "
-                        f"(cells {edge_cells[e][slot]} and {ci}): inconsistent orientation"
-                    )
-                edge_cells[e][slot] = ci
-                sides[s] = e
-            sides.setflags(write=False)
-            cell_edges.append(sides)
-        self.edges = np.asarray(edges, dtype=int)
-        self.edge_cells = np.asarray(edge_cells, dtype=int)
-        self.cell_edges = cell_edges
+        a, b = self.side_vertices.T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first, side_key = np.unique(
+            lo * self.num_vertices + hi, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)  # number the edges by first appearance
+        self.side_edge = np.argsort(order)[side_key]  # the inverse permutation
+        self.edges = np.column_stack([lo, hi])[first[order]]
         self.num_edges = len(self.edges)
-        counts = (self.edge_cells >= 0).sum(axis=1)
-        if (counts == 0).any():
-            raise MeshValidationError("internal error: edge with no incident cell")
-        self.boundary_edges = counts == 1
-        # An edge key seen by >2 cells would have tripped the slot check above,
-        # but a non-manifold vertex pattern can still sneak through; Euler's
+        # an edge is seen at most once per direction; canonical is low -> high
+        slot = 2 * self.side_edge + (a > b)
+        twice = np.bincount(slot) > 1
+        if twice.any():
+            cells = self.side_cell[slot == np.argmax(twice)]
+            raise MeshValidationError(
+                f"edge {tuple(self.edges[np.argmax(twice) // 2].tolist())} traversed twice "
+                f"in the same direction (cells {cells[0]} and {cells[1]}): inconsistent orientation"
+            )
+        self.edge_cells = np.full(2 * self.num_edges, -1)
+        self.edge_cells[slot] = self.side_cell
+        self.edge_cells = self.edge_cells.reshape(-1, 2)
+        self.boundary_edges = (self.edge_cells >= 0).sum(axis=1) == 1
+        # An edge seen by >2 cells trips the direction check above, but a
+        # non-manifold vertex pattern can still sneak through; Euler's
         # relation for a simply connected planar subdivision catches it.
         euler = self.num_vertices - self.num_edges + self.num_cells
         if euler != 1:
@@ -146,38 +172,11 @@ class PolygonalMesh:
                 f"mesh is not a simply connected planar subdivision (V-E+F = {euler})"
             )
 
-    def _build_geometry(self):
-        areas = np.empty(self.num_cells)
-        centroids = np.empty((self.num_cells, 2))
-        diameters = np.empty(self.num_cells)
-        for ci, loop in enumerate(self.cells):
-            p = self.vertices[loop]
-            x, y = p[:, 0], p[:, 1]
-            cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-            a = 0.5 * cross.sum()
-            areas[ci] = a
-            centroids[ci, 0] = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * a)
-            centroids[ci, 1] = np.sum((y + np.roll(y, -1)) * cross) / (6.0 * a)
-            d = p[:, None, :] - p[None, :, :]
-            diameters[ci] = np.sqrt((d * d).sum(-1).max())
-        self.areas = areas
-        self.centroids = centroids
-        self.diameters = diameters
-        self.mesh_size = float(diameters.max())
-
     # -- queries ------------------------------------------------------
 
     def cell_vertices(self, ci):
         """Vertex coordinates of cell `ci` as a CCW (m, 2) loop."""
         return self.vertices[self.cells[ci]]
-
-    def cell_normals(self, ci):
-        """Outward unit normals of cell `ci`, one per side; shape (m, 2)."""
-        p = self.cell_vertices(ci)
-        t = np.roll(p, -1, axis=0) - p
-        lengths = np.hypot(t[:, 0], t[:, 1])
-        # CCW loop: outward normal is the tangent rotated by -90 degrees
-        return np.column_stack([t[:, 1], -t[:, 0]]) / lengths[:, None]
 
     def edge_vertices(self, e):
         """Endpoint coordinates of edge `e` in canonical order; shape (2, 2)."""
@@ -193,6 +192,13 @@ class PolygonalMesh:
             f"PolygonalMesh({self.num_vertices} vertices, {self.num_edges} edges, "
             f"{self.num_cells} cells, h={self.mesh_size:.4g})"
         )
+
+
+def _successors(starts, total):
+    """Index of the next vertex around its loop, for `total` stacked loop vertices."""
+    nxt = np.arange(1, total + 1)
+    nxt[np.append(starts[1:], total) - 1] = starts
+    return nxt
 
 
 def _sides_cross(p):
@@ -241,9 +247,14 @@ def generate_mesh(family, n, seed=0, jitter=0.2):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ConfigurationError(f"subdivision count must be a positive integer, got {n!r}")
     if family == "uniform-quad":
-        return _uniform_quad(n)
+        verts, corner = _square_grid(n)
+        quads = [corner, corner + 1, corner + n + 2, corner + n + 1]
+        return PolygonalMesh(verts, np.column_stack(quads))
     if family == "uniform-triangle":
-        return _uniform_triangle(n)
+        verts, corner = _square_grid(n)
+        tris = [[corner, corner + 1, corner + n + 2], [corner, corner + n + 2, corner + n + 1]]
+        # the lower, then the upper triangle of each square
+        return PolygonalMesh(verts, np.transpose(tris, (2, 0, 1)).reshape(-1, 3))
     if family == "perturbed-polygon":
         if not 0.0 <= jitter < 0.5:
             raise ConfigurationError(f"jitter must lie in [0, 0.5), got {jitter}")
@@ -253,45 +264,31 @@ def generate_mesh(family, n, seed=0, jitter=0.2):
         X, Y = np.meshgrid(xs, xs, indexing="xy")
         pts = np.column_stack([X.ravel(), Y.ravel()])
         pts += rng.uniform(-jitter * h, jitter * h, size=pts.shape)
-        verts, loops = _clipped_voronoi(pts)
-        return PolygonalMesh(verts, loops)
+        return PolygonalMesh(*_clipped_voronoi(pts))
     if family == "hexagonal":
-        verts, loops = _clipped_voronoi(_triangular_lattice(n))
-        return PolygonalMesh(verts, loops)
+        return PolygonalMesh(*_clipped_voronoi(_triangular_lattice(n)))
     raise ConfigurationError(f"unknown mesh family {family!r}; expected one of {FAMILIES}")
 
 
-def refine_sequence(family, n0, levels, seed=0, jitter=0.2):
-    """Meshes at n = n0 * 2**j for j = 0..levels-1 (mesh size halves per level)."""
+def refinement_ladder(n0, levels):
+    """Subdivision counts n0 * 2**j for j = 0..levels-1 (mesh size halves per level)."""
     if levels < 1:
         raise ConfigurationError(f"levels must be >= 1, got {levels}")
-    return [generate_mesh(family, n0 * 2**j, seed=seed, jitter=jitter) for j in range(levels)]
+    return [n0 * 2**j for j in range(levels)]
 
 
-def _uniform_quad(n):
+def refine_sequence(family, n0, levels, seed=0, jitter=0.2):
+    """Meshes at the subdivision counts of `refinement_ladder`."""
+    ladder = refinement_ladder(n0, levels)
+    return [generate_mesh(family, n, seed=seed, jitter=jitter) for n in ladder]
+
+
+def _square_grid(n):
+    """Vertices of the (n+1) x (n+1) grid and each square's lower-left vertex, row-major."""
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
-    verts = np.column_stack([X.ravel(), Y.ravel()])
-    vid = lambda i, j: j * (n + 1) + i
-    loops = [
-        [vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-        for j in range(n)
-        for i in range(n)
-    ]
-    return PolygonalMesh(verts, loops)
-
-
-def _uniform_triangle(n):
-    xs = np.linspace(0.0, 1.0, n + 1)
-    X, Y = np.meshgrid(xs, xs, indexing="xy")
-    verts = np.column_stack([X.ravel(), Y.ravel()])
-    vid = lambda i, j: j * (n + 1) + i
-    loops = []
-    for j in range(n):
-        for i in range(n):
-            loops.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-            loops.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return PolygonalMesh(verts, loops)
+    corner = np.arange(n)[:, None] * (n + 1) + np.arange(n)
+    return np.column_stack([X.ravel(), Y.ravel()]), corner.ravel()
 
 
 def _triangular_lattice(n):
@@ -299,12 +296,9 @@ def _triangular_lattice(n):
     dy = np.sqrt(3.0) / 2.0 * a
     m = max(1, round(1.0 / dy))
     dy = 1.0 / m
-    pts = []
-    for j in range(m):
-        off = 0.25 if j % 2 == 0 else 0.75
-        for i in range(n):
-            pts.append(((i + off) * a, (j + 0.5) * dy))
-    return np.asarray(pts)
+    J, I = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
+    off = np.where(J % 2 == 0, 0.25, 0.75)
+    return np.column_stack([((I + off) * a).ravel(), ((J + 0.5) * dy).ravel()])
 
 
 def _clipped_voronoi(pts):
@@ -330,39 +324,37 @@ def _clipped_voronoi(pts):
         for dim in (0, 1):
             hit = np.abs(verts[:, dim] - coord) < 1e-10
             verts[hit, dim] = coord
-    loops = []
-    for i in range(n):
-        region = vor.regions[vor.point_region[i]]
-        if -1 in region:
-            raise MeshValidationError("Voronoi region unexpectedly unbounded")
-        vi = np.asarray(region, dtype=int)
-        # cells are convex and contain their generator: sort CCW around it
-        ang = np.arctan2(verts[vi, 1] - pts[i, 1], verts[vi, 0] - pts[i, 0])
-        loops.append(vi[np.argsort(ang)])
-    return _renumber(verts, loops)
+    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    sizes = np.fromiter(map(len, regions), dtype=int, count=n)
+    loops = np.concatenate(regions).astype(int)
+    if (loops < 0).any():
+        raise MeshValidationError("Voronoi region unexpectedly unbounded")
+    # cells are convex and contain their generator: sort CCW around it
+    owner = np.repeat(np.arange(n), sizes)
+    ang = np.arctan2(verts[loops, 1] - pts[owner, 1], verts[loops, 0] - pts[owner, 0])
+    return _renumber(verts, loops[np.lexsort((ang, owner))], sizes)
 
 
-def _renumber(verts, loops):
-    """Keep only used vertices, merging coincident ones (tol _MERGE_TOL)."""
-    used = sorted({int(v) for loop in loops for v in loop})
-    remap = {}
-    out_pts = []
-    for u in used:
-        p = verts[u]
-        for j in range(len(out_pts) - 1, -1, -1):
-            q = out_pts[j]
-            if abs(p[0] - q[0]) < _MERGE_TOL and abs(p[1] - q[1]) < _MERGE_TOL:
-                remap[u] = j
-                break
-        else:
-            remap[u] = len(out_pts)
-            out_pts.append(p)
-    cells = []
-    for loop in loops:
-        seq = [remap[int(v)] for v in loop]
-        seq = [v for i, v in enumerate(seq) if v != seq[i - 1]]  # drop merged repeats
-        cells.append(seq)
-    return np.asarray(out_pts), cells
+def _renumber(verts, loops, sizes):
+    """Vertices and loops with only the used vertices, in order, and each
+    cluster of vertices closer than _MERGE_TOL (max-norm) merged into its
+    first; a loop drops a vertex merged into its predecessor.  `loops`
+    stacks the vertex loops, `sizes` their lengths."""
+    used, loops = np.unique(loops, return_inverse=True)
+    pts = verts[used]
+    n = len(pts)
+    i, j = cKDTree(pts).query_pairs(_MERGE_TOL, p=np.inf, output_type="ndarray").T
+    close = np.abs(pts[i] - pts[j]).max(axis=1) < _MERGE_TOL
+    graph = coo_matrix((np.ones(close.sum()), (i[close], j[close])), shape=(n, n))
+    label = connected_components(graph, directed=False)[1]
+    first = np.unique(label, return_index=True)[1][label]  # each cluster's first vertex
+    kept = first == np.arange(n)
+    loops = (np.cumsum(kept) - 1)[first[loops]]
+    starts = np.cumsum(sizes) - sizes
+    predecessor = np.argsort(_successors(starts, len(loops)))  # the inverse permutation
+    keep = loops != loops[predecessor]
+    sizes = np.add.reduceat(keep, starts, dtype=int)
+    return pts[kept], np.split(loops[keep], np.cumsum(sizes)[:-1])
 
 
 # -- I/O ---------------------------------------------------------------
@@ -395,17 +387,22 @@ def load_mesh(path):
     def fail(msg, ln):
         raise MeshFormatError(msg, line=ln)
 
+    def count(word, ln):
+        if ln >= len(lines) or not lines[ln].startswith(word + " "):
+            fail(f"expected '{word} N'", ln + 1)
+        try:
+            n = int(lines[ln].split()[1])
+        except (IndexError, ValueError):
+            fail(f"expected '{word} N' with integer N", ln + 1)
+        if n < 0:
+            fail(f"negative {word} count {n}", ln + 1)
+        return n
+
     if not lines or lines[0].strip() != _HEADER:
         fail(f"expected header {_HEADER!r}", 1)
     ln = 1
-    if ln >= len(lines) or not lines[ln].startswith("vertices "):
-        fail("expected 'vertices N'", ln + 1)
-    try:
-        nv = int(lines[ln].split()[1])
-    except (IndexError, ValueError):
-        fail("expected 'vertices N' with integer N", ln + 1)
-    verts = np.empty((nv, 2))
-    for i in range(nv):
+    verts = np.empty((count("vertices", ln), 2))
+    for i in range(len(verts)):
         ln += 1
         if ln >= len(lines):
             fail("unexpected end of file in vertex block", ln + 1)
@@ -417,14 +414,8 @@ def load_mesh(path):
         except ValueError:
             fail(f"bad coordinate in {lines[ln]!r}", ln + 1)
     ln += 1
-    if ln >= len(lines) or not lines[ln].startswith("cells "):
-        fail("expected 'cells M'", ln + 1)
-    try:
-        nc = int(lines[ln].split()[1])
-    except (IndexError, ValueError):
-        fail("expected 'cells M' with integer M", ln + 1)
     cells = []
-    for i in range(nc):
+    for i in range(count("cells", ln)):
         ln += 1
         if ln >= len(lines):
             fail("unexpected end of file in cell block", ln + 1)
@@ -461,39 +452,35 @@ def shape_regularity(mesh, threshold=20.0):
     """Diameter/inradius and edge-length-ratio proxies for every cell.
 
     The inradius of a convex cell is found exactly as the Chebyshev center
-    (a tiny linear program); for nonconvex cells the distance from the
-    centroid to the boundary serves as a lower bound.  Cells whose
+    (a tiny linear program per cell); for nonconvex cells the distance from
+    the centroid to the boundary serves as a lower bound.  Cells whose
     diameter/inradius exceeds `threshold` are flagged, not rejected.
     """
-    aspect = np.empty(mesh.num_cells)
-    edge_ratio = np.empty(mesh.num_cells)
-    for ci in range(mesh.num_cells):
-        p = mesh.cell_vertices(ci)
-        if mesh.areas[ci] <= 0.0:
-            raise MeshValidationError(f"cell {ci} has non-positive area")
-        normals = mesh.cell_normals(ci)
-        lengths = np.hypot(*(np.roll(p, -1, axis=0) - p).T)
-        edge_ratio[ci] = lengths.max() / lengths.min()
-        if _is_convex(p):
-            rho = _chebyshev_radius(p, normals)
-        else:
-            rho = _centroid_clearance(p, mesh.centroids[ci])
-        aspect[ci] = mesh.diameters[ci] / rho
-    flagged = np.nonzero(aspect > threshold)[0]
+    starts, ends = mesh.side_starts, np.append(mesh.side_starts[1:], len(mesh.side_cell))
+    p, q = mesh.vertices[mesh.side_vertices.T]
+    t = q - p
+    lengths = np.hypot(*t.T)
+    edge_ratio = np.maximum.reduceat(lengths, starts) / np.minimum.reduceat(lengths, starts)
+    # convex: no corner turns clockwise, up to rounding
+    u = t[_successors(starts, len(t))]
+    turn = t[:, 0] * u[:, 1] - t[:, 1] * u[:, 0]
+    convex = np.minimum.reduceat(turn, starts) > -1e-14 * np.maximum.reduceat(np.abs(turn), starts)
+    # distance from the centroid to the nearest point of each side
+    c = mesh.centroids[mesh.side_cell]
+    tt = np.clip(np.einsum("ij,ij->i", c - p, t) / (t * t).sum(1), 0.0, 1.0)
+    rho = np.minimum.reduceat(np.hypot(*(p + tt[:, None] * t - c).T), starts)
+    for ci in np.nonzero(convex)[0]:
+        sides = slice(starts[ci], ends[ci])
+        rho[ci] = _chebyshev_radius(p[sides], mesh.side_normal[sides])
+    aspect = mesh.diameters / rho
     return ShapeRegularityReport(
         aspect=aspect,
         edge_ratio=edge_ratio,
         max_aspect=float(aspect.max()),
         max_edge_ratio=float(edge_ratio.max()),
         threshold=threshold,
-        flagged=flagged,
+        flagged=np.nonzero(aspect > threshold)[0],
     )
-
-
-def _is_convex(p):
-    t = np.roll(p, -1, axis=0) - p
-    cross = t[:, 0] * np.roll(t[:, 1], -1) - t[:, 1] * np.roll(t[:, 0], -1)
-    return bool((cross > -1e-14 * np.abs(cross).max()).all())
 
 
 def _chebyshev_radius(p, normals):
@@ -505,11 +492,3 @@ def _chebyshev_radius(p, normals):
     if not res.success or res.x[2] <= 0.0:
         raise MeshValidationError("inscribed-disc LP failed; degenerate cell?")
     return float(res.x[2])
-
-
-def _centroid_clearance(p, centroid):
-    q = np.roll(p, -1, axis=0)
-    d = q - p
-    tt = np.clip(np.einsum("ij,ij->i", centroid - p, d) / (d * d).sum(1), 0.0, 1.0)
-    proj = p + tt[:, None] * d
-    return float(np.hypot(*(proj - centroid).T).min())

@@ -1,13 +1,17 @@
-"""Quadrature rules on edges and polygonal cells.
+"""Quadrature rules on edges and polygonal cells, built for many at once.
 
-Cells are integrated by fanning triangles out from the centroid when the
-polygon is star-shaped with respect to it (always true for convex cells),
-falling back to ear clipping otherwise.  Each triangle carries a tensor
-Gauss-Legendre rule mapped through the collapsed-square (Duffy) transform,
-so a rule of requested polynomial exactness ``d`` integrates every
-polynomial of total degree <= d exactly, with strictly positive weights.
-That rule is built once per exactness on the reference triangle and
-mapped affinely onto all triangles of a polygon at once.
+Polygons come as one stack of CCW vertex loops, (N, 2) points with the
+first vertex of each loop in ``starts``; the same layout serves the mesh's
+side table.  A polygon is integrated by fanning triangles out from its
+centroid when it is star-shaped with respect to it (always true for
+convex cells), and by ear clipping otherwise; only the ear-clipped
+polygons are handled one at a time.  Each triangle carries a tensor
+Gauss-Legendre rule mapped through the collapsed-square (Duffy)
+transform, so a rule of requested polynomial exactness ``d`` integrates
+every polynomial of total degree <= d exactly, with strictly positive
+weights.  That rule is built once per exactness on the reference triangle
+and mapped affinely onto all triangles of all polygons in one call.
+Edge rules likewise take one segment or a stack of them.
 """
 
 from dataclasses import dataclass
@@ -19,12 +23,20 @@ from numpy.polynomial.legendre import leggauss
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points (n, 2) for cells / (n,) parameters mapped to (n, 2) for edges,
-    matching weights, and the polynomial exactness the rule was built for."""
+    """Points (n, 2), weights (n,) and the polygon or edge each point belongs
+    to (n,), ordered by owner."""
 
     points: np.ndarray
     weights: np.ndarray
-    exactness: int
+    owner: np.ndarray
+
+
+class PolygonError(ValueError):
+    """A polygon no rule can be built for; `index` is its place in the stack."""
+
+    def __init__(self, index, message):
+        super().__init__(message)
+        self.index = int(index)
 
 
 def gauss_points(exactness):
@@ -43,13 +55,18 @@ def _gauss_nodes(n):
 
 
 def edge_rule(p0, p1, exactness):
-    """Gauss rule along the segment p0 -> p1; weights sum to its length."""
+    """Gauss rules along the segments p0 -> p1, (2,) each or (n, 2) stacks.
+
+    The points are segment-major; each segment's weights sum to its length.
+    """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     s, w = gauss_points(exactness)
-    pts = p0[None, :] + s[:, None] * (p1 - p0)[None, :]
-    length = float(np.hypot(*(p1 - p0)))
-    return QuadratureRule(pts, w * length, exactness)
+    d = p1 - p0
+    pts = p0[..., None, :] + s[:, None] * d[..., None, :]
+    lengths = np.hypot(d[..., 0], d[..., 1])
+    owner = np.repeat(np.arange(pts.size // (2 * len(s))), len(s))
+    return QuadratureRule(pts.reshape(-1, 2), (lengths[..., None] * w).ravel(), owner)
 
 
 def triangle_rule(a, b, c, exactness):
@@ -62,7 +79,7 @@ def triangle_rule(a, b, c, exactness):
     if _doubled_areas(tri[None])[0] <= 0.0:
         raise ValueError("triangle_rule expects a CCW (positive-area) triangle")
     pts, w = _map_triangles(tri[None], exactness)
-    return QuadratureRule(pts, w, exactness)
+    return QuadratureRule(pts, w, np.zeros(len(w), dtype=int))
 
 
 @lru_cache(maxsize=None)
@@ -87,8 +104,9 @@ def _cross(u, v):
 
 
 def _doubled_areas(tris):
-    """Twice the signed areas of a (t, 3, 2) stack of triangles."""
-    return _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    """Twice the signed areas of a (..., 3, 2) stack of triangles."""
+    a = tris[..., 0, :]
+    return _cross(tris[..., 1, :] - a, tris[..., 2, :] - a)
 
 
 def _map_triangles(tris, exactness):
@@ -102,10 +120,24 @@ def _map_triangles(tris, exactness):
     return pts.reshape(-1, 2), (_doubled_areas(tris)[:, None] * w).ravel()
 
 
-def _shoelace(poly):
-    """The loop's next vertices and the cross products x_i y_(i+1) - x_(i+1) y_i."""
-    nxt = np.concatenate([poly[1:], poly[:1]])
-    return nxt, _cross(poly, nxt)
+def loop_groups(loops, starts):
+    """For each vertex count m: the indices of the stacked loops with m
+    vertices and their vertices as a (g, m, 2) array."""
+    sizes = np.diff(starts, append=len(loops))
+    for m in np.unique(sizes):
+        group = np.nonzero(sizes == m)[0]
+        yield group, loops[starts[group][:, None] + np.arange(m)]
+
+
+def polygon_geometry(p):
+    """Signed areas (...) and area centroids (..., 2) of (..., m, 2) vertex loops."""
+    p = np.asarray(p, dtype=float)
+    q = np.roll(p, -1, axis=-2)
+    cross = _cross(p, q)
+    doubled = cross.sum(axis=-1)
+    moments = np.stack([((p[..., i] + q[..., i]) * cross).sum(axis=-1) for i in (0, 1)], -1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate loops
+        return 0.5 * doubled, moments / (3.0 * doubled[..., None])
 
 
 def _ear_clip(poly):
@@ -133,36 +165,36 @@ def _ear_clip(poly):
     return tris + [idx]
 
 
-def polygon_rule(poly, exactness):
-    """Quadrature over a simple CCW polygon, exact to total degree `exactness`.
+def polygon_rule(loops, exactness, starts=(0,)):
+    """One quadrature rule over simple CCW polygons, polygon-major, exact to
+    total degree `exactness`.
 
-    Parameters
-    ----------
-    poly : (m, 2) array
-        Vertex loop in CCW order.
-    exactness : int
-        Total polynomial degree integrated exactly.
+    `loops` (N, 2) stacks the vertex loops; `starts` holds the first vertex
+    of each (by default, one polygon).  A polygon no rule can be built for
+    raises :class:`PolygonError` naming its index.
     """
-    poly = np.asarray(poly, dtype=float)
-    if len(poly) < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    nxt, cross = _shoelace(poly)
-    if cross.sum() <= 0.0:
-        raise ValueError("polygon must be CCW with positive area")
-    # Fan from the centroid when every fan triangle is positively oriented.
-    tris = np.stack([np.broadcast_to(polygon_centroid(poly), poly.shape), poly, nxt], axis=1)
-    if (_doubled_areas(tris) <= 0.0).any():
-        tris = poly[np.asarray(_ear_clip(poly))]
-    pts, w = _map_triangles(tris, exactness)
-    return QuadratureRule(pts, w, exactness)
-
-
-def polygon_area(poly):
-    return 0.5 * float(_shoelace(np.asarray(poly, dtype=float))[1].sum())
-
-
-def polygon_centroid(poly):
-    """Area centroid of a simple CCW polygon."""
-    poly = np.asarray(poly, dtype=float)
-    nxt, cross = _shoelace(poly)
-    return ((poly + nxt) * cross[:, None]).sum(axis=0) / (3.0 * cross.sum())
+    tris, owner = [], []
+    for group, p in loop_groups(np.asarray(loops, dtype=float), np.asarray(starts)):
+        m = p.shape[1]
+        if m < 3:
+            raise PolygonError(group[0], "polygon needs at least 3 vertices")
+        areas, centroids = polygon_geometry(p)
+        if (areas <= 0.0).any():
+            bad = group[np.argmax(areas <= 0.0)]
+            raise PolygonError(bad, "polygon must be CCW with positive area")
+        # Fan from the centroid when every fan triangle is positively oriented.
+        center = np.broadcast_to(centroids[:, None], p.shape)
+        fan = np.stack([center, p, np.roll(p, -1, axis=1)], axis=2)  # (g, m, 3, 2)
+        star = (_doubled_areas(fan) > 0.0).all(axis=1)
+        tris.append(fan[star].reshape(-1, 3, 2))
+        owner.append(np.repeat(group[star], m))
+        for c, poly in zip(group[~star], p[~star]):  # ear-clip the rest
+            try:
+                tris.append(poly[np.asarray(_ear_clip(poly))])
+            except ValueError as err:
+                raise PolygonError(c, str(err)) from err
+            owner.append(np.full(m - 2, c))
+    order = np.argsort(np.concatenate(owner), kind="stable")  # polygon-major
+    pts, w = _map_triangles(np.concatenate(tris)[order], exactness)
+    owner = np.concatenate(owner)[order]
+    return QuadratureRule(pts, w, np.repeat(owner, len(w) // len(owner)))

@@ -12,7 +12,7 @@ import dataclasses
 from .analysis import ConvergenceRecord, discrete_inf_sup, error_bundle, fit_rate
 from .assembly import assemble
 from .cases import get_case
-from .mesh import generate_mesh
+from .mesh import generate_mesh, refinement_ladder
 from .solver import solve
 from .weakops import ElementOps
 
@@ -72,8 +72,8 @@ def run_study(config):
     """Run one convergence study and gate its fitted rates."""
     case = get_case(config.case)
     record = ConvergenceRecord()
-    for level in range(config.levels):
-        mesh = generate_mesh(config.family, config.n0 * 2**level, seed=config.seed)
+    for level, n in enumerate(refinement_ladder(config.n0, config.levels)):
+        mesh = generate_mesh(config.family, n, seed=config.seed)
         ops = ElementOps(mesh, config.degree)
         system = assemble(
             ops,

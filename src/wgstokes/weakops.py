@@ -14,16 +14,18 @@ The stabilizer couples the trace of v0 with vb through the edgewise L2
 projection: s_T(v, w) = h_T^{-1} <P_e v0 - vb, P_e w0 - wb>_dT summed over
 the sides of T, where P_e projects onto the edge polynomial space.
 
-:class:`ElementOps` concatenates every cell's quadrature rule into one flat
-table (points, weights, the cell of each point), evaluates the scaled
-monomials there once, and reduces per cell with ``np.add.reduceat``.  A
-*side* is one cell seeing one of its edges; sides are numbered cell-major
-in loop order.  Edge-basis values at an edge's Gauss points are the same
-reference table on every edge, since both use the canonical parameter.
-The local operators are stacks over cells or sides (shapes below); the
-scheme tables use the default exactness (2k+2 on cells, 2k+1 on edges),
-which integrates every scheme integrand exactly.  Data-dependent integrals
-build a table per call, at the exactness `data_exactness` assigns.
+:class:`ElementOps` builds every cell's quadrature rule with one
+``polygon_rule`` call into one flat table (points, weights, the cell of
+each point), evaluates the scaled monomials there once, and reduces per
+cell with ``np.add.reduceat``; the edge rules come from one ``edge_rule``
+call.  Side stacks follow the mesh's side table (one cell seeing one of its
+edges, cell-major in loop order).  Edge-basis values at an edge's Gauss
+points are the same reference table on every edge, since both use the
+canonical parameter.  The local operators are stacks over cells or sides
+(shapes below); the scheme tables use the default exactness (2k+2 on
+cells, 2k+1 on edges), which integrates every scheme integrand exactly.
+Data-dependent integrals build a table per call, at the exactness
+`data_exactness` assigns.
 """
 
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ import numpy as np
 
 from .basis import CellBasis, EdgeBasis, monomial_gradients, monomials, space_dimension
 from .errors import MeshValidationError
-from .quadrature import edge_rule, gauss_points, polygon_rule
+from .quadrature import PolygonError, edge_rule, gauss_points, polygon_rule
 from .spaces import DofMap
 
 #: total quadrature exactness used when data is not polynomial
@@ -90,10 +92,6 @@ class ElementOps:
     mass : (n_cells, dim_cell, dim_cell)
         P_k cell masses; ``mass_low`` is the leading P_{k-1} block.
     edge_mass : (n_edges, dim_edge, dim_edge)
-    side_cell, side_edge : (n_sides,)
-        Cell and edge of each side; ``side_starts`` (n_cells,) is the
-        first side of each cell, ``side_normal`` (n_sides, 2) its outward
-        normal.
     grad_interior : (n_cells, 2, dim_cell_low, dim_cell)
         [c, j] maps a scalar's interior coefficients to the P_{k-1}
         coefficients of its weak derivative in direction j.
@@ -115,17 +113,6 @@ class ElementOps:
         self.cell_basis = [CellBasis(k, center, scale) for center, scale in cells]
         self.cell_basis_low = [CellBasis(k - 1, center, scale) for center, scale in cells]
 
-        counts = np.array([len(loop) for loop in mesh.cells])
-        self.side_cell = np.repeat(np.arange(mesh.num_cells), counts)
-        self.side_edge = np.concatenate(mesh.cell_edges)
-        self.side_starts = np.cumsum(counts) - counts
-        start = mesh.vertices[np.concatenate(mesh.cells)]
-        following = np.arange(len(start)) + 1
-        following[self.side_starts + counts - 1] = self.side_starts
-        t = start[following] - start
-        # CCW loops: the outward normal is the tangent turned by -90 degrees
-        self.side_normal = np.column_stack([t[:, 1], -t[:, 0]]) / np.hypot(*t.T)[:, None]
-
         self.cell_quadrature = cq = self._cell_table(self.cell_exactness)
         self.edge_quadrature = eq = self._edge_table(self.edge_exactness)
 
@@ -139,12 +126,13 @@ class ElementOps:
         self.grad_interior = -np.linalg.solve(self.mass_low[:, None], moments)
 
         self.edge_mass = np.einsum("eq,qa,qb->eab", eq.weights, eq.values, eq.values)
-        side_vals = self.basis_values(eq.points[self.side_edge], self.side_cell[:, None])
+        side_cell, side_edge = mesh.side_cell, mesh.side_edge
+        side_vals = self.basis_values(eq.points[side_edge], side_cell[:, None])
         # edge-basis moments of the cell basis on each side: (n_sides, dim_edge, dim_cell)
-        T = np.einsum("hq,qb,hqa->hba", eq.weights[self.side_edge], eq.values, side_vals)
-        self.trace = np.linalg.solve(self.edge_mass[self.side_edge], T)
-        flux = np.linalg.solve(self.mass_low[self.side_cell], T[:, :, :nlow].transpose(0, 2, 1))
-        self.grad_side = self.side_normal[:, :, None, None] * flux[:, None]
+        T = np.einsum("hq,qb,hqa->hba", eq.weights[side_edge], eq.values, side_vals)
+        self.trace = np.linalg.solve(self.edge_mass[side_edge], T)
+        flux = np.linalg.solve(self.mass_low[side_cell], T[:, :, :nlow].transpose(0, 2, 1))
+        self.grad_side = mesh.side_normal[:, :, None, None] * flux[:, None]
 
     # -- quadrature tables ---------------------------------------------
 
@@ -157,14 +145,6 @@ class ElementOps:
         """P_k basis values of `cells` (...) at points (..., 2); shape (..., dim_cell)."""
         return monomials(self._local(points, cells), self.degree)
 
-    def cell_rule(self, c, exactness=None):
-        """Quadrature rule of cell c, exact to max(exactness, scheme exactness)."""
-        ex = self.cell_exactness if exactness is None else max(exactness, self.cell_exactness)
-        try:
-            return polygon_rule(self.mesh.cell_vertices(c), ex)
-        except ValueError as err:
-            raise MeshValidationError(f"cell {c}: {err}") from err
-
     def cell_table(self, exactness=None):
         """Rules of all cells at the given exactness; the scheme table if it suffices."""
         if exactness is None or exactness <= self.cell_exactness:
@@ -172,16 +152,18 @@ class ElementOps:
         return self._cell_table(exactness)
 
     def _cell_table(self, exactness):
-        rules = [self.cell_rule(c, exactness) for c in range(self.mesh.num_cells)]
-        counts = np.array([len(rule.weights) for rule in rules])
-        cell = np.repeat(np.arange(self.mesh.num_cells), counts)
-        points = np.concatenate([rule.points for rule in rules])
+        mesh = self.mesh
+        loops = mesh.vertices[mesh.side_vertices[:, 0]]
+        try:
+            rule = polygon_rule(loops, exactness, mesh.side_starts)
+        except PolygonError as err:
+            raise MeshValidationError(f"cell {err.index}: {err}") from err
         return CellTable(
-            points=points,
-            weights=np.concatenate([rule.weights for rule in rules]),
-            cell=cell,
-            starts=np.cumsum(counts) - counts,
-            values=self.basis_values(points, cell),
+            points=rule.points,
+            weights=rule.weights,
+            cell=rule.owner,
+            starts=np.searchsorted(rule.owner, np.arange(mesh.num_cells)),
+            values=self.basis_values(rule.points, rule.owner),
         )
 
     def edge_table(self, exactness=None, edges=None):
@@ -192,14 +174,14 @@ class ElementOps:
         return self._edge_table(ex, edges)
 
     def _edge_table(self, exactness, edges=None):
-        edges = range(self.mesh.num_edges) if edges is None else edges
-        rules = [edge_rule(*self.mesh.edge_vertices(e), exactness) for e in edges]
+        ends = self.mesh.vertices[self.mesh.edges if edges is None else self.mesh.edges[edges]]
+        rule = edge_rule(ends[:, 0], ends[:, 1], exactness)
         # Gauss points of the unit reference edge, in the canonical parameter
         s, _ = gauss_points(exactness)
         reference = EdgeBasis(self.degree - 1, (0.0, 0.0), (1.0, 0.0))
         return EdgeTable(
-            points=np.array([rule.points for rule in rules]).reshape(-1, len(s), 2),
-            weights=np.array([rule.weights for rule in rules]).reshape(-1, len(s)),
+            points=rule.points.reshape(-1, len(s), 2),
+            weights=rule.weights.reshape(-1, len(s)),
             values=reference.eval(np.column_stack([s, np.zeros_like(s)])),
         )
 
@@ -207,14 +189,14 @@ class ElementOps:
 
     def per_cell(self, side_values):
         """Sum a (n_sides, ...) stack over the sides of each cell; (n_cells, ...)."""
-        return np.add.reduceat(side_values, self.side_starts, axis=0)
+        return np.add.reduceat(side_values, self.mesh.side_starts, axis=0)
 
     def weak_gradient(self, v):
         """Weak gradients of v on all cells: (n_cells, 2, 2, dim_cell_low).
 
         Entry [c, i, j] holds the P_{k-1} coefficients of d v_i / d x_j.
         """
-        sides = np.einsum("hjrb,hib->hijr", self.grad_side, v.vb[self.side_edge])
+        sides = np.einsum("hjrb,hib->hijr", self.grad_side, v.vb[self.mesh.side_edge])
         return np.einsum("cjra,cia->cijr", self.grad_interior, v.v0) + self.per_cell(sides)
 
     def weak_divergence(self, v):
@@ -224,8 +206,8 @@ class ElementOps:
 
     def trace_jump(self, v):
         """Edge coefficients of (P_e v0 - vb) on every side: (n_sides, 2, dim_edge)."""
-        interior = np.einsum("hba,hia->hib", self.trace, v.v0[self.side_cell])
-        return interior - v.vb[self.side_edge]
+        interior = np.einsum("hba,hia->hib", self.trace, v.v0[self.mesh.side_cell])
+        return interior - v.vb[self.mesh.side_edge]
 
     # -- data moments ------------------------------------------------------
 

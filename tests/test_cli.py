@@ -239,6 +239,25 @@ def test_one_pressure_dof_is_a_configuration_error(argv, capsys):
     assert "error: the mesh has 1 pressure DOF" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infsup", "--levels", "0"],
+        ["infsup", "--levels", "-2"],
+        ["study", "--degree", "1", "--family", "uniform-quad", "--levels", "0"],
+        ["study", "--degree", "1", "--family", "uniform-quad", "--levels", "-2"],
+    ],
+)
+def test_no_levels_is_a_configuration_error(argv, tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    assert main(argv + (["--out", str(out)] if argv[0] == "study" else [])) == 2
+    levels = argv[-1]
+    captured = capsys.readouterr()
+    assert f"error: levels must be >= 1, got {levels}" in captured.err
+    assert "beta_h" not in captured.out
+    assert not out.exists()
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(["study"])
     assert args.case == "taylor-trig"

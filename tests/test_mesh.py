@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from wgstokes.errors import ConfigurationError, MeshFormatError, MeshValidationError
 from wgstokes.mesh import (
+    _MERGE_TOL,
     FAMILIES,
     PolygonalMesh,
+    _renumber,
     generate_mesh,
     load_mesh,
     refine_sequence,
@@ -68,6 +71,26 @@ class TestGenerators:
         with pytest.raises(ConfigurationError):
             generate_mesh("uniform-quad", 0)
 
+    def test_coincident_voronoi_vertices_are_merged(self):
+        # a 1e-9 jitter leaves near-degenerate Voronoi vertices: 513 distinct
+        # ones, 3 of them within _MERGE_TOL of another
+        mesh = generate_mesh("perturbed-polygon", 16, seed=3, jitter=1e-9)
+        assert mesh.num_vertices == 510
+        v = mesh.vertices
+        pairs = cKDTree(v).query_pairs(_MERGE_TOL, p=np.inf, output_type="ndarray")
+        assert (np.abs(v[pairs[:, 0]] - v[pairs[:, 1]]).max(axis=1) >= _MERGE_TOL).all()
+        assert mesh.areas.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_merge_keeps_the_first_vertex_of_each_cluster(self):
+        # vertex 0 is unused; 2, 3, 4 form one chain-linked cluster on (1, 0)
+        tol = _MERGE_TOL
+        verts = np.array(
+            [[5, 5], [0, 0], [1, 0], [1 + 0.6 * tol, 0], [1 + 1.2 * tol, 0], [1, 1], [0, 1]]
+        )
+        points, cells = _renumber(verts, np.array([1, 2, 3, 4, 5, 6]), np.array([6]))
+        assert np.array_equal(points, verts[[1, 2, 5, 6]])
+        assert [c.tolist() for c in cells] == [[0, 1, 2, 3]]
+
 
 class TestInvariants:
     @pytest.mark.parametrize("family", FAMILIES)
@@ -80,13 +103,37 @@ class TestInvariants:
     def test_interior_normals_are_opposite(self, family):
         mesh = generate_mesh(family, 3, seed=2)
         seen = {}
-        for ci in range(mesh.num_cells):
-            normals = mesh.cell_normals(ci)
-            for side, e in enumerate(mesh.cell_edges[ci]):
-                if e in seen:
-                    assert normals[side] == pytest.approx(-seen[e], abs=1e-13)
-                else:
-                    seen[e] = normals[side].copy()
+        for e, normal in zip(mesh.side_edge, mesh.side_normal):
+            if e in seen:
+                assert normal == pytest.approx(-seen[e], abs=1e-13)
+            else:
+                seen[e] = normal
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_side_table_and_edge_numbering(self, family, hostile_mesh):
+        """Sides run cell-major in loop order; edges are numbered by first
+        appearance there, which fixes the DOF layout and the LU fill."""
+        for mesh in (generate_mesh(family, 3, seed=4), hostile_mesh):
+            edges, edge_cells, side = {}, [], 0
+            for ci, loop in enumerate(mesh.cells):
+                p = mesh.cell_vertices(ci)
+                t = np.roll(p, -1, axis=0) - p
+                normals = np.column_stack([t[:, 1], -t[:, 0]]) / np.hypot(*t.T)[:, None]
+                assert mesh.side_starts[ci] == side
+                for a, b, normal in zip(loop, np.roll(loop, -1), normals):
+                    key = (min(a, b), max(a, b))
+                    if key not in edges:
+                        edges[key] = len(edges)
+                        edge_cells.append([-1, -1])
+                    edge_cells[edges[key]][int(a > b)] = ci
+                    assert mesh.side_cell[side] == ci
+                    assert mesh.side_vertices[side].tolist() == [a, b]
+                    assert mesh.side_edge[side] == edges[key]
+                    assert np.array_equal(mesh.side_normal[side], normal)
+                    side += 1
+            assert mesh.edges.tolist() == [list(k) for k in edges]
+            assert mesh.edge_cells.tolist() == edge_cells
+            assert np.array_equal(np.concatenate(mesh.cell_edges), mesh.side_edge)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_refinement_halves_mesh_size(self, family):
@@ -175,6 +222,19 @@ class TestIO:
         path = tmp_path / "bad.txt"
         path.write_text("wgmesh 2d v1\nvertices 2\n0 0\n0 oops\ncells 0\n")
         with pytest.raises(MeshFormatError, match="line 4"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("wgmesh 2d v1\nvertices -3\n", 2),
+            ("wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells -1\n", 6),
+        ],
+    )
+    def test_negative_count_reports_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MeshFormatError, match=f"line {line}"):
             load_mesh(path)
 
     def test_truncated_file(self, tmp_path):

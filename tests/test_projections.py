@@ -5,7 +5,7 @@ import pytest
 
 from wgstokes.basis import EdgeBasis
 from wgstokes.mesh import PolygonalMesh, generate_mesh
-from wgstokes.quadrature import edge_rule
+from wgstokes.quadrature import edge_rule, polygon_rule
 from wgstokes.projections import (
     project_boundary_velocity,
     project_divergence,
@@ -30,7 +30,7 @@ def unit_cell_k2():
 def test_interior_projection_reproduces_constants(unit_cell_k1):
     ops = unit_cell_k1
     v = project_velocity(ops, lambda pts: np.tile([1.0, 2.0], (len(pts), 1)), data_degree=0)
-    rule = ops.cell_rule(0)
+    rule = polygon_rule(ops.mesh.cell_vertices(0), ops.cell_exactness)
     vals = ops.cell_basis[0].eval(rule.points) @ v.interior(0).T
     assert np.allclose(vals, [1.0, 2.0], atol=1e-14)
 
@@ -117,7 +117,7 @@ def test_projection_self_adjoint(unit_cell_k2):
     g = lambda pts: np.column_stack([pts[:, 1] ** 3, pts[:, 0] ** 2])
     qf = project_velocity(ops, f, data_degree=3)
     qg = project_velocity(ops, g, data_degree=3)
-    rule = ops.cell_rule(0, 8)
+    rule = polygon_rule(ops.mesh.cell_vertices(0), 8)
     w = rule.weights
     fv, gv = f(rule.points), g(rule.points)
     qfv = rule.points is not None and ops.cell_basis[0].eval(rule.points) @ qf.interior(0).T
@@ -133,7 +133,7 @@ def test_linear_field_reproduced_everywhere(ops_quad_k1):
     u = lambda pts: np.column_stack([1 + 2 * pts[:, 0] - pts[:, 1], 3 * pts[:, 1]])
     v = project_velocity(ops, u, data_degree=1)
     for c in (0, 3):
-        rule = ops.cell_rule(c)
+        rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
         vals = ops.cell_basis[c].eval(rule.points) @ v.interior(c).T
         assert np.allclose(vals, u(rule.points), atol=1e-13)
     for e in (0, 5):
@@ -184,7 +184,7 @@ def test_trace_inequality_bounded_under_refinement():
         worst = 0.0
         for c in range(ops.mesh.num_cells):
             coeffs = rng.standard_normal(ops.dofmap.dim_cell)
-            rule = ops.cell_rule(c)
+            rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
             vals = ops.cell_basis[c].eval(rule.points) @ coeffs
             grads = np.einsum("pij,i->pj", ops.cell_basis[c].eval_grad(rule.points), coeffs)
             h = ops.mesh.diameters[c]
@@ -202,6 +202,6 @@ def test_projection_on_polygonal_cells(ops_poly_k2):
     ops = ops_poly_k2
     v = project_velocity(ops, lambda pts: np.tile([3.0, -1.0], (len(pts), 1)), data_degree=0)
     for c in range(ops.mesh.num_cells):
-        rule = ops.cell_rule(c)
+        rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
         vals = ops.cell_basis[c].eval(rule.points) @ v.interior(c).T
         assert np.allclose(vals, [3.0, -1.0], atol=1e-13)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from wgstokes.quadrature import (
+    PolygonError,
     edge_rule,
     gauss_points,
-    polygon_area,
-    polygon_centroid,
+    polygon_geometry,
     polygon_rule,
     triangle_rule,
 )
@@ -108,7 +108,7 @@ def test_slotted_square_monomials(a, b, exact):
 def test_slotted_square_is_not_star_shaped():
     # guard: the centroid fan must fail here, otherwise the ear-clip
     # branch silently loses its only coverage
-    c = polygon_centroid(SLOTTED)
+    c = polygon_geometry(SLOTTED)[1]
     crosses = []
     for i in range(len(SLOTTED)):
         a = SLOTTED[i] - c
@@ -137,13 +137,56 @@ def test_weights_positive_and_sum_to_area():
         for deg in (0, 3, 8):
             rule = polygon_rule(poly, deg)
             assert (rule.weights > 0).all()
-            assert rule.weights.sum() == pytest.approx(polygon_area(poly), rel=1e-14)
+            assert rule.weights.sum() == pytest.approx(polygon_geometry(poly)[0], rel=1e-14)
 
 
 def test_centroid_of_square():
     sq = np.array([[0, 0], [2, 0], [2, 2], [0, 2]])
-    assert polygon_centroid(sq) == pytest.approx([1, 1])
-    assert polygon_area(sq) == pytest.approx(4.0)
+    area, centroid = polygon_geometry(sq)
+    assert centroid == pytest.approx([1, 1])
+    assert area == pytest.approx(4.0)
+
+
+def test_geometry_of_stacked_loops():
+    areas, centroids = polygon_geometry([PENTAGON, np.roll(PENTAGON, 2, axis=0) + [1, 2]])
+    assert areas == pytest.approx([81 / 100, 81 / 100], rel=1e-14)
+    centroid = np.array([491 / 1500, 181 / 600]) / (81 / 100)  # moments of x, y over area
+    np.testing.assert_allclose(centroids, [centroid, centroid + [1, 2]], rtol=1e-14)
+
+
+def test_batched_polygon_rule_equals_single_rules():
+    """The ear-clipped polygon sits between two fanned ones: its triangles
+    must land in its own slot, not at the end."""
+    polys = [PENTAGON, SLOTTED, np.roll(PENTAGON, 2, axis=0) + 2.0]
+    starts = np.cumsum([0] + [len(p) for p in polys[:-1]])
+    for exactness in (0, 5):
+        rule = polygon_rule(np.vstack(polys), exactness, starts)
+        singles = [polygon_rule(p, exactness) for p in polys]
+        assert np.array_equal(rule.points, np.concatenate([r.points for r in singles]))
+        assert np.array_equal(rule.weights, np.concatenate([r.weights for r in singles]))
+        owners = [np.full(len(r.weights), i) for i, r in enumerate(singles)]
+        assert np.array_equal(rule.owner, np.concatenate(owners))
+
+
+def test_batched_polygon_rule_names_the_failing_polygon():
+    clockwise = PENTAGON[::-1]
+    with pytest.raises(PolygonError, match="CCW") as err:
+        polygon_rule(np.vstack([PENTAGON, PENTAGON, clockwise]), 2, [0, 5, 10])
+    assert err.value.index == 2
+    with pytest.raises(PolygonError, match="at least 3") as err:
+        polygon_rule(np.vstack([PENTAGON, PENTAGON[:2]]), 2, [0, 5])
+    assert err.value.index == 1
+
+
+def test_batched_edge_rule_equals_single_rules():
+    rng = np.random.default_rng(4)
+    p0, p1 = rng.standard_normal((2, 6, 2))
+    for exactness in (1, 6):
+        rule = edge_rule(p0, p1, exactness)
+        singles = [edge_rule(a, b, exactness) for a, b in zip(p0, p1)]
+        assert np.array_equal(rule.points, np.concatenate([r.points for r in singles]))
+        assert np.array_equal(rule.weights, np.concatenate([r.weights for r in singles]))
+        assert np.array_equal(rule.owner, np.repeat(np.arange(6), len(singles[0].weights)))
 
 
 def test_exactness_scales_with_request():

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from wgstokes import weakops
+from wgstokes import quadrature, weakops
 from wgstokes.assembly import eval_grad_product, eval_s
 from wgstokes.basis import EdgeBasis
 from wgstokes.errors import MeshValidationError
-from wgstokes.mesh import generate_mesh
-from wgstokes.quadrature import edge_rule
+from wgstokes.mesh import PolygonalMesh, generate_mesh
+from wgstokes.quadrature import PolygonError, edge_rule, polygon_rule
 from wgstokes.projections import (
     project_divergence,
     project_gradient,
@@ -27,12 +27,24 @@ def _grad_values(ops, coeffs, c, pts):
 
 
 def test_quadrature_failure_names_the_cell(quad_mesh_4, monkeypatch):
-    def failing_rule(poly, exactness):
-        raise ValueError("ear clipping failed; polygon may be non-simple")
+    def failing_rule(loops, exactness, starts):
+        raise PolygonError(5, "ear clipping failed; polygon may be non-simple")
 
     monkeypatch.setattr(weakops, "polygon_rule", failing_rule)
-    with pytest.raises(MeshValidationError, match=r"^cell 0: ear clipping failed"):
+    with pytest.raises(MeshValidationError, match=r"^cell 5: ear clipping failed"):
         ElementOps(quad_mesh_4, 1)
+
+
+def test_ear_clipping_failure_names_the_cell(hostile_mesh, monkeypatch):
+    """Only the U cell is ear-clipped; it is cell 1 once the cells are swapped."""
+
+    def failing_clip(poly):
+        raise ValueError("ear clipping failed; polygon may be non-simple")
+
+    mesh = PolygonalMesh(hostile_mesh.vertices, hostile_mesh.cells[::-1])
+    monkeypatch.setattr(quadrature, "_ear_clip", failing_clip)
+    with pytest.raises(MeshValidationError, match=r"^cell 1: ear clipping failed"):
+        ElementOps(mesh, 1)
 
 
 @pytest.mark.parametrize("degree", [1, 3])
@@ -41,11 +53,11 @@ def test_stacks_match_per_cell_reference(degree, poly_mesh_4, hostile_mesh):
     for mesh in (poly_mesh_4, hostile_mesh):
         ops = ElementOps(mesh, degree)
         for c in range(mesh.num_cells):
-            rule = ops.cell_rule(c)
+            rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
             vals = ops.cell_basis[c].eval(rule.points)
             assert np.allclose(ops.mass[c], vals.T @ (vals * rule.weights[:, None]), atol=1e-15)
             for s, e in enumerate(mesh.cell_edges[c]):
-                h = ops.side_starts[c] + s
+                h = mesh.side_starts[c] + s
                 erule = edge_rule(*mesh.edge_vertices(e), ops.edge_exactness)
                 evals = EdgeBasis(degree - 1, *mesh.edge_vertices(e)).eval(erule.points)
                 kvals = ops.cell_basis[c].eval(erule.points)
@@ -53,8 +65,7 @@ def test_stacks_match_per_cell_reference(degree, poly_mesh_4, hostile_mesh):
                 trace = np.linalg.solve(mass_e, evals.T @ (kvals * erule.weights[:, None]))
                 assert np.allclose(ops.edge_mass[e], mass_e, rtol=1e-13, atol=1e-15)
                 assert np.allclose(ops.trace[h], trace, rtol=1e-12, atol=1e-13)
-                assert np.allclose(ops.side_normal[h], mesh.cell_normals(c)[s], atol=1e-15)
-                assert (ops.side_cell[h], ops.side_edge[h]) == (c, e)
+                assert (mesh.side_cell[h], mesh.side_edge[h]) == (c, e)
 
 
 def test_constant_field_has_zero_operators(ops_quad_k1):
@@ -74,7 +85,7 @@ def test_linear_field_gradient_oracle(ops_name, request):
     grads = ops.weak_gradient(v)
     for c in range(ops.mesh.num_cells):
         g = grads[c]
-        pts = ops.cell_rule(c).points[:4]
+        pts = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness).points[:4]
         vals = _grad_values(ops, g, c, pts)
         assert np.allclose(vals, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
@@ -84,7 +95,7 @@ def test_linear_field_divergence_oracle(ops_quad_k1):
     ops = ops_quad_k1
     v = project_velocity(ops, lambda pts: pts.copy(), data_degree=1)
     for c, d in enumerate(ops.weak_divergence(v)):
-        pts = ops.cell_rule(c).points[:4]
+        pts = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness).points[:4]
         vals = ops.cell_basis_low[c].eval(pts) @ d
         assert np.allclose(vals, 2.0, atol=1e-12)
 
@@ -109,7 +120,8 @@ def test_stabilizer_matrix_symmetric_psd(degree, poly_mesh_4):
     ops = ElementOps(poly_mesh_4, degree)
     n = ops.dofmap.num_velocity_dofs
     jumps = np.stack([ops.trace_jump(WeakFunction(ops.dofmap, row)) for row in np.eye(n)])
-    weight = ops.edge_mass[ops.side_edge] / ops.mesh.diameters[ops.side_cell][:, None, None]
+    mesh = ops.mesh
+    weight = ops.edge_mass[mesh.side_edge] / mesh.diameters[mesh.side_cell][:, None, None]
     S = np.einsum("ahir,hrs->ahis", jumps, weight).reshape(n, -1) @ jumps.reshape(n, -1).T
     assert np.allclose(S, S.T, atol=1e-14)
     assert np.linalg.eigvalsh(S).min() >= -1e-12
@@ -197,7 +209,7 @@ def test_interior_gradient_controlled_by_energy():
             energy = eval_grad_product(ops, v, v) + eval_s(ops, v, v)
             broken = 0.0
             for c in range(ops.mesh.num_cells):
-                rule = ops.cell_rule(c)
+                rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
                 g = np.einsum("pij,ci->pcj", ops.cell_basis[c].eval_grad(rule.points), v.interior(c))
                 broken += rule.weights @ (g**2).sum(axis=(1, 2))
             worst = max(worst, broken / energy)
