@@ -94,7 +94,7 @@ def _l2_error(ops, exact, coeffs, data_degree):
     exact maps (n, 2) points to (n, ...) values; coeffs (n_cells, ..., dim)
     holds the polynomial coefficients of each cell.
     """
-    table = ops.cell_table(data_exactness(data_degree, data_degree))
+    table = ops.cell_table(data_exactness(data_degree))
     vals = table.values[:, : coeffs.shape[-1]]
     approx = np.einsum("pr,p...r->p...", vals, coeffs[table.cell])
     diff = np.asarray(exact(table.points), dtype=float) - approx
@@ -192,7 +192,7 @@ def discrete_inf_sup(system, factor=None):
             "the inf-sup constant needs at least 2"
         )
     if factor is None:
-        factor = factorize(system, condense=True)
+        factor = factorize(system)
     R = block_diagonal(np.linalg.cholesky(ops.mass_low))
     z = R.T @ ops.dofmap.constant_pressure()
     z /= np.linalg.norm(z)
@@ -233,7 +233,7 @@ def consistency_functionals(ops, case):
     jump = ops.trace_jump(project_velocity(ops, case.u, d))
 
     cells, edges, normals = ops.mesh.side_cell, ops.mesh.side_edge, ops.mesh.side_normal
-    table = ops.edge_table(data_exactness(d, ops.degree))
+    table = ops.edge_table(data_exactness(d))
     pts = table.points[edges]  # (n_sides, q, 2)
     flat = pts.reshape(-1, 2)
     kvals = ops.basis_values(pts, cells[:, None])  # (n_sides, q, dim_cell)
@@ -293,7 +293,7 @@ def consistency_dual_norms(system, case):
     return dual_norms(system, consistency_functionals(system.ops, case))
 
 
-def verify_error_equation(system, case, report, n_random=50, seed=0):
+def verify_error_equation(system, case, report, n_random=50):
     """Residuals of the discrete error equation for a computed solution.
 
     The momentum identity pairs the projected-minus-computed errors with
@@ -314,8 +314,7 @@ def verify_error_equation(system, case, report, n_random=50, seed=0):
 
     free = system.free
     A_ff = system.A[free][:, free]
-    rng = np.random.default_rng(seed)
-    tests = rng.standard_normal((len(free), n_random))
+    tests = np.random.default_rng(0).standard_normal((len(free), n_random))
     energies = np.sqrt(np.einsum("if,if->f", tests, A_ff @ tests))
     worst = float(np.max(np.abs(residual[free] @ tests) / energies))
 
@@ -354,12 +353,12 @@ def fit_rate(hs, values, window=3):
     return float(np.polyfit(np.log(h[keep]), np.log(v[keep]), 1)[0])
 
 
-def rate_label(hs, values, window=3, exact_tol=EXACT_TOL):
+def rate_label(hs, values):
     """Rate column entry: a fitted slope, "exact", or blank."""
     vals = np.asarray(values, dtype=float)
-    if len(vals) and np.all(vals <= exact_tol):
+    if len(vals) and np.all(vals <= EXACT_TOL):
         return "exact"
-    rate = fit_rate(hs, values, window)
+    rate = fit_rate(hs, values)
     return "" if rate is None else f"{rate:.3f}"
 
 

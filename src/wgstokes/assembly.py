@@ -22,6 +22,9 @@ from .errors import CompatibilityError
 from .projections import project_boundary_velocity
 from .weakops import data_exactness
 
+# Largest net boundary flux of Dirichlet data that counts as compatible.
+COMPAT_TOL = 1e-10
+
 
 class SaddleSystem:
     """Assembled (but not yet reduced) discrete Stokes system.
@@ -71,7 +74,7 @@ class SaddleSystem:
                     f.write(f"{i} {j} {float(v)!r}\n")
 
 
-def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None, compat_tol=1e-10):
+def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
     """Assemble the discrete Stokes system.
 
     Parameters
@@ -81,7 +84,7 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None, com
         Maps (n, 2) points to (n, 2) force values; None means zero.
     boundary_velocity : callable or None
         Dirichlet data with the same signature; None means zero.  Its net
-        boundary flux must vanish (|flux| <= compat_tol), otherwise a
+        boundary flux must vanish (|flux| <= COMPAT_TOL), otherwise a
         CompatibilityError is raised.
     data_degree : int or None
         Polynomial degree of the data fields, if polynomial; controls the
@@ -113,9 +116,9 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None, com
         bc = project_boundary_velocity(ops, boundary_velocity, data_degree)
         fixed_values = bc.coeffs
         flux = _boundary_flux(ops, boundary_velocity, data_degree)
-        if abs(flux) > compat_tol:
+        if abs(flux) > COMPAT_TOL:
             raise CompatibilityError(
-                f"Dirichlet data has net boundary flux {flux:.3e} (> {compat_tol:g}); "
+                f"Dirichlet data has net boundary flux {flux:.3e} (> {COMPAT_TOL:g}); "
                 "no divergence-free field matches it"
             )
     else:
@@ -199,9 +202,11 @@ def _side_mass(ops):
 def _boundary_flux(ops, g, data_degree=None):
     mesh = ops.mesh
     sides = np.nonzero(mesh.boundary_edges[mesh.side_edge])[0]
-    table = ops.edge_table(data_exactness(data_degree, 0), mesh.side_edge[sides])
-    values = np.asarray(g(table.points.reshape(-1, 2)), dtype=float).reshape(len(sides), -1, 2)
-    return float(np.einsum("sq,sqi,si->", table.weights, values, mesh.side_normal[sides]))
+    table = ops.edge_table(data_exactness(data_degree))
+    edges = mesh.side_edge[sides]
+    pts, wts = table.points[edges], table.weights[edges]
+    values = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
+    return float(np.einsum("sq,sqi,si->", wts, values, mesh.side_normal[sides]))
 
 
 # -- matrix-free bilinear forms (independent of the assembled matrices) --

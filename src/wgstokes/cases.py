@@ -165,7 +165,7 @@ def list_cases():
     ]
 
 
-def verify_case(case, seed=0, samples=50, fd_step=1e-5, fd_tol=1e-5):
+def verify_case(case):
     """Cross-check a case's internal consistency.
 
     Accepts a registered name or a ManufacturedCase instance.  Checks, in
@@ -179,8 +179,8 @@ def verify_case(case, seed=0, samples=50, fd_step=1e-5, fd_tol=1e-5):
     """
     if isinstance(case, str):
         case = get_case(case)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.05, 0.95, size=(samples, 2))
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(0.05, 0.95, size=(50, 2))
 
     checks = {}
     div_max = float(np.abs(case.div_u(pts)).max())
@@ -198,7 +198,7 @@ def verify_case(case, seed=0, samples=50, fd_step=1e-5, fd_tol=1e-5):
     checks["pressure_zero_mean"] = (abs(mean) <= 1e-10, mean)
 
     # f = -Δu + ∇p by finite differences
-    h = fd_step
+    h, tol = 1e-5, 1e-5  # step, and the tolerance on f and grad u
     ex = np.array([h, 0.0])
     ey = np.array([0.0, h])
     lap_u = (
@@ -212,17 +212,17 @@ def verify_case(case, seed=0, samples=50, fd_step=1e-5, fd_tol=1e-5):
     )
     fd_f = -lap_u + grad_p
     f_err = float(np.abs(fd_f - case.f(pts)).max())
-    checks["force_consistent"] = (f_err <= fd_tol, f_err)
+    checks["force_consistent"] = (f_err <= tol, f_err)
 
     # gradient against finite differences (guards the lambdified Jacobian)
-    fd_grad = np.empty((samples, 2, 2))
+    fd_grad = np.empty((len(pts), 2, 2))
     fd_grad[:, :, 0] = (case.u(pts + ex) - case.u(pts - ex)) / (2 * h)
     fd_grad[:, :, 1] = (case.u(pts + ey) - case.u(pts - ey)) / (2 * h)
     g_err = float(np.abs(fd_grad - case.grad_u(pts)).max())
-    checks["gradient_consistent"] = (g_err <= fd_tol, g_err)
+    checks["gradient_consistent"] = (g_err <= tol, g_err)
 
     # boundary data is the velocity trace
-    t = rng.uniform(0, 1, size=samples)
+    t = rng.uniform(0, 1, size=len(pts))
     for side, bpts in (
         ("bottom", np.column_stack([t, np.zeros_like(t)])),
         ("top", np.column_stack([t, np.ones_like(t)])),

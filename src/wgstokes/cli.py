@@ -12,6 +12,7 @@ infsup  Track the discrete inf-sup constant across refinement levels.
 """
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 
@@ -19,9 +20,9 @@ from . import __version__
 from .analysis import discrete_inf_sup
 from .assembly import assemble
 from .cases import list_cases, verify_case
-from .errors import WGError
+from .errors import ConfigurationError, WGError
 from .mesh import FAMILIES, generate_mesh, refinement_ladder
-from .study import StudyConfig, run_study
+from .study import default_grid, run_study
 from .weakops import ElementOps
 
 
@@ -42,7 +43,9 @@ def build_parser():
     study.add_argument("--levels", type=int, default=4, help="number of refinement levels")
     study.add_argument("--seed", type=int, default=0, help="mesh perturbation seed")
     study.add_argument("--out", help="CSV output path (grid runs add -k<K>-<family>)")
-    study.add_argument("--condense", action="store_true", help="solve via static condensation")
+    study.add_argument(
+        "--condense", action="store_true", help="ignored: studies always condense (ROADMAP item 3)"
+    )
     study.add_argument(
         "--dump-matrices",
         action="store_true",
@@ -74,36 +77,30 @@ def _study_out_path(base, degree, family, single):
 
 
 def cmd_study(args):
-    degrees = [args.degree] if args.degree is not None else [1, 2]
-    families = [args.family] if args.family is not None else ["uniform-quad", "perturbed-polygon"]
-    single = len(degrees) == 1 and len(families) == 1
+    # the standard grid, with --degree and --family fixing an axis each
+    configs = []
+    for config in default_grid(args.case, args.n0, args.levels, args.seed):
+        degree = config.degree if args.degree is None else args.degree
+        family = config.family if args.family is None else args.family
+        config = dataclasses.replace(config, degree=degree, family=family)
+        if config not in configs:
+            configs.append(config)
+    if args.out is not None and not (out_dir := pathlib.Path(args.out).parent).is_dir():
+        raise ConfigurationError(f"output directory {out_dir} does not exist")
 
     all_passed = True
-    for degree in degrees:
-        for family in families:
-            out = _study_out_path(args.out, degree, family, single)
-            if args.dump_matrices:
-                stem = out.with_suffix("") if out else pathlib.Path(f"wgstokes-k{degree}-{family}")
-                dump_prefix = f"{stem}_"
-            else:
-                dump_prefix = ""
-            config = StudyConfig(
-                case=args.case,
-                family=family,
-                degree=degree,
-                n0=args.n0,
-                levels=args.levels,
-                seed=args.seed,
-                condense=args.condense,
-                dump_prefix=dump_prefix,
-            )
-            result = run_study(config)
-            print("\n".join(result.summary_lines()))
-            if out is not None:
-                result.record.write_csv(out)
-                print(f"wrote {out}")
-            print()
-            all_passed = all_passed and result.passed
+    for config in configs:
+        out = _study_out_path(args.out, config.degree, config.family, len(configs) == 1)
+        if args.dump_matrices:
+            stem = pathlib.Path(f"wgstokes-k{config.degree}-{config.family}")
+            config.dump_prefix = f"{out.with_suffix('') if out else stem}_"
+        result = run_study(config)
+        print("\n".join(result.summary_lines()))
+        if out is not None:
+            result.record.write_csv(out)
+            print(f"wrote {out}")
+        print()
+        all_passed = all_passed and result.passed
     return 0 if all_passed else 1
 
 

@@ -277,10 +277,9 @@ def refinement_ladder(n0, levels):
     return [n0 * 2**j for j in range(levels)]
 
 
-def refine_sequence(family, n0, levels, seed=0, jitter=0.2):
+def refine_sequence(family, n0, levels, seed=0):
     """Meshes at the subdivision counts of `refinement_ladder`."""
-    ladder = refinement_ladder(n0, levels)
-    return [generate_mesh(family, n, seed=seed, jitter=jitter) for n in ladder]
+    return [generate_mesh(family, n, seed=seed) for n in refinement_ladder(n0, levels)]
 
 
 def _square_grid(n):
@@ -423,6 +422,9 @@ def load_mesh(path):
             cells.append([int(t) for t in lines[ln].split()])
         except ValueError:
             fail(f"bad vertex index in {lines[ln]!r}", ln + 1)
+    for ln in range(ln + 1, len(lines)):
+        if lines[ln].strip():
+            fail(f"unexpected content after the cell block: {lines[ln]!r}", ln + 1)
     return PolygonalMesh(verts, cells)
 
 

@@ -8,8 +8,6 @@ exact; leave it None for general smooth data (a high fixed exactness is
 used instead).
 """
 
-import numpy as np
-
 from .spaces import PressureFunction, WeakFunction
 
 
@@ -36,8 +34,8 @@ def project_boundary_velocity(ops, g, data_degree=None):
     Returns a WeakFunction that is zero except on boundary edges.
     """
     out = WeakFunction.zeros(ops.dofmap)
-    edges = np.nonzero(ops.mesh.boundary_edges)[0]
-    out.vb[edges] = ops.solve_edge_mass(ops.edge_moments(g, data_degree, edges), edges)
+    edges = ops.mesh.boundary_edges
+    out.vb[edges] = ops.solve_edge_mass(ops.edge_moments(g, data_degree))[edges]
     return out
 
 

@@ -1,4 +1,4 @@
-"""Saddle-point solves, with optional static condensation.
+"""Saddle-point solves by static condensation, or in full as a reference.
 
 The solved system couples the free velocity DOFs (interior blocks plus
 interior-edge blocks) with the pressure DOFs:
@@ -10,11 +10,12 @@ where x marks the eliminated Dirichlet DOFs.  The pressure is fixed only
 up to a constant, so pressure DOF 0 (the constant coefficient of cell 0)
 is pinned to zero and its row and column are dropped; the pinned row's
 equation follows from the others for compatible boundary data.  A shift
-by the pressure mean then sets the zero-mean gauge.  The default path
-factorizes the sparse matrix directly; static condensation first
-eliminates the interior velocity DOFs, whose block of A_ff is
-block-diagonal, one block per cell.  Either way `solve` hands its one
-SaddleFactor back, so the level's inf-sup constant needs no other.
+by the pressure mean then sets the zero-mean gauge.  Static condensation
+first eliminates the interior velocity DOFs, whose block of A_ff is
+block-diagonal, one block per cell; ``condense=False`` factorizes the
+sparse matrix directly, as the reference the condensed path is checked
+against.  Either way `solve` hands its one SaddleFactor back, so the
+level's inf-sup constant needs no other.
 """
 
 import dataclasses
@@ -50,7 +51,7 @@ class SolveReport:
         return json.dumps({f.name: getattr(self, f.name) for f in fields})
 
 
-def solve(system, condense=False, residual_tol=1e-10):
+def solve(system, condense=True, residual_tol=1e-10):
     """Solve an assembled SaddleSystem by sparse LU factorization.
 
     Parameters
@@ -58,7 +59,8 @@ def solve(system, condense=False, residual_tol=1e-10):
     system : SaddleSystem
     condense : bool
         Eliminate the interior velocity DOFs first, solve the reduced
-        edge-and-pressure system, then recover the interior unknowns.
+        edge-and-pressure system, then recover the interior unknowns;
+        False factorizes the full system instead.
     residual_tol : float
         Maximum admissible relative algebraic residual.
 
@@ -152,10 +154,10 @@ class SaddleFactor:
         return x[:n_u], np.concatenate([[0.0], x[n_u:]])
 
 
-# -- factorization, with optional static condensation ---------------------
+# -- factorization, by static condensation or in full ---------------------
 
 
-def factorize(system, condense=False):
+def factorize(system, condense=True):
     """The pinned SaddleFactor of the free saddle equations, condensed or not.
 
     `solve` builds one; callers that do not solve may build it alone.

@@ -39,7 +39,6 @@ class StudyConfig:
     n0: int = 4
     levels: int = 4
     seed: int = 0
-    condense: bool = False
     dump_prefix: str = ""
 
 
@@ -73,23 +72,24 @@ def run_study(config):
     case = get_case(config.case)
     record = ConvergenceRecord()
     for level, n in enumerate(refinement_ladder(config.n0, config.levels)):
-        mesh = generate_mesh(config.family, n, seed=config.seed)
-        ops = ElementOps(mesh, config.degree)
-        system = assemble(
-            ops,
-            body_force=case.f,
-            boundary_velocity=case.g,
-            data_degree=case.data_degree,
-        )
-        if config.dump_prefix:
-            system.dump_matrices(f"{config.dump_prefix}L{level}_")
-        report = solve(system, condense=config.condense)
-        beta = discrete_inf_sup(system, report.factor)
-        # free the LU first, so the level's peak memory stays the solve's
-        report.factor = None
-        errors = error_bundle(ops, case, report.velocity, report.pressure)
-        record.add(level, mesh.mesh_size, mesh.num_cells, errors, beta)
+        record.add(level, *_run_level(config, case, level, n))
     return _gate(config, record)
+
+
+def _run_level(config, case, level, n):
+    """Solve and measure one level: (h, cells, errors, beta_h).  Its mesh,
+    operators and system go on return, before the next level builds its own."""
+    mesh = generate_mesh(config.family, n, seed=config.seed)
+    ops = ElementOps(mesh, config.degree)
+    system = assemble(ops, body_force=case.f, boundary_velocity=case.g, data_degree=case.data_degree)
+    if config.dump_prefix:
+        system.dump_matrices(f"{config.dump_prefix}L{level}_")
+    report = solve(system)
+    beta = discrete_inf_sup(system, report.factor)
+    # free the factor first, so the level's peak memory stays the solve's
+    report.factor = None
+    errors = error_bundle(ops, case, report.velocity, report.pressure)
+    return mesh.mesh_size, mesh.num_cells, errors, beta
 
 
 def _gate(config, record):
@@ -114,20 +114,10 @@ def _gate(config, record):
     )
 
 
-def default_grid(case="taylor-trig", n0=4, levels=4, seed=0, **kwargs):
-    """The standard verification grid: degrees 1-2 on two mesh families."""
-    configs = []
-    for degree in (1, 2):
-        for family in ("uniform-quad", "perturbed-polygon"):
-            configs.append(
-                StudyConfig(
-                    case=case,
-                    family=family,
-                    degree=degree,
-                    n0=n0,
-                    levels=levels,
-                    seed=seed,
-                    **kwargs,
-                )
-            )
-    return configs
+def default_grid(case="taylor-trig", n0=4, levels=4, seed=0):
+    """The standard verification grid: degrees 1-2 on two mesh families, degree-major."""
+    return [
+        StudyConfig(case=case, family=family, degree=degree, n0=n0, levels=levels, seed=seed)
+        for degree in (1, 2)
+        for family in ("uniform-quad", "perturbed-polygon")
+    ]

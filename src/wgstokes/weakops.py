@@ -24,8 +24,8 @@ points are the same reference table on every edge, since both use the
 canonical parameter.  The local operators are stacks over cells or sides
 (shapes below); the scheme tables use the default exactness (2k+2 on
 cells, 2k+1 on edges), which integrates every scheme integrand exactly.
-Data-dependent integrals build a table per call, at the exactness
-`data_exactness` assigns.
+Data integrals ask for the exactness `data_exactness` assigns; each table
+is built once per exactness and kept on the ElementOps.
 """
 
 from dataclasses import dataclass
@@ -41,12 +41,14 @@ from .spaces import DofMap
 NONPOLY_EXACTNESS = 20
 
 
-def data_exactness(data_degree, degree):
-    """Rule exactness for data of total degree `data_degree` times a P_degree function.
+def data_exactness(data_degree):
+    """Rule exactness for integrals of data of total degree `data_degree`.
 
-    None marks non-polynomial data, which gets NONPOLY_EXACTNESS.
+    None (non-polynomial data) gets NONPOLY_EXACTNESS.  Else 2 * data_degree
+    covers the data times any polynomial of no higher degree; the tables'
+    own exactness covers the data times a basis of higher degree.
     """
-    return NONPOLY_EXACTNESS if data_degree is None else data_degree + degree
+    return NONPOLY_EXACTNESS if data_degree is None else 2 * data_degree
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class CellTable:
 
 @dataclass(frozen=True)
 class EdgeTable:
-    """Gauss rules of a set of edges: points (n, q, 2), weights (n, q), and
+    """Gauss rules of all edges: points (n_edges, q, 2), weights (n_edges, q), and
     the edge-basis values (q, dim_edge), which every edge shares."""
 
     points: np.ndarray
@@ -113,8 +115,9 @@ class ElementOps:
         self.cell_basis = [CellBasis(k, center, scale) for center, scale in cells]
         self.cell_basis_low = [CellBasis(k - 1, center, scale) for center, scale in cells]
 
-        self.cell_quadrature = cq = self._cell_table(self.cell_exactness)
-        self.edge_quadrature = eq = self._edge_table(self.edge_exactness)
+        self._tables = {}
+        self.cell_quadrature = cq = self.cell_table()
+        self.edge_quadrature = eq = self.edge_table()
 
         vals = cq.values
         grads_low = monomial_gradients(self._local(cq.points, cq.cell), k - 1)
@@ -145,11 +148,19 @@ class ElementOps:
         """P_k basis values of `cells` (...) at points (..., 2); shape (..., dim_cell)."""
         return monomials(self._local(points, cells), self.degree)
 
-    def cell_table(self, exactness=None):
-        """Rules of all cells at the given exactness; the scheme table if it suffices."""
-        if exactness is None or exactness <= self.cell_exactness:
-            return self.cell_quadrature
-        return self._cell_table(exactness)
+    def cell_table(self, exactness=0):
+        """Rules of all cells, exact to the given degree and the scheme's; built once."""
+        return self._table(self._cell_table, max(exactness, self.cell_exactness))
+
+    def edge_table(self, exactness=0):
+        """Rules of all edges, exact to the given degree and the scheme's; built once."""
+        return self._table(self._edge_table, max(exactness, self.edge_exactness))
+
+    def _table(self, build, exactness):
+        key = (build.__name__, exactness)
+        if key not in self._tables:
+            self._tables[key] = build(exactness)
+        return self._tables[key]
 
     def _cell_table(self, exactness):
         mesh = self.mesh
@@ -166,15 +177,8 @@ class ElementOps:
             values=self.basis_values(rule.points, rule.owner),
         )
 
-    def edge_table(self, exactness=None, edges=None):
-        """Rules of the given edges (default: all); the scheme table if it suffices."""
-        ex = self.edge_exactness if exactness is None else max(exactness, self.edge_exactness)
-        if edges is None and ex == self.edge_exactness:
-            return self.edge_quadrature
-        return self._edge_table(ex, edges)
-
-    def _edge_table(self, exactness, edges=None):
-        ends = self.mesh.vertices[self.mesh.edges if edges is None else self.mesh.edges[edges]]
+    def _edge_table(self, exactness):
+        ends = self.mesh.vertices[self.mesh.edges]
         rule = edge_rule(ends[:, 0], ends[:, 1], exactness)
         # Gauss points of the unit reference edge, in the canonical parameter
         s, _ = gauss_points(exactness)
@@ -217,17 +221,17 @@ class ElementOps:
         func maps (n, 2) points to (n,) scalars or (n, d) stacks; returns
         (n_cells, dim) or (n_cells, d, dim) accordingly.
         """
-        table = self.cell_table(data_exactness(data_degree, degree))
+        table = self.cell_table(data_exactness(data_degree))
         f = np.asarray(func(table.points), dtype=float)
         vals = table.values[:, : space_dimension(degree)]
         return table.integrate("p...,pa->p...a", f, vals)
 
-    def edge_moments(self, func, data_degree=None, edges=None):
-        """Integrals of `func` against the edge basis of the given edges (default: all).
+    def edge_moments(self, func, data_degree=None):
+        """Integrals of `func` against the edge basis of every edge.
 
-        Returns (n, dim_edge) or (n, d, dim_edge) for (n,) or (n, d) values.
+        Returns (n_edges, dim_edge) or (n_edges, d, dim_edge) for (n,) or (n, d) values.
         """
-        table = self.edge_table(data_exactness(data_degree, self.degree - 1), edges)
+        table = self.edge_table(data_exactness(data_degree))
         n, q = table.weights.shape
         f = np.asarray(func(table.points.reshape(-1, 2)), dtype=float)
         f = f.reshape((n, q) + f.shape[1:])
@@ -238,9 +242,9 @@ class ElementOps:
         n = space_dimension(self.degree if degree is None else degree)
         return _solve_stack(self.mass[:, :n, :n], moments)
 
-    def solve_edge_mass(self, moments, edges=None):
-        """Apply the inverse edge masses to (n, [d,] dim_edge) moments of `edges`."""
-        return _solve_stack(self.edge_mass if edges is None else self.edge_mass[edges], moments)
+    def solve_edge_mass(self, moments):
+        """Apply the inverse edge masses to (n_edges, [d,] dim_edge) moments."""
+        return _solve_stack(self.edge_mass, moments)
 
 
 def _solve_stack(mats, moments):

@@ -110,7 +110,7 @@ def test_divergence_form_exact_for_polynomials(degree, poly_mesh_4):
     v = project_velocity(ops, field.u, data_degree=field.degree)
     q = PressureFunction.random(ops.dofmap, rng)
     exact = 0.0
-    exactness = data_exactness(2 * field.degree, ops.degree)
+    exactness = data_exactness(field.degree)
     for c in range(ops.mesh.num_cells):
         rule = polygon_rule(ops.mesh.cell_vertices(c), exactness)
         qv = ops.cell_basis_low[c].eval(rule.points) @ q.cell(c)

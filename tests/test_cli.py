@@ -1,6 +1,5 @@
 """End-to-end CLI behavior through main(), without spawning subprocesses."""
 
-import numpy as np
 import pytest
 
 from wgstokes.cli import build_parser, main
@@ -138,7 +137,17 @@ def test_study_grid_naming(tmp_path, capsys):
     ]
 
 
+def test_study_degree_off_the_grid_runs_both_families(tmp_path, capsys):
+    out = tmp_path / "k3.csv"
+    argv = ["study", "--case", "poly-exact-k1", "--degree", "3", "--n0", "2", "--levels", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    produced = sorted(p.name for p in tmp_path.iterdir())
+    assert produced == ["k3-k3-perturbed-polygon.csv", "k3-k3-uniform-quad.csv"]
+
+
 def test_study_condensed_matches(tmp_path):
+    """--condense is accepted and changes nothing: every study condenses."""
     base = [
         "study",
         "--case",
@@ -155,13 +164,16 @@ def test_study_condensed_matches(tmp_path):
     a, b = tmp_path / "plain.csv", tmp_path / "cond.csv"
     assert main(base + ["--out", str(a)]) == 0
     assert main(base + ["--condense", "--out", str(b)]) == 0
-    # identical grids and tolerances; errors agree to printed precision
-    rows_a = a.read_text().splitlines()[1:3]
-    rows_b = b.read_text().splitlines()[1:3]
-    for ra, rb in zip(rows_a, rows_b):
-        va = np.array([float(x) for x in ra.split(",")[3:8]])
-        vb = np.array([float(x) for x in rb.split(",")[3:8]])
-        assert np.allclose(va, vb, atol=1e-9)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_study_out_into_missing_directory_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    argv = ["study", "--degree", "1", "--family", "uniform-quad", "--levels", "2"]
+    assert main(argv + ["--out", str(missing / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert f"error: output directory {missing} does not exist" in captured.err
+    assert "level" not in captured.out
 
 
 def test_study_dump_matrices(tmp_path, monkeypatch):

@@ -229,6 +229,8 @@ class TestIO:
         [
             ("wgmesh 2d v1\nvertices -3\n", 2),
             ("wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells -1\n", 6),
+            # content after the declared cell block
+            ("wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 2\n\n0 1 2\ngarbage here\n", 9),
         ],
     )
     def test_negative_count_reports_line(self, tmp_path, text, line):

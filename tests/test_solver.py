@@ -83,8 +83,8 @@ def test_condensed_solve_matches_full(family, degree, n, seed):
     ops = ElementOps(generate_mesh(family, n, seed=seed), degree)
     system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
     assert np.abs(system.fixed_values).max() > 0.1
-    full = solve(system)
-    red = solve(system, condense=True)
+    full = solve(system, condense=False)
+    red = solve(system)
     assert np.abs(full.velocity.coeffs - red.velocity.coeffs).max() <= 1e-9
     assert np.abs(full.pressure.coeffs - red.pressure.coeffs).max() <= 1e-9
     assert red.condensed and not full.condensed
@@ -98,7 +98,7 @@ def test_condensed_solve_names_indefinite_cell(ops_quad_k1):
     A[idx, idx] = -np.abs(A.diagonal()[idx])
     system.A = A
     with pytest.raises(SolverError, match=r"interior block of cell 5 "):
-        solve(system, condense=True)
+        solve(system)
 
 
 def test_residual_above_tolerance_raises(ops_quad_k1):
@@ -111,7 +111,7 @@ def test_residual_above_tolerance_raises(ops_quad_k1):
 def test_condensed_system_size(ops_quad_k1):
     """The reduced system keeps the free edge DOFs and the pressures."""
     system = assemble(ops_quad_k1)
-    report = solve(system, condense=True)
+    report = solve(system)
     dm = ops_quad_k1.dofmap
     mesh = ops_quad_k1.mesh
     n_interior_edges = int((~mesh.boundary_edges).sum())
@@ -124,12 +124,13 @@ def test_lu_fill_stays_low():
     """SuperLU's column ordering reads only the stored pattern; assemble's
     finite-element pattern keeps the fill of the pinned full system low
     (238,670 here; 504,615 when the stored x-y zeros are dropped)."""
-    factor = factorize(assemble(ElementOps(generate_mesh("uniform-quad", 16), 1)))
+    system = assemble(ElementOps(generate_mesh("uniform-quad", 16), 1))
+    factor = factorize(system, condense=False)
     assert factor.lu.L.nnz + factor.lu.U.nnz <= 300_000
 
 
 def test_report_serializes(system_quad_k1):
-    report = solve(system_quad_k1)
+    report = solve(system_quad_k1, condense=False)
     blob = json.loads(report.to_json())
     assert blob["condensed"] is False
     assert blob["num_pressure"] == system_quad_k1.num_pressure_dofs

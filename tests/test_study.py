@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wgstokes import weakops
 from wgstokes.study import GATED_RATES, RATE_MARGIN, StudyConfig, default_grid, run_study
 
 
@@ -41,13 +42,27 @@ def test_beta_recorded_by_default():
     assert 0.5 < result.record.rows[0]["beta_h"] < 1.5
 
 
-@pytest.mark.parametrize("condense", [False, True])
-def test_one_factorization_per_level(condense, splu_calls):
+def test_one_factorization_per_level(splu_calls):
     """The solve's factor also serves the level's inf-sup constant."""
-    config = StudyConfig(case="poly-exact-k1", degree=1, levels=2, n0=2, condense=condense)
+    config = StudyConfig(case="poly-exact-k1", degree=1, levels=2, n0=2)
     result = run_study(config)
     assert len(splu_calls) == 2
     assert all(row["beta_h"] > 0 for row in result.record.rows)
+
+
+def test_rule_tables_built_once_per_level(monkeypatch):
+    """Each level builds its scheme tables and one data table per kind, no more."""
+    calls = {"polygon_rule": 0, "edge_rule": 0}
+    for name in calls:
+        builder = getattr(weakops, name)
+
+        def counted(*args, name=name, builder=builder, **kwargs):
+            calls[name] += 1
+            return builder(*args, **kwargs)
+
+        monkeypatch.setattr(weakops, name, counted)
+    run_study(StudyConfig(case="taylor-trig", n0=2, levels=2))
+    assert calls == {"polygon_rule": 4, "edge_rule": 4}
 
 
 def test_default_grid_covers_both_axes():
