@@ -46,9 +46,9 @@ class ManufacturedCase:
         self._sym_p = p
         fx = -(sp.diff(ux, _X, 2) + sp.diff(ux, _Y, 2)) + sp.diff(p, _X)
         fy = -(sp.diff(uy, _X, 2) + sp.diff(uy, _Y, 2)) + sp.diff(p, _Y)
-        self._sym_f = (sp.simplify(fx), sp.simplify(fy))
+        self._sym_f = (sp.factor_terms(fx), sp.factor_terms(fy))
         grads = [[sp.diff(comp, var) for var in (_X, _Y)] for comp in (ux, uy)]
-        div = sp.simplify(sp.diff(ux, _X) + sp.diff(uy, _Y))
+        div = sp.factor_terms(sp.diff(ux, _X) + sp.diff(uy, _Y))
 
         self.u = _vector_field(ux, uy)
         self.g = self.u  # Dirichlet data is the velocity trace

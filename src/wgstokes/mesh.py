@@ -27,7 +27,6 @@ square and the cells partition it to machine precision.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Voronoi, cKDTree
@@ -274,6 +273,8 @@ def refinement_ladder(n0, levels):
     """Subdivision counts n0 * 2**j for j = 0..levels-1 (mesh size halves per level)."""
     if levels < 1:
         raise ConfigurationError(f"levels must be >= 1, got {levels}")
+    if n0 < 1:
+        raise ConfigurationError(f"n0 must be >= 1, got {n0}")
     return [n0 * 2**j for j in range(levels)]
 
 
@@ -487,6 +488,7 @@ def shape_regularity(mesh, threshold=20.0):
 
 def _chebyshev_radius(p, normals):
     # max r s.t. n_i . x + r <= n_i . p_i  (the largest inscribed disc)
+    from scipy.optimize import linprog  # imported here: no command needs it
     m = len(p)
     A = np.column_stack([normals, np.ones(m)])
     b = np.einsum("ij,ij->i", normals, p)

@@ -2,9 +2,9 @@
 
 Polygons come as one stack of CCW vertex loops, (N, 2) points with the
 first vertex of each loop in ``starts``; the same layout serves the mesh's
-side table.  A polygon is integrated by fanning triangles out from its
-centroid when it is star-shaped with respect to it (always true for
-convex cells), and by ear clipping otherwise; only the ear-clipped
+side table.  An m-gon is split into m - 2 triangles, fanned from its first
+vertex whose fan triangles all have positive area (never a neighbour of a
+hanging vertex), or ear-clipped when no vertex has that; only the ear-clipped
 polygons are handled one at a time.  Each triangle carries a tensor
 Gauss-Legendre rule mapped through the collapsed-square (Duffy)
 transform, so a rule of requested polynomial exactness ``d`` integrates
@@ -170,24 +170,29 @@ def polygon_rule(loops, exactness, starts=(0,)):
     total degree `exactness`.
 
     `loops` (N, 2) stacks the vertex loops; `starts` holds the first vertex
-    of each (by default, one polygon).  A polygon no rule can be built for
-    raises :class:`PolygonError` naming its index.
+    of each (by default, one polygon).  An m-gon is split into m - 2 CCW
+    triangles, fanned from its first vertex whose fan triangles all have
+    positive area, or else ear-clipped.  A polygon no rule can be built
+    for raises :class:`PolygonError` naming its index.
     """
     tris, owner = [], []
     for group, p in loop_groups(np.asarray(loops, dtype=float), np.asarray(starts)):
         m = p.shape[1]
         if m < 3:
             raise PolygonError(group[0], "polygon needs at least 3 vertices")
-        areas, centroids = polygon_geometry(p)
+        areas = polygon_geometry(p)[0]
         if (areas <= 0.0).any():
             bad = group[np.argmax(areas <= 0.0)]
             raise PolygonError(bad, "polygon must be CCW with positive area")
-        # Fan from the centroid when every fan triangle is positively oriented.
-        center = np.broadcast_to(centroids[:, None], p.shape)
-        fan = np.stack([center, p, np.roll(p, -1, axis=1)], axis=2)  # (g, m, 3, 2)
-        star = (_doubled_areas(fan) > 0.0).all(axis=1)
-        tris.append(fan[star].reshape(-1, 3, 2))
-        owner.append(np.repeat(group[star], m))
+        # Fan (p_j, p_j+i, p_j+i+1), i = 1..m-2, from the first vertex j whose
+        # fan triangles are all positively oriented.
+        i = np.arange(1, m - 1)
+        corners = np.stack([np.zeros_like(i), i, i + 1], axis=-1)  # (m - 2, 3) from apex 0
+        fans = p[:, (np.arange(m)[:, None, None] + corners) % m]  # (g, m, m - 2, 3, 2)
+        sees = (_doubled_areas(fans) > 0.0).all(axis=2)  # (g, m): apex j sees all
+        star = sees.any(axis=1)
+        tris.append(fans[star, sees[star].argmax(axis=1)].reshape(-1, 3, 2))
+        owner.append(np.repeat(group[star], m - 2))
         for c, poly in zip(group[~star], p[~star]):  # ear-clip the rest
             try:
                 tris.append(poly[np.asarray(_ear_clip(poly))])

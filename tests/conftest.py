@@ -97,7 +97,7 @@ def poly_mesh_4():
 def hostile_mesh():
     """The unit square as a nonconvex U cell and the slot cell inside it.
 
-    The U (ear-clipped, not star-shaped about its centroid) has collinear
+    The U (ear-clipped: no vertex sees it whole) has collinear
     vertices on its bottom and left sides and a hanging vertex on the slot
     bottom, where the slot cell's side is split in two.
     """

@@ -258,14 +258,19 @@ def test_one_pressure_dof_is_a_configuration_error(argv, capsys):
         ["infsup", "--levels", "-2"],
         ["study", "--degree", "1", "--family", "uniform-quad", "--levels", "0"],
         ["study", "--degree", "1", "--family", "uniform-quad", "--levels", "-2"],
+        ["infsup", "--n0", "0"],
+        ["infsup", "--n0", "-2"],
+        ["study", "--degree", "1", "--family", "uniform-quad", "--n0", "0"],
+        ["study", "--degree", "1", "--family", "uniform-quad", "--n0", "-2"],
     ],
 )
 def test_no_levels_is_a_configuration_error(argv, tmp_path, capsys):
+    """A ladder without levels, or starting below n=1, fails before any output."""
     out = tmp_path / "study.csv"
     assert main(argv + (["--out", str(out)] if argv[0] == "study" else [])) == 2
-    levels = argv[-1]
+    flag, value = argv[-2].lstrip("-"), argv[-1]
     captured = capsys.readouterr()
-    assert f"error: levels must be >= 1, got {levels}" in captured.err
+    assert f"error: {flag} must be >= 1, got {value}" in captured.err
     assert "beta_h" not in captured.out
     assert not out.exists()
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -279,6 +283,18 @@ class TestShapeRegularity:
         mesh = generate_mesh("perturbed-polygon", 6, seed=0)
         rep = shape_regularity(mesh, threshold=rep_threshold(mesh))
         assert len(rep.flagged) >= 1
+
+    def test_lp_solver_is_not_imported_by_the_cli(self):
+        # only shape_regularity needs scipy.optimize; the CLI's set-up skips it
+        code = (
+            "import sys, wgstokes.cli\n"
+            "from wgstokes.cases import get_case\n"
+            "get_case('taylor-trig')\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout.strip() == "False", out.stderr
 
 
 def rep_threshold(mesh):

@@ -23,7 +23,8 @@ PENTAGON_INTEGRALS = [
 ]
 
 # Slotted square: unit square minus the triangle ((2/5,1),(3/5,1),(1/2,1/5)).
-# Not star-shaped w.r.t. its centroid, so it exercises the ear-clip path.
+# Not star-shaped w.r.t. its centroid; only vertex 4, the slot's tip, sees
+# it whole, so its fan starts past the first vertex.
 # Oracle values are square-minus-triangle in exact arithmetic.
 SLOTTED = np.array(
     [[0, 0], [1, 0], [1, 1], [0.6, 1.0], [0.5, 0.2], [0.4, 1.0], [0, 1]]
@@ -37,8 +38,9 @@ SLOTTED_INTEGRALS = [
 
 # U shapes: [0, 2]^2 minus the slot [1/2, 3/2] x [1/2, 2], with collinear
 # vertices on the bottom and left sides; the second adds a hanging vertex
-# on the slot's bottom.  Ear clipping must not clip across a vertex lying on
-# an ear's edge.  Oracle values are square-minus-rectangle, exact.
+# on the slot's bottom.  No vertex sees a U whole, so they exercise the
+# ear-clip path, which must not clip across a vertex lying on an ear's edge.
+# Oracle values are square-minus-rectangle, exact.
 U_SHAPE = np.array(
     [[0, 0], [1, 0], [2, 0], [2, 2], [1.5, 2], [1.5, 0.5], [0.5, 0.5], [0.5, 2], [0, 2], [0, 1]]
 )
@@ -105,20 +107,50 @@ def test_slotted_square_monomials(a, b, exact):
         assert (rule.weights > 0).all()
 
 
-def test_slotted_square_is_not_star_shaped():
-    # guard: the centroid fan must fail here, otherwise the ear-clip
-    # branch silently loses its only coverage
-    c = polygon_geometry(SLOTTED)[1]
-    crosses = []
-    for i in range(len(SLOTTED)):
-        a = SLOTTED[i] - c
-        b = SLOTTED[(i + 1) % len(SLOTTED)] - c
-        crosses.append(a[0] * b[1] - a[1] * b[0])
-    assert min(crosses) < 0
+def _fan_apexes(poly):
+    """The vertices j whose fan triangles (p_j, p_j+i, p_j+i+1) are all CCW."""
+    m = len(poly)
+    apexes = []
+    for j in range(m):
+        a, crosses = poly[j], []
+        for i in range(1, m - 1):
+            b, c = poly[(j + i) % m] - a, poly[(j + i + 1) % m] - a
+            crosses.append(b[0] * c[1] - b[1] * c[0])
+        if min(crosses) > 0:
+            apexes.append(j)
+    return apexes
+
+
+def test_u_shapes_have_no_fan_apex():
+    # guard: the vertex fan must fail on the U shapes, otherwise the
+    # ear-clip branch silently loses its only coverage
+    assert _fan_apexes(SLOTTED) == [4]
+    for u in U_SHAPES:
+        assert _fan_apexes(u) == []
+
+
+def test_fan_uses_m_minus_2_triangles(poly_mesh_4):
+    q = len(triangle_rule([0, 0], [1, 0], [0, 1], 6).weights)
+    square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+    voronoi = [poly_mesh_4.cell_vertices(c) for c in range(poly_mesh_4.num_cells)]
+    assert max(len(v) for v in voronoi) >= 6
+    for poly in [PENTAGON[:3], square, PENTAGON, *voronoi]:
+        assert len(polygon_rule(poly, 6).weights) == (len(poly) - 2) * q
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (0, 1), (3, 2), (5, 4)])
+def test_hanging_vertex_square(a, b):
+    # the midpoint of the bottom side must not leave a zero-area fan triangle
+    square = np.array([[0, 0], [1, 0], [2, 0], [2, 2], [0, 2]])
+    rule = polygon_rule(square, a + b)
+    assert (rule.weights > 0).all()
+    got = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
+    assert got == pytest.approx(2 ** (a + b + 2) / ((a + 1) * (b + 1)), rel=1e-13)
 
 
 def test_shifted_polynomial_on_both_paths():
-    # same smooth polynomial, frozen symbolic values, one per decomposition path
+    # same smooth polynomial, frozen symbolic values: fans from the first
+    # vertex and from a later one, and an ear clipping
     def f(p):
         return (p[:, 0] - 1 / 3) ** 4 * (p[:, 1] + 1 / 7) ** 3
 
@@ -129,6 +161,10 @@ def test_shifted_polynomial_on_both_paths():
     rule = polygon_rule(SLOTTED, 7)
     assert np.sum(rule.weights * f(rule.points)) == pytest.approx(
         12492587543 / 1085273437500, rel=1e-13
+    )
+    rule = polygon_rule(U_SHAPE, 7)
+    assert np.sum(rule.weights * f(rule.points)) == pytest.approx(
+        1607660087 / 142248960, rel=1e-13
     )
 
 
@@ -155,9 +191,9 @@ def test_geometry_of_stacked_loops():
 
 
 def test_batched_polygon_rule_equals_single_rules():
-    """The ear-clipped polygon sits between two fanned ones: its triangles
+    """The ear-clipped polygon sits between fanned ones: its triangles
     must land in its own slot, not at the end."""
-    polys = [PENTAGON, SLOTTED, np.roll(PENTAGON, 2, axis=0) + 2.0]
+    polys = [PENTAGON, U_SHAPE, SLOTTED, np.roll(PENTAGON, 2, axis=0) + 2.0]
     starts = np.cumsum([0] + [len(p) for p in polys[:-1]])
     for exactness in (0, 5):
         rule = polygon_rule(np.vstack(polys), exactness, starts)
