@@ -11,8 +11,9 @@ alongside.
 A is G^T M G + J^T S J, where the sparse weak-gradient map G and the
 sparse jump map J are built from the operator stacks of ElementOps in one
 coordinate-format pass each, and M and S are the block-diagonal cell and
-(scaled) edge masses; B is the cell mass times the trace of G.  Nothing
-depends on hash order, so assembled matrices are bit-identical run to run.
+(scaled) edge masses; B is the cell mass times the trace of G.  Both
+store only the nonzeros these sparse products give.  Nothing depends on
+hash order, so assembled matrices are bit-identical run to run.
 """
 
 import numpy as np
@@ -92,18 +93,12 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
     """
     dofmap = ops.dofmap
     n_cells, nlow = ops.mesh.num_cells, dofmap.dim_cell_low
-    G, J, C = _sparse_maps(ops)
+    G, J = _sparse_maps(ops)
     A = G.T @ block_diagonal(np.repeat(ops.mass_low, 4, axis=0)) @ G
     A += J.T @ block_diagonal(np.repeat(_side_mass(ops), 2, axis=0)) @ J
     # the weak divergence sums the rows [i, j] = [0, 0] and [1, 1] of each cell
     trace = sparse.kron(sparse.eye(n_cells), sparse.kron([[1, 0, 0, 1]], sparse.eye(nlow)))
     B = block_diagonal(ops.mass_low) @ trace @ G
-    # Store the finite-element pattern, every DOF pair sharing a cell, with
-    # structural zeros (the x-y couplings): the sparse LU's column ordering
-    # reads only the pattern, and the bare nonzeros order far worse (L+U on
-    # uniform-quad, k=1, n=64: 9.7M with the pattern, 96.6M without).
-    A = _on_pattern(A, C.T @ C)
-    B = _on_pattern(B, sparse.kron(sparse.eye(n_cells), np.ones((nlow, 1))) @ C)
 
     load = np.zeros(dofmap.num_velocity_dofs)
     if body_force is not None:
@@ -134,14 +129,6 @@ def block_diagonal(blocks):
     return sparse.bsr_matrix((blocks, np.arange(n), np.arange(n + 1))).tocsr()
 
 
-def _on_pattern(values, pattern):
-    """csr copy of `values` that also stores the entries of `pattern` (a superset) as zeros."""
-    v, p = values.tocoo(), pattern.tocoo()
-    data = np.concatenate([v.data, np.zeros(p.nnz)])
-    rows, cols = np.concatenate([v.row, p.row]), np.concatenate([v.col, p.col])
-    return sparse.coo_matrix((data, (rows, cols)), shape=values.shape).tocsr()
-
-
 def _from_blocks(shape, *families):
     """Sparse matrix from (blocks (n, r, c), first rows (n,), first columns (n,)) triples.
 
@@ -162,7 +149,7 @@ def _sparse_maps(ops):
     """Sparse maps on the velocity DOFs, from the operator stacks.
 
     G gives the weak-gradient coefficients, rows ordered (cell, i, j, r);
-    J the jumps P_e v0 - vb, rows (side, i, b); C the cell-DOF incidence.
+    J the jumps P_e v0 - vb, rows (side, i, b).
     Component i of cell c's interior is DOF block 2c + i, of edge e block
     2e + i after the interior DOFs.
     """
@@ -185,12 +172,7 @@ def _sparse_maps(ops):
         (np.repeat(ops.trace, 2, axis=0), side_i * ne, owner_i * nk),
         (-np.eye(ne)[None], side_i * ne, edge_col),
     )
-    C = _from_blocks(
-        (n_cells, n_u),
-        (np.ones((1, 1, nk)), cell_i // 2, cell_i * nk),
-        (np.ones((1, 1, ne)), owner_i // 2, edge_col),
-    )
-    return G, J, C
+    return G, J
 
 
 def _side_mass(ops):

@@ -121,11 +121,11 @@ def cmd_verify(args):
 
 def cmd_infsup(args):
     betas = []
-    ladder = refinement_ladder(args.n0, args.levels)
-    print(f"{'level':>5} {'h':>10} {'cells':>7} {'p-dofs':>7} {'beta_h':>10}")
-    for level, n in enumerate(ladder):
+    for level, n in enumerate(refinement_ladder(args.n0, args.levels)):
         mesh = generate_mesh(args.family, n, seed=args.seed)
         ops = ElementOps(mesh, args.degree)
+        if level == 0:  # after level 0 has checked the arguments: bad input prints nothing
+            print(f"{'level':>5} {'h':>10} {'cells':>7} {'p-dofs':>7} {'beta_h':>10}")
         system = assemble(ops)
         beta = discrete_inf_sup(system)
         print(

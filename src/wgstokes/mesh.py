@@ -37,6 +37,7 @@ from .quadrature import loop_groups, polygon_geometry
 FAMILIES = ("uniform-triangle", "uniform-quad", "perturbed-polygon", "hexagonal")
 
 _MERGE_TOL = 1e-12  # vertex dedup for generated meshes (well below any feature)
+JITTER = 0.2  # perturbed-polygon generator offsets, as a fraction of the lattice spacing
 
 
 class PolygonalMesh:
@@ -228,7 +229,7 @@ def _sides_cross(p):
 # -- generators --------------------------------------------------------
 
 
-def generate_mesh(family, n, seed=0, jitter=0.2):
+def generate_mesh(family, n, seed=0):
     """Build a mesh of the unit square.
 
     Parameters
@@ -239,12 +240,12 @@ def generate_mesh(family, n, seed=0, jitter=0.2):
     n : int
         Subdivision count; the mesh size is proportional to 1/n.
     seed : int
-        RNG seed for the perturbed-polygon family.
-    jitter : float
-        Jitter amplitude as a fraction of the lattice spacing.
+        RNG seed for the perturbed-polygon family (checked for every family).
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ConfigurationError(f"subdivision count must be a positive integer, got {n!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     if family == "uniform-quad":
         verts, corner = _square_grid(n)
         quads = [corner, corner + 1, corner + n + 2, corner + n + 1]
@@ -255,14 +256,12 @@ def generate_mesh(family, n, seed=0, jitter=0.2):
         # the lower, then the upper triangle of each square
         return PolygonalMesh(verts, np.transpose(tris, (2, 0, 1)).reshape(-1, 3))
     if family == "perturbed-polygon":
-        if not 0.0 <= jitter < 0.5:
-            raise ConfigurationError(f"jitter must lie in [0, 0.5), got {jitter}")
         rng = np.random.default_rng(seed)
         h = 1.0 / n
         xs = (np.arange(n) + 0.5) * h
         X, Y = np.meshgrid(xs, xs, indexing="xy")
         pts = np.column_stack([X.ravel(), Y.ravel()])
-        pts += rng.uniform(-jitter * h, jitter * h, size=pts.shape)
+        pts += rng.uniform(-JITTER * h, JITTER * h, size=pts.shape)
         return PolygonalMesh(*_clipped_voronoi(pts))
     if family == "hexagonal":
         return PolygonalMesh(*_clipped_voronoi(_triangular_lattice(n)))

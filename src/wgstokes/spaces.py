@@ -70,20 +70,34 @@ class DofMap:
         return c
 
 
-class WeakFunction:
-    """Coefficients of one discrete velocity field {v0, vb}."""
+class _Coefficients:
+    """Coefficient vector of one discrete function; its length is the DofMap's `_size`."""
 
     def __init__(self, dofmap, coeffs=None):
         self.dofmap = dofmap
-        if coeffs is None:
-            coeffs = np.zeros(dofmap.num_velocity_dofs)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.shape != (dofmap.num_velocity_dofs,):
+        size = getattr(dofmap, self._size)
+        self.coeffs = np.zeros(size) if coeffs is None else np.asarray(coeffs, dtype=float)
+        if self.coeffs.shape != (size,):
             raise ValueError("coefficient vector has the wrong length")
 
     @classmethod
     def zeros(cls, dofmap):
         return cls(dofmap)
+
+    def copy(self):
+        return type(self)(self.dofmap, self.coeffs.copy())
+
+    def __sub__(self, other):
+        return type(self)(self.dofmap, self.coeffs - other.coeffs)
+
+    def __add__(self, other):
+        return type(self)(self.dofmap, self.coeffs + other.coeffs)
+
+
+class WeakFunction(_Coefficients):
+    """Coefficients of one discrete velocity field {v0, vb}."""
+
+    _size = "num_velocity_dofs"
 
     @classmethod
     def random(cls, dofmap, rng, zero_boundary=False):
@@ -114,30 +128,11 @@ class WeakFunction:
         """(n_edges, 2, dim_edge) view of all edge coefficients."""
         return self.coeffs[self.dofmap.interior_size :].reshape(-1, 2, self.dofmap.dim_edge)
 
-    def copy(self):
-        return WeakFunction(self.dofmap, self.coeffs.copy())
 
-    def __sub__(self, other):
-        return WeakFunction(self.dofmap, self.coeffs - other.coeffs)
-
-    def __add__(self, other):
-        return WeakFunction(self.dofmap, self.coeffs + other.coeffs)
-
-
-class PressureFunction:
+class PressureFunction(_Coefficients):
     """Coefficients of one discrete pressure (cellwise P_{k-1})."""
 
-    def __init__(self, dofmap, coeffs=None):
-        self.dofmap = dofmap
-        if coeffs is None:
-            coeffs = np.zeros(dofmap.num_pressure_dofs)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.shape != (dofmap.num_pressure_dofs,):
-            raise ValueError("coefficient vector has the wrong length")
-
-    @classmethod
-    def zeros(cls, dofmap):
-        return cls(dofmap)
+    _size = "num_pressure_dofs"
 
     @classmethod
     def random(cls, dofmap, rng):
@@ -152,12 +147,3 @@ class PressureFunction:
     def cellwise(self):
         """(n_cells, dim_cell_low) view of all coefficients."""
         return self.coeffs.reshape(-1, self.dofmap.dim_cell_low)
-
-    def copy(self):
-        return PressureFunction(self.dofmap, self.coeffs.copy())
-
-    def __sub__(self, other):
-        return PressureFunction(self.dofmap, self.coeffs - other.coeffs)
-
-    def __add__(self, other):
-        return PressureFunction(self.dofmap, self.coeffs + other.coeffs)

@@ -64,7 +64,7 @@ def sweep():
             system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
             report = solve(system)
             bundle = error_bundle(ops, case, report.velocity, report.pressure)
-            momentum, mass = verify_error_equation(system, case, report, n_random=50)
+            momentum, mass = verify_error_equation(system, case, report)
             rows.append(
                 {
                     "h": mesh.mesh_size,

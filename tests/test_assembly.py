@@ -154,6 +154,16 @@ def test_fixed_values_are_boundary_projection(ops_quad_k2):
     assert np.all(system.fixed_values[~system.fixed_mask] == 0.0)
 
 
+@pytest.mark.parametrize(
+    "family, degree", [("uniform-quad", 1), ("perturbed-polygon", 2), ("hexagonal", 3)]
+)
+def test_matrices_store_only_nonzeros(family, degree):
+    """A and B keep no structural zeros; the LU's fill pattern is factorize's concern."""
+    system = assemble(ElementOps(generate_mesh(family, 4, seed=1), degree))
+    for mat in (system.A, system.B):
+        assert mat.nnz == np.count_nonzero(mat.data)
+
+
 def test_divergence_rows_are_cell_local(system_quad_k1):
     """Each pressure DOF couples only to velocity DOFs of its own cell."""
     system = system_quad_k1

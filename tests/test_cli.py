@@ -1,8 +1,16 @@
 """End-to-end CLI behavior through main(), without spawning subprocesses."""
 
+import importlib
+import importlib.util
+import inspect
+import pathlib
+
 import pytest
 
+from wgstokes.assembly import SaddleSystem
 from wgstokes.cli import build_parser, main
+from wgstokes.solver import solve
+from wgstokes.spaces import PressureFunction, WeakFunction
 
 
 def test_version(capsys):
@@ -262,16 +270,24 @@ def test_one_pressure_dof_is_a_configuration_error(argv, capsys):
         ["infsup", "--n0", "-2"],
         ["study", "--degree", "1", "--family", "uniform-quad", "--n0", "0"],
         ["study", "--degree", "1", "--family", "uniform-quad", "--n0", "-2"],
+        ["study", "--family", "perturbed-polygon", "--seed", "-1"],
+        ["study", "--seed", "-1"],
+        ["infsup", "--family", "perturbed-polygon", "--seed", "-1"],
+        ["infsup", "--degree", "0"],
+        ["study", "--family", "uniform-quad", "--degree", "0"],
     ],
 )
 def test_no_levels_is_a_configuration_error(argv, tmp_path, capsys):
-    """A ladder without levels, or starting below n=1, fails before any output."""
+    """A ladder without levels or starting below n=1, a negative seed and a
+    degree below 1 all fail before any output."""
     out = tmp_path / "study.csv"
     assert main(argv + (["--out", str(out)] if argv[0] == "study" else [])) == 2
     flag, value = argv[-2].lstrip("-"), argv[-1]
+    rule = {"seed": "a non-negative integer", "degree": "an integer >= 1"}.get(flag, ">= 1")
     captured = capsys.readouterr()
-    assert f"error: {flag} must be >= 1, got {value}" in captured.err
-    assert "beta_h" not in captured.out
+    assert captured.err.startswith("error: ")
+    assert f"{flag} must be {rule}, got {value}" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -282,3 +298,19 @@ def test_parser_defaults():
     assert args.degree is None and args.family is None
     args = build_parser().parse_args(["infsup"])
     assert args.n0 == 8 and args.levels == 3
+
+
+def test_benchmark_entry_points_resolve(ops_quad_k1):
+    """Every program name the benchmark under perfbench/ wraps or reads still exists."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [site for sites in tracing.SPANS.values() for site in sites] + tracing.RULE_BUILDERS
+    for module, attr in sites:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+    # what perfbench/checks.py reads
+    assert len(ops_quad_k1.cell_basis) == len(ops_quad_k1.cell_basis_low) == 16
+    assert callable(SaddleSystem.pressure_mass)
+    assert "condense" in inspect.signature(solve).parameters
+    assert callable(WeakFunction.interior) and callable(PressureFunction.cell)

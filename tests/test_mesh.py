@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from wgstokes import mesh as mesh_module
 from wgstokes.errors import ConfigurationError, MeshFormatError, MeshValidationError
 from wgstokes.mesh import (
     _MERGE_TOL,
@@ -75,10 +76,11 @@ class TestGenerators:
         with pytest.raises(ConfigurationError):
             generate_mesh("uniform-quad", 0)
 
-    def test_coincident_voronoi_vertices_are_merged(self):
+    def test_coincident_voronoi_vertices_are_merged(self, monkeypatch):
         # a 1e-9 jitter leaves near-degenerate Voronoi vertices: 513 distinct
         # ones, 3 of them within _MERGE_TOL of another
-        mesh = generate_mesh("perturbed-polygon", 16, seed=3, jitter=1e-9)
+        monkeypatch.setattr(mesh_module, "JITTER", 1e-9)
+        mesh = generate_mesh("perturbed-polygon", 16, seed=3)
         assert mesh.num_vertices == 510
         v = mesh.vertices
         pairs = cKDTree(v).query_pairs(_MERGE_TOL, p=np.inf, output_type="ndarray")

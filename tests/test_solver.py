@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from wgstokes import solver
 from wgstokes.assembly import assemble
 from wgstokes.cases import get_case
 from wgstokes.errors import SolverError
@@ -101,11 +102,12 @@ def test_condensed_solve_names_indefinite_cell(ops_quad_k1):
         solve(system)
 
 
-def test_residual_above_tolerance_raises(ops_quad_k1):
+def test_residual_above_tolerance_raises(ops_quad_k1, monkeypatch):
     case = get_case("taylor-trig")
     system = assemble(ops_quad_k1, body_force=case.f, boundary_velocity=case.g)
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SolverError, match="exceeds"):
-        solve(system, residual_tol=0.0)
+        solve(system)
 
 
 def test_condensed_system_size(ops_quad_k1):
@@ -121,9 +123,10 @@ def test_condensed_system_size(ops_quad_k1):
 
 
 def test_lu_fill_stays_low():
-    """SuperLU's column ordering reads only the stored pattern; assemble's
-    finite-element pattern keeps the fill of the pinned full system low
-    (238,670 here; 504,615 when the stored x-y zeros are dropped)."""
+    """SuperLU's column ordering reads only the stored pattern; the
+    finite-element pattern that factorize(condense=False) stores keeps the
+    fill of the pinned full system low (230,352 here; 504,615 when the
+    stored x-y zeros are dropped)."""
     system = assemble(ElementOps(generate_mesh("uniform-quad", 16), 1))
     factor = factorize(system, condense=False)
     assert factor.lu.L.nnz + factor.lu.U.nnz <= 300_000
