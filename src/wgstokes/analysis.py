@@ -16,12 +16,12 @@ import csv
 import dataclasses
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .assembly import block_diagonal
 from .errors import ConfigurationError, SolverError
 from .projections import project_gradient, project_pressure, project_velocity
-from .solver import factorize, patterned_velocity_block
+from .solver import factorize, velocity_factor
 from .weakops import data_exactness
 
 # Relative accuracy asked of the Lanczos eigensolve behind beta_h.
@@ -279,12 +279,11 @@ def dual_norms(system, vectors):
     For each vector L the value is sup over v of L(v)/|||v|||, realized as
     sqrt(L' A_ff^{-1} L) on the free DOFs; one factorization serves all.
     """
-    free = system.free
-    lu = splu(patterned_velocity_block(system).tocsc())
+    free, factor = system.free, velocity_factor(system)
     out = {}
     for name, vec in vectors.items():
         r = vec[free]
-        out[name] = float(np.sqrt(max(r @ lu.solve(r), 0.0)))
+        out[name] = float(np.sqrt(max(r @ factor.apply(r), 0.0)))
     return out
 
 

@@ -44,7 +44,7 @@ def build_parser():
     study.add_argument("--seed", type=int, default=0, help="mesh perturbation seed")
     study.add_argument("--out", help="CSV output path (grid runs add -k<K>-<family>)")
     study.add_argument(
-        "--condense", action="store_true", help="ignored: studies always condense (ROADMAP item 3)"
+        "--condense", action="store_true", help="ignored: studies always condense (ROADMAP item 1)"
     )
     study.add_argument(
         "--dump-matrices",

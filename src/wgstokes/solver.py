@@ -1,4 +1,4 @@
-"""Saddle-point solves by static condensation, or in full as a reference.
+"""Saddle-point solves by cell-local elimination, or in full as a reference.
 
 The solved system couples the free velocity DOFs (interior blocks plus
 interior-edge blocks) with the pressure DOFs:
@@ -10,13 +10,12 @@ where x marks the eliminated Dirichlet DOFs.  The pressure is fixed only
 up to a constant, so pressure DOF 0 (the constant coefficient of cell 0)
 is pinned to zero and its row and column are dropped; the pinned row's
 equation follows from the others for compatible boundary data.  A shift
-by the pressure mean then sets the zero-mean gauge.  Static condensation
-first eliminates the interior velocity DOFs, whose block of A_ff is
-block-diagonal, one block per cell; ``condense=False`` factorizes the
-sparse matrix directly, as the reference the condensed path is checked
-against, with every DOF pair that shares a cell stored for its column
-ordering (`patterned_velocity_block`).  Either way `solve` hands its one SaddleFactor back, so the
-level's inf-sup constant needs no other.
+by the pressure mean then sets the zero-mean gauge.  A SaddleFactor is a
+list of cell-local eliminations, then one sparse LU: by default the
+interior velocities, then each cell's non-constant pressures, leaving the
+free edge velocities and one pressure per cell.  ``condense=False``
+eliminates nothing, as the reference the condensed path is checked
+against.  `solve` hands its factor back, so β_h needs no other.
 """
 
 import dataclasses
@@ -56,17 +55,9 @@ class SolveReport:
 
 
 def solve(system, condense=True):
-    """Solve an assembled SaddleSystem by sparse LU factorization.
+    """Solve an assembled SaddleSystem with the SaddleFactor of `factorize`.
 
-    Parameters
-    ----------
-    system : SaddleSystem
-    condense : bool
-        Eliminate the interior velocity DOFs first, solve the reduced
-        edge-and-pressure system, then recover the interior unknowns;
-        False factorizes the full system instead.
-
-    The report keeps the SaddleFactor; drop it when done with it.
+    The report keeps the factor; drop it when done with it.
     """
     t0 = time.perf_counter()
     free = system.free
@@ -110,105 +101,115 @@ def solve(system, condense=True):
         condensed=condense,
         num_free_velocity=len(free),
         num_pressure=system.num_pressure_dofs,
-        num_reduced=factor.num_velocity + factor.num_pressure if condense else None,
+        num_reduced=factor.lu.shape[0] + 1 if condense else None,  # with the pinned pressure
         wall_time=time.perf_counter() - t0,
         factor=factor,
     )
 
 
 class SaddleFactor:
-    """Sparse LU of the pinned matrix [[K_uu, K_up], [K_upᵀ, K_pp]].
+    """Cell-local eliminations of a sparse symmetric matrix, then one sparse LU.
 
-    The constant pressure spans the kernel of the symmetric saddle
-    matrix; dropping pressure row and column 0 (p[0] = 0) removes it.
-    ``K_pp`` may be None for a zero block.  ``interior`` holds the
-    elimination (W, G, H) of the interior velocity DOFs on the condensed
-    path (see `factorize`), None on the full one.
+    ``steps`` are the `_eliminate` steps that reduced the matrix to K, in
+    order; `splu` factors K.  The matrix is the pinned saddle matrix
+    (`factorize`) or A_ff (`velocity_factor`).
     """
 
-    def __init__(self, K_uu, K_up, K_pp, interior, what):
-        K_up = K_up.tocsc()[:, 1:]
-        K_pp = None if K_pp is None else K_pp.tocsr()[1:, 1:]
-        K = sparse.bmat([[K_uu, K_up], [K_up.T, K_pp]], format="csc")
+    def __init__(self, K, steps, what):
+        self.steps = steps
         try:
-            self.lu = splu(K)
+            self.lu = splu(K.tocsc())
         except RuntimeError as err:  # singular factorization
             raise SolverError(f"{what} factorization failed: {err}") from err
-        self.interior = interior
-        self.num_velocity = K_uu.shape[0]
-        self.num_pressure = K_up.shape[1] + 1
+
+    def apply(self, f):
+        """K⁻¹ f: each step's forward substitution, the LU solve, then the back substitutions."""
+        ws = []
+        for cells, rest, W, G, sign in self.steps:
+            ws.append(W @ f[cells])  # L⁻¹ f_c
+            f = f[rest] - sign * (G.T @ ws[-1])
+        x = self.lu.solve(f)
+        for (cells, rest, W, G, sign), w in zip(self.steps[::-1], ws[::-1]):
+            y = np.empty(len(cells) + len(rest))
+            y[rest], y[cells] = x, sign * (W.T @ (w - G @ x))
+            x = y
+        return x
 
     def solve(self, rhs_u, rhs_p):
         """Free velocity and pressure (p[0] = 0); rhs_p[0], the pinned row, is unused."""
-        if self.interior is None:
-            return self._solve_pinned(rhs_u, rhs_p)
-        W, G, H = self.interior
-        n_i = W.shape[0]
-        w = W @ rhs_u[:n_i]  # L⁻¹ F_i
-        u_e, p = self._solve_pinned(rhs_u[n_i:] - G.T @ w, rhs_p + H.T @ w)
-        return np.concatenate([W.T @ (w - G @ u_e + H @ p), u_e]), p
-
-    def _solve_pinned(self, rhs_u, rhs_p):
-        x = self.lu.solve(np.concatenate([rhs_u, rhs_p[1:]]))
-        n_u = self.num_velocity
-        return x[:n_u], np.concatenate([[0.0], x[n_u:]])
+        x = self.apply(np.concatenate([rhs_u, rhs_p[1:]]))
+        return x[: len(rhs_u)], np.concatenate([[0.0], x[len(rhs_u) :]])
 
 
-# -- factorization, by static condensation or in full ---------------------
+def _eliminate(K, cells, sign, name):
+    """Eliminate the unknowns ``cells`` (one row per cell) from symmetric K (csr).
+
+    Their block K_cc must be sign × (block-diagonal SPD), one block per
+    cell.  With K_cc = sign·L Lᵀ, W = L⁻¹ (block-diagonal too) and
+    G = W K_cr, the Schur complement on the rest is K_rr - sign·GᵀG,
+    symmetric by construction.  Returns it (csr) and the step
+    (cells, rest, W, G, sign) that `SaddleFactor.apply` replays.
+    """
+    n_cells, nb = cells.shape
+    cells = cells.ravel()
+    rest = np.setdiff1d(np.arange(K.shape[0]), cells)
+    K_c = K[cells]
+    coo = K_c[:, cells].tocoo()
+    blocks = np.zeros((n_cells, nb, nb))
+    blocks[coo.row // nb, coo.row % nb, coo.col % nb] = sign * coo.data
+    try:
+        L = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError as err:
+        lowest = np.linalg.eigvalsh(blocks)[:, 0]
+        c, kind = int(np.argmin(lowest)), "positive" if sign > 0 else "negative"
+        raise SolverError(
+            f"{name} block of cell {c} is not {kind} definite (eigenvalue {sign * lowest[c]:.3e})"
+        ) from err
+    index = np.arange(n_cells)
+    W = sparse.bsr_matrix((np.linalg.inv(L), index, np.append(index, n_cells)), shape=(n_cells * nb,) * 2)
+    G = (W @ K_c[:, rest]).tocsr()
+    return K[rest][:, rest] - sign * (G.T @ G), (cells, rest, W, G, sign)
 
 
 def factorize(system, condense=True):
     """The pinned SaddleFactor of the free saddle equations, condensed or not.
 
-    `solve` builds one; callers that do not solve may build it alone.
-    For static condensation: DofMap numbers the interior DOFs first,
-    cell-major, and none of them is fixed, so they are the first
-    ``interior_size`` free DOFs.  They couple only within their own cell:
-    A_ii is block-diagonal with one SPD block per cell.  With A_ii = L Lᵀ
-    and W = L⁻¹ (block-diagonal too), the Schur complement onto the edge
-    and pressure unknowns is a few sparse products, symmetric by
-    construction.
+    DofMap numbers the interior velocities first, cell-major, and fixes
+    none; they couple only within their cell, so A_ii is block-diagonal
+    SPD.  What is left of the pressure block, -B_i A_ii⁻¹ B_iᵀ, is
+    block-diagonal by cell too, and negative definite on each cell's
+    non-constant pressures: for v_b = 0, (∇_w·v, q) = -(v₀, ∇q).
     """
-    free = system.free
-    B_f = system.B[:, free].tocsr()
-    if not condense:
-        return SaddleFactor(patterned_velocity_block(system), -B_f.T, None, None, "sparse")
-    A_ff = system.A[free][:, free].tocsr()
-    dofmap = system.ops.dofmap
-    n_i, nb = dofmap.interior_size, 2 * dofmap.dim_cell
-    n_cells = n_i // nb
+    free, dofmap = system.free, system.ops.dofmap
+    B_f = system.B[1:][:, free]
+    A_ff = system.A[free][:, free] if condense else patterned_velocity_block(system)
+    K = sparse.bmat([[A_ff, -B_f.T], [-B_f, None]], format="csr")
+    del A_ff, B_f  # so that the peak memory of the LU holds neither
+    n_cells, n_low = system.ops.mesh.num_cells, dofmap.dim_cell_low
+    eliminations = [(np.arange(dofmap.interior_size).reshape(n_cells, -1), 1, "interior")]
+    if n_low > 1:  # numbered after the interior step: free edge DOFs, then pressures 1, 2, ...
+        pressure = len(free) - dofmap.interior_size - 1 + np.arange(n_cells * n_low)
+        eliminations.append((pressure.reshape(n_cells, n_low)[:, 1:], -1, "pressure"))
+    steps = []
+    for cells, sign, name in eliminations if condense else []:
+        K, step = _eliminate(K, cells, sign, name)
+        steps.append(step)
+    return SaddleFactor(K, steps, "condensed" if condense else "sparse")
 
-    coo = A_ff[:n_i, :n_i].tocoo()
-    blocks = np.zeros((n_cells, nb, nb))
-    blocks[coo.row // nb, coo.row % nb, coo.col % nb] = coo.data
-    try:
-        L = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError as err:
-        lowest = np.linalg.eigvalsh(blocks)[:, 0]
-        c = int(np.argmin(lowest))
-        raise SolverError(
-            f"interior block of cell {c} is not positive definite "
-            f"(smallest eigenvalue {lowest[c]:.3e})"
-        ) from err
-    cells = np.arange(n_cells)
-    W = sparse.bsr_matrix((np.linalg.inv(L), cells, np.append(cells, n_cells)), shape=(n_i, n_i))
 
-    G = (W @ A_ff[:n_i, n_i:]).tocsr()  # L⁻¹ A_ie
-    H = (W @ B_f[:, :n_i].T).tocsr()  # L⁻¹ B_iᵀ
-    S = A_ff[n_i:, n_i:] - G.T @ G
-    C = G.T @ H - B_f[:, n_i:].T
-    P = -(H.T @ H)
-    return SaddleFactor(S, C, P, (W, G, H), "condensed")
+def velocity_factor(system):
+    """A_ff's factor, interior velocities eliminated as in `factorize`: apply(f) = A_ff⁻¹ f."""
+    interior = np.arange(system.ops.dofmap.interior_size).reshape(system.ops.mesh.num_cells, -1)
+    S, step = _eliminate(system.A[system.free][:, system.free].tocsr(), interior, 1, "interior")
+    return SaddleFactor(S, [step], "velocity")
 
 
 def patterned_velocity_block(system):
     """A_ff (csr) storing every free DOF pair that shares a cell, for sparse LU.
 
-    SuperLU's column ordering reads only the stored pattern, and the bare
-    nonzeros, without the x-y couplings and the entries that cancel exactly,
-    order far worse on squares: on uniform-quad, k=1, L+U of the pinned
-    full system at n=16 is 230,352 with the pattern and 504,615 without,
-    and of A_ff alone at n=64 3.27M against 13.4M.
+    SuperLU's column ordering reads only the stored pattern; on uniform-quad,
+    k=1, n=16 the pinned full system's L+U is 230,352 with it and 504,615
+    with the bare nonzeros, which drop the x-y couplings and exact cancels.
     """
     dofmap, mesh, free = system.ops.dofmap, system.ops.mesh, system.free
     ni, ne = 2 * dofmap.dim_cell, 2 * dofmap.dim_edge

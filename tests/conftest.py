@@ -5,7 +5,7 @@ import pytest
 from scipy import linalg
 from scipy.sparse.linalg import splu
 
-from wgstokes import analysis, solver
+from wgstokes import solver
 from wgstokes.mesh import PolygonalMesh, generate_mesh
 from wgstokes.weakops import ElementOps
 
@@ -71,15 +71,14 @@ def dense_inf_sup(system):
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Shapes of the sparse LU factorizations made by `solver` and `analysis`."""
+    """Shapes of the sparse LU factorizations; `solver` makes every one."""
     calls = []
 
     def counting(matrix, *args, **kwargs):
         calls.append(matrix.shape)
         return splu(matrix, *args, **kwargs)
 
-    for module in (solver, analysis):
-        monkeypatch.setattr(module, "splu", counting)
+    monkeypatch.setattr(solver, "splu", counting)
     return calls
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, spsolve
 
 from conftest import dense_inf_sup
 from wgstokes import analysis
@@ -226,6 +226,22 @@ def test_consistency_dual_norms_positive_for_smooth_case(ops_quad_k1):
     for value in norms.values():
         assert value > 0.0
     assert norms["total"] <= norms["gradient"] + norms["pressure"] + norms["stabilizer"] + 1e-12
+
+
+@pytest.mark.parametrize("family, degree", [("uniform-quad", 1), ("perturbed-polygon", 2)])
+def test_dual_norms_match_sparse_solve(family, degree):
+    """The cell-by-cell elimination gives sqrt(L' A_ff⁻¹ L) of a plain sparse solve."""
+    case = get_case("taylor-trig")
+    ops = ElementOps(generate_mesh(family, 8, seed=0), degree)
+    system = assemble(ops)
+    vectors = consistency_functionals(ops, case)
+    vectors["random"] = np.random.default_rng(4).standard_normal(system.num_velocity_dofs)
+    free = system.free
+    A_ff = system.A[free][:, free].tocsc()
+    got = dual_norms(system, vectors)
+    for name, vec in vectors.items():
+        expected = np.sqrt(vec[free] @ spsolve(A_ff, vec[free]))
+        assert got[name] == pytest.approx(expected, rel=1e-12)
 
 
 def test_dual_norm_of_zero_vector(ops_quad_k1):

@@ -227,8 +227,10 @@ def test_infsup_table(capsys):
 
 
 def test_infsup_factorizes_once_per_level(splu_calls):
-    assert main(["infsup", "--n0", "2", "--levels", "2"]) == 0
-    assert len(splu_calls) == 2
+    for degree in ("1", "2"):
+        splu_calls.clear()
+        assert main(["infsup", "--degree", degree, "--n0", "2", "--levels", "2"]) == 0
+        assert len(splu_calls) == 2
 
 
 def test_infsup_up_to_n64(capsys):

@@ -43,11 +43,14 @@ def test_beta_recorded_by_default():
 
 
 def test_one_factorization_per_level(splu_calls):
-    """The solve's factor also serves the level's inf-sup constant."""
-    config = StudyConfig(case="poly-exact-k1", degree=1, levels=2, n0=2)
-    result = run_study(config)
-    assert len(splu_calls) == 2
-    assert all(row["beta_h"] > 0 for row in result.record.rows)
+    """The solve's factor also serves the level's inf-sup constant, at k=2
+    too, where two cell-local eliminations precede the one LU."""
+    for degree in (1, 2):
+        splu_calls.clear()
+        config = StudyConfig(case="poly-exact-k1", degree=degree, levels=2, n0=2)
+        result = run_study(config)
+        assert len(splu_calls) == 2
+        assert all(row["beta_h"] > 0 for row in result.record.rows)
 
 
 def test_rule_tables_built_once_per_level(monkeypatch):
