@@ -8,8 +8,10 @@ non-constant pressures go the same way.  What is left is a reduced system
 in the free edge unknowns plus one pressure per cell.  For each mesh the
 demo prints the unknown count before and after (43-44 % remains at
 k=1, where a cell has one pressure, and 36-38 % at k=2), the L+U fill
-of the full and the reduced LU, the largest coefficient gap between the
-two solutions (rounding level), and the wall time of each solve.
+of the full LU (``condense=False``: the same factor with no
+eliminations, of the stored nonzeros only) and of the reduced one, the
+largest coefficient gap between the two solutions (rounding level), and
+the wall time of each solve.
 """
 import numpy as np
 

@@ -1,4 +1,4 @@
-"""Saddle-point solves by cell-local elimination, or in full as a reference.
+"""Saddle-point solves by cell-local elimination, then one sparse LU.
 
 The solved system couples the free velocity DOFs (interior blocks plus
 interior-edge blocks) with the pressure DOFs:
@@ -8,14 +8,14 @@ interior-edge blocks) with the pressure DOFs:
 
 where x marks the eliminated Dirichlet DOFs.  The pressure is fixed only
 up to a constant, so pressure DOF 0 (the constant coefficient of cell 0)
-is pinned to zero and its row and column are dropped; the pinned row's
-equation follows from the others for compatible boundary data.  A shift
-by the pressure mean then sets the zero-mean gauge.  A SaddleFactor is a
-list of cell-local eliminations, then one sparse LU: by default the
-interior velocities, then each cell's non-constant pressures, leaving the
-free edge velocities and one pressure per cell.  ``condense=False``
-eliminates nothing, as the reference the condensed path is checked
-against.  `solve` hands its factor back, so β_h needs no other.
+is pinned to zero by leaving it out of the solved unknowns; its equation
+follows from the others for compatible boundary data.  A shift by the
+pressure mean then sets the zero-mean gauge.  A SaddleFactor orders the
+cell-local unknowns first and takes them off a leading block at a time
+(the interior velocities, then each cell's non-constant pressures), then
+factors the free edge velocities and one pressure per cell by sparse LU.
+``condense=False`` is the same factor with no eliminations.  `solve`
+hands its factor back, so β_h needs no other.
 """
 
 import dataclasses
@@ -45,7 +45,7 @@ class SolveReport:
     condensed: bool
     num_free_velocity: int
     num_pressure: int
-    num_reduced: int | None
+    num_reduced: int
     wall_time: float
     factor: "SaddleFactor"
 
@@ -101,60 +101,58 @@ def solve(system, condense=True):
         condensed=condense,
         num_free_velocity=len(free),
         num_pressure=system.num_pressure_dofs,
-        num_reduced=factor.lu.shape[0] + 1 if condense else None,  # with the pinned pressure
+        num_reduced=factor.lu.shape[0] + 1,  # with the pinned pressure
         wall_time=time.perf_counter() - t0,
         factor=factor,
     )
 
 
 class SaddleFactor:
-    """Cell-local eliminations of a sparse symmetric matrix, then one sparse LU.
+    """Cell-local eliminations of leading blocks of a sparse symmetric matrix, then one sparse LU.
 
-    ``steps`` are the `_eliminate` steps that reduced the matrix to K, in
-    order; `splu` factors K.  The matrix is the pinned saddle matrix
-    (`factorize`) or A_ff (`velocity_factor`).
+    The matrix (saddle matrix or A_ff) was permuted to ``order``; unknowns
+    left out of it, the pinned pressure, come out as 0.  ``steps`` are the
+    `_eliminate` steps in turn, and `splu` factors what they leave, K.
     """
 
-    def __init__(self, K, steps, what):
-        self.steps = steps
+    def __init__(self, K, order, steps, what):
+        self.order, self.steps = order, steps
         try:
             self.lu = splu(K.tocsc())
         except RuntimeError as err:  # singular factorization
             raise SolverError(f"{what} factorization failed: {err}") from err
 
     def apply(self, f):
-        """K⁻¹ f: each step's forward substitution, the LU solve, then the back substitutions."""
-        ws = []
-        for cells, rest, W, G, sign in self.steps:
-            ws.append(W @ f[cells])  # L⁻¹ f_c
-            f = f[rest] - sign * (G.T @ ws[-1])
-        x = self.lu.solve(f)
-        for (cells, rest, W, G, sign), w in zip(self.steps[::-1], ws[::-1]):
-            y = np.empty(len(cells) + len(rest))
-            y[rest], y[cells] = x, sign * (W.T @ (w - G @ x))
-            x = y
-        return x
+        """Solution for f: forward substitutions, LU solve, back substitutions, scatter."""
+        g, ws = f[self.order], []
+        for W, G, sign in self.steps:
+            ws.append(W @ g[: W.shape[0]])  # L⁻¹ f_c
+            g = g[W.shape[0] :] - sign * (G.T @ ws[-1])
+        x = self.lu.solve(g)
+        for (W, G, sign), w in zip(self.steps[::-1], ws[::-1]):
+            x = np.concatenate([sign * (W.T @ (w - G @ x)), x])
+        out = np.zeros(len(f))
+        out[self.order] = x
+        return out
 
     def solve(self, rhs_u, rhs_p):
-        """Free velocity and pressure (p[0] = 0); rhs_p[0], the pinned row, is unused."""
-        x = self.apply(np.concatenate([rhs_u, rhs_p[1:]]))
-        return x[: len(rhs_u)], np.concatenate([[0.0], x[len(rhs_u) :]])
+        """Free velocity and pressure, p[0] = 0; rhs_p[0], the pinned row, is unused."""
+        x = self.apply(np.concatenate([rhs_u, rhs_p]))
+        return x[: len(rhs_u)], x[len(rhs_u) :]
 
 
-def _eliminate(K, cells, sign, name):
-    """Eliminate the unknowns ``cells`` (one row per cell) from symmetric K (csr).
+def _eliminate(K, n_cells, n, sign, name):
+    """Eliminate the leading n unknowns of symmetric K (csr), n / n_cells per cell.
 
     Their block K_cc must be sign × (block-diagonal SPD), one block per
     cell.  With K_cc = sign·L Lᵀ, W = L⁻¹ (block-diagonal too) and
     G = W K_cr, the Schur complement on the rest is K_rr - sign·GᵀG,
     symmetric by construction.  Returns it (csr) and the step
-    (cells, rest, W, G, sign) that `SaddleFactor.apply` replays.
+    (W, G, sign) that `SaddleFactor.apply` replays.
     """
-    n_cells, nb = cells.shape
-    cells = cells.ravel()
-    rest = np.setdiff1d(np.arange(K.shape[0]), cells)
-    K_c = K[cells]
-    coo = K_c[:, cells].tocoo()
+    nb = n // n_cells
+    K_c = K[:n]
+    coo = K_c[:, :n].tocoo()
     blocks = np.zeros((n_cells, nb, nb))
     blocks[coo.row // nb, coo.row % nb, coo.col % nb] = sign * coo.data
     try:
@@ -166,60 +164,40 @@ def _eliminate(K, cells, sign, name):
             f"{name} block of cell {c} is not {kind} definite (eigenvalue {sign * lowest[c]:.3e})"
         ) from err
     index = np.arange(n_cells)
-    W = sparse.bsr_matrix((np.linalg.inv(L), index, np.append(index, n_cells)), shape=(n_cells * nb,) * 2)
-    G = (W @ K_c[:, rest]).tocsr()
-    return K[rest][:, rest] - sign * (G.T @ G), (cells, rest, W, G, sign)
+    W = sparse.bsr_matrix((np.linalg.inv(L), index, np.append(index, n_cells)), shape=(n, n))
+    G = (W @ K_c[:, n:]).tocsr()
+    return K[n:, n:] - sign * (G.T @ G), (W, G, sign)
 
 
 def factorize(system, condense=True):
-    """The pinned SaddleFactor of the free saddle equations, condensed or not.
+    """The SaddleFactor of the free saddle equations, condensed or not.
 
     DofMap numbers the interior velocities first, cell-major, and fixes
     none; they couple only within their cell, so A_ii is block-diagonal
     SPD.  What is left of the pressure block, -B_i A_ii⁻¹ B_iᵀ, is
     block-diagonal by cell too, and negative definite on each cell's
-    non-constant pressures: for v_b = 0, (∇_w·v, q) = -(v₀, ∇q).
+    non-constant pressures: for v_b = 0, (∇_w·v, q) = -(v₀, ∇q).  So the
+    order is: interior velocities, non-constant pressures (both
+    cell-major), free edge DOFs, constant pressures of cells 1, 2, ...
     """
-    free, dofmap = system.free, system.ops.dofmap
-    B_f = system.B[1:][:, free]
-    A_ff = system.A[free][:, free] if condense else patterned_velocity_block(system)
-    K = sparse.bmat([[A_ff, -B_f.T], [-B_f, None]], format="csr")
-    del A_ff, B_f  # so that the peak memory of the LU holds neither
-    n_cells, n_low = system.ops.mesh.num_cells, dofmap.dim_cell_low
-    eliminations = [(np.arange(dofmap.interior_size).reshape(n_cells, -1), 1, "interior")]
-    if n_low > 1:  # numbered after the interior step: free edge DOFs, then pressures 1, 2, ...
-        pressure = len(free) - dofmap.interior_size - 1 + np.arange(n_cells * n_low)
-        eliminations.append((pressure.reshape(n_cells, n_low)[:, 1:], -1, "pressure"))
+    free, n_i, n_cells = system.free, system.ops.dofmap.interior_size, system.ops.mesh.num_cells
+    p = len(free) + np.arange(system.num_pressure_dofs).reshape(n_cells, -1)
+    order = np.concatenate([np.arange(n_i), p[:, 1:].ravel(), np.arange(n_i, len(free)), p[1:, 0]])
+    B_f = system.B[:, free]
+    # the unpermuted K is a temporary, gone before the LU's peak memory
+    K = sparse.bmat([[system.A[free][:, free], -B_f.T], [-B_f, None]], format="csr")[order][:, order]
+    del B_f
     steps = []
-    for cells, sign, name in eliminations if condense else []:
-        K, step = _eliminate(K, cells, sign, name)
-        steps.append(step)
-    return SaddleFactor(K, steps, "condensed" if condense else "sparse")
+    for n, sign, name in [(n_i, 1, "interior"), (p[:, 1:].size, -1, "pressure")] if condense else []:
+        if n:  # a k=1 cell has no non-constant pressure
+            K, step = _eliminate(K, n_cells, n, sign, name)
+            steps.append(step)
+    return SaddleFactor(K, order, steps, "condensed" if condense else "sparse")
 
 
 def velocity_factor(system):
     """A_ff's factor, interior velocities eliminated as in `factorize`: apply(f) = A_ff⁻¹ f."""
-    interior = np.arange(system.ops.dofmap.interior_size).reshape(system.ops.mesh.num_cells, -1)
-    S, step = _eliminate(system.A[system.free][:, system.free].tocsr(), interior, 1, "interior")
-    return SaddleFactor(S, [step], "velocity")
-
-
-def patterned_velocity_block(system):
-    """A_ff (csr) storing every free DOF pair that shares a cell, for sparse LU.
-
-    SuperLU's column ordering reads only the stored pattern; on uniform-quad,
-    k=1, n=16 the pinned full system's L+U is 230,352 with it and 504,615
-    with the bare nonzeros, which drop the x-y couplings and exact cancels.
-    """
-    dofmap, mesh, free = system.ops.dofmap, system.ops.mesh, system.free
-    ni, ne = 2 * dofmap.dim_cell, 2 * dofmap.dim_edge
-    # cell-DOF incidence: each cell's interior block and its sides' edge blocks
-    rows = np.concatenate([np.repeat(np.arange(mesh.num_cells), ni), np.repeat(mesh.side_cell, ne)])
-    edge_dofs = dofmap.interior_size + mesh.side_edge[:, None] * ne + np.arange(ne)
-    cols = np.concatenate([np.arange(dofmap.interior_size), edge_dofs.ravel()])
-    shape = (mesh.num_cells, dofmap.num_velocity_dofs)
-    C = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)[:, free]
-    a, p = system.A[free][:, free].tocoo(), (C.T @ C).tocoo()
-    data = np.concatenate([a.data, np.zeros(p.nnz)])
-    rows, cols = np.concatenate([a.row, p.row]), np.concatenate([a.col, p.col])
-    return sparse.csr_matrix((data, (rows, cols)), shape=a.shape)
+    A_ff = system.A[system.free][:, system.free].tocsr()
+    n_cells, n_i = system.ops.mesh.num_cells, system.ops.dofmap.interior_size
+    S, step = _eliminate(A_ff, n_cells, n_i, 1, "interior")
+    return SaddleFactor(S, np.arange(A_ff.shape[0]), [step], "velocity")

@@ -7,9 +7,9 @@ import pathlib
 
 import pytest
 
-from wgstokes.assembly import SaddleSystem
+from wgstokes.assembly import SaddleSystem, assemble
 from wgstokes.cli import build_parser, main
-from wgstokes.solver import solve
+from wgstokes.solver import factorize, solve
 from wgstokes.spaces import PressureFunction, WeakFunction
 
 
@@ -302,7 +302,7 @@ def test_parser_defaults():
     assert args.n0 == 8 and args.levels == 3
 
 
-def test_benchmark_entry_points_resolve(ops_quad_k1):
+def test_benchmark_entry_points_resolve(ops_quad_k1, ops_quad_k2):
     """Every program name the benchmark under perfbench/ wraps or reads still exists."""
     path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -315,4 +315,9 @@ def test_benchmark_entry_points_resolve(ops_quad_k1):
     assert len(ops_quad_k1.cell_basis) == len(ops_quad_k1.cell_basis_low) == 16
     assert callable(SaddleSystem.pressure_mass)
     assert "condense" in inspect.signature(solve).parameters
+    # its "full vs condensed" check compares two different elimination sequences
+    for ops, n_steps in ((ops_quad_k1, 1), (ops_quad_k2, 2)):
+        system = assemble(ops)
+        assert factorize(system, condense=False).steps == []
+        assert len(factorize(system).steps) == n_steps
     assert callable(WeakFunction.interior) and callable(PressureFunction.cell)

@@ -1,10 +1,12 @@
-"""Full and condensed direct solves against closed-form solutions."""
+"""Full and condensed direct solves against closed-form solutions and a plain-scipy oracle."""
 
 import json
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from conftest import full_solve
 from wgstokes import solver
 from wgstokes.assembly import assemble
 from wgstokes.cases import get_case
@@ -79,15 +81,18 @@ def test_pressure_gauge_and_mass_rows(ops_quad_k2):
     ],
 )
 def test_condensed_solve_matches_full(family, degree, n, seed):
-    """Both direct paths agree, here with nonzero Dirichlet data."""
+    """Both solver paths agree with the plain-scipy full solve, here with
+    nonzero Dirichlet data."""
     case = get_case("taylor-trig")
     ops = ElementOps(generate_mesh(family, n, seed=seed), degree)
     system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
     assert np.abs(system.fixed_values).max() > 0.1
+    u, p = full_solve(system)
     full = solve(system, condense=False)
     red = solve(system)
-    assert np.abs(full.velocity.coeffs - red.velocity.coeffs).max() <= 1e-9
-    assert np.abs(full.pressure.coeffs - red.pressure.coeffs).max() <= 1e-9
+    for report in (full, red):
+        assert np.abs(report.velocity.coeffs - u).max() <= 1e-9
+        assert np.abs(report.pressure.coeffs - p).max() <= 1e-9
     assert red.condensed and not full.condensed
 
 
@@ -100,6 +105,30 @@ def test_condensed_solve_names_indefinite_cell(ops_quad_k1):
     system.A = A
     with pytest.raises(SolverError, match=r"interior block of cell 5 "):
         solve(system)
+
+
+def test_condensed_solve_names_singular_pressure_cell(ops_quad_k2):
+    """Without divergence rows a cell's non-constant pressures have a zero block."""
+    system = assemble(ops_quad_k2)
+    keep = np.ones(system.num_pressure_dofs)
+    keep[ops_quad_k2.dofmap.pressure_dofs(6)[1:]] = 0.0
+    system.B = (sparse.diags(keep) @ system.B).tocsr()
+    with pytest.raises(SolverError, match=r"pressure block of cell 6 is not negative definite "):
+        solve(system)
+
+
+@pytest.mark.parametrize("condense", [True, False])
+def test_pinned_pressure_is_left_out(ops_quad_k2, condense):
+    """The factor returns p[0] = 0 exactly and never reads rhs_p[0]."""
+    system = assemble(ops_quad_k2)
+    factor = factorize(system, condense)
+    rng = np.random.default_rng(0)
+    rhs_u, rhs_p = rng.standard_normal(len(system.free)), rng.standard_normal(system.num_pressure_dofs)
+    u, p = factor.solve(rhs_u, rhs_p)
+    assert p[0] == 0.0 and np.abs(p).max() > 0
+    rhs_p[0] += 1.0
+    u2, p2 = factor.solve(rhs_u, rhs_p)
+    assert np.array_equal(u, u2) and np.array_equal(p, p2)
 
 
 def test_residual_above_tolerance_raises(ops_quad_k1, monkeypatch):
@@ -121,16 +150,6 @@ def test_condensed_system_size(ops_quad_k1, ops_quad_k2):
         assert np.allclose(report.velocity.coeffs, 0.0, atol=1e-13)
 
 
-def test_lu_fill_stays_low():
-    """SuperLU's column ordering reads only the stored pattern; the
-    finite-element pattern that factorize(condense=False) stores keeps the
-    fill of the pinned full system low (230,352 here; 504,615 when the
-    stored x-y zeros are dropped)."""
-    system = assemble(ElementOps(generate_mesh("uniform-quad", 16), 1))
-    factor = factorize(system, condense=False)
-    assert factor.lu.L.nnz + factor.lu.U.nnz <= 300_000
-
-
 def test_condensed_lu_fill_stays_low():
     """Eliminating each cell's non-constant pressures cuts the condensed fill
     at k=3 (134,868 here; 210,575 when only the interior velocities go)."""
@@ -144,6 +163,7 @@ def test_report_serializes(system_quad_k1):
     blob = json.loads(report.to_json())
     assert blob["condensed"] is False
     assert blob["num_pressure"] == system_quad_k1.num_pressure_dofs
+    assert blob["num_reduced"] == len(system_quad_k1.free) + system_quad_k1.num_pressure_dofs
     assert blob["residual"] <= 1e-10
     assert blob["wall_time"] > 0
 
