@@ -8,10 +8,13 @@ non-constant pressures go the same way.  What is left is a reduced system
 in the free edge unknowns plus one pressure per cell.  For each mesh the
 demo prints the unknown count before and after (43-44 % remains at
 k=1, where a cell has one pressure, and 36-38 % at k=2), the L+U fill
-of the full LU (``condense=False``: the same factor with no
-eliminations, of the stored nonzeros only) and of the reduced one, the
-largest coefficient gap between the two solutions (rounding level), and
-the wall time of each solve.
+of the full LU (``condense=False``: the LU eliminates the same unknowns
+itself, in the same order) and of the reduced one, the largest
+coefficient gap between the two solutions (rounding level), and the wall
+time of each solve.  Both LUs take the edges by nested dissection with
+each cell's pressures after its last edge, so the full LU holds 1.2-2.1
+times the reduced fill (the interior rows it keeps), where a COLAMD
+column ordering gives it 2.3-4 times.
 """
 import numpy as np
 
@@ -22,10 +25,6 @@ from wgstokes.solver import solve
 from wgstokes.weakops import ElementOps
 
 case = get_case("taylor-trig")
-
-
-def fill(report):
-    return report.factor.lu.L.nnz + report.factor.lu.U.nnz
 
 
 for degree in (1, 2):
@@ -45,7 +44,7 @@ for degree in (1, 2):
             f"  n={n:<3d} unknowns {n_full} -> {red.num_reduced} "
             f"({100 * red.num_reduced / n_full:.0f}%: "
             f"{red.num_reduced - n_cells} edge + {n_cells} cell pressures)  "
-            f"L+U {fill(full)} -> {fill(red)}\n"
+            f"L+U {full.lu_fill} -> {red.lu_fill}\n"
             f"         max DOF gap {gap:.2e}  "
             f"wall {full.wall_time * 1e3:.1f}ms -> {red.wall_time * 1e3:.1f}ms"
         )

@@ -14,8 +14,14 @@ pressure mean then sets the zero-mean gauge.  A SaddleFactor orders the
 cell-local unknowns first and takes them off a leading block at a time
 (the interior velocities, then each cell's non-constant pressures), then
 factors the free edge velocities and one pressure per cell by sparse LU.
-``condense=False`` is the same factor with no eliminations.  `solve`
-hands its factor back, so β_h needs no other.
+What is left is a planar mesh graph, and the LU takes it in a nested
+dissection order of the cells (George, SIAM J. Numer. Anal. 10(2),
+1973) with each cell's pressure after the last of its edges, so no
+COLAMD ordering is run.  The pressures' zero diagonals have filled in by
+the time they are reached, and every pivot stays on the diagonal (as in
+de Niet & Wubs, IMA J. Numer. Anal. 29(1), 2009).  ``condense=False``
+leaves the eliminations to the LU.  `solve` hands its factor back, so
+β_h needs no other.
 """
 
 import dataclasses
@@ -32,6 +38,11 @@ from .spaces import PressureFunction, WeakFunction
 # Largest admissible relative algebraic residual of a solve.
 RESIDUAL_TOL = 1e-10
 
+# SuperLU keeps a diagonal pivot down to this fraction of its column's
+# largest entry.  In the dissection order every diagonal pivot passes,
+# and thresholds from 0 to 0.01 give the same factor.
+PIVOT_THRESH = 0.01
+
 
 @dataclasses.dataclass
 class SolveReport:
@@ -46,6 +57,7 @@ class SolveReport:
     num_free_velocity: int
     num_pressure: int
     num_reduced: int
+    lu_fill: int
     wall_time: float
     factor: "SaddleFactor"
 
@@ -102,6 +114,7 @@ def solve(system, condense=True):
         num_free_velocity=len(free),
         num_pressure=system.num_pressure_dofs,
         num_reduced=factor.lu.shape[0] + 1,  # with the pinned pressure
+        lu_fill=factor.lu.L.nnz + factor.lu.U.nnz,
         wall_time=time.perf_counter() - t0,
         factor=factor,
     )
@@ -118,7 +131,12 @@ class SaddleFactor:
     def __init__(self, K, order, steps, what):
         self.order, self.steps = order, steps
         try:
-            self.lu = splu(K.tocsc())
+            self.lu = splu(
+                K.tocsc(),
+                permc_spec="NATURAL",
+                diag_pivot_thresh=PIVOT_THRESH,
+                options=dict(SymmetricMode=True),
+            )
         except RuntimeError as err:  # singular factorization
             raise SolverError(f"{what} factorization failed: {err}") from err
 
@@ -178,11 +196,16 @@ def factorize(system, condense=True):
     block-diagonal by cell too, and negative definite on each cell's
     non-constant pressures: for v_b = 0, (∇_w·v, q) = -(v₀, ∇q).  So the
     order is: interior velocities, non-constant pressures (both
-    cell-major), free edge DOFs, constant pressures of cells 1, 2, ...
+    cell-major), then the free edge DOFs by `_dissection`, each cell's
+    constant pressure after its last edge (cell 0's is pinned).  Without
+    condensing, the LU takes the interior velocities first and all of a
+    cell's pressures after its last edge.
     """
     free, n_i, n_cells = system.free, system.ops.dofmap.interior_size, system.ops.mesh.num_cells
     p = len(free) + np.arange(system.num_pressure_dofs).reshape(n_cells, -1)
-    order = np.concatenate([np.arange(n_i), p[:, 1:].ravel(), np.arange(n_i, len(free)), p[1:, 0]])
+    kept = 1 if condense else p.shape[1]  # pressures per cell left to the LU
+    tail = _dissection(system.ops, p[:, :kept])
+    order = np.concatenate([np.arange(n_i), p[:, kept:].ravel(), tail])
     B_f = system.B[:, free]
     # the unpermuted K is a temporary, gone before the LU's peak memory
     K = sparse.bmat([[system.A[free][:, free], -B_f.T], [-B_f, None]], format="csr")[order][:, order]
@@ -196,8 +219,51 @@ def factorize(system, condense=True):
 
 
 def velocity_factor(system):
-    """A_ff's factor, interior velocities eliminated as in `factorize`: apply(f) = A_ff⁻¹ f."""
-    A_ff = system.A[system.free][:, system.free].tocsr()
+    """A_ff's factor, eliminated and ordered as in `factorize`: apply(f) = A_ff⁻¹ f."""
     n_cells, n_i = system.ops.mesh.num_cells, system.ops.dofmap.interior_size
-    S, step = _eliminate(A_ff, n_cells, n_i, 1, "interior")
-    return SaddleFactor(S, np.arange(A_ff.shape[0]), [step], "velocity")
+    order = np.concatenate([np.arange(n_i), _dissection(system.ops)])
+    dofs = system.free[order]
+    S, step = _eliminate(system.A[dofs][:, dofs].tocsr(), n_cells, n_i, 1, "interior")
+    return SaddleFactor(S, order, [step], "velocity")
+
+
+def _dissection(ops, cell_unknowns=None):
+    """Free edge DOFs by nested dissection of the cells, each cell's unknowns after its last edge.
+
+    The cells are split in two at the median centroid along the wider
+    side of their bounding box, and each half again, down to single
+    cells; a cell's code is its path of left (0) and right (1) halves.  A
+    free edge belongs to the separator of the split that parts its two
+    cells, and the order is left half, right half, separator: the edges
+    sort by the last leaf under their split, deeper splits first.  Each
+    edge's DOFs stay together.  Row c of ``cell_unknowns`` (n_cells, m)
+    follows cell c's last free edge, less its first entry in cell 0, the
+    pinned pressure.  A cell's pressures couple only to its own
+    velocities; once those are all eliminated, each zero diagonal has
+    filled in with -bᵀ A⁻¹ b < 0, so the pivots can stay on the diagonal.
+    """
+    mesh, n = ops.mesh, ops.mesh.num_cells
+    depth, rows, s, start = (n - 1).bit_length(), np.arange(n), np.arange(n), np.zeros(1, dtype=int)
+    code = np.zeros(n, dtype=np.int64)
+    for _ in range(depth):  # s lists the cells by code; each split's cells start at `start`
+        size = np.diff(start, append=n)
+        node = np.repeat(np.arange(len(start)), size)
+        x = mesh.centroids[s]
+        extent = np.maximum.reduceat(x, start) - np.minimum.reduceat(x, start)
+        wide = np.argmax(extent, axis=1)[node]
+        s = s[np.lexsort((x[rows, wide], node))]
+        code[s] = 2 * code[s] + (rows - start[node] >= size[node] // 2)
+        start = np.flatnonzero(np.diff(code[s], prepend=-1))
+    a, b = mesh.edge_cells[~mesh.boundary_edges].T
+    height = np.frexp(code[a] ^ code[b])[1]  # of the split that parts the edge's cells
+    last_leaf = code[a] | ((1 << height) - 1)
+    rank = np.argsort(np.argsort(last_leaf * (depth + 1) + height, kind="stable"))
+    last = np.full(n, -1)  # each cell's last free edge
+    np.maximum.at(last, np.concatenate([a, b]), np.tile(rank, 2))
+    de = 2 * ops.dofmap.dim_edge
+    unknowns = ops.dofmap.interior_size + np.arange(len(rank) * de)
+    key = np.repeat(2 * rank, de)
+    if cell_unknowns is not None:
+        unknowns = np.concatenate([unknowns, cell_unknowns.ravel()[1:]])
+        key = np.concatenate([key, np.repeat(2 * last + 1, cell_unknowns.shape[1])[1:]])
+    return unknowns[np.argsort(key, kind="stable")]

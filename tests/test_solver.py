@@ -151,11 +151,66 @@ def test_condensed_system_size(ops_quad_k1, ops_quad_k2):
 
 
 def test_condensed_lu_fill_stays_low():
-    """Eliminating each cell's non-constant pressures cuts the condensed fill
-    at k=3 (134,868 here; 210,575 when only the interior velocities go)."""
-    system = assemble(ElementOps(generate_mesh("uniform-quad", 8), 3))
-    factor = factorize(system)
-    assert factor.lu.L.nnz + factor.lu.U.nnz <= 160_000
+    """The pressure elimination and the dissection order each keep the condensed LU's fill down."""
+    for family, degree, n, bound in [
+        # L+U by dissection, under COLAMD, and with only the interior
+        # velocities eliminated: 73,850, 134,868 and 505,826 here,
+        ("uniform-quad", 3, 8, 100_000),
+        # and 581,296, 972,373 and 7,754,721 here
+        ("perturbed-polygon", 2, 16, 750_000),
+    ]:
+        system = assemble(ElementOps(generate_mesh(family, n), degree))
+        assert solve(system).lu_fill <= bound, family
+
+
+@pytest.mark.parametrize(
+    "mesh, degree",
+    [
+        pytest.param(("uniform-quad", 16), 1, id="uniform-quad-k1"),
+        pytest.param(("uniform-quad", 8), 3, id="uniform-quad-k3"),
+        pytest.param(("perturbed-polygon", 16), 2, id="perturbed-polygon-k2"),
+        pytest.param(("hexagonal", 8), 2, id="hexagonal-k2"),
+        pytest.param("hostile_mesh", 2, id="hostile-k2"),
+    ],
+)
+@pytest.mark.parametrize("condense", [True, False])
+def test_lu_keeps_diagonal_pivots(mesh, degree, condense, request):
+    """In the dissection order SuperLU interchanges no rows, condensed or not."""
+    mesh = request.getfixturevalue(mesh) if isinstance(mesh, str) else generate_mesh(*mesh)
+    lu = factorize(assemble(ElementOps(mesh, degree)), condense).lu
+    assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
+
+
+def test_dissection_order():
+    """The LU's order of the edge DOFs and cell pressures: a permutation,
+    reproducible, each edge's DOFs together, each cell's pressures after all
+    of its free edges, and the first split's separator (the interior edges
+    on x = 1/2) last among the edges."""
+    mesh = generate_mesh("uniform-quad", 16)
+    system = assemble(ElementOps(mesh, 2))
+    n_f, n_p, dofmap = len(system.free), system.num_pressure_dofs, system.ops.dofmap
+    de, interior_edges = 2 * dofmap.dim_edge, np.flatnonzero(~mesh.boundary_edges)
+    middle = interior_edges[np.all(mesh.vertices[mesh.edges[interior_edges], 0] == 0.5, axis=1)]
+    assert len(middle) == 16
+    for condense, kept in [(True, 1), (False, dofmap.dim_cell_low)]:
+        order = factorize(system, condense).order
+        assert np.array_equal(order, factorize(system, condense).order)
+        pinned = n_f  # pressure 0
+        assert np.array_equal(np.sort(order), np.delete(np.arange(n_f + n_p), pinned))
+        tail = order[len(order) - len(interior_edges) * de - mesh.num_cells * kept + 1 :]
+        is_edge = tail < n_f
+        assert tail[is_edge].min() >= dofmap.interior_size
+        edge = np.full(len(tail), -1)
+        edge[is_edge] = interior_edges[(tail[is_edge] - dofmap.interior_size) // de]
+        cell = np.where(is_edge, -1, (tail - n_f) // dofmap.dim_cell_low)
+        for c in range(mesh.num_cells):
+            mine = np.flatnonzero(cell == c)
+            assert len(mine) == kept - (c == 0)
+            edges = np.flatnonzero(np.isin(edge, mesh.cell_edges[c]))
+            assert mine.min(initial=len(tail)) > edges.max()
+        edges = edge[is_edge].reshape(-1, de)
+        assert (edges == edges[:, :1]).all()
+        assert np.array_equal(np.sort(edges[-len(middle) :, 0]), middle)
 
 
 def test_report_serializes(system_quad_k1):
@@ -164,6 +219,7 @@ def test_report_serializes(system_quad_k1):
     assert blob["condensed"] is False
     assert blob["num_pressure"] == system_quad_k1.num_pressure_dofs
     assert blob["num_reduced"] == len(system_quad_k1.free) + system_quad_k1.num_pressure_dofs
+    assert blob["lu_fill"] == report.factor.lu.L.nnz + report.factor.lu.U.nnz > blob["num_reduced"]
     assert blob["residual"] <= 1e-10
     assert blob["wall_time"] > 0
 
