@@ -35,9 +35,9 @@ for degree in (1, 2):
     )
     div_u = lambda p: 2 * p[:, 0] * p[:, 1] + 3 * p[:, 1] ** 2
 
-    v = project_velocity(ops, u, data_degree=3)
-    pg = project_gradient(ops, grad_u, data_degree=2)
-    pd = project_divergence(ops, div_u, data_degree=2)
+    v = project_velocity(ops, u)
+    pg = project_gradient(ops, grad_u)
+    pd = project_divergence(ops, div_u)
     gap_g = np.abs(ops.weak_gradient(v) - pg).max()
     gap_d = np.abs(ops.weak_divergence(v) - pd).max()
     print(f"k={degree}: commutativity gaps  gradient {gap_g:.2e}  divergence {gap_d:.2e}")

@@ -5,9 +5,9 @@ is accumulated by evaluating the weak gradient and the edge jumps at
 quadrature points, so tests comparing it against the bilinear form
 exercise two independent code paths.
 
-Conventions: errors against the exact solution use quadrature boosted to
-the data degree (or a high fixed order for transcendental data); errors
-between two discrete fields use the cell mass matrices, which are exact.
+Conventions: errors against the exact solution use the data rules of
+ElementOps (one exactness for every field); errors between two discrete
+fields use the cell mass matrices, which are exact.
 The inf-sup constant, by contrast, is algebraic: an iterative eigensolve
 that reuses the sparse factorization the level's solve already made.
 """
@@ -22,7 +22,6 @@ from .assembly import block_diagonal
 from .errors import ConfigurationError, SolverError
 from .projections import project_gradient, project_pressure, project_velocity
 from .solver import factorize, velocity_factor
-from .weakops import data_exactness
 
 # Relative accuracy asked of the Lanczos eigensolve behind beta_h.
 INF_SUP_TOL = 1e-10
@@ -88,32 +87,32 @@ def _root(total):
     return float(np.sqrt(max(total, 0.0)))
 
 
-def _l2_error(ops, exact, coeffs, data_degree):
+def _l2_error(ops, exact, coeffs):
     """L2 distance between a field and cellwise polynomials.
 
     exact maps (n, 2) points to (n, ...) values; coeffs (n_cells, ..., dim)
     holds the polynomial coefficients of each cell.
     """
-    table = ops.cell_table(data_exactness(data_degree))
+    table = ops.cell_data
     vals = table.values[:, : coeffs.shape[-1]]
     approx = np.einsum("pr,p...r->p...", vals, coeffs[table.cell])
     diff = np.asarray(exact(table.points), dtype=float) - approx
     return _root(table.weights @ (diff**2).reshape(len(diff), -1).sum(axis=1))
 
 
-def velocity_interior_error(ops, v, u, data_degree=None):
+def velocity_interior_error(ops, v, u):
     """L2 distance between an exact velocity and the interior part of v."""
-    return _l2_error(ops, u, v.v0, data_degree)
+    return _l2_error(ops, u, v.v0)
 
 
-def pressure_error(ops, p_h, p, data_degree=None):
+def pressure_error(ops, p_h, p):
     """L2 distance between an exact pressure and a discrete one."""
-    return _l2_error(ops, p, p_h.cellwise, data_degree)
+    return _l2_error(ops, p, p_h.cellwise)
 
 
-def gradient_projection_error(ops, grad_u, data_degree=None):
+def gradient_projection_error(ops, grad_u):
     """L2 distance between an exact Jacobian field and its cellwise projection."""
-    return _l2_error(ops, grad_u, project_gradient(ops, grad_u, data_degree), data_degree)
+    return _l2_error(ops, grad_u, project_gradient(ops, grad_u))
 
 
 # -- error bundles -------------------------------------------------------
@@ -140,15 +139,14 @@ class ErrorBundle:
 
 def error_bundle(ops, case, velocity, pressure):
     """Measure a discrete solution against a manufactured case."""
-    d = case.data_degree
-    qu = project_velocity(ops, case.u, d)
-    qp = project_pressure(ops, case.p, d)
+    qu = project_velocity(ops, case.u)
+    qp = project_pressure(ops, case.p)
     return ErrorBundle(
         triple_bar=triple_bar_norm(ops, qu - velocity),
         vel_l2_proj=velocity_interior_norm(ops, qu - velocity),
-        vel_l2_true=velocity_interior_error(ops, velocity, case.u, d),
+        vel_l2_true=velocity_interior_error(ops, velocity, case.u),
         pres_l2=pressure_norm(ops, qp - pressure),
-        pres_l2_true=pressure_error(ops, pressure, case.p, d),
+        pres_l2_true=pressure_error(ops, pressure, case.p),
     )
 
 
@@ -159,13 +157,12 @@ def projection_errors(ops, case):
     projection, and the gradient projection; these decay at one order
     higher than, equal to, and equal to the energy-norm rate.
     """
-    d = case.data_degree
-    qu = project_velocity(ops, case.u, d)
-    qp = project_pressure(ops, case.p, d)
+    qu = project_velocity(ops, case.u)
+    qp = project_pressure(ops, case.p)
     return {
-        "velocity": velocity_interior_error(ops, qu, case.u, d),
-        "pressure": pressure_error(ops, qp, case.p, d),
-        "gradient": gradient_projection_error(ops, case.grad_u, d),
+        "velocity": velocity_interior_error(ops, qu, case.u),
+        "pressure": pressure_error(ops, qp, case.p),
+        "gradient": gradient_projection_error(ops, case.grad_u),
     }
 
 
@@ -227,13 +224,12 @@ def consistency_functionals(ops, case):
     exact velocity.  "total" = gradient - pressure + stabilizer, the
     right-hand side of the error equation.
     """
-    d = case.data_degree
-    gproj = project_gradient(ops, case.grad_u, d)
-    pproj = project_pressure(ops, case.p, d).cellwise
-    jump = ops.trace_jump(project_velocity(ops, case.u, d))
+    gproj = project_gradient(ops, case.grad_u)
+    pproj = project_pressure(ops, case.p).cellwise
+    jump = ops.trace_jump(project_velocity(ops, case.u))
 
     cells, edges, normals = ops.mesh.side_cell, ops.mesh.side_edge, ops.mesh.side_normal
-    table = ops.edge_table(data_exactness(d))
+    table = ops.edge_data
     pts = table.points[edges]  # (n_sides, q, 2)
     flat = pts.reshape(-1, 2)
     kvals = ops.basis_values(pts, cells[:, None])  # (n_sides, q, dim_cell)
@@ -303,9 +299,8 @@ def verify_error_equation(system, case, report):
     via the dual norm of the weak divergence moments of the velocity error.
     """
     ops = system.ops
-    d = case.data_degree
-    qu = project_velocity(ops, case.u, d)
-    qp = project_pressure(ops, case.p, d)
+    qu = project_velocity(ops, case.u)
+    qp = project_pressure(ops, case.p)
     e_vec = qu.coeffs - report.velocity.coeffs
     eps_vec = qp.coeffs - report.pressure.coeffs
     phi = consistency_functionals(ops, case)["total"]

@@ -21,7 +21,6 @@ from scipy import sparse
 
 from .errors import CompatibilityError
 from .projections import project_boundary_velocity
-from .weakops import data_exactness
 
 # Largest net boundary flux of Dirichlet data that counts as compatible.
 COMPAT_TOL = 1e-10
@@ -87,9 +86,9 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
         Dirichlet data with the same signature; None means zero.  Its net
         boundary flux must vanish (|flux| <= COMPAT_TOL), otherwise a
         CompatibilityError is raised.
-    data_degree : int or None
-        Polynomial degree of the data fields, if polynomial; controls the
-        quadrature used for their moments.
+    data_degree : ignored
+        Accepted because perfbench/checks.py still passes it; every data
+        moment uses the data rules of ElementOps.
     """
     dofmap = ops.dofmap
     n_cells, nlow = ops.mesh.num_cells, dofmap.dim_cell_low
@@ -102,15 +101,15 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
 
     load = np.zeros(dofmap.num_velocity_dofs)
     if body_force is not None:
-        load[: dofmap.interior_size] = ops.cell_moments(body_force, ops.degree, data_degree).ravel()
+        load[: dofmap.interior_size] = ops.cell_moments(body_force, ops.degree).ravel()
     # the first scaled monomial is 1, so mass rows 0 hold the basis integrals
     pressure_moments = ops.mass_low[:, 0, :].ravel()
 
     fixed_mask = dofmap.boundary_velocity_mask()
     if boundary_velocity is not None:
-        bc = project_boundary_velocity(ops, boundary_velocity, data_degree)
+        bc = project_boundary_velocity(ops, boundary_velocity)
         fixed_values = bc.coeffs
-        flux = _boundary_flux(ops, boundary_velocity, data_degree)
+        flux = _boundary_flux(ops, boundary_velocity)
         if abs(flux) > COMPAT_TOL:
             raise CompatibilityError(
                 f"Dirichlet data has net boundary flux {flux:.3e} (> {COMPAT_TOL:g}); "
@@ -181,10 +180,10 @@ def _side_mass(ops):
     return ops.edge_mass[mesh.side_edge] / mesh.diameters[mesh.side_cell][:, None, None]
 
 
-def _boundary_flux(ops, g, data_degree=None):
+def _boundary_flux(ops, g):
     mesh = ops.mesh
     sides = np.nonzero(mesh.boundary_edges[mesh.side_edge])[0]
-    table = ops.edge_table(data_exactness(data_degree))
+    table = ops.edge_data
     edges = mesh.side_edge[sides]
     pts, wts = table.points[edges], table.weights[edges]
     values = np.asarray(g(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)

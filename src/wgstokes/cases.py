@@ -8,16 +8,15 @@ expressions and lambdified to vectorized callables, so nothing is
 hand-transcribed; ``verify_case`` cross-checks f against finite
 differences of u and p as an independent guard.
 
-Velocity fields built as curl of a stream function are divergence-free
-by construction.
+The registry holds the primitive expressions as strings in x and y, and
+sympy is imported only when a case is built, so importing the package or
+its command line does not pay for it.  Velocity fields built as curl of a
+stream function are divergence-free by construction.
 """
 
 import numpy as np
-import sympy as sp
 
 from .errors import ConfigurationError
-
-_X, _Y = sp.symbols("x y")
 
 
 class ManufacturedCase:
@@ -28,6 +27,7 @@ class ManufacturedCase:
     name, description, regularity : str
     data_degree : int or None
         Total polynomial degree of the data fields; None if transcendental.
+        Descriptive only: every data integral uses one rule, whatever it is.
     u, p, f, g : callables
         u, g, f map (n, 2) points to (n, 2); p maps to (n,).
     grad_u : callable
@@ -37,18 +37,21 @@ class ManufacturedCase:
     """
 
     def __init__(self, name, ux, uy, p, data_degree, regularity, description):
+        import sympy as sp
+
         self.name = name
         self.description = description
         self.regularity = regularity
         self.data_degree = data_degree
+        x, y = sp.symbols("x y")
         ux, uy, p = sp.sympify(ux), sp.sympify(uy), sp.sympify(p)
         self._sym_u = (ux, uy)
         self._sym_p = p
-        fx = -(sp.diff(ux, _X, 2) + sp.diff(ux, _Y, 2)) + sp.diff(p, _X)
-        fy = -(sp.diff(uy, _X, 2) + sp.diff(uy, _Y, 2)) + sp.diff(p, _Y)
+        fx = -(sp.diff(ux, x, 2) + sp.diff(ux, y, 2)) + sp.diff(p, x)
+        fy = -(sp.diff(uy, x, 2) + sp.diff(uy, y, 2)) + sp.diff(p, y)
         self._sym_f = (sp.factor_terms(fx), sp.factor_terms(fy))
-        grads = [[sp.diff(comp, var) for var in (_X, _Y)] for comp in (ux, uy)]
-        div = sp.factor_terms(sp.diff(ux, _X) + sp.diff(uy, _Y))
+        grads = [[sp.diff(comp, var) for var in (x, y)] for comp in (ux, uy)]
+        div = sp.factor_terms(sp.diff(ux, x) + sp.diff(uy, y))
 
         self.u = _vector_field(ux, uy)
         self.g = self.u  # Dirichlet data is the velocity trace
@@ -63,7 +66,9 @@ class ManufacturedCase:
 
 
 def _lambdify(expr):
-    fn = sp.lambdify((_X, _Y), expr, "numpy")
+    import sympy as sp
+
+    fn = sp.lambdify(sp.symbols("x y"), expr, "numpy")
 
     def call(x, y):
         out = np.asarray(fn(x, y), dtype=float)
@@ -98,43 +103,40 @@ def _tensor_field(grid):
     return call
 
 
-def _stream(psi):
-    """Divergence-free velocity as the curl of a stream function."""
-    psi = sp.sympify(psi)
-    return sp.diff(psi, _Y), -sp.diff(psi, _X)
-
+# The stream case's velocity is the curl (d/dy, -d/dx) of this bubble.
+_BUBBLE = "x**2*(1 - x)**2*y**2*(1 - y)**2"
 
 _CASE_DEFS = {
     # Rigid rotation with constant (zero) pressure: every projection is
     # reproduced exactly at k = 1 since all data lie in the discrete spaces.
     "poly-exact-k1": dict(
-        ux=_Y,
-        uy=-_X,
-        p=sp.Integer(0),
+        ux="y",
+        uy="-x",
+        p="0",
         data_degree=1,
         regularity="polynomial (degree 1)",
         description="rigid rotation, zero pressure; exact at k = 1",
     ),
     "poly-exact-k2": dict(
-        ux=_X**2 - 2 * _X * _Y,
-        uy=_Y**2 - 2 * _X * _Y,
-        p=_X + _Y - 1,
+        ux="x**2 - 2*x*y",
+        uy="y**2 - 2*x*y",
+        p="x + y - 1",
         data_degree=2,
         regularity="polynomial (degree 2)",
         description="quadratic divergence-free field, linear pressure; exact at k = 2",
     ),
     "stream-quartic": dict(
-        ux=_stream(_X**2 * (1 - _X) ** 2 * _Y**2 * (1 - _Y) ** 2)[0],
-        uy=_stream(_X**2 * (1 - _X) ** 2 * _Y**2 * (1 - _Y) ** 2)[1],
-        p=_X**3 - sp.Rational(1, 4),
+        ux=f"diff({_BUBBLE}, y)",
+        uy=f"-diff({_BUBBLE}, x)",
+        p="x**3 - 1/4",
         data_degree=7,
         regularity="polynomial (degree 7), homogeneous boundary data",
         description="curl of a biquartic bubble stream function, cubic pressure",
     ),
     "taylor-trig": dict(
-        ux=sp.sin(sp.pi * _X) * sp.cos(sp.pi * _Y),
-        uy=-sp.cos(sp.pi * _X) * sp.sin(sp.pi * _Y),
-        p=sp.cos(sp.pi * _X) * sp.cos(sp.pi * _Y),
+        ux="sin(pi*x)*cos(pi*y)",
+        uy="-cos(pi*x)*sin(pi*y)",
+        p="cos(pi*x)*cos(pi*y)",
         data_degree=None,
         regularity="analytic (trigonometric), nonzero boundary data",
         description="trigonometric cellular flow with cosine pressure",

@@ -81,7 +81,7 @@ def _run_level(config, case, level, n):
     operators and system go on return, before the next level builds its own."""
     mesh = generate_mesh(config.family, n, seed=config.seed)
     ops = ElementOps(mesh, config.degree)
-    system = assemble(ops, body_force=case.f, boundary_velocity=case.g, data_degree=case.data_degree)
+    system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
     if config.dump_prefix:
         system.dump_matrices(f"{config.dump_prefix}L{level}_")
     report = solve(system)

@@ -22,13 +22,14 @@ call.  Side stacks follow the mesh's side table (one cell seeing one of its
 edges, cell-major in loop order).  Edge-basis values at an edge's Gauss
 points are the same reference table on every edge, since both use the
 canonical parameter.  The local operators are stacks over cells or sides
-(shapes below); the scheme tables use the default exactness (2k+2 on
-cells, 2k+1 on edges), which integrates every scheme integrand exactly.
-Data integrals ask for the exactness `data_exactness` assigns; each table
-is built once per exactness and kept on the ElementOps.
+(shapes below); the scheme tables use exactness 2k+2 on cells and 2k+1
+on edges, which integrates every scheme integrand exactly.  Every data
+integral, polynomial or not, uses one more table per kind, exact to
+DATA_EXACTNESS, built on first use and kept on the ElementOps.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,18 +38,10 @@ from .errors import MeshValidationError
 from .quadrature import PolygonError, edge_rule, gauss_points, polygon_rule
 from .spaces import DofMap
 
-#: total quadrature exactness used when data is not polynomial
-NONPOLY_EXACTNESS = 20
-
-
-def data_exactness(data_degree):
-    """Rule exactness for integrals of data of total degree `data_degree`.
-
-    None (non-polynomial data) gets NONPOLY_EXACTNESS.  Else 2 * data_degree
-    covers the data times any polynomial of no higher degree; the tables'
-    own exactness covers the data times a basis of higher degree.
-    """
-    return NONPOLY_EXACTNESS if data_degree is None else 2 * data_degree
+#: total exactness of every data rule: polynomial data of degree d (at most
+#: 7 in the registry) meet a P_k basis exactly while d + k <= 20, and
+#: smooth data agree with a rule four degrees higher to rounding
+DATA_EXACTNESS = 20
 
 
 @dataclass(frozen=True)
@@ -115,9 +108,8 @@ class ElementOps:
         self.cell_basis = [CellBasis(k, center, scale) for center, scale in cells]
         self.cell_basis_low = [CellBasis(k - 1, center, scale) for center, scale in cells]
 
-        self._tables = {}
-        self.cell_quadrature = cq = self.cell_table()
-        self.edge_quadrature = eq = self.edge_table()
+        self.cell_quadrature = cq = self._cell_rules(self.cell_exactness)
+        self.edge_quadrature = eq = self._edge_rules(self.edge_exactness)
 
         vals = cq.values
         grads_low = monomial_gradients(self._local(cq.points, cq.cell), k - 1)
@@ -148,21 +140,17 @@ class ElementOps:
         """P_k basis values of `cells` (...) at points (..., 2); shape (..., dim_cell)."""
         return monomials(self._local(points, cells), self.degree)
 
-    def cell_table(self, exactness=0):
-        """Rules of all cells, exact to the given degree and the scheme's; built once."""
-        return self._table(self._cell_table, max(exactness, self.cell_exactness))
+    @cached_property
+    def cell_data(self):
+        """Rules of all cells for data integrals, exact to DATA_EXACTNESS and the scheme's."""
+        return self._cell_rules(max(DATA_EXACTNESS, self.cell_exactness))
 
-    def edge_table(self, exactness=0):
-        """Rules of all edges, exact to the given degree and the scheme's; built once."""
-        return self._table(self._edge_table, max(exactness, self.edge_exactness))
+    @cached_property
+    def edge_data(self):
+        """Rules of all edges for data integrals, exact to DATA_EXACTNESS and the scheme's."""
+        return self._edge_rules(max(DATA_EXACTNESS, self.edge_exactness))
 
-    def _table(self, build, exactness):
-        key = (build.__name__, exactness)
-        if key not in self._tables:
-            self._tables[key] = build(exactness)
-        return self._tables[key]
-
-    def _cell_table(self, exactness):
+    def _cell_rules(self, exactness):
         mesh = self.mesh
         loops = mesh.vertices[mesh.side_vertices[:, 0]]
         try:
@@ -177,7 +165,7 @@ class ElementOps:
             values=self.basis_values(rule.points, rule.owner),
         )
 
-    def _edge_table(self, exactness):
+    def _edge_rules(self, exactness):
         ends = self.mesh.vertices[self.mesh.edges]
         rule = edge_rule(ends[:, 0], ends[:, 1], exactness)
         # Gauss points of the unit reference edge, in the canonical parameter
@@ -215,23 +203,23 @@ class ElementOps:
 
     # -- data moments ------------------------------------------------------
 
-    def cell_moments(self, func, degree, data_degree=None):
+    def cell_moments(self, func, degree):
         """Integrals of `func` against the degree-`degree` basis of every cell.
 
         func maps (n, 2) points to (n,) scalars or (n, d) stacks; returns
         (n_cells, dim) or (n_cells, d, dim) accordingly.
         """
-        table = self.cell_table(data_exactness(data_degree))
+        table = self.cell_data
         f = np.asarray(func(table.points), dtype=float)
         vals = table.values[:, : space_dimension(degree)]
         return table.integrate("p...,pa->p...a", f, vals)
 
-    def edge_moments(self, func, data_degree=None):
+    def edge_moments(self, func):
         """Integrals of `func` against the edge basis of every edge.
 
         Returns (n_edges, dim_edge) or (n_edges, d, dim_edge) for (n,) or (n, d) values.
         """
-        table = self.edge_table(data_exactness(data_degree))
+        table = self.edge_data
         n, q = table.weights.shape
         f = np.asarray(func(table.points.reshape(-1, 2)), dtype=float)
         f = f.reshape((n, q) + f.shape[1:])

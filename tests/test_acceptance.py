@@ -89,9 +89,9 @@ def test_commutativity_identities(hostile_mesh):
             ops = ElementOps(mesh, degree)
             for _ in range(5):
                 field = PolyField(degree + 2, rng)
-                v = project_velocity(ops, field.u, data_degree=field.degree)
-                pg = project_gradient(ops, field.grad, data_degree=field.degree - 1)
-                pd = project_divergence(ops, field.div, data_degree=field.degree - 1)
+                v = project_velocity(ops, field.u)
+                pg = project_gradient(ops, field.grad)
+                pd = project_divergence(ops, field.div)
                 scale = max(np.abs(pg).max(), np.abs(pd).max(), 1e-30)
                 gap_g = np.abs(ops.weak_gradient(v) - pg).max()
                 gap_d = np.abs(ops.weak_divergence(v) - pd).max()
@@ -138,12 +138,10 @@ def test_polynomial_exactness(hostile_mesh):
     for degree, case_name, mesh in runs:
         case = get_case(case_name)
         ops = ElementOps(mesh, degree)
-        system = assemble(
-            ops, body_force=case.f, boundary_velocity=case.g, data_degree=case.data_degree
-        )
+        system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
         report = solve(system)
-        qu = project_velocity(ops, case.u, data_degree=case.data_degree)
-        qp = project_pressure(ops, case.p, data_degree=case.data_degree)
+        qu = project_velocity(ops, case.u)
+        qp = project_pressure(ops, case.p)
         gap_u = np.abs(report.velocity.coeffs - qu.coeffs)
         n_interior = ops.dofmap.interior_size
         worst["interior"] = max(worst["interior"], gap_u[:n_interior].max())
@@ -223,6 +221,35 @@ def test_inf_sup_stability():
         assert ratios[family] >= 0.75, (family, ratios[family])
         assert minima[family] > 0.01
     assert elapsed < 60.0
+
+
+def test_inf_sup_convergence():
+    """beta_h converges as a uniform bound predicts: on uniform quads at k=1
+    the slope of log beta_h against log h shrinks with each halving, and at
+    n=8 beta_h falls strictly with the degree k = 1, 2, 3."""
+    t0 = time.perf_counter()
+    hs, betas = [], []
+    for n in (8, 16, 32):
+        mesh = generate_mesh("uniform-quad", n)
+        hs.append(mesh.mesh_size)
+        betas.append(discrete_inf_sup(assemble(ElementOps(mesh, 1))))
+    slopes = np.diff(np.log(betas)) / np.diff(np.log(hs))
+    mesh = generate_mesh("uniform-quad", 8)
+    by_degree = [betas[0]] + [discrete_inf_sup(assemble(ElementOps(mesh, k))) for k in (2, 3)]
+    elapsed = time.perf_counter() - t0
+    shrinking = bool(np.all(np.diff(slopes) < 0))
+    falling = bool(np.all(np.diff(by_degree) < 0))
+    ok = shrinking and falling and elapsed < 10.0
+    record_acceptance(
+        "inf-sup-convergence",
+        ok,
+        elapsed,
+        f"k=1 slopes per halving {', '.join(f'{s:.3f}' for s in slopes)} (shrinking); "
+        f"n=8 beta_h for k=1..3 {', '.join(f'{b:.4f}' for b in by_degree)} (falling)",
+    )
+    assert shrinking, slopes
+    assert falling, by_degree
+    assert elapsed < 10.0
 
 
 def test_error_equation_residual(sweep):

@@ -137,7 +137,7 @@ def test_error_bundle_matches_projection_errors(ops_quad_k2):
 def test_error_bundle_near_zero_for_exact_case():
     case = get_case("poly-exact-k2")
     ops = ElementOps(generate_mesh("uniform-quad", 4), 2)
-    system = assemble(ops, body_force=case.f, boundary_velocity=case.g, data_degree=case.data_degree)
+    system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
     report = solve(system)
     bundle = error_bundle(ops, case, report.velocity, report.pressure)
     assert bundle.triple_bar <= 1e-10

@@ -10,7 +10,7 @@ from wgstokes.mesh import generate_mesh
 from wgstokes.projections import project_boundary_velocity, project_velocity
 from wgstokes.quadrature import polygon_rule
 from wgstokes.spaces import PressureFunction, WeakFunction
-from wgstokes.weakops import ElementOps, data_exactness
+from wgstokes.weakops import DATA_EXACTNESS, ElementOps
 
 from conftest import PolyField
 
@@ -107,12 +107,11 @@ def test_divergence_form_exact_for_polynomials(degree, poly_mesh_4):
     ops = ElementOps(poly_mesh_4, degree)
     rng = np.random.default_rng(degree)
     field = PolyField(degree + 1, rng)
-    v = project_velocity(ops, field.u, data_degree=field.degree)
+    v = project_velocity(ops, field.u)
     q = PressureFunction.random(ops.dofmap, rng)
     exact = 0.0
-    exactness = data_exactness(field.degree)
     for c in range(ops.mesh.num_cells):
-        rule = polygon_rule(ops.mesh.cell_vertices(c), exactness)
+        rule = polygon_rule(ops.mesh.cell_vertices(c), DATA_EXACTNESS)
         qv = ops.cell_basis_low[c].eval(rule.points) @ q.cell(c)
         exact += rule.weights @ (field.div(rule.points) * qv)
     assert np.isclose(eval_b(ops, v, q), exact, rtol=1e-12, atol=1e-13)
@@ -137,18 +136,18 @@ def test_stabilizer_energy_decays_at_projection_order():
 
 def test_incompatible_boundary_data_rejected(ops_quad_k1):
     with pytest.raises(CompatibilityError):
-        assemble(ops_quad_k1, boundary_velocity=lambda pts: pts.copy(), data_degree=1)
+        assemble(ops_quad_k1, boundary_velocity=lambda pts: pts.copy())
 
 
 def test_boundary_flux_reported_for_compatible_data(ops_quad_k1):
     g = lambda pts: np.column_stack([pts[:, 1], np.zeros(len(pts))])
-    system = assemble(ops_quad_k1, boundary_velocity=g, data_degree=1)
+    system = assemble(ops_quad_k1, boundary_velocity=g)
     assert abs(system.boundary_flux) <= 1e-12
 
 
 def test_fixed_values_are_boundary_projection(ops_quad_k2):
     g = lambda pts: np.column_stack([pts[:, 1] ** 3, pts[:, 0] ** 2])
-    system = assemble(ops_quad_k2, boundary_velocity=g, data_degree=3)
+    system = assemble(ops_quad_k2, boundary_velocity=g)
     proj = project_boundary_velocity(ops_quad_k2, g)
     assert np.allclose(system.fixed_values, proj.coeffs, atol=1e-14)
     assert np.all(system.fixed_values[~system.fixed_mask] == 0.0)
@@ -179,10 +178,10 @@ def test_divergence_rows_are_cell_local(system_quad_k1):
 def test_load_vector_is_interior_moments(ops_quad_k1):
     """Body-force moments land on interior DOFs only, matching cell_moments."""
     f = lambda pts: np.column_stack([pts[:, 0] * pts[:, 1], np.ones(len(pts))])
-    system = assemble(ops_quad_k1, body_force=f, data_degree=2)
+    system = assemble(ops_quad_k1, body_force=f)
     dm = ops_quad_k1.dofmap
     edge_dofs = np.ones(dm.num_velocity_dofs, dtype=bool)
-    all_moments = ops_quad_k1.cell_moments(f, ops_quad_k1.degree, data_degree=2)
+    all_moments = ops_quad_k1.cell_moments(f, ops_quad_k1.degree)
     for c, moments in enumerate(all_moments):
         idx = dm.interior_dofs(c)
         edge_dofs[idx] = False

@@ -1,6 +1,9 @@
 """Manufactured-solution registry: self-consistency and lookup behavior."""
 
 import copy
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +40,14 @@ def test_unknown_case_lists_alternatives():
 
 def test_case_lookup_is_cached():
     assert get_case("taylor-trig") is get_case("taylor-trig")
+
+
+def test_sympy_is_not_imported_by_the_cli():
+    # only building a case needs sympy; the package and its CLI import without it
+    code = "import sys, wgstokes.cli\nprint('sympy' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
 
 
 def test_data_degrees():

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from wgstokes.assembly import SaddleSystem, assemble
+from wgstokes.cases import get_case
 from wgstokes.cli import build_parser, main
 from wgstokes.solver import factorize, solve
 from wgstokes.spaces import PressureFunction, WeakFunction
@@ -314,6 +315,9 @@ def test_benchmark_entry_points_resolve(ops_quad_k1, ops_quad_k2):
     # what perfbench/checks.py reads
     assert len(ops_quad_k1.cell_basis) == len(ops_quad_k1.cell_basis_low) == 16
     assert callable(SaddleSystem.pressure_mass)
+    # it passes the case's data degree to assemble, which accepts and ignores it
+    assert "data_degree" in inspect.signature(assemble).parameters
+    assert get_case("poly-exact-k2").data_degree == 2
     assert "condense" in inspect.signature(solve).parameters
     # its "full vs condensed" check compares two different elimination sequences
     for ops, n_steps in ((ops_quad_k1, 1), (ops_quad_k2, 2)):

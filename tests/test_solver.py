@@ -34,9 +34,9 @@ def test_constant_boundary_data_reproduced(ops_quad_k1):
     """Rigid translation: u = (a, b) everywhere, zero pressure."""
     ops = ops_quad_k1
     g = lambda pts: np.tile([0.7, -0.3], (len(pts), 1))
-    system = assemble(ops, boundary_velocity=g, data_degree=0)
+    system = assemble(ops, boundary_velocity=g)
     report = solve(system)
-    exact = project_velocity(ops, g, data_degree=0)
+    exact = project_velocity(ops, g)
     assert np.abs(report.velocity.coeffs - exact.coeffs).max() <= 1e-10
     assert np.abs(report.pressure.coeffs).max() <= 1e-10
 
@@ -50,10 +50,10 @@ def test_polynomial_solutions_reproduced(case_name, degree, family):
     """Velocity in [P_k]^2 with pressure in P_{k-1} is solved exactly."""
     case = get_case(case_name)
     ops = ElementOps(generate_mesh(family, 4, seed=2), degree)
-    system = assemble(ops, body_force=case.f, boundary_velocity=case.g, data_degree=case.data_degree)
+    system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
     report = solve(system)
-    u_exact = project_velocity(ops, case.u, data_degree=case.data_degree)
-    p_exact = project_pressure(ops, case.p, data_degree=case.data_degree)
+    u_exact = project_velocity(ops, case.u)
+    p_exact = project_pressure(ops, case.p)
     u_scale = max(np.abs(u_exact.coeffs).max(), 1.0)
     assert np.abs(report.velocity.coeffs - u_exact.coeffs).max() <= 1e-9 * u_scale
     assert np.abs(report.pressure.coeffs - p_exact.coeffs).max() <= 1e-9
@@ -226,7 +226,7 @@ def test_report_serializes(system_quad_k1):
 
 def test_residuals_reported_small(ops_quad_k2):
     case = get_case("stream-quartic")
-    system = assemble(ops_quad_k2, body_force=case.f, boundary_velocity=case.g, data_degree=case.data_degree)
+    system = assemble(ops_quad_k2, body_force=case.f, boundary_velocity=case.g)
     report = solve(system)
     assert report.residual <= 1e-10
     assert report.momentum_residual < 1e-8

@@ -54,7 +54,8 @@ def test_one_factorization_per_level(splu_calls):
 
 
 def test_rule_tables_built_once_per_level(monkeypatch):
-    """Each level builds its scheme tables and one data table per kind, no more."""
+    """Each level builds its scheme tables and one data table per kind, no
+    more, whether the case's data are polynomial or not."""
     calls = {"polygon_rule": 0, "edge_rule": 0}
     for name in calls:
         builder = getattr(weakops, name)
@@ -64,8 +65,10 @@ def test_rule_tables_built_once_per_level(monkeypatch):
             return builder(*args, **kwargs)
 
         monkeypatch.setattr(weakops, name, counted)
-    run_study(StudyConfig(case="taylor-trig", n0=2, levels=2))
-    assert calls == {"polygon_rule": 4, "edge_rule": 4}
+    for case in ("taylor-trig", "poly-exact-k1"):
+        calls.update(polygon_rule=0, edge_rule=0)
+        run_study(StudyConfig(case=case, n0=2, levels=2))
+        assert calls == {"polygon_rule": 4, "edge_rule": 4}, case
 
 
 def test_default_grid_covers_both_axes():

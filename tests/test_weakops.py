@@ -6,6 +6,7 @@ import pytest
 from wgstokes import quadrature, weakops
 from wgstokes.assembly import eval_grad_product, eval_s
 from wgstokes.basis import EdgeBasis
+from wgstokes.cases import case_names, get_case
 from wgstokes.errors import MeshValidationError
 from wgstokes.mesh import PolygonalMesh, generate_mesh
 from wgstokes.quadrature import PolygonError, edge_rule, polygon_rule
@@ -15,7 +16,7 @@ from wgstokes.projections import (
     project_velocity,
 )
 from wgstokes.spaces import WeakFunction
-from wgstokes.weakops import ElementOps
+from wgstokes.weakops import DATA_EXACTNESS, ElementOps
 
 from conftest import PolyField
 
@@ -70,7 +71,7 @@ def test_stacks_match_per_cell_reference(degree, poly_mesh_4, hostile_mesh):
 
 def test_constant_field_has_zero_operators(ops_quad_k1):
     ops = ops_quad_k1
-    v = project_velocity(ops, lambda pts: np.tile([2.0, -3.0], (len(pts), 1)), data_degree=0)
+    v = project_velocity(ops, lambda pts: np.tile([2.0, -3.0], (len(pts), 1)))
     assert np.allclose(ops.weak_gradient(v), 0.0, atol=1e-13)
     assert np.allclose(ops.weak_divergence(v), 0.0, atol=1e-13)
     assert np.allclose(ops.trace_jump(v), 0.0, atol=1e-13)
@@ -81,7 +82,7 @@ def test_linear_field_gradient_oracle(ops_name, request):
     """For u = (x, 0) the weak gradient is identically [[1,0],[0,0]]."""
     ops = request.getfixturevalue(ops_name)
     u = lambda pts: np.column_stack([pts[:, 0], np.zeros(len(pts))])
-    v = project_velocity(ops, u, data_degree=1)
+    v = project_velocity(ops, u)
     grads = ops.weak_gradient(v)
     for c in range(ops.mesh.num_cells):
         g = grads[c]
@@ -93,7 +94,7 @@ def test_linear_field_gradient_oracle(ops_name, request):
 def test_linear_field_divergence_oracle(ops_quad_k1):
     """u = (x, y) has weak divergence identically 2."""
     ops = ops_quad_k1
-    v = project_velocity(ops, lambda pts: pts.copy(), data_degree=1)
+    v = project_velocity(ops, lambda pts: pts.copy())
     for c, d in enumerate(ops.weak_divergence(v)):
         pts = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness).points[:4]
         vals = ops.cell_basis_low[c].eval(pts) @ d
@@ -104,7 +105,7 @@ def test_projected_quadratic_on_unit_cell():
     """k=1 weak operators see the P0 shadow of grad (x^2, 0) on the unit square."""
     ops = ElementOps(generate_mesh("uniform-quad", 1), 1)
     u = lambda pts: np.column_stack([pts[:, 0] ** 2, np.zeros(len(pts))])
-    v = project_velocity(ops, u, data_degree=2)
+    v = project_velocity(ops, u)
     g = ops.weak_gradient(v)[0]
     mid = np.array([[0.5, 0.5]])
     vals = _grad_values(ops, g, 0, mid)
@@ -134,7 +135,7 @@ def test_stabilizer_vanishes_for_conforming_linears(ops_quad_k2):
     """A projected polynomial of degree <= k has matching traces, so s(v,v)=0."""
     ops = ops_quad_k2
     u = lambda pts: np.column_stack([1 + pts[:, 0] - 2 * pts[:, 1], pts[:, 1] ** 2])
-    v = project_velocity(ops, u, data_degree=2)
+    v = project_velocity(ops, u)
     assert eval_s(ops, v, v) < 1e-24
 
 
@@ -143,7 +144,7 @@ def test_stabilizer_single_edge_oracle(ops_quad_k1):
     ops = ops_quad_k1
     e = int(np.nonzero(~ops.mesh.boundary_edges)[0][0])
     v = WeakFunction.zeros(ops.dofmap)
-    one = ops.solve_edge_mass(ops.edge_moments(lambda pts: np.ones(len(pts)), 0))[e]
+    one = ops.solve_edge_mass(ops.edge_moments(lambda pts: np.ones(len(pts))))[e]
     v.edge(e)[0] = one
     length = ops.mesh.edge_lengths()[e]
     expected = sum(
@@ -167,9 +168,9 @@ def test_commutativity_fixed_polynomial(ops_name, request):
         axis=1,
     )
     div = lambda pts: 3 * pts[:, 0] ** 2 * pts[:, 1]
-    v = project_velocity(ops, u, data_degree=4)
-    pg = project_gradient(ops, grad, data_degree=3)
-    pd = project_divergence(ops, div, data_degree=3)
+    v = project_velocity(ops, u)
+    pg = project_gradient(ops, grad)
+    pd = project_divergence(ops, div)
     assert np.allclose(ops.weak_gradient(v), pg, atol=1e-12)
     assert np.allclose(ops.weak_divergence(v), pd, atol=1e-12)
 
@@ -180,9 +181,9 @@ def test_commutativity_random_fields(degree, poly_mesh_4):
     rng = np.random.default_rng(17)
     for _ in range(3):
         field = PolyField(degree + 2, rng)
-        v = project_velocity(ops, field.u, data_degree=field.degree)
-        pg = project_gradient(ops, field.grad, data_degree=field.degree - 1)
-        pd = project_divergence(ops, field.div, data_degree=field.degree - 1)
+        v = project_velocity(ops, field.u)
+        pg = project_gradient(ops, field.grad)
+        pd = project_divergence(ops, field.div)
         scale = max(np.abs(pg).max(), 1.0)
         assert np.abs(ops.weak_gradient(v) - pg).max() <= 1e-12 * scale
         assert np.abs(ops.weak_divergence(v) - pd).max() <= 1e-12 * scale
@@ -215,3 +216,28 @@ def test_interior_gradient_controlled_by_energy():
             worst = max(worst, broken / energy)
         maxima.append(worst)
     assert maxima[1] <= 10 * maxima[0]
+
+
+@pytest.mark.parametrize("family", ["uniform-quad", "perturbed-polygon"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_data_rule_at_rounding_floor(family, degree, monkeypatch):
+    """Why DATA_EXACTNESS suffices: for every registered case, the data moments
+    (cell moments of f, u and p, edge moments of u) agree with those of a rule
+    four degrees higher to 1e-12 relative."""
+    mesh = generate_mesh(family, 4, seed=0)
+    ops = ElementOps(mesh, degree)
+    ops.cell_data, ops.edge_data  # built now, at DATA_EXACTNESS
+    monkeypatch.setattr(weakops, "DATA_EXACTNESS", DATA_EXACTNESS + 4)
+    finer = ElementOps(mesh, degree)
+    assert len(finer.cell_data.weights) > len(ops.cell_data.weights)
+    assert finer.edge_data.weights.shape[1] > ops.edge_data.weights.shape[1]
+    for name in case_names():
+        case = get_case(name)
+        for moments in (
+            lambda o: o.cell_moments(case.f, degree),
+            lambda o: o.cell_moments(case.u, degree),
+            lambda o: o.cell_moments(case.p, degree - 1),
+            lambda o: o.edge_moments(case.u),
+        ):
+            got, ref = moments(ops), moments(finer)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
