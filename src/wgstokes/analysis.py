@@ -91,13 +91,18 @@ def _l2_error(ops, exact, coeffs):
     """L2 distance between a field and cellwise polynomials.
 
     exact maps (n, 2) points to (n, ...) values; coeffs (n_cells, ..., dim)
-    holds the polynomial coefficients of each cell.
+    holds the polynomial coefficients of each cell.  The approximation is
+    subtracted from a copy of the field one basis column at a time, through
+    one reused (n, ...) buffer.
     """
     table = ops.cell_data
-    vals = table.values[:, : coeffs.shape[-1]]
-    approx = np.einsum("pr,p...r->p...", vals, coeffs[table.cell])
-    diff = np.asarray(exact(table.points), dtype=float) - approx
-    return _root(table.weights @ (diff**2).reshape(len(diff), -1).sum(axis=1))
+    diff = np.array(exact(table.points), dtype=float).reshape(len(table.cell), -1)
+    columns = np.moveaxis(coeffs.reshape(len(coeffs), diff.shape[1], -1), -1, 0)
+    term = np.empty_like(diff)
+    for r, column in enumerate(columns):
+        np.take(column, table.cell, axis=0, out=term, mode="clip")  # "clip": unbuffered
+        diff -= np.multiply(term, table.values[:, r, None], out=term)
+    return _root(np.einsum("p,pi,pi->", table.weights, diff, diff))
 
 
 def velocity_interior_error(ops, v, u):

@@ -18,9 +18,10 @@ What is left is a planar mesh graph, and the LU takes it in a nested
 dissection order of the cells (George, SIAM J. Numer. Anal. 10(2),
 1973) with each cell's pressure after the last of its edges, so no
 COLAMD ordering is run.  The pressures' zero diagonals have filled in by
-the time they are reached, and every pivot stays on the diagonal (as in
-de Niet & Wubs, IMA J. Numer. Anal. 29(1), 2009).  ``condense=False``
-leaves the eliminations to the LU.  `solve` hands its factor back, so
+the time they are reached, and with each cell's pressures scaled by 1/h_T
+every pivot stays on the diagonal at every mesh size (as in de Niet &
+Wubs, IMA J. Numer. Anal. 29(1), 2009).  ``condense=False`` leaves the
+eliminations to the LU.  `solve` hands its factor back, so
 β_h needs no other.
 """
 
@@ -39,7 +40,8 @@ from .spaces import PressureFunction, WeakFunction
 RESIDUAL_TOL = 1e-10
 
 # SuperLU keeps a diagonal pivot down to this fraction of its column's
-# largest entry.  In the dissection order every diagonal pivot passes,
+# largest entry.  In the dissection order, with each cell's pressures
+# scaled by its diameter, every diagonal pivot passes at every mesh size,
 # and thresholds from 0 to 0.01 give the same factor.
 PIVOT_THRESH = 0.01
 
@@ -114,7 +116,7 @@ def solve(system, condense=True):
         num_free_velocity=len(free),
         num_pressure=system.num_pressure_dofs,
         num_reduced=factor.lu.shape[0] + 1,  # with the pinned pressure
-        lu_fill=factor.lu.L.nnz + factor.lu.U.nnz,
+        lu_fill=factor.lu.nnz,  # SuperLU's own count: factor.lu.L and .U are copies
         wall_time=time.perf_counter() - t0,
         factor=factor,
     )
@@ -123,13 +125,14 @@ def solve(system, condense=True):
 class SaddleFactor:
     """Cell-local eliminations of leading blocks of a sparse symmetric matrix, then one sparse LU.
 
-    The matrix (saddle matrix or A_ff) was permuted to ``order``; unknowns
-    left out of it, the pinned pressure, come out as 0.  ``steps`` are the
+    The matrix (saddle matrix or A_ff) was scaled to D K D on both sides
+    by ``scale`` (in ``order``) and permuted to ``order``; unknowns left
+    out of it, the pinned pressure, come out as 0.  ``steps`` are the
     `_eliminate` steps in turn, and `splu` factors what they leave, K.
     """
 
-    def __init__(self, K, order, steps, what):
-        self.order, self.steps = order, steps
+    def __init__(self, K, order, steps, what, scale=1.0):
+        self.order, self.steps, self.scale = order, steps, scale
         try:
             self.lu = splu(
                 K.tocsc(),
@@ -142,7 +145,7 @@ class SaddleFactor:
 
     def apply(self, f):
         """Solution for f: forward substitutions, LU solve, back substitutions, scatter."""
-        g, ws = f[self.order], []
+        g, ws = f[self.order] * self.scale, []
         for W, G, sign in self.steps:
             ws.append(W @ g[: W.shape[0]])  # L⁻¹ f_c
             g = g[W.shape[0] :] - sign * (G.T @ ws[-1])
@@ -150,7 +153,7 @@ class SaddleFactor:
         for (W, G, sign), w in zip(self.steps[::-1], ws[::-1]):
             x = np.concatenate([sign * (W.T @ (w - G @ x)), x])
         out = np.zeros(len(f))
-        out[self.order] = x
+        out[self.order] = x * self.scale
         return out
 
     def solve(self, rhs_u, rhs_p):
@@ -200,13 +203,19 @@ def factorize(system, condense=True):
     constant pressure after its last edge (cell 0's is pinned).  Without
     condensing, the LU takes the interior velocities first and all of a
     cell's pressures after its last edge.
+
+    Cell T's pressures are scaled by 1/h_T.  A pressure pivot, -bᵀA⁻¹b, is
+    O(h²) and its column's largest entry, a coupling to an edge velocity,
+    O(h), so unscaled the pivot ratio falls like h; scaled, both are O(1).
     """
     free, n_i, n_cells = system.free, system.ops.dofmap.interior_size, system.ops.mesh.num_cells
     p = len(free) + np.arange(system.num_pressure_dofs).reshape(n_cells, -1)
     kept = 1 if condense else p.shape[1]  # pressures per cell left to the LU
     tail = _dissection(system.ops, p[:, :kept])
     order = np.concatenate([np.arange(n_i), p[:, kept:].ravel(), tail])
-    B_f = system.B[:, free]
+    scale = np.ones(len(free) + system.num_pressure_dofs)
+    scale[len(free) :] = np.repeat(1 / system.ops.mesh.diameters, p.shape[1])
+    B_f = sparse.diags(scale[len(free) :]) @ system.B[:, free]
     # the unpermuted K is a temporary, gone before the LU's peak memory
     K = sparse.bmat([[system.A[free][:, free], -B_f.T], [-B_f, None]], format="csr")[order][:, order]
     del B_f
@@ -215,7 +224,7 @@ def factorize(system, condense=True):
         if n:  # a k=1 cell has no non-constant pressure
             K, step = _eliminate(K, n_cells, n, sign, name)
             steps.append(step)
-    return SaddleFactor(K, order, steps, "condensed" if condense else "sparse")
+    return SaddleFactor(K, order, steps, "condensed" if condense else "sparse", scale[order])
 
 
 def velocity_factor(system):

@@ -25,7 +25,9 @@ canonical parameter.  The local operators are stacks over cells or sides
 (shapes below); the scheme tables use exactness 2k+2 on cells and 2k+1
 on edges, which integrates every scheme integrand exactly.  Every data
 integral, polynomial or not, uses one more table per kind, exact to
-DATA_EXACTNESS, built on first use and kept on the ElementOps.
+DATA_EXACTNESS, built on first use and kept on the ElementOps.  Data
+moments are reduced one basis column at a time, so beside the table they
+hold only (points, components) arrays, never one per basis function.
 """
 
 from dataclasses import dataclass
@@ -39,9 +41,10 @@ from .quadrature import PolygonError, edge_rule, gauss_points, polygon_rule
 from .spaces import DofMap
 
 #: total exactness of every data rule: polynomial data of degree d (at most
-#: 7 in the registry) meet a P_k basis exactly while d + k <= 20, and
-#: smooth data agree with a rule four degrees higher to rounding
-DATA_EXACTNESS = 20
+#: 7 in the registry) meet a P_k basis exactly while d + k <= 12, so up to
+#: k = 5, and smooth data agree with a rule four degrees higher to rounding
+#: (test_data_rule_at_rounding_floor; at 10 they do not)
+DATA_EXACTNESS = 12
 
 
 @dataclass(frozen=True)
@@ -207,12 +210,19 @@ class ElementOps:
         """Integrals of `func` against the degree-`degree` basis of every cell.
 
         func maps (n, 2) points to (n,) scalars or (n, d) stacks; returns
-        (n_cells, dim) or (n_cells, d, dim) accordingly.
+        (n_cells, dim) or (n_cells, d, dim) accordingly.  One basis column
+        is reduced at a time, into one reused (n, d) product.
         """
         table = self.cell_data
         f = np.asarray(func(table.points), dtype=float)
-        vals = table.values[:, : space_dimension(degree)]
-        return table.integrate("p...,pa->p...a", f, vals)
+        per_point = (-1,) + (1,) * (f.ndim - 1)  # an (n,) array against (n, ...) values
+        f = table.weights.reshape(per_point) * f
+        out = np.empty((len(table.starts),) + f.shape[1:] + (space_dimension(degree),))
+        product = np.empty_like(f)
+        for a in range(out.shape[-1]):
+            np.multiply(f, table.values[:, a].reshape(per_point), out=product)
+            out[..., a] = np.add.reduceat(product, table.starts, axis=0)
+        return out
 
     def edge_moments(self, func):
         """Integrals of `func` against the edge basis of every edge.

@@ -1,5 +1,7 @@
 """Norms, rate fitting, inf-sup estimation, and the convergence record."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence, spsolve
@@ -19,6 +21,7 @@ from wgstokes.analysis import (
     projection_errors,
     rate_label,
     triple_bar_norm,
+    velocity_interior_error,
     verify_error_equation,
     weak_divergence_norm,
 )
@@ -26,6 +29,7 @@ from wgstokes.assembly import assemble, eval_grad_product, eval_s
 from wgstokes.cases import ManufacturedCase, get_case
 from wgstokes.errors import ConfigurationError, SolverError
 from wgstokes.mesh import generate_mesh
+from wgstokes.projections import project_velocity
 from wgstokes.solver import factorize, solve
 from wgstokes.spaces import WeakFunction
 from wgstokes.weakops import ElementOps
@@ -145,6 +149,29 @@ def test_error_bundle_near_zero_for_exact_case():
     assert bundle.pres_l2 <= 1e-10
     d = bundle.as_dict()
     assert set(d) == {"triple_bar", "vel_l2_proj", "vel_l2_true", "pres_l2", "pres_l2_true"}
+
+
+@pytest.mark.parametrize("family, degree", [("perturbed-polygon", 2), ("uniform-quad", 3)])
+def test_data_kernels_stay_within_five_fields(family, degree):
+    """Beside the data tables, a data moment and an L2 error against the exact
+    field hold at most 5 (points, 2) fields at once: no (points, 2, dim) array."""
+    ops = ElementOps(generate_mesh(family, 8), degree)
+    case = get_case("taylor-trig")
+    field = ops.cell_data.points.nbytes  # one (points, 2) float field
+    ops.edge_data  # both tables are built before the measurement
+    runs = {
+        "moments": lambda: ops.cell_moments(case.f, degree),
+        "error": lambda: velocity_interior_error(ops, project_velocity(ops, case.u), case.u),
+    }
+    for name, run in runs.items():
+        run()  # first calls may allocate caches of their own
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * field, (name, peak / field)
 
 
 # -- inf-sup ------------------------------------------------------------

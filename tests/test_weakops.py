@@ -219,7 +219,7 @@ def test_interior_gradient_controlled_by_energy():
 
 
 @pytest.mark.parametrize("family", ["uniform-quad", "perturbed-polygon"])
-@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2, 3])
 def test_data_rule_at_rounding_floor(family, degree, monkeypatch):
     """Why DATA_EXACTNESS suffices: for every registered case, the data moments
     (cell moments of f, u and p, edge moments of u) agree with those of a rule
