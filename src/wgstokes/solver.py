@@ -128,14 +128,16 @@ class SaddleFactor:
     The matrix (saddle matrix or A_ff) was scaled to D K D on both sides
     by ``scale`` (in ``order``) and permuted to ``order``; unknowns left
     out of it, the pinned pressure, come out as 0.  ``steps`` are the
-    `_eliminate` steps in turn, and `splu` factors what they leave, K.
+    `_eliminate` steps in turn, and `splu` factors what they leave, K, in
+    csc: its caller converts it, so that no csr copy is held under the LU.
     """
 
     def __init__(self, K, order, steps, what, scale=1.0):
-        self.order, self.steps, self.scale = order, steps, scale
+        self.order, self.steps = order, steps
+        self.scale = np.broadcast_to(scale, order.shape)
         try:
             self.lu = splu(
-                K.tocsc(),
+                K,
                 permc_spec="NATURAL",
                 diag_pivot_thresh=PIVOT_THRESH,
                 options=dict(SymmetricMode=True),
@@ -143,23 +145,39 @@ class SaddleFactor:
         except RuntimeError as err:  # singular factorization
             raise SolverError(f"{what} factorization failed: {err}") from err
 
-    def apply(self, f):
-        """Solution for f: forward substitutions, LU solve, back substitutions, scatter."""
-        g, ws = f[self.order] * self.scale, []
-        for W, G, sign in self.steps:
+    def apply(self, f, skip=0):
+        """Solution for f: forward substitutions, LU solve, back substitutions, scatter.
+
+        The first `skip` steps must meet a zero block of f, and their
+        unknowns come out as 0: both of their substitutions are left out.
+        """
+        n = sum(W.shape[0] for W, _, _ in self.steps[:skip])
+        order, scale, steps = self.order[n:], self.scale[n:], self.steps[skip:]
+        g, ws = f[order] * scale, []
+        for W, G, sign in steps:
             ws.append(W @ g[: W.shape[0]])  # L⁻¹ f_c
             g = g[W.shape[0] :] - sign * (G.T @ ws[-1])
         x = self.lu.solve(g)
-        for (W, G, sign), w in zip(self.steps[::-1], ws[::-1]):
+        for (W, G, sign), w in zip(steps[::-1], ws[::-1]):
             x = np.concatenate([sign * (W.T @ (w - G @ x)), x])
         out = np.zeros(len(f))
-        out[self.order] = x * self.scale
+        out[order] = x * scale
         return out
 
     def solve(self, rhs_u, rhs_p):
         """Free velocity and pressure, p[0] = 0; rhs_p[0], the pinned row, is unused."""
         x = self.apply(np.concatenate([rhs_u, rhs_p]))
         return x[: len(rhs_u)], x[len(rhs_u) :]
+
+    def pressure(self, rhs_p):
+        """solve(0, rhs_p)'s pressure, bit for bit, without its velocity substitutions.
+
+        A leading positive definite step eliminates velocities (the
+        interior ones): they have a zero right-hand side and are not returned.
+        """
+        skip = int(bool(self.steps) and self.steps[0][2] > 0)
+        n_u = len(self.order) + 1 - len(rhs_p)  # the order leaves out the pinned pressure
+        return self.apply(np.concatenate([np.zeros(n_u), rhs_p]), skip)[n_u:]
 
 
 def _eliminate(K, n_cells, n, sign, name):
@@ -224,6 +242,7 @@ def factorize(system, condense=True):
         if n:  # a k=1 cell has no non-constant pressure
             K, step = _eliminate(K, n_cells, n, sign, name)
             steps.append(step)
+    K = K.tocsc()  # the csr goes before the LU
     return SaddleFactor(K, order, steps, "condensed" if condense else "sparse", scale[order])
 
 
@@ -233,6 +252,7 @@ def velocity_factor(system):
     order = np.concatenate([np.arange(n_i), _dissection(system.ops)])
     dofs = system.free[order]
     S, step = _eliminate(system.A[dofs][:, dofs].tocsr(), n_cells, n_i, 1, "interior")
+    S = S.tocsc()  # the csr goes before the LU
     return SaddleFactor(S, order, [step], "velocity")
 
 

@@ -25,9 +25,11 @@ canonical parameter.  The local operators are stacks over cells or sides
 (shapes below); the scheme tables use exactness 2k+2 on cells and 2k+1
 on edges, which integrates every scheme integrand exactly.  Every data
 integral, polynomial or not, uses one more table per kind, exact to
-DATA_EXACTNESS, built on first use and kept on the ElementOps.  Data
-moments are reduced one basis column at a time, so beside the table they
-hold only (points, components) arrays, never one per basis function.
+DATA_EXACTNESS, built on first use and cached on the ElementOps until its
+owner deletes it (a study level drops the cell table across the solve).
+Every cell integral, the masses and moments here as well as the data
+moments, is reduced one basis column at a time, so beside the table it
+holds only (points, components) arrays, never one per basis function.
 """
 
 from dataclasses import dataclass
@@ -59,14 +61,21 @@ class CellTable:
     starts: np.ndarray
     values: np.ndarray
 
-    def integrate(self, subscripts, first, *rest):
-        """Per-cell integrals of einsum(subscripts, first, *rest), points on axis 0.
+    def integrate(self, field, columns):
+        """Per-cell integrals of field (N, ...) times each column of columns (N, m).
 
-        The weights scale `first`, so the einsum result is the one (N, ...)
-        temporary; the integrals have shape (n_cells, ...).
+        Returns (n_cells, ..., m).  The weights scale a copy of the field
+        once, and one column is reduced at a time through one reused
+        (N, ...) product, so no (N, ..., m) array is ever built.
         """
-        weighted = self.weights.reshape((-1,) + (1,) * (np.ndim(first) - 1)) * first
-        return np.add.reduceat(np.einsum(subscripts, weighted, *rest), self.starts, axis=0)
+        per_point = (-1,) + (1,) * (np.ndim(field) - 1)  # an (N,) array against (N, ...) values
+        f = self.weights.reshape(per_point) * field
+        out = np.empty((len(self.starts),) + f.shape[1:] + (columns.shape[1],))
+        product = np.empty_like(f)
+        for a in range(columns.shape[1]):
+            np.multiply(f, columns[:, a].reshape(per_point), out=product)
+            out[..., a] = np.add.reduceat(product, self.starts, axis=0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -115,13 +124,12 @@ class ElementOps:
         self.edge_quadrature = eq = self._edge_rules(self.edge_exactness)
 
         vals = cq.values
-        grads_low = monomial_gradients(self._local(cq.points, cq.cell), k - 1)
-        grads_low /= mesh.diameters[cq.cell][:, None, None]
-        self.mass = cq.integrate("pa,pb->pab", vals, vals)
+        self.mass = cq.integrate(vals, vals)
         self.mass_low = self.mass[:, :nlow, :nlow]
-        # interior part tested with the gradients of the low basis
-        moments = cq.integrate("prj,pa->pjra", grads_low, vals)
-        self.grad_interior = -np.linalg.solve(self.mass_low[:, None], moments)
+        # interior part tested with the gradients of the low basis, (N, j, r)
+        grads_low = monomial_gradients(self._local(cq.points, cq.cell), k - 1).transpose(0, 2, 1)
+        grads_low /= mesh.diameters[cq.cell][:, None, None]
+        self.grad_interior = -np.linalg.solve(self.mass_low[:, None], cq.integrate(grads_low, vals))
 
         self.edge_mass = np.einsum("eq,qa,qb->eab", eq.weights, eq.values, eq.values)
         side_cell, side_edge = mesh.side_cell, mesh.side_edge
@@ -211,18 +219,10 @@ class ElementOps:
 
         func maps (n, 2) points to (n,) scalars or (n, d) stacks; returns
         (n_cells, dim) or (n_cells, d, dim) accordingly.  One basis column
-        is reduced at a time, into one reused (n, d) product.
+        is reduced at a time (`CellTable.integrate`).
         """
         table = self.cell_data
-        f = np.asarray(func(table.points), dtype=float)
-        per_point = (-1,) + (1,) * (f.ndim - 1)  # an (n,) array against (n, ...) values
-        f = table.weights.reshape(per_point) * f
-        out = np.empty((len(table.starts),) + f.shape[1:] + (space_dimension(degree),))
-        product = np.empty_like(f)
-        for a in range(out.shape[-1]):
-            np.multiply(f, table.values[:, a].reshape(per_point), out=product)
-            out[..., a] = np.add.reduceat(product, table.starts, axis=0)
-        return out
+        return table.integrate(func(table.points), table.values[:, : space_dimension(degree)])
 
     def edge_moments(self, func):
         """Integrals of `func` against the edge basis of every edge.

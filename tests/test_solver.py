@@ -131,6 +131,18 @@ def test_pinned_pressure_is_left_out(ops_quad_k2, condense):
     assert np.array_equal(u, u2) and np.array_equal(p, p2)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("condense", [True, False])
+def test_pressure_alone_matches_solve(degree, condense):
+    """The pressure-only path, which skips the interior velocities'
+    substitutions, gives solve's pressure bit for bit."""
+    system = assemble(ElementOps(generate_mesh("perturbed-polygon", 4), degree))
+    factor = factorize(system, condense)
+    rhs_p = np.random.default_rng(1).standard_normal(system.num_pressure_dofs)
+    p = factor.solve(np.zeros(len(system.free)), rhs_p)[1]
+    assert np.array_equal(factor.pressure(rhs_p), p) and np.abs(p).max() > 0
+
+
 def test_residual_above_tolerance_raises(ops_quad_k1, monkeypatch):
     case = get_case("taylor-trig")
     system = assemble(ops_quad_k1, body_force=case.f, boundary_velocity=case.g)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from wgstokes import weakops
+from wgstokes import study, weakops
+from wgstokes.solver import solve
 from wgstokes.study import GATED_RATES, RATE_MARGIN, StudyConfig, default_grid, run_study
 
 
@@ -55,7 +56,9 @@ def test_one_factorization_per_level(splu_calls):
 
 def test_rule_tables_built_once_per_level(monkeypatch):
     """Each level builds its scheme tables and one data table per kind, no
-    more, whether the case's data are polynomial or not."""
+    more, whether the case's data are polynomial or not.  The cell data
+    table is built twice, for assemble and again for error_bundle, since
+    the level drops it across the solve: 3 cell rules and 2 edge rules."""
     calls = {"polygon_rule": 0, "edge_rule": 0}
     for name in calls:
         builder = getattr(weakops, name)
@@ -68,7 +71,21 @@ def test_rule_tables_built_once_per_level(monkeypatch):
     for case in ("taylor-trig", "poly-exact-k1"):
         calls.update(polygon_rule=0, edge_rule=0)
         run_study(StudyConfig(case=case, n0=2, levels=2))
-        assert calls == {"polygon_rule": 4, "edge_rule": 4}, case
+        assert calls == {"polygon_rule": 6, "edge_rule": 4}, case
+
+
+def test_no_data_table_held_across_the_solve(monkeypatch):
+    """The cell data table, the largest array of a level, is gone before
+    the solve, so it never sits under the factor."""
+    seen = []
+
+    def spy(system, *args, **kwargs):
+        seen.append("cell_data" in vars(system.ops))
+        return solve(system, *args, **kwargs)
+
+    monkeypatch.setattr(study, "solve", spy)
+    run_study(StudyConfig(case="taylor-trig", degree=2, levels=2, n0=2))
+    assert seen == [False, False]
 
 
 def test_default_grid_covers_both_axes():

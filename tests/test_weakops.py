@@ -1,5 +1,7 @@
 """Weak gradient / divergence / stabilizer oracles and the commutativity identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,20 @@ def test_data_rule_at_rounding_floor(family, degree, monkeypatch):
         ):
             got, ref = moments(ops), moments(finer)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_element_ops_peak_near_what_it_keeps(degree):
+    """Building the operator stacks holds at most 3 times the memory the
+    ElementOps keeps: the masses and weak-gradient moments are reduced one
+    basis column at a time, with no (points, dim, dim) array."""
+    mesh = generate_mesh("perturbed-polygon", 16)
+    ElementOps(mesh, degree)  # first calls may allocate caches of their own
+    tracemalloc.start()
+    try:
+        ops = ElementOps(mesh, degree)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ops.mass.shape[0] == mesh.num_cells
+    assert peak <= 3 * kept, peak / kept
