@@ -1,6 +1,6 @@
 """
-One study level, stage by stage: the time of each stage and the process's
-peak memory after it.
+One study level, stage by stage: the time of each stage, and the process's
+resident and peak memory after it.
 
     python demos/level_profile.py [FAMILY [DEGREE [N]]]
 
@@ -10,8 +10,11 @@ assemble, solve, beta_h and error_bundle, in that order.  As in the study,
 the cell data table is dropped after assemble (error_bundle builds it
 again) and the factor before error_bundle.  The peak is the process's
 resident high-water mark (`ru_maxrss`), so it never falls: a stage that
-does not raise it ran below an earlier stage's peak.
+does not raise it ran below an earlier stage's peak.  The resident set
+(from /proc/self/statm, where it exists) is what the process holds once
+the stage is done; freed heap that the C library keeps shows there.
 """
+import os
 import resource
 import sys
 import time
@@ -28,16 +31,33 @@ degree, n = int(degree), int(n)
 case = get_case("taylor-trig")
 
 
+def resident_mb():
+    """The process's resident set in MB, or NaN without /proc/self/statm."""
+    try:
+        with open("/proc/self/statm") as f:
+            pages = int(f.read().split()[1])
+    except OSError:
+        return float("nan")
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+peak = 0.0
+
+
 def stage(name, run):
+    global peak
     t0 = time.perf_counter()
     out = run()
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
-    print(f"{name:<14}{time.perf_counter() - t0:8.2f} s{peak:9.0f} MB")
+    elapsed = time.perf_counter() - t0
+    resident = resident_mb()
+    # kB on Linux; the kernel's high-water mark may trail the resident set by a few pages
+    peak = max(peak, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, resident)
+    print(f"{name:<14}{elapsed:8.2f} s{resident:9.0f} MB{peak:9.0f} MB")
     return out
 
 
 print(f"{family} k={degree} n={n}, taylor-trig")
-print(f"{'stage':<14}{'time':>10}{'peak':>12}")
+print(f"{'stage':<14}{'time':>10}{'resident':>12}{'peak':>12}")
 mesh = stage("mesh", lambda: generate_mesh(family, n))
 ops = stage("ElementOps", lambda: ElementOps(mesh, degree))
 system = stage("assemble", lambda: assemble(ops, body_force=case.f, boundary_velocity=case.g))

@@ -173,15 +173,15 @@ def projection_errors(ops, case):
 
     Returns L2 errors of the interior velocity projection, the pressure
     projection, and the gradient projection; these decay at one order
-    higher than, equal to, and equal to the energy-norm rate.
+    higher than, equal to, and equal to the energy-norm rate.  As in
+    `error_bundle`, each field is evaluated once at the cell data points.
     """
-    qu = project_velocity(ops, case.u)
-    qp = project_pressure(ops, case.p)
-    return {
-        "velocity": velocity_interior_error(ops, qu, case.u),
-        "pressure": pressure_error(ops, qp, case.p),
-        "gradient": gradient_projection_error(ops, case.grad_u),
-    }
+    u = _at_data_points(ops, case.u)
+    velocity = velocity_interior_error(ops, project_velocity(ops, u), u)
+    p = _at_data_points(ops, case.p)
+    pressure = pressure_error(ops, project_pressure(ops, p), p)
+    gradient = gradient_projection_error(ops, _at_data_points(ops, case.grad_u))
+    return {"velocity": velocity, "pressure": pressure, "gradient": gradient}
 
 
 # -- inf-sup stability ---------------------------------------------------

@@ -23,8 +23,14 @@ every pivot stays on the diagonal at every mesh size (as in de Niet &
 Wubs, IMA J. Numer. Anal. 29(1), 2009).  ``condense=False`` leaves the
 eliminations to the LU.  `solve` hands its factor back, so
 β_h needs no other.
+
+Right before each LU, glibc's ``malloc_trim(0)`` hands back the heap that
+assembly and the eliminations freed: SuperLU's factor could not reuse it
+and would land on top.  Without glibc (macOS, musl, Windows) the step is
+skipped; the arithmetic is the same either way.
 """
 
+import ctypes
 import dataclasses
 import json
 import time
@@ -44,6 +50,13 @@ RESIDUAL_TOL = 1e-10
 # scaled by its diameter, every diagonal pivot passes at every mesh size,
 # and thresholds from 0 to 0.01 give the same factor.
 PIVOT_THRESH = 0.01
+
+
+try:  # glibc's malloc_trim; None where the C library has none, or cannot be opened
+    malloc_trim = ctypes.CDLL(None).malloc_trim
+    malloc_trim.argtypes = [ctypes.c_size_t]
+except (OSError, TypeError, AttributeError):
+    malloc_trim = None
 
 
 @dataclasses.dataclass
@@ -135,6 +148,8 @@ class SaddleFactor:
     def __init__(self, K, order, steps, what, scale=1.0):
         self.order, self.steps = order, steps
         self.scale = np.broadcast_to(scale, order.shape)
+        if malloc_trim is not None:
+            malloc_trim(0)  # the heap freed so far, back to the system before the LU maps its own
         try:
             self.lu = splu(
                 K,

@@ -116,9 +116,6 @@ class ElementOps:
         nlow = self.dofmap.dim_cell_low
         self.cell_exactness = 2 * k + 2
         self.edge_exactness = 2 * k + 1
-        cells = list(zip(mesh.centroids, mesh.diameters))
-        self.cell_basis = [CellBasis(k, center, scale) for center, scale in cells]
-        self.cell_basis_low = [CellBasis(k - 1, center, scale) for center, scale in cells]
 
         self.cell_quadrature = cq = self._cell_rules(self.cell_exactness)
         self.edge_quadrature = eq = self._edge_rules(self.edge_exactness)
@@ -139,6 +136,18 @@ class ElementOps:
         self.trace = np.linalg.solve(self.edge_mass[side_edge], T)
         flux = np.linalg.solve(self.mass_low[side_cell], T[:, :, :nlow].transpose(0, 2, 1))
         self.grad_side = mesh.side_normal[:, :, None, None] * flux[:, None]
+
+    @cached_property
+    def cell_basis(self):
+        """Each cell's P_k basis as a CellBasis, built on first use: no study level reads it."""
+        mesh = self.mesh
+        return [CellBasis(self.degree, c, h) for c, h in zip(mesh.centroids, mesh.diameters)]
+
+    @cached_property
+    def cell_basis_low(self):
+        """Each cell's P_{k-1} basis as a CellBasis, built on first use."""
+        mesh = self.mesh
+        return [CellBasis(self.degree - 1, c, h) for c, h in zip(mesh.centroids, mesh.diameters)]
 
     # -- quadrature tables ---------------------------------------------
 

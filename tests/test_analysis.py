@@ -1,6 +1,7 @@
 """Norms, rate fitting, inf-sup estimation, and the convergence record."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from wgstokes.errors import ConfigurationError, SolverError
 from wgstokes.mesh import generate_mesh
 from wgstokes.projections import project_velocity
 from wgstokes.solver import factorize, solve
-from wgstokes.spaces import WeakFunction
+from wgstokes.spaces import PressureFunction, WeakFunction
 from wgstokes.weakops import ElementOps
 
 
@@ -149,6 +150,30 @@ def test_error_bundle_near_zero_for_exact_case():
     assert bundle.pres_l2 <= 1e-10
     d = bundle.as_dict()
     assert set(d) == {"triple_bar", "vel_l2_proj", "vel_l2_true", "pres_l2", "pres_l2_true"}
+
+
+@pytest.mark.parametrize("measure", ["projection_errors", "error_bundle"])
+def test_exact_fields_read_once_at_the_data_points(ops_quad_k2, measure):
+    """A projection and its L2 error read an exact field at the same cell
+    data points, so each field is evaluated there once, not once per use."""
+    ops, case = ops_quad_k2, get_case("taylor-trig")
+    calls = dict.fromkeys(["u", "p", "grad_u"], 0)
+
+    def counted(name):
+        def field(x):
+            calls[name] += x is ops.cell_data.points
+            return getattr(case, name)(x)
+
+        return field
+
+    spied = SimpleNamespace(**{name: counted(name) for name in calls})
+    if measure == "projection_errors":
+        projection_errors(ops, spied)
+        assert calls == {"u": 1, "p": 1, "grad_u": 1}
+    else:
+        zero_v, zero_p = WeakFunction.zeros(ops.dofmap), PressureFunction.zeros(ops.dofmap)
+        error_bundle(ops, spied, zero_v, zero_p)
+        assert calls == {"u": 1, "p": 1, "grad_u": 0}
 
 
 @pytest.mark.parametrize("family, degree", [("perturbed-polygon", 2), ("uniform-quad", 3)])

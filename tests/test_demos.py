@@ -1,12 +1,16 @@
 """The fast demos run to completion and print what their docstrings promise.
 
 The convergence, inf-sup and mesh-family demos take several seconds
-each and repeat CLI paths that tests/test_cli.py already covers.
+each and repeat CLI paths that tests/test_cli.py already covers; the
+level profile runs on a small mesh.
 """
 
 import re
 import runpy
+import sys
 from pathlib import Path
+
+import numpy as np
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -28,3 +32,16 @@ def test_weak_operator_identities_demo(capsys):
     gaps = [float(g) for g in re.findall(r"(?:gradient|divergence|fields) (\S+)", out)]
     assert len(gaps) == 6
     assert max(gaps) <= 1e-11
+
+
+def test_level_profile_demo(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["level_profile.py", "perturbed-polygon", "2", "8"])
+    out = _run("level_profile.py", capsys)
+    rows = re.findall(r"^(\S+) +(\S+) s +(\S+) MB +(\S+) MB$", out, re.MULTILINE)
+    stages = ["mesh", "ElementOps", "assemble", "solve", "beta_h", "error_bundle"]
+    assert [row[0] for row in rows] == stages
+    times, resident, peak = (np.array([row[i] for row in rows], dtype=float) for i in (1, 2, 3))
+    assert (times >= 0).all()
+    assert np.all(np.diff(peak) >= 0)  # a high-water mark
+    assert not np.any(resident > peak)  # NaN where the resident set cannot be read
+    assert 0 < float(re.search(r"beta_h (\S+)", out).group(1)) < 1

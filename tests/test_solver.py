@@ -1,10 +1,12 @@
 """Full and condensed direct solves against closed-form solutions and a plain-scipy oracle."""
 
 import json
+import platform
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from conftest import full_solve
 from wgstokes import solver
@@ -208,6 +210,30 @@ def test_pressure_pivots_keep_their_scale():
         ratios.append(1 / largest[pressure].max())
     assert min(ratios) > 0.1, ratios
     assert all(b >= a * (1 - 1e-9) for a, b in zip(ratios, ratios[1:])), ratios
+
+
+def test_heap_handed_back_before_every_lu(ops_quad_k2, monkeypatch):
+    """malloc_trim runs right before each sparse LU, on every path that
+    factors, so the factor is not mapped on top of freed but resident heap."""
+    if platform.libc_ver()[0] == "glibc":
+        assert solver.malloc_trim is not None
+    events, trim = [], solver.malloc_trim
+
+    def spy_trim(pad):
+        events.append(("trim", pad))
+        return 0 if trim is None else trim(pad)
+
+    def spy_splu(*args, **kwargs):
+        events.append("splu")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "malloc_trim", spy_trim)
+    monkeypatch.setattr(solver, "splu", spy_splu)
+    system = assemble(ops_quad_k2)
+    for path in (factorize, lambda s: factorize(s, condense=False), solver.velocity_factor):
+        events.clear()
+        path(system)
+        assert events == [("trim", 0), "splu"]
 
 
 def test_dissection_order():

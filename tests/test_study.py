@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wgstokes import study, weakops
+from wgstokes.analysis import error_bundle
 from wgstokes.solver import solve
 from wgstokes.study import GATED_RATES, RATE_MARGIN, StudyConfig, default_grid, run_study
 
@@ -86,6 +87,21 @@ def test_no_data_table_held_across_the_solve(monkeypatch):
     monkeypatch.setattr(study, "solve", spy)
     run_study(StudyConfig(case="taylor-trig", degree=2, levels=2, n0=2))
     assert seen == [False, False]
+
+
+def test_cell_bases_not_built_by_a_level(monkeypatch):
+    """Nothing on a level's path reads the per-cell CellBasis lists, so
+    they are built on first use only."""
+    seen = []
+
+    def spy(ops, *args, **kwargs):
+        errors = error_bundle(ops, *args, **kwargs)
+        seen.append({"cell_basis", "cell_basis_low"} & set(vars(ops)))
+        return errors
+
+    monkeypatch.setattr(study, "error_bundle", spy)
+    run_study(StudyConfig(case="taylor-trig", degree=2, levels=2, n0=2))
+    assert seen == [set(), set()]
 
 
 def test_default_grid_covers_both_axes():
