@@ -8,12 +8,15 @@ Defaults to perturbed-polygon, k=2, n=32 with the taylor-trig case.  The
 stages are those of one level of `wgstokes study`: mesh, ElementOps,
 assemble, solve, beta_h and error_bundle, in that order.  As in the study,
 the cell data table is dropped after assemble (error_bundle builds it
-again) and the factor before error_bundle.  The peak is the process's
+again) and the factor before error_bundle.  The gc column is the part of
+the stage's time spent in garbage-collection passes (`gc.callbacks`).
+The peak is the process's
 resident high-water mark (`ru_maxrss`), so it never falls: a stage that
 does not raise it ran below an earlier stage's peak.  The resident set
 (from /proc/self/statm, where it exists) is what the process holds once
 the stage is done; freed heap that the C library keeps shows there.
 """
+import gc
 import os
 import resource
 import sys
@@ -41,23 +44,34 @@ def resident_mb():
     return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
-peak = 0.0
+peak, gc_seconds, gc_started = 0.0, 0.0, 0.0
+
+
+def gc_clock(phase, info):
+    """Adds the time of each garbage-collection pass to gc_seconds."""
+    global gc_seconds, gc_started
+    if phase == "start":
+        gc_started = time.perf_counter()
+    else:
+        gc_seconds += time.perf_counter() - gc_started
 
 
 def stage(name, run):
     global peak
-    t0 = time.perf_counter()
+    gc_before, t0 = gc_seconds, time.perf_counter()
     out = run()
     elapsed = time.perf_counter() - t0
     resident = resident_mb()
     # kB on Linux; the kernel's high-water mark may trail the resident set by a few pages
     peak = max(peak, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, resident)
-    print(f"{name:<14}{elapsed:8.2f} s{resident:9.0f} MB{peak:9.0f} MB")
+    collecting = gc_seconds - gc_before
+    print(f"{name:<14}{elapsed:8.2f} s{collecting:8.3f} s{resident:9.0f} MB{peak:9.0f} MB")
     return out
 
 
 print(f"{family} k={degree} n={n}, taylor-trig")
-print(f"{'stage':<14}{'time':>10}{'resident':>12}{'peak':>12}")
+print(f"{'stage':<14}{'time':>10}{'gc':>10}{'resident':>12}{'peak':>12}")
+gc.callbacks.append(gc_clock)
 mesh = stage("mesh", lambda: generate_mesh(family, n))
 ops = stage("ElementOps", lambda: ElementOps(mesh, degree))
 system = stage("assemble", lambda: assemble(ops, body_force=case.f, boundary_velocity=case.g))
@@ -66,5 +80,6 @@ report = stage("solve", lambda: solve(system))
 beta = stage("beta_h", lambda: discrete_inf_sup(system, report.factor))
 report.factor = None
 errors = stage("error_bundle", lambda: error_bundle(ops, case, report.velocity, report.pressure))
+gc.callbacks.remove(gc_clock)
 print(f"cells {mesh.num_cells}, L+U {report.lu_fill:,}, beta_h {beta:.6f}")
 print("  ".join(f"{name} {value:.6e}" for name, value in errors.as_dict().items()))

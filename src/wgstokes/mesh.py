@@ -19,9 +19,15 @@ package:
     Clipped Voronoi diagram of a triangular lattice: a honeycomb whose
     interior cells are hexagons and whose boundary cells are clipped.
 
-The Voronoi families bound every cell by mirroring the generators across
-all four sides of the square, so boundary edges land exactly on the
-square and the cells partition it to machine precision.
+The Voronoi families bound every cell by mirroring generators across the
+four sides of the square, so boundary edges land exactly on the square
+and the cells partition it to machine precision.  Only the generators
+within a band of MIRROR_BAND lattice spacings of a side are mirrored,
+and the cells are read off the Delaunay triangulation of these points.
+The band is exact under a certificate: inside the square no mirror is
+closer than its original, so a cell whose vertices all lie in the closed
+square is the cell that mirroring every generator gives.  Every cell is
+checked, and one that fails raises MeshValidationError.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Voronoi, cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from .errors import ConfigurationError, MeshFormatError, MeshValidationError
 from .quadrature import loop_groups, polygon_geometry
@@ -38,6 +44,7 @@ FAMILIES = ("uniform-triangle", "uniform-quad", "perturbed-polygon", "hexagonal"
 
 _MERGE_TOL = 1e-12  # vertex dedup for generated meshes (well below any feature)
 JITTER = 0.2  # perturbed-polygon generator offsets, as a fraction of the lattice spacing
+MIRROR_BAND = 3.0  # generators mirrored across a side lie this many spacings 1/sqrt(N) from it
 
 
 class PolygonalMesh:
@@ -301,37 +308,39 @@ def _triangular_lattice(n):
 
 
 def _clipped_voronoi(pts):
-    """Voronoi cells of `pts` clipped exactly to the unit square.
-
-    Reflecting the generators across all four sides makes every original
-    cell finite, with its boundary edges on the square's sides; the cells
-    then partition the square exactly.
-    """
+    """Voronoi cells of `pts` clipped exactly to the unit square (see the
+    module docstring): each cell's vertices are the circumcentres of the
+    Delaunay triangles around its generator."""
     n = len(pts)
-    mirrored = np.vstack(
-        [
-            pts,
-            pts * [-1.0, 1.0],  # across x = 0
-            pts * [-1.0, 1.0] + [2.0, 0.0],  # across x = 1
-            pts * [1.0, -1.0],  # across y = 0
-            pts * [1.0, -1.0] + [0.0, 2.0],  # across y = 1
-        ]
-    )
-    vor = Voronoi(mirrored)
-    verts = vor.vertices.copy()
+    mirrored = [pts]
+    for dim in (0, 1):
+        for side in (0.0, 1.0):  # across x = 0, x = 1, y = 0, y = 1
+            near = pts[np.abs(pts[:, dim] - side) < MIRROR_BAND / np.sqrt(n)]
+            near[:, dim] = 2.0 * side - near[:, dim]
+            mirrored.append(near)
+    tri = Delaunay(np.vstack(mirrored))
+    p = tri.points[tri.simplices]  # each triangle's circumcentre is a Voronoi vertex
+    b, c = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    bb, cc = (b * b).sum(axis=1), (c * c).sum(axis=1)
+    centre = np.column_stack([c[:, 1] * bb - b[:, 1] * cc, b[:, 0] * cc - c[:, 0] * bb])
+    verts = p[:, 0] + centre / (2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]))[:, None]
     for coord in (0.0, 1.0):
-        for dim in (0, 1):
-            hit = np.abs(verts[:, dim] - coord) < 1e-10
-            verts[hit, dim] = coord
-    regions = [vor.regions[r] for r in vor.point_region[:n]]
-    sizes = np.fromiter(map(len, regions), dtype=int, count=n)
-    loops = np.concatenate(regions).astype(int)
-    if (loops < 0).any():
-        raise MeshValidationError("Voronoi region unexpectedly unbounded")
+        verts[np.abs(verts - coord) < 1e-10] = coord
+    corners = tri.simplices.ravel()  # a generator's cell: the triangles around it
+    owner, loops = corners[corners < n], np.flatnonzero(corners < n) // 3
+    # the certificate: no vertex outside the square, and no generator on the hull,
+    # where its fan of triangles is open and its cell unbounded
+    outside = ((verts < 0.0) | (verts > 1.0)).any(axis=1)
+    bad = np.bincount(owner, outside[loops], minlength=n) > 0
+    bad[tri.convex_hull[tri.convex_hull < n]] = True
+    if bad.any():
+        raise MeshValidationError(
+            f"cell {np.argmax(bad)} is not certified: the generators mirrored within "
+            f"{MIRROR_BAND:g} spacings of a side leave it unbounded or outside the unit square"
+        )
     # cells are convex and contain their generator: sort CCW around it
-    owner = np.repeat(np.arange(n), sizes)
     ang = np.arctan2(verts[loops, 1] - pts[owner, 1], verts[loops, 0] - pts[owner, 0])
-    return _renumber(verts, loops[np.lexsort((ang, owner))], sizes)
+    return _renumber(verts, loops[np.lexsort((ang, owner))], np.bincount(owner, minlength=n))
 
 
 def _renumber(verts, loops, sizes):

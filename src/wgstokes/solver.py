@@ -143,10 +143,11 @@ class SaddleFactor:
     out of it, the pinned pressure, come out as 0.  ``steps`` are the
     `_eliminate` steps in turn, and `splu` factors what they leave, K, in
     csc: its caller converts it, so that no csr copy is held under the LU.
+    Each step is kept as (W, Wᵀ, G, Gᵀ, sign), its transposes made once.
     """
 
     def __init__(self, K, order, steps, what, scale=1.0):
-        self.order, self.steps = order, steps
+        self.order = order
         self.scale = np.broadcast_to(scale, order.shape)
         if malloc_trim is not None:
             malloc_trim(0)  # the heap freed so far, back to the system before the LU maps its own
@@ -159,6 +160,8 @@ class SaddleFactor:
             )
         except RuntimeError as err:  # singular factorization
             raise SolverError(f"{what} factorization failed: {err}") from err
+        # Gᵀ is a view; Wᵀ copies W's blocks, so it is built after the LU's peak
+        self.steps = [(W, W.T, G, G.T, sign) for W, G, sign in steps]
 
     def apply(self, f, skip=0):
         """Solution for f: forward substitutions, LU solve, back substitutions, scatter.
@@ -166,15 +169,15 @@ class SaddleFactor:
         The first `skip` steps must meet a zero block of f, and their
         unknowns come out as 0: both of their substitutions are left out.
         """
-        n = sum(W.shape[0] for W, _, _ in self.steps[:skip])
+        n = sum(step[0].shape[0] for step in self.steps[:skip])
         order, scale, steps = self.order[n:], self.scale[n:], self.steps[skip:]
         g, ws = f[order] * scale, []
-        for W, G, sign in steps:
+        for W, _, _, Gt, sign in steps:
             ws.append(W @ g[: W.shape[0]])  # L⁻¹ f_c
-            g = g[W.shape[0] :] - sign * (G.T @ ws[-1])
+            g = g[W.shape[0] :] - sign * (Gt @ ws[-1])
         x = self.lu.solve(g)
-        for (W, G, sign), w in zip(steps[::-1], ws[::-1]):
-            x = np.concatenate([sign * (W.T @ (w - G @ x)), x])
+        for (_, Wt, G, _, sign), w in zip(steps[::-1], ws[::-1]):
+            x = np.concatenate([sign * (Wt @ (w - G @ x)), x])
         out = np.zeros(len(f))
         out[order] = x * scale
         return out
@@ -190,7 +193,7 @@ class SaddleFactor:
         A leading positive definite step eliminates velocities (the
         interior ones): they have a zero right-hand side and are not returned.
         """
-        skip = int(bool(self.steps) and self.steps[0][2] > 0)
+        skip = int(bool(self.steps) and self.steps[0][-1] > 0)
         n_u = len(self.order) + 1 - len(rhs_p)  # the order leaves out the pinned pressure
         return self.apply(np.concatenate([np.zeros(n_u), rhs_p]), skip)[n_u:]
 

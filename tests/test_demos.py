@@ -37,11 +37,14 @@ def test_weak_operator_identities_demo(capsys):
 def test_level_profile_demo(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["level_profile.py", "perturbed-polygon", "2", "8"])
     out = _run("level_profile.py", capsys)
-    rows = re.findall(r"^(\S+) +(\S+) s +(\S+) MB +(\S+) MB$", out, re.MULTILINE)
+    rows = re.findall(r"^(\S+) +(\S+) s +(\S+) s +(\S+) MB +(\S+) MB$", out, re.MULTILINE)
     stages = ["mesh", "ElementOps", "assemble", "solve", "beta_h", "error_bundle"]
     assert [row[0] for row in rows] == stages
-    times, resident, peak = (np.array([row[i] for row in rows], dtype=float) for i in (1, 2, 3))
+    times, collecting, resident, peak = (
+        np.array([row[i] for row in rows], dtype=float) for i in (1, 2, 3, 4)
+    )
     assert (times >= 0).all()
+    assert ((collecting >= 0) & (collecting <= times + 0.01)).all()  # printed to 3 and 2 decimals
     assert np.all(np.diff(peak) >= 0)  # a high-water mark
     assert not np.any(resident > peak)  # NaN where the resident set cannot be read
     assert 0 < float(re.search(r"beta_h (\S+)", out).group(1)) < 1

@@ -1,10 +1,11 @@
+import gc
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi, cKDTree
 
 from wgstokes import mesh as mesh_module
 from wgstokes.errors import ConfigurationError, MeshFormatError, MeshValidationError
@@ -77,8 +78,8 @@ class TestGenerators:
             generate_mesh("uniform-quad", 0)
 
     def test_coincident_voronoi_vertices_are_merged(self, monkeypatch):
-        # a 1e-9 jitter leaves near-degenerate Voronoi vertices: 513 distinct
-        # ones, 3 of them within _MERGE_TOL of another
+        # a 1e-9 jitter leaves near-co-circular generators: their Delaunay
+        # triangles give 574 distinct circumcentres, merged into 510 vertices
         monkeypatch.setattr(mesh_module, "JITTER", 1e-9)
         mesh = generate_mesh("perturbed-polygon", 16, seed=3)
         assert mesh.num_vertices == 510
@@ -86,6 +87,48 @@ class TestGenerators:
         pairs = cKDTree(v).query_pairs(_MERGE_TOL, p=np.inf, output_type="ndarray")
         assert (np.abs(v[pairs[:, 0]] - v[pairs[:, 1]]).max(axis=1) >= _MERGE_TOL).all()
         assert mesh.areas.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
+    @pytest.mark.parametrize(
+        "family, seed",
+        [
+            ("perturbed-polygon", 0),
+            ("perturbed-polygon", 1),
+            ("perturbed-polygon", 7),
+            ("hexagonal", 0),  # the triangular lattice takes no seed
+        ],
+    )
+    def test_voronoi_cells_match_all_mirrors_oracle(self, family, n, seed, monkeypatch):
+        mesh = generate_mesh(family, n, seed)
+        monkeypatch.setattr(mesh_module, "_clipped_voronoi", all_mirrors_voronoi)
+        oracle = generate_mesh(family, n, seed)
+        assert (mesh.num_vertices, mesh.num_cells) == (oracle.num_vertices, oracle.num_cells)
+        for c in range(mesh.num_cells):
+            cycle, expected = mesh.cell_vertices(c), oracle.cell_vertices(c)
+            assert len(cycle) == len(expected), f"cell {c}"
+            start = np.argmin(np.abs(expected - cycle[0]).max(axis=1))
+            np.testing.assert_allclose(np.roll(expected, -start, axis=0), cycle, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("band, cell", [(0.0, 0), (0.6, 2)])
+    def test_too_narrow_a_mirror_band_names_the_cell(self, band, cell, monkeypatch):
+        # Without mirrors, cell 0's generator is on the hull and its cell
+        # unbounded.  Generator 2 lies 0.67 spacings above y = 0: a band of
+        # 0.6 leaves it unmirrored, and its cell reaches below y = 0.
+        monkeypatch.setattr(mesh_module, "MIRROR_BAND", band)
+        with pytest.raises(MeshValidationError, match=f"^cell {cell} is not certified"):
+            generate_mesh("perturbed-polygon", 4, seed=0)
+
+    def test_voronoi_family_leaves_the_collector_idle(self):
+        # qhull's Voronoi regions, one Python list per cell, used to set off 29
+        # collections here, a full pass among them once sympy has filled the heap
+        collections = []
+        gc.collect()
+        gc.callbacks.append(lambda phase, info: collections.append(info["generation"]))
+        try:
+            generate_mesh("perturbed-polygon", 32)
+        finally:
+            gc.callbacks.pop()
+        assert collections == []
 
     def test_merge_keeps_the_first_vertex_of_each_cluster(self):
         # vertex 0 is unused; 2, 3, 4 form one chain-linked cluster on (1, 0)
@@ -297,6 +340,25 @@ class TestShapeRegularity:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.stdout.strip() == "False", out.stderr
+
+
+def all_mirrors_voronoi(pts):
+    """Clipped Voronoi cells from qhull's Voronoi diagram of the generators
+    and their mirror images across all four sides of the square."""
+    n = len(pts)
+    flip_x, flip_y = pts * [-1.0, 1.0], pts * [1.0, -1.0]
+    mirrored = np.vstack([pts, flip_x, flip_x + [2.0, 0.0], flip_y, flip_y + [0.0, 2.0]])
+    vor = Voronoi(mirrored)
+    verts = vor.vertices.copy()
+    for coord in (0.0, 1.0):
+        verts[np.abs(verts - coord) < 1e-10] = coord
+    regions = [vor.regions[r] for r in vor.point_region[:n]]
+    sizes = np.array([len(r) for r in regions])
+    loops = np.concatenate(regions)
+    assert (loops >= 0).all(), "every original cell is bounded"
+    owner = np.repeat(np.arange(n), sizes)
+    ang = np.arctan2(verts[loops, 1] - pts[owner, 1], verts[loops, 0] - pts[owner, 0])
+    return _renumber(verts, loops[np.lexsort((ang, owner))], sizes)
 
 
 def rep_threshold(mesh):
