@@ -10,11 +10,11 @@ assemble, solve, beta_h and error_bundle, in that order.  As in the study,
 the cell data table is dropped after assemble (error_bundle builds it
 again) and the factor before error_bundle.  The gc column is the part of
 the stage's time spent in garbage-collection passes (`gc.callbacks`).
-The peak is the process's
-resident high-water mark (`ru_maxrss`), so it never falls: a stage that
-does not raise it ran below an earlier stage's peak.  The resident set
-(from /proc/self/statm, where it exists) is what the process holds once
-the stage is done; freed heap that the C library keeps shows there.
+The peak is the process's resident high-water mark (`ru_maxrss`), so it
+never falls: a stage that does not raise it ran below an earlier stage's
+peak.  The resident set (from /proc/self/statm, where it exists) is what
+the process holds once the stage is done; freed heap that the C library
+keeps shows there.
 """
 import gc
 import os
