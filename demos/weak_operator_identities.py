@@ -14,7 +14,7 @@ import numpy as np
 from wgstokes.analysis import triple_bar_norm
 from wgstokes.assembly import assemble
 from wgstokes.mesh import generate_mesh
-from wgstokes.projections import project_divergence, project_gradient, project_velocity
+from wgstokes.projections import project_gradient, project_pressure, project_velocity
 from wgstokes.spaces import WeakFunction
 from wgstokes.weakops import ElementOps
 
@@ -37,7 +37,7 @@ for degree in (1, 2):
 
     v = project_velocity(ops, u)
     pg = project_gradient(ops, grad_u)
-    pd = project_divergence(ops, div_u)
+    pd = project_pressure(ops, div_u).cellwise
     gap_g = np.abs(ops.weak_gradient(v) - pg).max()
     gap_d = np.abs(ops.weak_divergence(v) - pd).max()
     print(f"k={degree}: commutativity gaps  gradient {gap_g:.2e}  divergence {gap_d:.2e}")

@@ -9,7 +9,6 @@ from .analysis import (
     dual_norms,
     error_bundle,
     fit_rate,
-    pairwise_rates,
     projection_errors,
     triple_bar_norm,
     verify_error_equation,
@@ -31,13 +30,11 @@ from .mesh import (
     ShapeRegularityReport,
     generate_mesh,
     load_mesh,
-    refine_sequence,
     save_mesh,
     shape_regularity,
 )
 from .projections import (
     project_boundary_velocity,
-    project_divergence,
     project_gradient,
     project_pressure,
     project_velocity,

@@ -337,17 +337,6 @@ def verify_error_equation(system, case, report):
 # -- convergence rates -----------------------------------------------------
 
 
-def pairwise_rates(hs, values):
-    """Observed order between consecutive levels; NaN where undefined."""
-    hs = np.asarray(hs, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    out = np.full(len(hs) - 1, np.nan)
-    for i in range(len(out)):
-        if vals[i] > 0 and vals[i + 1] > 0 and hs[i] != hs[i + 1]:
-            out[i] = np.log(vals[i] / vals[i + 1]) / np.log(hs[i] / hs[i + 1])
-    return out
-
-
 def fit_rate(hs, values, window=3):
     """Least-squares slope of log(error) vs log(h) over the finest levels.
 

@@ -45,60 +45,36 @@ class ManufacturedCase:
         self.data_degree = data_degree
         x, y = sp.symbols("x y")
         ux, uy, p = sp.sympify(ux), sp.sympify(uy), sp.sympify(p)
-        self._sym_u = (ux, uy)
-        self._sym_p = p
         fx = -(sp.diff(ux, x, 2) + sp.diff(ux, y, 2)) + sp.diff(p, x)
         fy = -(sp.diff(uy, x, 2) + sp.diff(uy, y, 2)) + sp.diff(p, y)
-        self._sym_f = (sp.factor_terms(fx), sp.factor_terms(fy))
         grads = [[sp.diff(comp, var) for var in (x, y)] for comp in (ux, uy)]
         div = sp.factor_terms(sp.diff(ux, x) + sp.diff(uy, y))
 
-        self.u = _vector_field(ux, uy)
+        self.u = _field([ux, uy])
         self.g = self.u  # Dirichlet data is the velocity trace
-        self.p = _scalar_field(p)
-        self.f = _vector_field(*self._sym_f)
-        self.grad_u = _tensor_field(grads)
-        self.div_u = _scalar_field(div)
+        self.p = _field(p)
+        self.f = _field([sp.factor_terms(fx), sp.factor_terms(fy)])
+        self.grad_u = _field(grads)
+        self.div_u = _field(div)
 
     def __repr__(self):
         deg = "transcendental" if self.data_degree is None else f"degree {self.data_degree}"
         return f"ManufacturedCase({self.name!r}, {deg})"
 
 
-def _lambdify(expr):
+def _field(exprs):
+    """Vectorized field of an expression in x and y, or of a (nested) list of
+    them: it maps (n, 2) points to an (n,) + list-shape float array."""
     import sympy as sp
 
-    fn = sp.lambdify(sp.symbols("x y"), expr, "numpy")
-
-    def call(x, y):
-        out = np.asarray(fn(x, y), dtype=float)
-        if out.shape != x.shape:  # constant expressions collapse to scalars
-            out = np.broadcast_to(out, x.shape).copy()
-        return out
-
-    return call
-
-
-def _scalar_field(expr):
-    fn = _lambdify(expr)
-    return lambda pts: fn(pts[:, 0], pts[:, 1])
-
-
-def _vector_field(ex, ey):
-    fx, fy = _lambdify(ex), _lambdify(ey)
-    return lambda pts: np.column_stack([fx(pts[:, 0], pts[:, 1]), fy(pts[:, 0], pts[:, 1])])
-
-
-def _tensor_field(grid):
-    fns = [[_lambdify(e) for e in row] for row in grid]
+    entries = np.array(exprs, dtype=object)
+    fns = [sp.lambdify(sp.symbols("x y"), e, "numpy") for e in entries.flat]
 
     def call(pts):
         x, y = pts[:, 0], pts[:, 1]
-        out = np.empty((len(pts), 2, 2))
-        for i in (0, 1):
-            for j in (0, 1):
-                out[:, i, j] = fns[i][j](x, y)
-        return out
+        # constant expressions collapse to scalars: broadcast them to the points
+        cols = [np.broadcast_to(np.asarray(fn(x, y), dtype=float), x.shape) for fn in fns]
+        return np.stack(cols, axis=-1).reshape(len(pts), *entries.shape)
 
     return call
 

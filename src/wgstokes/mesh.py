@@ -70,8 +70,6 @@ class PolygonalMesh:
 
     Derived attributes
     ------------------
-    cells, cell_edges : lists of (m,) int arrays
-        Views of the side table: each cell's loop and the edges of its sides.
     edges : (ne, 2) int array
         Unique edges, lower vertex index first (canonical orientation),
         numbered by first appearance in the side table.
@@ -98,8 +96,6 @@ class PolygonalMesh:
                     self.side_edge, self.side_normal, self.edges, self.edge_cells,
                     self.boundary_edges, self.areas, self.centroids, self.diameters):  # fmt: skip
             arr.setflags(write=False)
-        self.cells = np.split(self.side_vertices[:, 0], self.side_starts[1:])
-        self.cell_edges = np.split(self.side_edge, self.side_starts[1:])
 
     # -- construction -------------------------------------------------
 
@@ -183,16 +179,12 @@ class PolygonalMesh:
 
     def cell_vertices(self, ci):
         """Vertex coordinates of cell `ci` as a CCW (m, 2) loop."""
-        return self.vertices[self.cells[ci]]
+        end = self.side_starts[ci + 1] if ci + 1 < self.num_cells else len(self.side_cell)
+        return self.vertices[self.side_vertices[self.side_starts[ci] : end, 0]]
 
     def edge_vertices(self, e):
         """Endpoint coordinates of edge `e` in canonical order; shape (2, 2)."""
         return self.vertices[self.edges[e]]
-
-    def edge_lengths(self):
-        p = self.vertices[self.edges[:, 0]]
-        q = self.vertices[self.edges[:, 1]]
-        return np.hypot(*(q - p).T)
 
     def __repr__(self):
         return (
@@ -284,11 +276,6 @@ def refinement_ladder(n0, levels):
     return [n0 * 2**j for j in range(levels)]
 
 
-def refine_sequence(family, n0, levels, seed=0):
-    """Meshes at the subdivision counts of `refinement_ladder`."""
-    return [generate_mesh(family, n, seed=seed) for n in refinement_ladder(n0, levels)]
-
-
 def _square_grid(n):
     """Vertices of the (n+1) x (n+1) grid and each square's lower-left vertex, row-major."""
     xs = np.linspace(0.0, 1.0, n + 1)
@@ -378,8 +365,10 @@ def save_mesh(mesh, path):
         for x, y in mesh.vertices:
             f.write(f"{float(x)!r} {float(y)!r}\n")
         f.write(f"cells {mesh.num_cells}\n")
-        for loop in mesh.cells:
-            f.write(" ".join(str(int(v)) for v in loop) + "\n")
+        loops = mesh.side_vertices[:, 0].tolist()
+        ends = [*mesh.side_starts[1:].tolist(), len(loops)]
+        for start, end in zip(mesh.side_starts.tolist(), ends):
+            f.write(" ".join(map(str, loops[start:end])) + "\n")
 
 
 def load_mesh(path):

@@ -1,7 +1,7 @@
 """L2 projections of exact fields into the discrete spaces.
 
 Velocity fields project componentwise onto P_k inside each cell and onto
-P_{k-1} on each edge; pressures and divergences onto cellwise P_{k-1};
+P_{k-1} on each edge; scalar fields (pressures, divergences) onto cellwise P_{k-1};
 gradients onto cellwise P_{k-1} tensors.  Every moment uses the data
 rules of ElementOps (exactness DATA_EXACTNESS), whatever the field.
 """
@@ -51,8 +51,3 @@ def project_gradient(ops, grad_u):
     """
     low = ops.degree - 1
     return ops.solve_cell_mass(ops.cell_moments(grad_u, low), low)
-
-
-def project_divergence(ops, div_u):
-    """Cellwise P_{k-1} projection of a scalar divergence field."""
-    return project_pressure(ops, div_u).cellwise

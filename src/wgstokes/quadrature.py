@@ -69,19 +69,6 @@ def edge_rule(p0, p1, exactness):
     return QuadratureRule(pts.reshape(-1, 2), (lengths[..., None] * w).ravel(), owner)
 
 
-def triangle_rule(a, b, c, exactness):
-    """Tensor Gauss rule on triangle (a, b, c) via the Duffy transform.
-
-    The triangle must be positively oriented (CCW); weights are positive and
-    sum to its area.
-    """
-    tri = np.asarray([a, b, c], dtype=float)
-    if _doubled_areas(tri[None])[0] <= 0.0:
-        raise ValueError("triangle_rule expects a CCW (positive-area) triangle")
-    pts, w = _map_triangles(tri[None], exactness)
-    return QuadratureRule(pts, w, np.zeros(len(w), dtype=int))
-
-
 @lru_cache(maxsize=None)
 def _reference_triangle(exactness):
     """Duffy-collapsed tensor rule on the unit triangle: points (q, 2), weights (q,).

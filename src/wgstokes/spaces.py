@@ -44,12 +44,6 @@ class DofMap:
         start = self.interior_size + e * 2 * self.dim_edge
         return np.arange(start, start + 2 * self.dim_edge)
 
-    def cell_dofs(self, c):
-        """All velocity DOFs seen by cell c: the interior block, then each
-        side's edge block in loop order."""
-        edges = [self.edge_dofs(e) for e in self.mesh.cell_edges[c]]
-        return np.concatenate([self.interior_dofs(c)] + edges)
-
     # -- boundary -------------------------------------------------------
 
     def boundary_velocity_mask(self):
@@ -58,10 +52,6 @@ class DofMap:
         return np.concatenate([np.zeros(self.interior_size, dtype=bool), edges])
 
     # -- pressure numbering ---------------------------------------------
-
-    def pressure_dofs(self, c):
-        start = c * self.dim_cell_low
-        return np.arange(start, start + self.dim_cell_low)
 
     def constant_pressure(self):
         """Coefficients of the pressure 1: each cell's first scaled monomial is 1."""
@@ -84,14 +74,8 @@ class _Coefficients:
     def zeros(cls, dofmap):
         return cls(dofmap)
 
-    def copy(self):
-        return type(self)(self.dofmap, self.coeffs.copy())
-
     def __sub__(self, other):
         return type(self)(self.dofmap, self.coeffs - other.coeffs)
-
-    def __add__(self, other):
-        return type(self)(self.dofmap, self.coeffs + other.coeffs)
 
 
 class WeakFunction(_Coefficients):

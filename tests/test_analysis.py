@@ -18,7 +18,6 @@ from wgstokes.analysis import (
     dual_norms,
     error_bundle,
     fit_rate,
-    pairwise_rates,
     projection_errors,
     rate_label,
     triple_bar_norm,
@@ -67,14 +66,6 @@ def test_fit_rate_uses_finest_window():
     hs = [0.5, 0.25, 0.125, 0.0625, 0.03125]
     values = [10.0, 5.0] + [h**2 for h in hs[2:]]
     assert abs(fit_rate(hs, values, window=3) - 2.0) <= 1e-12
-
-
-def test_pairwise_rates():
-    hs = [0.5, 0.25, 0.125]
-    values = [h**3 for h in hs]
-    rates = pairwise_rates(hs, values)
-    assert len(rates) == 2
-    assert np.allclose(rates, 3.0, atol=1e-12)
 
 
 def test_rate_label_states():

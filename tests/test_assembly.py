@@ -166,11 +166,12 @@ def test_matrices_store_only_nonzeros(family, degree):
 def test_divergence_rows_are_cell_local(system_quad_k1):
     """Each pressure DOF couples only to velocity DOFs of its own cell."""
     system = system_quad_k1
-    dm = system.ops.dofmap
+    dm, mesh = system.ops.dofmap, system.ops.mesh
     B = system.B.tocsr()
-    for c in range(system.ops.mesh.num_cells):
-        allowed = set(dm.cell_dofs(c))
-        for p in dm.pressure_dofs(c):
+    for c in range(mesh.num_cells):
+        edges = [dm.edge_dofs(e) for e in mesh.side_edge[mesh.side_cell == c]]
+        allowed = set(np.concatenate([dm.interior_dofs(c), *edges]))
+        for p in range(c * dm.dim_cell_low, (c + 1) * dm.dim_cell_low):
             cols = B.indices[B.indptr[p] : B.indptr[p + 1]]
             assert set(cols) <= allowed
 

@@ -30,6 +30,24 @@ def test_registered_cases_verify(name):
     assert checks["gradient_consistent"][1] <= 1e-5
 
 
+@pytest.mark.parametrize("name", case_names())
+def test_fields_return_float_arrays_of_their_rank(name):
+    # constant entries (poly-exact-k1's zero pressure and its constant
+    # Jacobian) come back broadcast to the points like the others
+    case = get_case(name)
+    pts = np.random.default_rng(3).uniform(size=(7, 2))
+    shapes = {"u": (7, 2), "g": (7, 2), "f": (7, 2), "p": (7,), "grad_u": (7, 2, 2), "div_u": (7,)}
+    for field, shape in shapes.items():
+        values = getattr(case, field)(pts)
+        assert isinstance(values, np.ndarray) and values.dtype == float, field
+        assert values.shape == shape, field
+    if name == "poly-exact-k1":  # u = (y, -x), p = 0
+        assert np.array_equal(case.p(pts), np.zeros(7))
+        jacobian = np.broadcast_to([[0.0, 1.0], [-1.0, 0.0]], (7, 2, 2))
+        assert np.array_equal(case.grad_u(pts), jacobian)
+        assert np.array_equal(case.u(pts), np.column_stack([pts[:, 1], -pts[:, 0]]))
+
+
 def test_unknown_case_lists_alternatives():
     with pytest.raises(ConfigurationError) as exc:
         get_case("leaky-cavity")

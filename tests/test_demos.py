@@ -1,10 +1,11 @@
 """The fast demos run to completion and print what their docstrings promise.
 
-The convergence, inf-sup and mesh-family demos take several seconds
-each and repeat CLI paths that tests/test_cli.py already covers; the
-level profile runs on a small mesh.
+The convergence and inf-sup demos take several seconds each and repeat
+CLI paths that tests/test_cli.py already covers; the level profile runs
+on a small mesh.
 """
 
+import os
 import re
 import runpy
 import sys
@@ -48,3 +49,13 @@ def test_level_profile_demo(capsys, monkeypatch):
     assert np.all(np.diff(peak) >= 0)  # a high-water mark
     assert not np.any(resident > peak)  # NaN where the resident set cannot be read
     assert 0 < float(re.search(r"beta_h (\S+)", out).group(1)) < 1
+
+
+def test_mesh_families_demo(capsys):
+    out = _run("mesh_families.py", capsys)
+    rows = re.findall(r"^  n=(\d+) +cells=(\d+)", out, re.MULTILINE)
+    assert len(rows) == 12  # four families at three sizes
+    assert "  vertices identical: True\n" in out
+    assert "  cells identical:    True\n" in out
+    path = re.search(r"^round trip through (.+):$", out, re.MULTILINE).group(1)
+    assert not os.path.exists(path)  # the round-trip file is cleaned up

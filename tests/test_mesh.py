@@ -16,7 +16,7 @@ from wgstokes.mesh import (
     _renumber,
     generate_mesh,
     load_mesh,
-    refine_sequence,
+    refinement_ladder,
     save_mesh,
     shape_regularity,
 )
@@ -44,15 +44,15 @@ class TestGenerators:
             | (mesh.vertices[:, 1] == 0)
             | (mesh.vertices[:, 1] == 1)
         )
-        interior = [c for c in mesh.cells if not on_bdry[c].any()]
-        assert interior, "expected interior cells at n=4"
-        assert {len(c) for c in interior} == {6}
+        interior = np.bincount(mesh.side_cell, on_bdry[mesh.side_vertices[:, 0]]) == 0
+        assert interior.any(), "expected interior cells at n=4"
+        assert set(np.bincount(mesh.side_cell)[interior]) == {6}
         assert mesh.areas.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_perturbed_polygon_census(self):
         mesh = generate_mesh("perturbed-polygon", 8, seed=3)
         assert mesh.areas.sum() == pytest.approx(1.0, abs=1e-12)
-        sides = np.array([len(c) for c in mesh.cells])
+        sides = np.bincount(mesh.side_cell)
         # genuinely polygonal: most cells have >= 5 sides
         assert (sides >= 5).sum() > mesh.num_cells / 2
 
@@ -164,8 +164,8 @@ class TestInvariants:
         appearance there, which fixes the DOF layout and the LU fill."""
         for mesh in (generate_mesh(family, 3, seed=4), hostile_mesh):
             edges, edge_cells, side = {}, [], 0
-            for ci, loop in enumerate(mesh.cells):
-                p = mesh.cell_vertices(ci)
+            for ci in range(mesh.num_cells):
+                loop, p = mesh.side_vertices[mesh.side_cell == ci, 0], mesh.cell_vertices(ci)
                 t = np.roll(p, -1, axis=0) - p
                 normals = np.column_stack([t[:, 1], -t[:, 0]]) / np.hypot(*t.T)[:, None]
                 assert mesh.side_starts[ci] == side
@@ -182,19 +182,25 @@ class TestInvariants:
                     side += 1
             assert mesh.edges.tolist() == [list(k) for k in edges]
             assert mesh.edge_cells.tolist() == edge_cells
-            assert np.array_equal(np.concatenate(mesh.cell_edges), mesh.side_edge)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_refinement_halves_mesh_size(self, family):
-        meshes = refine_sequence(family, 2, 4, seed=5)
+        meshes = [generate_mesh(family, n, seed=5) for n in refinement_ladder(2, 4)]
         hs = [m.mesh_size for m in meshes]
         assert all(h2 < h1 for h1, h2 in zip(hs, hs[1:]))
         ratios = np.array(hs[1:]) / np.array(hs[:-1])
         assert ((ratios > 0.4) & (ratios < 0.6)).all()
 
-    def test_refine_sequence_cell_counts(self):
-        meshes = refine_sequence("uniform-quad", 4, 3)
+    def test_refinement_ladder_cell_counts(self):
+        meshes = [generate_mesh("uniform-quad", n) for n in refinement_ladder(4, 3)]
         assert [m.num_cells for m in meshes] == [16, 64, 256]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_mesh_holds_only_arrays_and_numbers(self, family):
+        # no per-cell Python lists: every attribute is a table or a count
+        mesh = generate_mesh(family, 4)
+        for name, value in vars(mesh).items():
+            assert isinstance(value, (np.ndarray, int, float)), name
 
     def test_boundary_edges_lie_on_square(self):
         mesh = generate_mesh("perturbed-polygon", 6, seed=9)
@@ -251,9 +257,22 @@ class TestIO:
         save_mesh(mesh, path)
         again = load_mesh(path)
         assert np.array_equal(mesh.vertices, again.vertices)
-        assert len(mesh.cells) == len(again.cells)
-        for a, b in zip(mesh.cells, again.cells):
-            assert np.array_equal(a, b)
+        assert np.array_equal(mesh.side_starts, again.side_starts)
+        assert np.array_equal(mesh.side_vertices, again.side_vertices)
+
+    def test_saved_text_is_golden(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        save_mesh(generate_mesh("uniform-quad", 1), path)
+        assert path.read_text() == (
+            "wgmesh 2d v1\n"
+            "vertices 4\n"
+            "0.0 0.0\n"
+            "1.0 0.0\n"
+            "0.0 1.0\n"
+            "1.0 1.0\n"
+            "cells 1\n"
+            "0 1 3 2\n"
+        )
 
     def test_header_first_line(self, tmp_path):
         mesh = generate_mesh("uniform-quad", 2)

@@ -7,7 +7,6 @@ from wgstokes.quadrature import (
     gauss_points,
     polygon_geometry,
     polygon_rule,
-    triangle_rule,
 )
 
 # Irregular convex pentagon and its monomial integrals, computed symbolically
@@ -80,15 +79,15 @@ def test_triangle_reference_factorials():
     from math import factorial
 
     for a, b in [(0, 0), (1, 0), (0, 2), (2, 3), (4, 4)]:
-        rule = triangle_rule([0, 0], [1, 0], [0, 1], a + b)
+        rule = polygon_rule([[0, 0], [1, 0], [0, 1]], a + b)
         got = np.sum(rule.weights * rule.points[:, 0] ** a * rule.points[:, 1] ** b)
         exact = factorial(a) * factorial(b) / factorial(a + b + 2)
         assert got == pytest.approx(exact, rel=1e-14)
 
 
 def test_triangle_rejects_clockwise():
-    with pytest.raises(ValueError):
-        triangle_rule([0, 0], [0, 1], [1, 0], 2)
+    with pytest.raises(PolygonError, match="CCW"):
+        polygon_rule([[0, 0], [0, 1], [1, 0]], 2)
 
 
 @pytest.mark.parametrize("a,b,exact", PENTAGON_INTEGRALS)
@@ -130,7 +129,7 @@ def test_u_shapes_have_no_fan_apex():
 
 
 def test_fan_uses_m_minus_2_triangles(poly_mesh_4):
-    q = len(triangle_rule([0, 0], [1, 0], [0, 1], 6).weights)
+    q = len(polygon_rule([[0, 0], [1, 0], [0, 1]], 6).weights)
     square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
     voronoi = [poly_mesh_4.cell_vertices(c) for c in range(poly_mesh_4.num_cells)]
     assert max(len(v) for v in voronoi) >= 6
