@@ -46,7 +46,7 @@ def build_parser():
     study.add_argument(
         "--condense",
         action="store_true",
-        help="ignored: studies always condense (ROADMAP item 5 removes it after item 4)",
+        help="ignored: studies always condense (ROADMAP item 2 removes it after item 1)",
     )
     study.add_argument(
         "--dump-matrices",

@@ -30,7 +30,8 @@ square is the cell that mirroring every generator gives.  Every cell is
 checked, and one that fails raises MeshValidationError.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -431,14 +432,14 @@ def load_mesh(path):
 
 @dataclass
 class ShapeRegularityReport:
-    """Aspect proxies per cell: diameter/inradius and max/min edge ratio."""
+    """Per cell: chunkiness (diameter / star radius) and max/min edge ratio."""
 
     aspect: np.ndarray
     edge_ratio: np.ndarray
     max_aspect: float
     max_edge_ratio: float
     threshold: float
-    flagged: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
+    flagged: np.ndarray
 
     def summary(self):
         return (
@@ -449,29 +450,39 @@ class ShapeRegularityReport:
 
 
 def shape_regularity(mesh, threshold=20.0):
-    """Diameter/inradius and edge-length-ratio proxies for every cell.
+    """Chunkiness (diameter / star radius) and edge-length ratio of every cell.
 
-    The inradius of a convex cell is found exactly as the Chebyshev center
-    (a tiny linear program per cell); for nonconvex cells the distance from
-    the centroid to the boundary serves as a lower bound.  Cells whose
-    diameter/inradius exceeds `threshold` are flagged, not rejected.
+    The star radius is that of the largest disc with respect to which the
+    cell is star-shaped (Brenner & Scott, section 4.2): the largest disc in
+    the cell's kernel, the intersection of its sides' inner half-planes.  It
+    is the optimum of max r subject to n_i . x + r <= n_i . p_i, which is
+    a vertex of that polyhedron in (x, y, r); so every triple of side lines
+    is solved, stacked per side count, and the largest feasible r kept.  For
+    a convex cell it is the inradius.  A cell that is not star-shaped raises
+    MeshValidationError; cells whose aspect exceeds `threshold` are flagged,
+    not rejected.
     """
-    starts, ends = mesh.side_starts, np.append(mesh.side_starts[1:], len(mesh.side_cell))
+    starts = mesh.side_starts
     p, q = mesh.vertices[mesh.side_vertices.T]
-    t = q - p
-    lengths = np.hypot(*t.T)
+    lengths = np.hypot(*(q - p).T)
     edge_ratio = np.maximum.reduceat(lengths, starts) / np.minimum.reduceat(lengths, starts)
-    # convex: no corner turns clockwise, up to rounding
-    u = t[_successors(starts, len(t))]
-    turn = t[:, 0] * u[:, 1] - t[:, 1] * u[:, 0]
-    convex = np.minimum.reduceat(turn, starts) > -1e-14 * np.maximum.reduceat(np.abs(turn), starts)
-    # distance from the centroid to the nearest point of each side
-    c = mesh.centroids[mesh.side_cell]
-    tt = np.clip(np.einsum("ij,ij->i", c - p, t) / (t * t).sum(1), 0.0, 1.0)
-    rho = np.minimum.reduceat(np.hypot(*(p + tt[:, None] * t - c).T), starts)
-    for ci in np.nonzero(convex)[0]:
-        sides = slice(starts[ci], ends[ci])
-        rho[ci] = _chebyshev_radius(p[sides], mesh.side_normal[sides])
+    # each side's constraint n . x + r <= n . p as the row [n, 1, n . p]
+    normal = mesh.side_normal
+    rows = np.column_stack([normal, np.ones(len(p)), np.einsum("ij,ij->i", normal, p)])
+    rho = np.empty(mesh.num_cells)
+    for group, s in loop_groups(rows, starts):
+        triples = list(combinations(range(s.shape[1]), 3))
+        A, b = s[:, triples, :3], s[:, triples, 3]
+        solvable = np.abs(np.linalg.det(A)) > 1e-12  # singular where two of the sides face one way
+        A[~solvable] = np.eye(3)
+        x = np.linalg.solve(A, b[..., None])[..., 0]
+        slack = s[:, None, :, 3] - np.einsum("gmj,gtj->gtm", s[..., :3], x)
+        feasible = solvable & (slack.min(axis=2) >= -1e-12 * mesh.diameters[group, None])
+        rho[group] = np.where(feasible, x[..., 2], -np.inf).max(axis=1)
+    if (rho <= 0.0).any():
+        raise MeshValidationError(
+            f"cell {np.argmax(rho <= 0.0)} is not star-shaped: no disc lies in its kernel"
+        )
     aspect = mesh.diameters / rho
     return ShapeRegularityReport(
         aspect=aspect,
@@ -481,15 +492,3 @@ def shape_regularity(mesh, threshold=20.0):
         threshold=threshold,
         flagged=np.nonzero(aspect > threshold)[0],
     )
-
-
-def _chebyshev_radius(p, normals):
-    # max r s.t. n_i . x + r <= n_i . p_i  (the largest inscribed disc)
-    from scipy.optimize import linprog  # imported here: no command needs it
-    m = len(p)
-    A = np.column_stack([normals, np.ones(m)])
-    b = np.einsum("ij,ij->i", normals, p)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=b, bounds=[(None, None)] * 3)
-    if not res.success or res.x[2] <= 0.0:
-        raise MeshValidationError("inscribed-disc LP failed; degenerate cell?")
-    return float(res.x[2])

@@ -121,7 +121,10 @@ def hostile_mesh():
 
     The U (ear-clipped: no vertex sees it whole) has collinear
     vertices on its bottom and left sides and a hanging vertex on the slot
-    bottom, where the slot cell's side is split in two.
+    bottom, where the slot cell's side is split in two.  The U is not
+    star-shaped (its kernel is empty), so it lies outside the paper's
+    shape-regularity assumption; the identities tested on it do not need
+    that assumption.
     """
     vertices = [
         (0, 0), (0.5, 0), (1, 0), (1, 1), (0.75, 1), (0.75, 0.25),

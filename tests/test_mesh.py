@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.spatial import Voronoi, cKDTree
 
 from wgstokes import mesh as mesh_module
@@ -348,17 +349,53 @@ class TestShapeRegularity:
         rep = shape_regularity(mesh, threshold=rep_threshold(mesh))
         assert len(rep.flagged) >= 1
 
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_star_radius_matches_lp(self, family, n):
+        mesh = generate_mesh(family, n, seed=0)
+        rho = [lp_star_radius(mesh.cell_vertices(c)) for c in range(mesh.num_cells)]
+        assert shape_regularity(mesh).aspect == pytest.approx(mesh.diameters / rho, rel=1e-12)
+
+    def test_star_shaped_chevron_is_measured_exactly(self):
+        # nonconvex, with its centroid (0.5, 0.6) outside the cell
+        mesh = PolygonalMesh([(0, 0), (0.5, 0.8), (1, 0), (0.5, 1)], [[0, 1, 2, 3]])
+        rho = lp_star_radius(mesh.vertices)
+        assert rho == pytest.approx(0.0485100, abs=1e-7)
+        aspect = shape_regularity(mesh).aspect
+        assert aspect == pytest.approx([mesh.diameters[0] / rho], rel=1e-12)
+        assert aspect[0] == pytest.approx(23.05, abs=0.005)
+
+    def test_cell_that_is_not_star_shaped_is_rejected(self, hostile_mesh):
+        # the U cell's kernel is empty
+        with pytest.raises(MeshValidationError, match=r"cell 0\b"):
+            shape_regularity(hostile_mesh)
+
     def test_lp_solver_is_not_imported_by_the_cli(self):
-        # only shape_regularity needs scipy.optimize; the CLI's set-up skips it
+        # no command and no shape-regularity report needs scipy.optimize
         code = (
             "import sys, wgstokes.cli\n"
             "from wgstokes.cases import get_case\n"
+            "from wgstokes.mesh import FAMILIES, generate_mesh, shape_regularity\n"
             "get_case('taylor-trig')\n"
+            "for family in FAMILIES:\n"
+            "    shape_regularity(generate_mesh(family, 4))\n"
             "print('scipy.optimize' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.stdout.strip() == "False", out.stderr
+
+
+def lp_star_radius(loop):
+    """Star radius of a CCW vertex loop by linear programming: the largest r
+    with a centre x such that n_i . x + r <= n_i . p_i for every side i."""
+    t = np.roll(loop, -1, axis=0) - loop
+    normal = np.column_stack([t[:, 1], -t[:, 0]]) / np.hypot(*t.T)[:, None]
+    A = np.column_stack([normal, np.ones(len(loop))])
+    b = (normal * loop).sum(axis=1)
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=b, bounds=[(None, None)] * 3)
+    assert res.success, res.message
+    return res.x[2]
 
 
 def all_mirrors_voronoi(pts):
