@@ -3,7 +3,6 @@
 from .analysis import (
     ConvergenceRecord,
     ErrorBundle,
-    consistency_dual_norms,
     consistency_functionals,
     discrete_inf_sup,
     dual_norms,

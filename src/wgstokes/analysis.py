@@ -115,11 +115,6 @@ def pressure_error(ops, p_h, p):
     return _l2_error(ops, p, p_h.cellwise)
 
 
-def gradient_projection_error(ops, grad_u):
-    """L2 distance between an exact Jacobian field and its cellwise projection."""
-    return _l2_error(ops, grad_u, project_gradient(ops, grad_u))
-
-
 # -- error bundles -------------------------------------------------------
 
 
@@ -180,7 +175,8 @@ def projection_errors(ops, case):
     velocity = velocity_interior_error(ops, project_velocity(ops, u), u)
     p = _at_data_points(ops, case.p)
     pressure = pressure_error(ops, project_pressure(ops, p), p)
-    gradient = gradient_projection_error(ops, _at_data_points(ops, case.grad_u))
+    grad_u = _at_data_points(ops, case.grad_u)
+    gradient = _l2_error(ops, grad_u, project_gradient(ops, grad_u))
     return {"velocity": velocity, "pressure": pressure, "gradient": gradient}
 
 
@@ -298,11 +294,6 @@ def dual_norms(system, vectors):
         r = vec[free]
         out[name] = float(np.sqrt(max(r @ factor.apply(r), 0.0)))
     return out
-
-
-def consistency_dual_norms(system, case):
-    """Dual norms of the error-equation functionals for one case."""
-    return dual_norms(system, consistency_functionals(system.ops, case))
 
 
 def verify_error_equation(system, case, report):

@@ -1,10 +1,11 @@
-"""Scaled monomial bases on cells and edges.
+"""Scaled monomial bases on cells.
 
 Cell bases are monomials in ((x - x_T)/h_T, (y - y_T)/h_T) centered at the
-cell centroid and scaled by the cell diameter; edge bases are monomials in
-the arc-length parameter centered at the edge midpoint and scaled by the
-edge length.  The scaling keeps local Gram matrices well conditioned
-independently of the mesh size.
+cell centroid and scaled by the cell diameter.  The scaling keeps local Gram
+matrices well conditioned independently of the mesh size.  Edge bases need
+no class: they are the powers of t = s/len - 1/2 in the canonical arc-length
+parameter s, the same on every edge, so `weakops` evaluates them once on the
+reference edge.
 """
 
 import numpy as np
@@ -78,36 +79,3 @@ class CellBasis:
     def eval(self, pts):
         """Basis values at physical points; shape (npts, dim)."""
         return monomials((np.atleast_2d(pts) - self.center) / self.scale, self.degree)
-
-    def eval_grad(self, pts):
-        """Basis gradients at physical points; shape (npts, dim, 2)."""
-        local = (np.atleast_2d(pts) - self.center) / self.scale
-        return monomial_gradients(local, self.degree) / self.scale
-
-
-class EdgeBasis:
-    """Scaled monomial basis of P_degree on one edge.
-
-    Functions are monomials in t = s/len - 1/2 where s is the arc-length
-    coordinate from the edge's first (canonical) vertex, so t runs over
-    [-1/2, 1/2] regardless of which cell looks at the edge.
-    """
-
-    def __init__(self, degree, p0, p1):
-        self.degree = degree
-        self.p0 = np.asarray(p0, dtype=float)
-        self.p1 = np.asarray(p1, dtype=float)
-        d = self.p1 - self.p0
-        self.length = float(np.hypot(*d))
-        self.tangent = d / self.length
-        self.dim = degree + 1
-
-    def param(self, pts):
-        """Centered arc-length parameter t in [-1/2, 1/2] of on-edge points."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (pts - self.p0) @ self.tangent / self.length - 0.5
-
-    def eval(self, pts):
-        """Basis values at physical points on the edge; shape (npts, dim)."""
-        t = self.param(pts)
-        return t[:, None] ** np.arange(self.dim)[None, :]

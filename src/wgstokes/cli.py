@@ -125,11 +125,10 @@ def cmd_infsup(args):
     betas = []
     for level, n in enumerate(refinement_ladder(args.n0, args.levels)):
         mesh = generate_mesh(args.family, n, seed=args.seed)
-        ops = ElementOps(mesh, args.degree)
+        system = assemble(ElementOps(mesh, args.degree))
+        beta = discrete_inf_sup(system)
         if level == 0:  # after level 0 has checked the arguments: bad input prints nothing
             print(f"{'level':>5} {'h':>10} {'cells':>7} {'p-dofs':>7} {'beta_h':>10}")
-        system = assemble(ops)
-        beta = discrete_inf_sup(system)
         print(
             f"{level:>5} {mesh.mesh_size:>10.4e} {mesh.num_cells:>7} "
             f"{system.num_pressure_dofs:>7} {beta:>10.6f}"

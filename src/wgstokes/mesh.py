@@ -183,10 +183,6 @@ class PolygonalMesh:
         end = self.side_starts[ci + 1] if ci + 1 < self.num_cells else len(self.side_cell)
         return self.vertices[self.side_vertices[self.side_starts[ci] : end, 0]]
 
-    def edge_vertices(self, e):
-        """Endpoint coordinates of edge `e` in canonical order; shape (2, 2)."""
-        return self.vertices[self.edges[e]]
-
     def __repr__(self):
         return (
             f"PolygonalMesh({self.num_vertices} vertices, {self.num_edges} edges, "
@@ -394,6 +390,8 @@ def load_mesh(path):
             fail(f"expected '{word} N' with integer N", ln + 1)
         if n < 0:
             fail(f"negative {word} count {n}", ln + 1)
+        if n > len(lines) - ln - 1:
+            fail(f"{word} count {n} exceeds the {len(lines) - ln - 1} lines that follow", ln + 1)
         return n
 
     if not lines or lines[0].strip() != _HEADER:
@@ -402,8 +400,6 @@ def load_mesh(path):
     verts = np.empty((count("vertices", ln), 2))
     for i in range(len(verts)):
         ln += 1
-        if ln >= len(lines):
-            fail("unexpected end of file in vertex block", ln + 1)
         parts = lines[ln].split()
         if len(parts) != 2:
             fail(f"expected 'x y', got {lines[ln]!r}", ln + 1)
@@ -415,8 +411,6 @@ def load_mesh(path):
     cells = []
     for i in range(count("cells", ln)):
         ln += 1
-        if ln >= len(lines):
-            fail("unexpected end of file in cell block", ln + 1)
         try:
             cells.append([int(t) for t in lines[ln].split()])
         except ValueError:
@@ -443,7 +437,7 @@ class ShapeRegularityReport:
 
     def summary(self):
         return (
-            f"max diameter/inradius {self.max_aspect:.3f}, "
+            f"max diameter/star radius {self.max_aspect:.3f}, "
             f"max edge ratio {self.max_edge_ratio:.3f}, "
             f"{len(self.flagged)} cell(s) above threshold {self.threshold:g}"
         )

@@ -32,18 +32,6 @@ class DofMap:
         self.num_velocity_dofs = self.interior_size + mesh.num_edges * 2 * self.dim_edge
         self.num_pressure_dofs = mesh.num_cells * self.dim_cell_low
 
-    # -- velocity numbering -------------------------------------------
-
-    def interior_dofs(self, c):
-        """Global indices of cell c's interior block: x-component then y."""
-        start = c * 2 * self.dim_cell
-        return np.arange(start, start + 2 * self.dim_cell)
-
-    def edge_dofs(self, e):
-        """Global indices of edge e's block: x-component then y."""
-        start = self.interior_size + e * 2 * self.dim_edge
-        return np.arange(start, start + 2 * self.dim_edge)
-
     # -- boundary -------------------------------------------------------
 
     def boundary_velocity_mask(self):
@@ -95,12 +83,6 @@ class WeakFunction(_Coefficients):
         nk = self.dofmap.dim_cell
         start = c * 2 * nk
         return self.coeffs[start : start + 2 * nk].reshape(2, nk)
-
-    def edge(self, e):
-        """(2, dim_edge) view of edge e's coefficients."""
-        ne = self.dofmap.dim_edge
-        start = self.dofmap.interior_size + e * 2 * ne
-        return self.coeffs[start : start + 2 * ne].reshape(2, ne)
 
     @property
     def v0(self):

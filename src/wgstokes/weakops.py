@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import CellBasis, EdgeBasis, monomial_gradients, monomials, space_dimension
+from .basis import CellBasis, monomial_gradients, monomials, space_dimension
 from .errors import MeshValidationError
 from .quadrature import PolygonError, edge_rule, gauss_points, polygon_rule
 from .spaces import DofMap
@@ -188,13 +188,13 @@ class ElementOps:
     def _edge_rules(self, exactness):
         ends = self.mesh.vertices[self.mesh.edges]
         rule = edge_rule(ends[:, 0], ends[:, 1], exactness)
-        # Gauss points of the unit reference edge, in the canonical parameter
+        # Gauss points of the unit reference edge, in the canonical parameter;
+        # the edge basis is the powers of t = s - 1/2
         s, _ = gauss_points(exactness)
-        reference = EdgeBasis(self.degree - 1, (0.0, 0.0), (1.0, 0.0))
         return EdgeTable(
             points=rule.points.reshape(-1, len(s), 2),
             weights=rule.weights.reshape(-1, len(s)),
-            values=reference.eval(np.column_stack([s, np.zeros_like(s)])),
+            values=(s - 0.5)[:, None] ** np.arange(self.degree),
         )
 
     # -- weak operators applied to coefficient vectors --------------------

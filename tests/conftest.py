@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from wgstokes import solver
 from wgstokes.mesh import PolygonalMesh, generate_mesh
+from wgstokes.spaces import WeakFunction
 from wgstokes.weakops import ElementOps
 
 
@@ -50,6 +51,23 @@ class PolyField:
 
     def div(self, pts):
         return self._eval(self.cx, pts, dx=1) + self._eval(self.cy, pts, dy=1)
+
+
+def edge_basis(degree, p0, p1, pts):
+    """Edge basis of P_degree at on-edge points; shape (npts, degree + 1).
+
+    The powers of t = (x - p0).(p1 - p0)/|p1 - p0|^2 - 1/2, which runs over
+    [-1/2, 1/2] from the edge's canonical first vertex p0 to p1.
+    """
+    d = np.subtract(p1, p0)
+    t = (np.atleast_2d(pts) - p0) @ d / (d @ d) - 0.5
+    return t[:, None] ** np.arange(degree + 1)
+
+
+def dof_indices(dofmap):
+    """Global velocity indices laid out as the (v0, vb) views of a WeakFunction."""
+    idx = WeakFunction(dofmap, np.arange(dofmap.num_velocity_dofs, dtype=float))
+    return idx.v0.astype(int), idx.vb.astype(int)
 
 
 def dense_inf_sup(system):

@@ -12,7 +12,7 @@ from wgstokes.quadrature import polygon_rule
 from wgstokes.spaces import PressureFunction, WeakFunction
 from wgstokes.weakops import DATA_EXACTNESS, ElementOps
 
-from conftest import PolyField
+from conftest import PolyField, dof_indices
 
 
 @pytest.fixture(scope="module")
@@ -168,9 +168,10 @@ def test_divergence_rows_are_cell_local(system_quad_k1):
     system = system_quad_k1
     dm, mesh = system.ops.dofmap, system.ops.mesh
     B = system.B.tocsr()
+    interior, edge = dof_indices(dm)
     for c in range(mesh.num_cells):
-        edges = [dm.edge_dofs(e) for e in mesh.side_edge[mesh.side_cell == c]]
-        allowed = set(np.concatenate([dm.interior_dofs(c), *edges]))
+        edges = edge[mesh.side_edge[mesh.side_cell == c]]
+        allowed = set(interior[c].ravel()) | set(edges.ravel())
         for p in range(c * dm.dim_cell_low, (c + 1) * dm.dim_cell_low):
             cols = B.indices[B.indptr[p] : B.indptr[p + 1]]
             assert set(cols) <= allowed
@@ -181,10 +182,8 @@ def test_load_vector_is_interior_moments(ops_quad_k1):
     f = lambda pts: np.column_stack([pts[:, 0] * pts[:, 1], np.ones(len(pts))])
     system = assemble(ops_quad_k1, body_force=f)
     dm = ops_quad_k1.dofmap
-    edge_dofs = np.ones(dm.num_velocity_dofs, dtype=bool)
+    interior, edge = dof_indices(dm)
     all_moments = ops_quad_k1.cell_moments(f, ops_quad_k1.degree)
     for c, moments in enumerate(all_moments):
-        idx = dm.interior_dofs(c)
-        edge_dofs[idx] = False
-        assert np.allclose(system.load[idx.reshape(moments.shape)], moments, atol=1e-14)
-    assert np.all(system.load[edge_dofs] == 0.0)
+        assert np.allclose(system.load[interior[c]], moments, atol=1e-14)
+    assert np.all(system.load[edge] == 0.0)

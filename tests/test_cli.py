@@ -259,7 +259,9 @@ def test_infsup_two_pressure_dofs(capsys):
 )
 def test_one_pressure_dof_is_a_configuration_error(argv, capsys):
     assert main(argv) == 2
-    assert "error: the mesh has 1 pressure DOF" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: the mesh has 1 pressure DOF" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -314,6 +316,8 @@ def test_benchmark_entry_points_resolve(ops_quad_k1, ops_quad_k2):
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
     # what perfbench/checks.py reads
     assert len(ops_quad_k1.cell_basis) == len(ops_quad_k1.cell_basis_low) == 16
+    assert ops_quad_k1.mesh.cell_vertices(0).shape == (4, 2)
+    assert ops_quad_k1.cell_basis[0].eval(ops_quad_k1.mesh.centroids[0]).shape == (1, 3)
     assert callable(SaddleSystem.pressure_mass)
     # it passes the case's data degree to assemble, which accepts and ignores it
     assert "data_degree" in inspect.signature(assemble).parameters

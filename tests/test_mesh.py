@@ -206,7 +206,7 @@ class TestInvariants:
     def test_boundary_edges_lie_on_square(self):
         mesh = generate_mesh("perturbed-polygon", 6, seed=9)
         for e in np.nonzero(mesh.boundary_edges)[0]:
-            p, q = mesh.edge_vertices(e)
+            p, q = mesh.vertices[mesh.edges[e]]
             on_side = any(p[d] == q[d] and p[d] in (0.0, 1.0) for d in (0, 1))
             assert on_side, f"boundary edge {e} not on the square: {p}, {q}"
 
@@ -297,6 +297,8 @@ class TestIO:
         "text, line",
         [
             ("wgmesh 2d v1\nvertices -3\n", 2),
+            # a count larger than the file, checked before anything is allocated
+            ("wgmesh 2d v1\nvertices 100000000000000\n0 0\n", 2),
             ("wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells -1\n", 6),
             # content after the declared cell block
             ("wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 2\n\n0 1 2\ngarbage here\n", 9),
@@ -342,7 +344,7 @@ class TestShapeRegularity:
         rep = shape_regularity(mesh)
         assert np.isfinite(rep.aspect).all()
         assert rep.max_aspect >= 2 * np.sqrt(2) - 1e-9  # the disc bound
-        assert "max diameter/inradius" in rep.summary()
+        assert "max diameter/star radius" in rep.summary()
 
     def test_threshold_flags(self):
         mesh = generate_mesh("perturbed-polygon", 6, seed=0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wgstokes.basis import EdgeBasis
+from wgstokes.basis import monomial_gradients
 from wgstokes.mesh import PolygonalMesh, generate_mesh
 from wgstokes.quadrature import edge_rule, polygon_rule
 from wgstokes.projections import (
@@ -13,6 +13,8 @@ from wgstokes.projections import (
     project_velocity,
 )
 from wgstokes.weakops import ElementOps
+
+from conftest import edge_basis
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +53,9 @@ def test_edge_projection_mean_oracle(unit_cell_k1):
     # arclength parameter along the bottom edge (0,0)-(1,0) is x
     u = lambda pts: np.column_stack([pts[:, 0], np.zeros(len(pts))])
     v = project_velocity(ops, u)
-    bottom = [e for e in range(ops.mesh.num_edges) if np.allclose(ops.mesh.edge_vertices(e)[:, 1], 0)]
-    (e,) = bottom
-    assert np.allclose(v.edge(e), [[0.5], [0.0]], atol=1e-14)
+    ends = ops.mesh.vertices[ops.mesh.edges]
+    (e,) = [e for e in range(ops.mesh.num_edges) if np.allclose(ends[e][:, 1], 0)]
+    assert np.allclose(v.vb[e], [[0.5], [0.0]], atol=1e-14)
 
 
 def test_edge_projection_line_fit_oracle(unit_cell_k2):
@@ -61,9 +63,10 @@ def test_edge_projection_line_fit_oracle(unit_cell_k2):
     ops = unit_cell_k2
     u = lambda pts: np.column_stack([pts[:, 0] ** 2, np.zeros(len(pts))])
     v = project_velocity(ops, u)
-    (e,) = [e for e in range(ops.mesh.num_edges) if np.allclose(ops.mesh.edge_vertices(e)[:, 1], 0)]
+    ends = ops.mesh.vertices[ops.mesh.edges]
+    (e,) = [e for e in range(ops.mesh.num_edges) if np.allclose(ends[e][:, 1], 0)]
     pts = np.column_stack([np.array([0.0, 0.25, 0.6, 1.0]), np.zeros(4)])
-    vals = EdgeBasis(ops.degree - 1, *ops.mesh.edge_vertices(e)).eval(pts) @ v.edge(e).T
+    vals = edge_basis(ops.degree - 1, *ends[e], pts) @ v.vb[e].T
     assert np.allclose(vals[:, 0], pts[:, 0] - 1.0 / 6.0, atol=1e-13)
 
 
@@ -135,8 +138,9 @@ def test_linear_field_reproduced_everywhere(ops_quad_k1):
         vals = ops.cell_basis[c].eval(rule.points) @ v.interior(c).T
         assert np.allclose(vals, u(rule.points), atol=1e-13)
     for e in (0, 5):
-        mid = ops.mesh.edge_vertices(e).mean(axis=0, keepdims=True)
-        vals = EdgeBasis(ops.degree - 1, *ops.mesh.edge_vertices(e)).eval(mid) @ v.edge(e).T
+        p0, p1 = ops.mesh.vertices[ops.mesh.edges[e]]
+        mid = 0.5 * (p0 + p1)[None, :]
+        vals = edge_basis(ops.degree - 1, p0, p1, mid) @ v.vb[e].T
         assert np.allclose(vals, u(mid), atol=1e-13)
 
 
@@ -147,7 +151,7 @@ def test_boundary_projection_matches_full(ops_quad_k2):
     full = project_velocity(ops, g)
     bdry = project_boundary_velocity(ops, g)
     for e in np.nonzero(ops.mesh.boundary_edges)[0]:
-        assert np.allclose(full.edge(e), bdry.edge(e), atol=1e-14)
+        assert np.allclose(full.vb[e], bdry.vb[e], atol=1e-14)
     mask = ops.dofmap.boundary_velocity_mask()
     assert np.all(bdry.coeffs[~mask] == 0.0)
 
@@ -184,11 +188,12 @@ def test_trace_inequality_bounded_under_refinement():
             coeffs = rng.standard_normal(ops.dofmap.dim_cell)
             rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
             vals = ops.cell_basis[c].eval(rule.points) @ coeffs
-            grads = np.einsum("pij,i->pj", ops.cell_basis[c].eval_grad(rule.points), coeffs)
             h = ops.mesh.diameters[c]
+            local = (rule.points - ops.mesh.centroids[c]) / h
+            grads = np.einsum("pij,i->pj", monomial_gradients(local, ops.degree) / h, coeffs)
             bulk = h ** -1 * rule.weights @ vals**2 + h * rule.weights @ (grads**2).sum(axis=1)
             for e in ops.mesh.side_edge[ops.mesh.side_cell == c]:
-                erule = edge_rule(*ops.mesh.edge_vertices(e), ops.edge_exactness)
+                erule = edge_rule(*ops.mesh.vertices[ops.mesh.edges[e]], ops.edge_exactness)
                 evals = ops.cell_basis[c].eval(erule.points) @ coeffs
                 worst = max(worst, (erule.weights @ evals**2) / bulk)
         maxima.append(worst)

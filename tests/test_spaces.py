@@ -7,6 +7,8 @@ from wgstokes.errors import ConfigurationError
 from wgstokes.mesh import generate_mesh
 from wgstokes.spaces import DofMap, PressureFunction, WeakFunction
 
+from conftest import dof_indices
+
 
 @pytest.fixture(scope="module")
 def mesh():
@@ -34,26 +36,30 @@ def test_degree_validation(mesh):
 def test_blocks_partition_index_space(mesh):
     """Every global velocity index belongs to exactly one block."""
     dm = DofMap(mesh, 2)
+    interior, edge = dof_indices(dm)
+    assert interior.shape == (mesh.num_cells, 2, dm.dim_cell)
+    assert edge.shape == (mesh.num_edges, 2, dm.dim_edge)
     seen = np.zeros(dm.num_velocity_dofs, dtype=int)
     for c in range(mesh.num_cells):
-        seen[dm.interior_dofs(c)] += 1
+        seen[interior[c]] += 1
     for e in range(mesh.num_edges):
-        seen[dm.edge_dofs(e)] += 1
+        seen[edge[e]] += 1
     assert np.all(seen == 1)
 
 
 def test_interior_edges_shared_by_two_cells(mesh):
     dm = DofMap(mesh, 1)
+    interior, edge = dof_indices(dm)
     refs = np.zeros(dm.num_velocity_dofs, dtype=int)
     for c in range(mesh.num_cells):
-        refs[dm.interior_dofs(c)] += 1
+        refs[interior[c]] += 1
     for e in mesh.side_edge:  # each side sees its edge once
-        refs[dm.edge_dofs(e)] += 1
+        refs[edge[e]] += 1
     for e in range(mesh.num_edges):
         expected = 1 if mesh.boundary_edges[e] else 2
-        assert np.all(refs[dm.edge_dofs(e)] == expected)
+        assert np.all(refs[edge[e]] == expected)
     for c in range(mesh.num_cells):
-        assert np.all(refs[dm.interior_dofs(c)] == 1)
+        assert np.all(refs[interior[c]] == 1)
 
 
 def test_stacked_views_match_blocks(mesh):
@@ -67,28 +73,32 @@ def test_stacked_views_match_blocks(mesh):
     for c in range(mesh.num_cells):
         assert np.array_equal(v.v0[c], v.interior(c))
         assert np.array_equal(p.cellwise[c], p.cell(c))
+    n_edge = 2 * dm.dim_edge  # edge-major after all interior blocks, x then y
     for e in range(mesh.num_edges):
-        assert np.array_equal(v.vb[e], v.edge(e))
+        start = dm.interior_size + e * n_edge
+        assert np.array_equal(v.vb[e].ravel(), v.coeffs[start : start + n_edge])
     v.vb[3] = 7.0
-    assert np.all(v.coeffs[dm.edge_dofs(3)] == 7.0)
+    assert np.all(v.coeffs[dof_indices(dm)[1][3]] == 7.0)
 
 
 def test_boundary_mask(mesh):
     dm = DofMap(mesh, 1)
     mask = dm.boundary_velocity_mask()
+    interior, edge = dof_indices(dm)
     for e in range(mesh.num_edges):
-        assert mask[dm.edge_dofs(e)].all() == bool(mesh.boundary_edges[e])
+        assert mask[edge[e]].all() == bool(mesh.boundary_edges[e])
     for c in range(mesh.num_cells):
-        assert not mask[dm.interior_dofs(c)].any()
+        assert not mask[interior[c]].any()
 
 
 def test_weak_function_views_write_through(mesh):
     dm = DofMap(mesh, 1)
     v = WeakFunction.zeros(dm)
+    interior, edge = dof_indices(dm)
     v.interior(0)[:] = 1.0
-    v.edge(2)[:] = 3.0
-    assert v.coeffs[dm.interior_dofs(0)].sum() == 2 * dm.dim_cell
-    assert np.all(v.coeffs[dm.edge_dofs(2)] == 3.0)
+    v.vb[2] = 3.0
+    assert v.coeffs[interior[0]].sum() == 2 * dm.dim_cell
+    assert np.all(v.coeffs[edge[2]] == 3.0)
 
 
 def test_random_zero_boundary(mesh):

@@ -7,7 +7,7 @@ import pytest
 
 from wgstokes import quadrature, weakops
 from wgstokes.assembly import eval_grad_product, eval_s
-from wgstokes.basis import EdgeBasis
+from wgstokes.basis import monomial_gradients
 from wgstokes.cases import case_names, get_case
 from wgstokes.errors import MeshValidationError
 from wgstokes.mesh import PolygonalMesh, generate_mesh
@@ -16,7 +16,7 @@ from wgstokes.projections import project_gradient, project_pressure, project_vel
 from wgstokes.spaces import WeakFunction
 from wgstokes.weakops import DATA_EXACTNESS, ElementOps
 
-from conftest import PolyField
+from conftest import PolyField, edge_basis
 
 
 def _grad_values(ops, coeffs, c, pts):
@@ -58,8 +58,9 @@ def test_stacks_match_per_cell_reference(degree, poly_mesh_4, hostile_mesh):
             assert np.allclose(ops.mass[c], vals.T @ (vals * rule.weights[:, None]), atol=1e-15)
             for h in np.flatnonzero(mesh.side_cell == c):
                 e = mesh.side_edge[h]
-                erule = edge_rule(*mesh.edge_vertices(e), ops.edge_exactness)
-                evals = EdgeBasis(degree - 1, *mesh.edge_vertices(e)).eval(erule.points)
+                p0, p1 = mesh.vertices[mesh.edges[e]]
+                erule = edge_rule(p0, p1, ops.edge_exactness)
+                evals = edge_basis(degree - 1, p0, p1, erule.points)
                 kvals = ops.cell_basis[c].eval(erule.points)
                 mass_e = evals.T @ (evals * erule.weights[:, None])
                 trace = np.linalg.solve(mass_e, evals.T @ (kvals * erule.weights[:, None]))
@@ -144,8 +145,8 @@ def test_stabilizer_single_edge_oracle(ops_quad_k1):
     e = int(np.nonzero(~ops.mesh.boundary_edges)[0][0])
     v = WeakFunction.zeros(ops.dofmap)
     one = ops.solve_edge_mass(ops.edge_moments(lambda pts: np.ones(len(pts))))[e]
-    v.edge(e)[0] = one
-    length = np.linalg.norm(np.diff(ops.mesh.edge_vertices(e), axis=0))
+    v.vb[e, 0] = one
+    length = np.linalg.norm(np.diff(ops.mesh.vertices[ops.mesh.edges[e]], axis=0))
     cells = ops.mesh.side_cell[ops.mesh.side_edge == e]
     expected = sum(length / ops.mesh.diameters[c] for c in cells)
     assert np.isclose(eval_s(ops, v, v), expected, rtol=1e-12)
@@ -207,7 +208,9 @@ def test_interior_gradient_controlled_by_energy():
             broken = 0.0
             for c in range(ops.mesh.num_cells):
                 rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
-                g = np.einsum("pij,ci->pcj", ops.cell_basis[c].eval_grad(rule.points), v.interior(c))
+                h = ops.mesh.diameters[c]
+                grads = monomial_gradients((rule.points - ops.mesh.centroids[c]) / h, 1) / h
+                g = np.einsum("pij,ci->pcj", grads, v.interior(c))
                 broken += rule.weights @ (g**2).sum(axis=(1, 2))
             worst = max(worst, broken / energy)
         maxima.append(worst)
