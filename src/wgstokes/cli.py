@@ -87,12 +87,14 @@ def cmd_study(args):
         config = dataclasses.replace(config, degree=degree, family=family)
         if config not in configs:
             configs.append(config)
+    outs = [_study_out_path(args.out, c.degree, c.family, len(configs) == 1) for c in configs]
     if args.out is not None and not (out_dir := pathlib.Path(args.out).parent).is_dir():
         raise ConfigurationError(f"output directory {out_dir} does not exist")
+    if taken := [out for out in outs if out is not None and out.is_dir()]:
+        raise ConfigurationError(f"output path {taken[0]} is a directory")
 
     all_passed = True
-    for config in configs:
-        out = _study_out_path(args.out, config.degree, config.family, len(configs) == 1)
+    for config, out in zip(configs, outs):
         if args.dump_matrices:
             stem = pathlib.Path(f"wgstokes-k{config.degree}-{config.family}")
             config.dump_prefix = f"{out.with_suffix('') if out else stem}_"

@@ -375,8 +375,12 @@ def load_mesh(path):
     ``x y`` lines; ``cells M`` followed by M lines of space-separated CCW
     0-based vertex indices.  Edges are derived, never stored.
     """
-    with open(path) as f:
-        lines = f.read().splitlines()
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise MeshFormatError("not UTF-8 text", data.count(b"\n", 0, err.start) + 1) from err
 
     def fail(msg, ln):
         raise MeshFormatError(msg, line=ln)
@@ -412,8 +416,8 @@ def load_mesh(path):
     for i in range(count("cells", ln)):
         ln += 1
         try:
-            cells.append([int(t) for t in lines[ln].split()])
-        except ValueError:
+            cells.append(np.array(lines[ln].split(), dtype=np.int64))
+        except (ValueError, OverflowError):
             fail(f"bad vertex index in {lines[ln]!r}", ln + 1)
     for ln in range(ln + 1, len(lines)):
         if lines[ln].strip():

@@ -138,17 +138,17 @@ def solve(system, condense=True):
 class SaddleFactor:
     """Cell-local eliminations of leading blocks of a sparse symmetric matrix, then one sparse LU.
 
-    The matrix (saddle matrix or A_ff) was scaled to D K D on both sides
-    by ``scale`` (in ``order``) and permuted to ``order``; unknowns left
-    out of it, the pinned pressure, come out as 0.  ``steps`` are the
-    `_eliminate` steps in turn, and `splu` factors what they leave, K, in
-    csc: its caller converts it, so that no csr copy is held under the LU.
-    Each step is kept as (W, Wᵀ, G, Gᵀ, sign), its transposes made once.
+    The saddle matrix was scaled to D K D on both sides by ``scale`` (in
+    ``order``) and permuted to ``order``; unknowns left out of it, the
+    pinned pressure, come out as 0.  ``steps`` are the `_eliminate` steps
+    in turn, and `splu` factors what they leave, K, in csc: its caller
+    converts it, so that no csr copy is held under the LU.  Each step is
+    kept as (W, Wᵀ, G, Gᵀ, sign), its transposes made once.
     """
 
-    def __init__(self, K, order, steps, what, scale=1.0):
+    def __init__(self, K, order, steps, what, scale):
         self.order = order
-        self.scale = np.broadcast_to(scale, order.shape)
+        self.scale = scale
         if malloc_trim is not None:
             malloc_trim(0)  # the heap freed so far, back to the system before the LU maps its own
         try:
@@ -264,17 +264,7 @@ def factorize(system, condense=True):
     return SaddleFactor(K, order, steps, "condensed" if condense else "sparse", scale[order])
 
 
-def velocity_factor(system):
-    """A_ff's factor, eliminated and ordered as in `factorize`: apply(f) = A_ff⁻¹ f."""
-    n_cells, n_i = system.ops.mesh.num_cells, system.ops.dofmap.interior_size
-    order = np.concatenate([np.arange(n_i), _dissection(system.ops)])
-    dofs = system.free[order]
-    S, step = _eliminate(system.A[dofs][:, dofs].tocsr(), n_cells, n_i, 1, "interior")
-    S = S.tocsc()  # the csr goes before the LU
-    return SaddleFactor(S, order, [step], "velocity")
-
-
-def _dissection(ops, cell_unknowns=None):
+def _dissection(ops, cell_unknowns):
     """Free edge DOFs by nested dissection of the cells, each cell's unknowns after its last edge.
 
     The cells are split in two at the median centroid along the wider
@@ -310,7 +300,6 @@ def _dissection(ops, cell_unknowns=None):
     de = 2 * ops.dofmap.dim_edge
     unknowns = ops.dofmap.interior_size + np.arange(len(rank) * de)
     key = np.repeat(2 * rank, de)
-    if cell_unknowns is not None:
-        unknowns = np.concatenate([unknowns, cell_unknowns.ravel()[1:]])
-        key = np.concatenate([key, np.repeat(2 * last + 1, cell_unknowns.shape[1])[1:]])
+    unknowns = np.concatenate([unknowns, cell_unknowns.ravel()[1:]])
+    key = np.concatenate([key, np.repeat(2 * last + 1, cell_unknowns.shape[1])[1:]])
     return unknowns[np.argsort(key, kind="stable")]

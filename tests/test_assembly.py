@@ -139,6 +139,16 @@ def test_incompatible_boundary_data_rejected(ops_quad_k1):
         assemble(ops_quad_k1, boundary_velocity=lambda pts: pts.copy())
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("mesh", ["quad_mesh_4", "poly_mesh_4", "hostile_mesh"])
+def test_boundary_flux_matches_closed_form(mesh, degree, request):
+    """g = (eˣ, 0) leaves the unit square with net flux ∫₀¹ (e¹ - e⁰) dy = e - 1."""
+    ops = ElementOps(request.getfixturevalue(mesh), degree)
+    g = lambda pts: np.column_stack([np.exp(pts[:, 0]), np.zeros(len(pts))])
+    with pytest.raises(CompatibilityError, match=r"net boundary flux 1\.718e\+00 "):
+        assemble(ops, boundary_velocity=g)
+
+
 def test_boundary_flux_reported_for_compatible_data(ops_quad_k1):
     g = lambda pts: np.column_stack([pts[:, 1], np.zeros(len(pts))])
     system = assemble(ops_quad_k1, boundary_velocity=g)

@@ -183,6 +183,11 @@ def test_study_out_into_missing_directory_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"error: output directory {missing} does not exist" in captured.err
     assert "level" not in captured.out
+    # an existing directory as the CSV path: rejected before the first level
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: output path {tmp_path} is a directory" in captured.err
+    assert captured.out == ""
 
 
 def test_study_dump_matrices(tmp_path, monkeypatch):

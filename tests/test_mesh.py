@@ -223,11 +223,28 @@ class TestValidation:
 
     def test_edge_shared_by_three_cells(self):
         # two triangles stacked on the same (0,1) edge with consistent
-        # orientation is impossible; the third cell must traverse 0->1 again
-        verts = np.array([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, -2]], dtype=float)
+        # orientation is impossible; the third (CCW) cell must traverse 0->1 again
+        verts = np.array([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2]], dtype=float)
         cells = [[0, 1, 2], [0, 3, 1], [0, 1, 4]]
-        with pytest.raises(MeshValidationError):
+        match = r"edge \(0, 1\) traversed twice .*\(cells 0 and 2\)"
+        with pytest.raises(MeshValidationError, match=match):
             PolygonalMesh(verts, cells)
+
+    @pytest.mark.parametrize(
+        "vertices, cells, match",
+        [
+            (np.zeros((3, 3)), [[0, 1, 2]], r"vertices must be an \(nv, 2\) array"),
+            ([(0, 0), (1, 0), (np.nan, 1)], [[0, 1, 2]], "non-finite vertex coordinates"),
+            ([(0, 0), (1, 0), (0, 1)], [], "mesh has no cells"),
+            ([(0, 0), (1, 0), (0, 1)], [[0, 1, 2], [0, 1]], "cell 1 has fewer than 3 vertices"),
+            ([(0, 0), (1, 0), (0, 1)], [[0, 1, 1, 2]], "cell 0 repeats a vertex"),
+            # two disjoint triangles: the Euler check
+            ([(0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (2, 1)], [[0, 1, 2], [3, 4, 5]], r"V-E\+F = 2"),
+        ],
+    )
+    def test_malformed_input_is_typed(self, vertices, cells, match):
+        with pytest.raises(MeshValidationError, match=match):
+            PolygonalMesh(vertices, cells)
 
     def test_degenerate_cell_rejected(self):
         verts = np.array([[0, 0], [1, 0], [2, 0]], dtype=float)
@@ -308,6 +325,23 @@ class TestIO:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(MeshFormatError, match=f"line {line}"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"wgmesh 2d v1\nvertices x\n", 2),
+            (b"wgmesh 2d v1\nvertices 3\n0 0 0\n1 0\n0 1\ncells 1\n0 1 2\n", 3),
+            (b"wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1.5 2\n", 7),
+            # an index past any integer type
+            (b"wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 99999999999999999999999\n", 7),
+            (b"\xff\xfe\x00", 1),  # not UTF-8
+        ],
+    )
+    def test_malformed_file_reports_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(MeshFormatError, match=f"^line {line}: "):
             load_mesh(path)
 
     def test_truncated_file(self, tmp_path):

@@ -231,7 +231,7 @@ def test_heap_handed_back_before_every_lu(ops_quad_k2, monkeypatch):
     monkeypatch.setattr(solver, "malloc_trim", spy_trim)
     monkeypatch.setattr(solver, "splu", spy_splu)
     system = assemble(ops_quad_k2)
-    for path in (factorize, lambda s: factorize(s, condense=False), solver.velocity_factor):
+    for path in (factorize, lambda s: factorize(s, condense=False)):
         events.clear()
         path(system)
         assert events == [("trim", 0), "splu"]
