@@ -1,9 +1,9 @@
 """Error measurement, convergence rates, and discrete stability checks.
 
-The norms here deliberately avoid the assembled matrices: the energy norm
-is accumulated by evaluating the weak gradient and the edge jumps at
-quadrature points, so tests comparing it against the bilinear form
-exercise two independent code paths.
+The energy norm is the quadratic form of `assembly.eval_a`, built from the
+operator stacks and the masses; the tests check it against the assembled
+A and against a reference that evaluates the weak gradient and the edge
+jumps at quadrature points of its own.
 
 Conventions: errors against the exact solution use the data rules of
 ElementOps (one exactness for every field); errors between two discrete
@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .assembly import block_diagonal
+from .assembly import _side_mass, block_diagonal, eval_a
 from .errors import ConfigurationError, SolverError
 from .projections import project_gradient, project_pressure, project_velocity
 from .solver import factorize
@@ -48,19 +48,8 @@ ERROR_COLUMNS = CSV_COLUMNS[3:8]
 
 
 def triple_bar_norm(ops, v):
-    """Energy norm of a discrete velocity, accumulated at quadrature points.
-
-    Squares the weak gradient over each cell and the scaled trace jumps
-    over each cell side; equals sqrt(v' A v) up to rounding.
-    """
-    cells, edges = ops.cell_quadrature, ops.edge_quadrature
-    nlow = ops.dofmap.dim_cell_low
-    grad = np.einsum("pr,pijr->pij", cells.values[:, :nlow], ops.weak_gradient(v)[cells.cell])
-    jump = np.einsum("qb,hib->hqi", edges.values, ops.trace_jump(v))
-    mesh = ops.mesh
-    weights = edges.weights[mesh.side_edge] / mesh.diameters[mesh.side_cell][:, None]
-    total = cells.weights @ (grad**2).sum(axis=(1, 2)) + np.sum(weights * (jump**2).sum(axis=2))
-    return float(np.sqrt(max(total, 0.0)))
+    """Energy norm of a discrete velocity: sqrt(a(v, v)), which equals sqrt(v' A v)."""
+    return _root(eval_a(ops, v, v))
 
 
 def weak_divergence_norm(ops, v):
@@ -263,8 +252,7 @@ def consistency_functionals(ops, case):
 
     ell = edge_integrals(wts * np.einsum("hqij,hj->hqi", grad_res, normals))
     theta = edge_integrals(wts * pres_res[..., None] * normals[:, None, :])
-    mjump = np.einsum("hib,hcb->hic", jump, ops.edge_mass[edges])
-    mjump /= ops.mesh.diameters[cells][:, None, None]
+    mjump = np.einsum("hib,hcb->hic", jump, _side_mass(ops))
     stab = _side_functional(ops, np.einsum("hba,hib->hia", ops.trace, mjump), -mjump)
     return {
         "gradient": ell,

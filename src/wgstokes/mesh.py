@@ -108,7 +108,12 @@ class PolygonalMesh:
             raise MeshValidationError(f"cell {np.argmax(sizes < 3)} has fewer than 3 vertices")
         self.side_starts = np.cumsum(sizes) - sizes
         self.side_cell = np.repeat(np.arange(self.num_cells), sizes)
-        start = np.concatenate(cells).astype(int)
+        try:  # integers of either sign; no float, string or object index
+            start = np.concatenate(cells, dtype=int, casting="same_kind")
+        except TypeError as err:
+            dtypes = (np.asarray(cell).dtype for cell in cells)
+            bad = next(c for c, t in enumerate(dtypes) if not np.can_cast(t, int, "same_kind"))
+            raise MeshValidationError(f"cell {bad} has non-integer vertex indices") from err
         missing = (start < 0) | (start >= self.num_vertices)
         if missing.any():
             raise MeshValidationError(

@@ -22,8 +22,8 @@ call.  Side stacks follow the mesh's side table (one cell seeing one of its
 edges, cell-major in loop order).  Edge-basis values at an edge's Gauss
 points are the same reference table on every edge, since both use the
 canonical parameter.  The local operators are stacks over cells or sides
-(shapes below); the scheme tables use exactness 2k+2 on cells and 2k+1
-on edges, which integrates every scheme integrand exactly.  Every data
+(shapes below), built on scheme tables that integrate every scheme
+integrand exactly (2k+2 on cells, 2k+1 on edges) and are not kept.  Every data
 integral, polynomial or not, uses one more table per kind, exact to
 DATA_EXACTNESS, built on first use and cached on the ElementOps until its
 owner deletes it (a study level drops the cell table across the solve).
@@ -93,9 +93,6 @@ class ElementOps:
 
     Attributes
     ----------
-    cell_quadrature : CellTable
-    edge_quadrature : EdgeTable
-        The scheme rules of all cells and all edges.
     mass : (n_cells, dim_cell, dim_cell)
         P_k cell masses; ``mass_low`` is the leading P_{k-1} block.
     edge_mass : (n_edges, dim_edge, dim_edge)
@@ -117,8 +114,8 @@ class ElementOps:
         self.cell_exactness = 2 * k + 2
         self.edge_exactness = 2 * k + 1
 
-        self.cell_quadrature = cq = self._cell_rules(self.cell_exactness)
-        self.edge_quadrature = eq = self._edge_rules(self.edge_exactness)
+        cq = self._cell_rules(self.cell_exactness)
+        eq = self._edge_rules(self.edge_exactness)
 
         vals = cq.values
         self.mass = cq.integrate(vals, vals)

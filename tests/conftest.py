@@ -6,7 +6,9 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import splu, spsolve
 
 from wgstokes import solver
+from wgstokes.basis import monomial_gradients, monomials, space_dimension
 from wgstokes.mesh import PolygonalMesh, generate_mesh
+from wgstokes.quadrature import edge_rule, polygon_rule
 from wgstokes.spaces import WeakFunction
 from wgstokes.weakops import ElementOps
 
@@ -57,11 +59,61 @@ def edge_basis(degree, p0, p1, pts):
     """Edge basis of P_degree at on-edge points; shape (npts, degree + 1).
 
     The powers of t = (x - p0).(p1 - p0)/|p1 - p0|^2 - 1/2, which runs over
-    [-1/2, 1/2] from the edge's canonical first vertex p0 to p1.
+    [-1/2, 1/2] from the edge's canonical first vertex p0 to p1.  Stacks
+    broadcast: (n, 1, 2) ends against (n, npts, 2) points give (n, npts, degree + 1).
     """
     d = np.subtract(p1, p0)
-    t = (np.atleast_2d(pts) - p0) @ d / (d @ d) - 0.5
-    return t[:, None] ** np.arange(degree + 1)
+    t = ((np.atleast_2d(pts) - p0) * d).sum(axis=-1) / (d * d).sum(axis=-1) - 0.5
+    return t[..., None] ** np.arange(degree + 1)
+
+
+def energy_at_points(ops, v):
+    """Reference |||v|||² of a discrete velocity, by point evaluation alone.
+
+    Builds its own rules at the scheme's exactness, solves every cell's weak
+    gradient G from its definition, (G, q)_T = -(v0, div q)_T + <vb, q n>_dT
+    for q in [P_{k-1}(T)]^{2x2}, and projects each side's v0 - vb on the edge
+    polynomials; then sums |G|² over the cells and h_T⁻¹ |Q_b v0 - vb|² over
+    the sides.  Reads the mesh, degree and exactness of `ops`, but none of
+    its operator stacks or masses.
+    """
+    mesh, k = ops.mesh, ops.degree
+    nlow = space_dimension(k - 1)
+    h, centroids = mesh.diameters, mesh.centroids
+
+    loops = mesh.vertices[mesh.side_vertices[:, 0]]
+    cell_rule = polygon_rule(loops, ops.cell_exactness, mesh.side_starts)
+    c, w = cell_rule.owner, cell_rule.weights
+    loc = (cell_rule.points - centroids[c]) / h[c, None]
+    low = monomials(loc, k - 1)  # (N, nlow)
+    dlow = monomial_gradients(loc, k - 1) / h[c, None, None]  # (N, nlow, 2)
+    v0 = np.einsum("pa,pia->pi", monomials(loc, k), v.v0[c])
+    mass = np.zeros((mesh.num_cells, nlow, nlow))
+    np.add.at(mass, c, w[:, None, None] * low[:, :, None] * low[:, None, :])
+    rhs = np.zeros((mesh.num_cells, 2, 2, nlow))
+    np.add.at(rhs, c, -np.einsum("p,pi,prj->pijr", w, v0, dlow))
+
+    ends = mesh.vertices[mesh.edges]
+    edge = edge_rule(ends[:, 0], ends[:, 1], ops.edge_exactness)
+    q = len(edge.weights) // mesh.num_edges
+    pts, we = edge.points.reshape(-1, q, 2), edge.weights.reshape(-1, q)
+    psi = edge_basis(k - 1, ends[:, None, 0], ends[:, None, 1], pts)  # (n_edges, q, k)
+    vb = np.einsum("eqb,eib->eqi", psi, v.vb)
+
+    sc, se = mesh.side_cell, mesh.side_edge
+    side_loc = (pts[se] - centroids[sc][:, None]) / h[sc][:, None, None]
+    side_low = monomials(side_loc, k - 1)  # (n_sides, q, nlow)
+    flux = np.einsum("hq,hqi,hqr,hj->hijr", we[se], vb[se], side_low, mesh.side_normal)
+    np.add.at(rhs, sc, flux)
+    grad = np.linalg.solve(mass[:, None, None], rhs[..., None])[..., 0]  # (n_cells, 2, 2, nlow)
+    grad_at = np.einsum("pr,pijr->pij", low, grad[c])
+    energy = w @ (grad_at**2).sum(axis=(1, 2))
+
+    diff = np.einsum("hqa,hia->hqi", monomials(side_loc, k), v.v0[sc]) - vb[se]
+    moments = np.einsum("hq,hqb,hqi->hib", we[se], psi[se], diff)
+    edge_mass = np.einsum("hq,hqa,hqb->hab", we[se], psi[se], psi[se])
+    coeffs = np.linalg.solve(edge_mass[:, None], moments[..., None])[..., 0]
+    return energy + np.sum(np.einsum("hib,hib->h", coeffs, moments) / h[sc])
 
 
 def dof_indices(dofmap):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence, spsolve
 
-from conftest import dense_inf_sup
+from conftest import dense_inf_sup, energy_at_points
 from wgstokes import analysis
 from wgstokes.analysis import (
     CSV_COLUMNS,
@@ -24,7 +24,7 @@ from wgstokes.analysis import (
     verify_error_equation,
     weak_divergence_norm,
 )
-from wgstokes.assembly import assemble, eval_grad_product, eval_s
+from wgstokes.assembly import assemble
 from wgstokes.cases import ManufacturedCase, get_case
 from wgstokes.errors import ConfigurationError, SolverError
 from wgstokes.mesh import generate_mesh
@@ -83,15 +83,24 @@ def test_triple_bar_of_zero(ops_quad_k1):
     assert weak_divergence_norm(ops_quad_k1, v) == 0.0
 
 
-@pytest.mark.parametrize("ops_name", ["ops_quad_k1", "ops_poly_k2"])
+@pytest.mark.parametrize(
+    "ops_name", ["ops_quad_k1", "ops_poly_k2", "hostile_k1", "hostile_k2", "hostile_k3"]
+)
 def test_triple_bar_squared_is_energy(ops_name, request):
-    ops = request.getfixturevalue(ops_name)
+    """|||v|||² from the stacks and v'Av both equal the point-evaluation
+    reference, on the hostile mesh (nonconvex, collinear and hanging
+    vertices) too."""
+    if ops_name.startswith("hostile"):
+        ops = ElementOps(request.getfixturevalue("hostile_mesh"), int(ops_name[-1]))
+    else:
+        ops = request.getfixturevalue(ops_name)
+    A = assemble(ops).A
     rng = np.random.default_rng(31)
     for _ in range(5):
         v = WeakFunction.random(ops.dofmap, rng)
-        n2 = triple_bar_norm(ops, v) ** 2
-        energy = eval_grad_product(ops, v, v) + eval_s(ops, v, v)
-        assert abs(n2 - energy) <= 1e-12 * max(energy, 1.0)
+        energy = energy_at_points(ops, v)
+        for n2 in (triple_bar_norm(ops, v) ** 2, v.coeffs @ (A @ v.coeffs)):
+            assert abs(n2 - energy) <= 1e-12 * max(energy, 1.0)
 
 
 def test_energy_is_norm_on_free_dofs(ops_quad_k1):

@@ -246,6 +246,24 @@ class TestValidation:
         with pytest.raises(MeshValidationError, match=match):
             PolygonalMesh(vertices, cells)
 
+    @pytest.mark.parametrize(
+        "cells, bad",
+        [
+            ([[0, 1, 2.7]], 0),
+            ([[0, 1.2, 2]], 0),
+            ([["0", "1", "2"]], 0),
+            ([[0, 1, 10**23]], 0),
+            ([[0, 1, 2], [0, 2.0, 3]], 1),
+        ],
+        ids=["float", "float-inside", "strings", "past-int64", "second-cell-float"],
+    )
+    def test_non_integer_indices_name_the_cell(self, cells, bad):
+        """Indices are not truncated, parsed from text or overflowed: the
+        first cell whose entries are not integers is named."""
+        vertices = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        with pytest.raises(MeshValidationError, match=f"^cell {bad} has non-integer vertex"):
+            PolygonalMesh(vertices, cells)
+
     def test_degenerate_cell_rejected(self):
         verts = np.array([[0, 0], [1, 0], [2, 0]], dtype=float)
         with pytest.raises(MeshValidationError):

@@ -7,6 +7,7 @@ from wgstokes import study, weakops
 from wgstokes.analysis import error_bundle
 from wgstokes.solver import solve
 from wgstokes.study import GATED_RATES, RATE_MARGIN, StudyConfig, default_grid, run_study
+from wgstokes.weakops import CellTable, EdgeTable
 
 
 def test_exact_case_passes_gate():
@@ -77,16 +78,18 @@ def test_rule_tables_built_once_per_level(monkeypatch):
 
 def test_no_data_table_held_across_the_solve(monkeypatch):
     """The cell data table, the largest array of a level, is gone before
-    the solve, so it never sits under the factor."""
+    the solve, and the scheme tables were never kept, so no cell table sits
+    under the factor; the edge data table is the only one left."""
     seen = []
 
     def spy(system, *args, **kwargs):
-        seen.append("cell_data" in vars(system.ops))
+        kept = vars(system.ops).items()
+        seen.append({name for name, v in kept if isinstance(v, (CellTable, EdgeTable))})
         return solve(system, *args, **kwargs)
 
     monkeypatch.setattr(study, "solve", spy)
     run_study(StudyConfig(case="taylor-trig", degree=2, levels=2, n0=2))
-    assert seen == [False, False]
+    assert len(seen) == 2 and all(tables <= {"edge_data"} for tables in seen), seen
 
 
 def test_cell_bases_not_built_by_a_level(monkeypatch):

@@ -14,7 +14,7 @@ from wgstokes.mesh import PolygonalMesh, generate_mesh
 from wgstokes.quadrature import PolygonError, edge_rule, polygon_rule
 from wgstokes.projections import project_gradient, project_pressure, project_velocity
 from wgstokes.spaces import WeakFunction
-from wgstokes.weakops import DATA_EXACTNESS, ElementOps
+from wgstokes.weakops import DATA_EXACTNESS, CellTable, EdgeTable, ElementOps
 
 from conftest import PolyField, edge_basis
 
@@ -245,8 +245,9 @@ def test_data_rule_at_rounding_floor(family, degree, monkeypatch):
 @pytest.mark.parametrize("degree", [2, 3])
 def test_element_ops_peak_near_what_it_keeps(degree):
     """Building the operator stacks holds at most 3 times the memory the
-    ElementOps keeps: the masses and weak-gradient moments are reduced one
-    basis column at a time, with no (points, dim, dim) array."""
+    ElementOps keeps plus the scheme tables it builds and drops: the masses
+    and weak-gradient moments are reduced one basis column at a time, with
+    no (points, dim, dim) array.  No quadrature table outlives the build."""
     mesh = generate_mesh("perturbed-polygon", 16)
     ElementOps(mesh, degree)  # first calls may allocate caches of their own
     tracemalloc.start()
@@ -256,4 +257,7 @@ def test_element_ops_peak_near_what_it_keeps(degree):
     finally:
         tracemalloc.stop()
     assert ops.mass.shape[0] == mesh.num_cells
-    assert peak <= 3 * kept, peak / kept
+    assert not [name for name, v in vars(ops).items() if isinstance(v, (CellTable, EdgeTable))]
+    tables = (ops._cell_rules(ops.cell_exactness), ops._edge_rules(ops.edge_exactness))
+    scheme_bytes = sum(a.nbytes for table in tables for a in vars(table).values())
+    assert peak <= 3 * (kept + scheme_bytes), peak / (kept + scheme_bytes)
