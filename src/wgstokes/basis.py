@@ -24,37 +24,19 @@ def space_dimension(degree):
     return (degree + 1) * (degree + 2) // 2
 
 
-def _powers(loc, degree):
-    """Lists [x^0 .. x^degree] and [y^0 .. y^degree] at (..., 2) points."""
-    px, py = [np.ones(loc.shape[:-1])], [np.ones(loc.shape[:-1])]
-    for _ in range(degree):
-        px.append(px[-1] * loc[..., 0])
-        py.append(py[-1] * loc[..., 1])
-    return px, py
-
-
 def monomials(loc, degree):
     """Monomials up to `degree` at (..., 2) local coordinates; shape (..., dim).
 
     Columns follow `monomial_exponents`, so the values of a lower degree
     are the leading columns.
     """
-    px, py = _powers(loc, degree)
+    px, py = [np.ones(loc.shape[:-1])], [np.ones(loc.shape[:-1])]  # [x^0 .. x^degree], [y^0 ..]
+    for _ in range(degree):
+        px.append(px[-1] * loc[..., 0])
+        py.append(py[-1] * loc[..., 1])
     out = np.empty(loc.shape[:-1] + (space_dimension(degree),))
     for col, (a, b) in enumerate(monomial_exponents(degree)):
         out[..., col] = px[a] * py[b]
-    return out
-
-
-def monomial_gradients(loc, degree):
-    """Gradients of `monomials` in the local coordinates; shape (..., dim, 2)."""
-    px, py = _powers(loc, degree)
-    out = np.zeros(loc.shape[:-1] + (space_dimension(degree), 2))
-    for col, (a, b) in enumerate(monomial_exponents(degree)):
-        if a:
-            out[..., col, 0] = a * px[a - 1] * py[b]
-        if b:
-            out[..., col, 1] = b * px[a] * py[b - 1]
     return out
 
 

@@ -103,17 +103,15 @@ class PolygonalMesh:
     def _build_sides(self, cells):
         if self.num_cells == 0:
             raise MeshValidationError("mesh has no cells")
-        sizes = np.fromiter(map(len, cells), dtype=int, count=self.num_cells)
-        if (sizes < 3).any():
-            raise MeshValidationError(f"cell {np.argmax(sizes < 3)} has fewer than 3 vertices")
+        try:  # flat cells of 3 or more integers of either sign
+            start = np.concatenate(cells, dtype=int, casting="same_kind")
+            sizes = np.fromiter(map(len, cells), dtype=int, count=self.num_cells)
+        except (TypeError, ValueError):  # a float, string, object, nested or scalar entry
+            start = sizes = None
+        if start is None or start.ndim != 1 or (sizes < 3).any():
+            raise MeshValidationError(_malformed_cell(cells))
         self.side_starts = np.cumsum(sizes) - sizes
         self.side_cell = np.repeat(np.arange(self.num_cells), sizes)
-        try:  # integers of either sign; no float, string or object index
-            start = np.concatenate(cells, dtype=int, casting="same_kind")
-        except TypeError as err:
-            dtypes = (np.asarray(cell).dtype for cell in cells)
-            bad = next(c for c, t in enumerate(dtypes) if not np.can_cast(t, int, "same_kind"))
-            raise MeshValidationError(f"cell {bad} has non-integer vertex indices") from err
         missing = (start < 0) | (start >= self.num_vertices)
         if missing.any():
             raise MeshValidationError(
@@ -193,6 +191,21 @@ class PolygonalMesh:
             f"PolygonalMesh({self.num_vertices} vertices, {self.num_edges} edges, "
             f"{self.num_cells} cells, h={self.mesh_size:.4g})"
         )
+
+
+def _malformed_cell(cells):
+    """What is wrong with the first cell that is not a flat loop of 3 or more integers."""
+    for c, cell in enumerate(cells):
+        try:
+            cell = np.asarray(cell)
+        except ValueError:  # ragged
+            cell = np.empty((0, 0))
+        if cell.ndim != 1:
+            return f"cell {c} is not a flat sequence of vertex indices"
+        if len(cell) < 3:
+            return f"cell {c} has fewer than 3 vertices"
+        if not np.can_cast(cell.dtype, int, "same_kind"):
+            return f"cell {c} has non-integer vertex indices"
 
 
 def _successors(starts, total):

@@ -14,22 +14,23 @@ The stabilizer couples the trace of v0 with vb through the edgewise L2
 projection: s_T(v, w) = h_T^{-1} <P_e v0 - vb, P_e w0 - wb>_dT summed over
 the sides of T, where P_e projects onto the edge polynomial space.
 
-:class:`ElementOps` builds every cell's quadrature rule with one
-``polygon_rule`` call into one flat table (points, weights, the cell of
-each point), evaluates the scaled monomials there once, and reduces per
-cell with ``np.add.reduceat``; the edge rules come from one ``edge_rule``
-call.  Side stacks follow the mesh's side table (one cell seeing one of its
-edges, cell-major in loop order).  Edge-basis values at an edge's Gauss
-points are the same reference table on every edge, since both use the
-canonical parameter.  The local operators are stacks over cells or sides
-(shapes below), built on scheme tables that integrate every scheme
-integrand exactly (2k+2 on cells, 2k+1 on edges) and are not kept.  Every data
-integral, polynomial or not, uses one more table per kind, exact to
-DATA_EXACTNESS, built on first use and cached on the ElementOps until its
-owner deletes it (a study level drops the cell table across the solve).
-Every cell integral, the masses and moments here as well as the data
-moments, is reduced one basis column at a time, so beside the table it
-holds only (points, components) arrays, never one per basis function.
+:class:`ElementOps` keeps one edge table, the Gauss rules of all edges from
+one ``edge_rule`` call, exact to DATA_EXACTNESS and the scheme's 2k+1; it
+serves the edge stacks and the data moments alike.  Every scheme cell
+integrand is a polynomial of degree <= 2k in the scaled coordinates
+xi = (x - x_T)/h_T, and Euler's identity for homogeneous functions gives it
+from the same side points on any simple polygon (Chin, Lasserre & Sukumar,
+Comput. Mech. 56, 2015): int_T xi^a = h_T/(2+|a|) sum_s (xi_s . n_s) int_s xi^a,
+where xi_s . n_s is constant on each side.  The masses and weak-gradient
+moments are gathers on one table of these integrals per cell.  Side stacks
+follow the mesh's side table (one cell seeing one of its edges, cell-major
+in loop order); the edge basis at the Gauss points is one reference table,
+since every edge uses the canonical parameter.  The only cell rule is
+``cell_data``, for data integrals: one ``polygon_rule`` call triangulates
+every cell (for this rule only), exact to DATA_EXACTNESS, built on first use
+and cached until its owner deletes it (a study level drops it across the
+solve).  Its moments are reduced one basis column at a time, so beside the
+table they hold only (points, components) arrays, never one per basis function.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import CellBasis, monomial_gradients, monomials, space_dimension
+from .basis import CellBasis, monomial_exponents, monomials, space_dimension
 from .errors import MeshValidationError
 from .quadrature import PolygonError, edge_rule, gauss_points, polygon_rule
 from .spaces import DofMap
@@ -60,22 +61,6 @@ class CellTable:
     cell: np.ndarray
     starts: np.ndarray
     values: np.ndarray
-
-    def integrate(self, field, columns):
-        """Per-cell integrals of field (N, ...) times each column of columns (N, m).
-
-        Returns (n_cells, ..., m).  The weights scale a copy of the field
-        once, and one column is reduced at a time through one reused
-        (N, ...) product, so no (N, ..., m) array is ever built.
-        """
-        per_point = (-1,) + (1,) * (np.ndim(field) - 1)  # an (N,) array against (N, ...) values
-        f = self.weights.reshape(per_point) * field
-        out = np.empty((len(self.starts),) + f.shape[1:] + (columns.shape[1],))
-        product = np.empty_like(f)
-        for a in range(columns.shape[1]):
-            np.multiply(f, columns[:, a].reshape(per_point), out=product)
-            out[..., a] = np.add.reduceat(product, self.starts, axis=0)
-        return out
 
 
 @dataclass(frozen=True)
@@ -103,6 +88,8 @@ class ElementOps:
         The same from the edge coefficients seen through one side.
     trace : (n_sides, dim_edge, dim_cell)
         Edge projection of the P_k cell basis restricted to the side.
+    edge_data : EdgeTable
+        The Gauss rules of all edges, for the edge stacks and the data moments.
     """
 
     def __init__(self, mesh, degree):
@@ -111,25 +98,48 @@ class ElementOps:
         self.dofmap = DofMap(mesh, degree)
         k = self.degree
         nlow = self.dofmap.dim_cell_low
-        self.cell_exactness = 2 * k + 2
-        self.edge_exactness = 2 * k + 1
 
-        cq = self._cell_rules(self.cell_exactness)
-        eq = self._edge_rules(self.edge_exactness)
+        exactness = max(DATA_EXACTNESS, 2 * k + 1)
+        ends = mesh.vertices[mesh.edges]
+        rule = edge_rule(ends[:, 0], ends[:, 1], exactness)
+        # Gauss points of the unit reference edge, in the canonical parameter;
+        # the edge basis is the powers of t = s - 1/2
+        s, _ = gauss_points(exactness)
+        self.edge_data = eq = EdgeTable(
+            points=rule.points.reshape(-1, len(s), 2),
+            weights=rule.weights.reshape(-1, len(s)),
+            values=(s - 0.5)[:, None] ** np.arange(k),
+        )
+        side_cell, side_edge = mesh.side_cell, mesh.side_edge
+        # the cell basis at the side points, (n_sides, q, dim_cell), and its
+        # edge-basis moments on each side, (n_sides, dim_edge, dim_cell)
+        side_vals = self.basis_values(eq.points[side_edge], side_cell[:, None])
+        T = np.einsum("hq,qb,hqa->hba", eq.weights[side_edge], eq.values, side_vals)
 
-        vals = cq.values
-        self.mass = cq.integrate(vals, vals)
+        # int_T xi^alpha for |alpha| <= 2k by Euler's identity, one column at a
+        # time, each the side sum of one product of two P_k columns
+        exps = np.array(monomial_exponents(k))
+        products = _column(exps[:, None] + exps)  # (dim_cell, dim_cell) columns of P_2k
+        pairs = np.divmod(np.unique(products, return_index=True)[1], len(exps))
+        corner = self._local(mesh.vertices[mesh.side_vertices[:, 0]], side_cell)
+        w = eq.weights[side_edge] * (corner * mesh.side_normal).sum(axis=1)[:, None]
+        moments = np.empty((mesh.num_cells, len(pairs[0])))
+        for col, (i, j) in enumerate(zip(*pairs)):
+            side_sums = np.einsum("hq,hq,hq->h", w, side_vals[..., i], side_vals[..., j])
+            moments[:, col] = self.per_cell(side_sums) / (2.0 + exps[i].sum() + exps[j].sum())
+        moments *= mesh.diameters[:, None]
+        del side_vals  # the largest array here; the stacks below do not need it
+
+        self.mass = np.take(moments, products, axis=1)  # C-ordered, unlike moments[:, products]
         self.mass_low = self.mass[:, :nlow, :nlow]
-        # interior part tested with the gradients of the low basis, (N, j, r)
-        grads_low = monomial_gradients(self._local(cq.points, cq.cell), k - 1).transpose(0, 2, 1)
-        grads_low /= mesh.diameters[cq.cell][:, None, None]
-        self.grad_interior = -np.linalg.solve(self.mass_low[:, None], cq.integrate(grads_low, vals))
+        # (d_j phi_r, phi_a)_T = alpha_rj / h_T int_T xi^(alpha_r - e_j + alpha_a): (c, j, r, a)
+        low = exps[:nlow]
+        shifted = np.maximum(low - np.eye(2, dtype=int)[:, None], 0)  # (j, r, 2)
+        scale = low.T[:, :, None] / mesh.diameters[:, None, None, None]
+        grads = scale * np.take(moments, _column(shifted[:, :, None] + exps), axis=1)
+        self.grad_interior = -np.linalg.solve(self.mass_low[:, None], grads)
 
         self.edge_mass = np.einsum("eq,qa,qb->eab", eq.weights, eq.values, eq.values)
-        side_cell, side_edge = mesh.side_cell, mesh.side_edge
-        side_vals = self.basis_values(eq.points[side_edge], side_cell[:, None])
-        # edge-basis moments of the cell basis on each side: (n_sides, dim_edge, dim_cell)
-        T = np.einsum("hq,qb,hqa->hba", eq.weights[side_edge], eq.values, side_vals)
         self.trace = np.linalg.solve(self.edge_mass[side_edge], T)
         flux = np.linalg.solve(self.mass_low[side_cell], T[:, :, :nlow].transpose(0, 2, 1))
         self.grad_side = mesh.side_normal[:, :, None, None] * flux[:, None]
@@ -159,19 +169,12 @@ class ElementOps:
 
     @cached_property
     def cell_data(self):
-        """Rules of all cells for data integrals, exact to DATA_EXACTNESS and the scheme's."""
-        return self._cell_rules(max(DATA_EXACTNESS, self.cell_exactness))
-
-    @cached_property
-    def edge_data(self):
-        """Rules of all edges for data integrals, exact to DATA_EXACTNESS and the scheme's."""
-        return self._edge_rules(max(DATA_EXACTNESS, self.edge_exactness))
-
-    def _cell_rules(self, exactness):
+        """The only cell rule, for data integrals: all cells triangulated by one
+        ``polygon_rule`` call, exact to DATA_EXACTNESS and to 2k+2."""
         mesh = self.mesh
         loops = mesh.vertices[mesh.side_vertices[:, 0]]
         try:
-            rule = polygon_rule(loops, exactness, mesh.side_starts)
+            rule = polygon_rule(loops, max(DATA_EXACTNESS, 2 * self.degree + 2), mesh.side_starts)
         except PolygonError as err:
             raise MeshValidationError(f"cell {err.index}: {err}") from err
         return CellTable(
@@ -180,18 +183,6 @@ class ElementOps:
             cell=rule.owner,
             starts=np.searchsorted(rule.owner, np.arange(mesh.num_cells)),
             values=self.basis_values(rule.points, rule.owner),
-        )
-
-    def _edge_rules(self, exactness):
-        ends = self.mesh.vertices[self.mesh.edges]
-        rule = edge_rule(ends[:, 0], ends[:, 1], exactness)
-        # Gauss points of the unit reference edge, in the canonical parameter;
-        # the edge basis is the powers of t = s - 1/2
-        s, _ = gauss_points(exactness)
-        return EdgeTable(
-            points=rule.points.reshape(-1, len(s), 2),
-            weights=rule.weights.reshape(-1, len(s)),
-            values=(s - 0.5)[:, None] ** np.arange(self.degree),
         )
 
     # -- weak operators applied to coefficient vectors --------------------
@@ -224,11 +215,19 @@ class ElementOps:
         """Integrals of `func` against the degree-`degree` basis of every cell.
 
         func maps (n, 2) points to (n,) scalars or (n, d) stacks; returns
-        (n_cells, dim) or (n_cells, d, dim) accordingly.  One basis column
-        is reduced at a time (`CellTable.integrate`).
+        (n_cells, dim) or (n_cells, d, dim) accordingly.  The weights scale
+        a copy of the values once, and one basis column is reduced at a time
+        through one reused (n, ...) product, so no (n, ..., dim) array is built.
         """
-        table = self.cell_data
-        return table.integrate(func(table.points), table.values[:, : space_dimension(degree)])
+        table, field = self.cell_data, func(self.cell_data.points)
+        per_point = (-1,) + (1,) * (np.ndim(field) - 1)  # an (n,) array against (n, ...) values
+        f = table.weights.reshape(per_point) * field
+        out = np.empty((len(table.starts),) + f.shape[1:] + (space_dimension(degree),))
+        product = np.empty_like(f)
+        for a in range(out.shape[-1]):
+            np.multiply(f, table.values[:, a].reshape(per_point), out=product)
+            out[..., a] = np.add.reduceat(product, table.starts, axis=0)
+        return out
 
     def edge_moments(self, func):
         """Integrals of `func` against the edge basis of every edge.
@@ -249,6 +248,11 @@ class ElementOps:
     def solve_edge_mass(self, moments):
         """Apply the inverse edge masses to (n_edges, [d,] dim_edge) moments."""
         return _solve_stack(self.edge_mass, moments)
+
+
+def _column(exps):
+    """Column of each exponent pair (..., 2) in the `monomial_exponents` order."""
+    return exps.sum(axis=-1) * (exps.sum(axis=-1) + 1) // 2 + exps[..., 1]
 
 
 def _solve_stack(mats, moments):

@@ -6,7 +6,7 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import splu, spsolve
 
 from wgstokes import solver
-from wgstokes.basis import monomial_gradients, monomials, space_dimension
+from wgstokes.basis import monomial_exponents, monomials, space_dimension
 from wgstokes.mesh import PolygonalMesh, generate_mesh
 from wgstokes.quadrature import edge_rule, polygon_rule
 from wgstokes.spaces import WeakFunction
@@ -55,6 +55,21 @@ class PolyField:
         return self._eval(self.cx, pts, dx=1) + self._eval(self.cy, pts, dy=1)
 
 
+def monomial_gradients(loc, degree):
+    """Gradients of `monomials` in the local coordinates; shape (..., dim, 2).
+
+    Differentiates each column by exponent shifting; `weakops` never
+    evaluates these, so they are an oracle for its gathered moments.
+    """
+    out = np.zeros(loc.shape[:-1] + (space_dimension(degree), 2))
+    for col, (a, b) in enumerate(monomial_exponents(degree)):
+        if a:
+            out[..., col, 0] = a * loc[..., 0] ** (a - 1) * loc[..., 1] ** b
+        if b:
+            out[..., col, 1] = b * loc[..., 0] ** a * loc[..., 1] ** (b - 1)
+    return out
+
+
 def edge_basis(degree, p0, p1, pts):
     """Edge basis of P_degree at on-edge points; shape (npts, degree + 1).
 
@@ -70,19 +85,19 @@ def edge_basis(degree, p0, p1, pts):
 def energy_at_points(ops, v):
     """Reference |||v|||² of a discrete velocity, by point evaluation alone.
 
-    Builds its own rules at the scheme's exactness, solves every cell's weak
-    gradient G from its definition, (G, q)_T = -(v0, div q)_T + <vb, q n>_dT
-    for q in [P_{k-1}(T)]^{2x2}, and projects each side's v0 - vb on the edge
-    polynomials; then sums |G|² over the cells and h_T⁻¹ |Q_b v0 - vb|² over
-    the sides.  Reads the mesh, degree and exactness of `ops`, but none of
-    its operator stacks or masses.
+    Builds its own rules at the scheme's exactness (2k+2 on cells, 2k+1 on
+    edges), solves every cell's weak gradient G from its definition,
+    (G, q)_T = -(v0, div q)_T + <vb, q n>_dT for q in [P_{k-1}(T)]^{2x2}, and
+    projects each side's v0 - vb on the edge polynomials; then sums |G|² over
+    the cells and h_T⁻¹ |Q_b v0 - vb|² over the sides.  Reads the mesh and
+    degree of `ops`, but none of its operator stacks, masses or tables.
     """
     mesh, k = ops.mesh, ops.degree
     nlow = space_dimension(k - 1)
     h, centroids = mesh.diameters, mesh.centroids
 
     loops = mesh.vertices[mesh.side_vertices[:, 0]]
-    cell_rule = polygon_rule(loops, ops.cell_exactness, mesh.side_starts)
+    cell_rule = polygon_rule(loops, 2 * k + 2, mesh.side_starts)
     c, w = cell_rule.owner, cell_rule.weights
     loc = (cell_rule.points - centroids[c]) / h[c, None]
     low = monomials(loc, k - 1)  # (N, nlow)
@@ -94,7 +109,7 @@ def energy_at_points(ops, v):
     np.add.at(rhs, c, -np.einsum("p,pi,prj->pijr", w, v0, dlow))
 
     ends = mesh.vertices[mesh.edges]
-    edge = edge_rule(ends[:, 0], ends[:, 1], ops.edge_exactness)
+    edge = edge_rule(ends[:, 0], ends[:, 1], 2 * k + 1)
     q = len(edge.weights) // mesh.num_edges
     pts, we = edge.points.reshape(-1, q, 2), edge.weights.reshape(-1, q)
     psi = edge_basis(k - 1, ends[:, None, 0], ends[:, None, 1], pts)  # (n_edges, q, k)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from wgstokes.basis import CellBasis, monomial_exponents, monomial_gradients, space_dimension
+from wgstokes.basis import CellBasis, monomial_exponents, space_dimension
+
+from conftest import monomial_gradients
 
 
 def test_exponent_order_is_degree_major():
@@ -28,6 +30,7 @@ def test_scaling_normalizes_values():
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_gradient_matches_finite_differences(degree):
+    """The test oracle `monomial_gradients` differentiates the cell basis."""
     rng = np.random.default_rng(42)
     center, scale = np.array([0.4, 0.6]), 0.37
     basis = CellBasis(degree, center, scale)

@@ -240,6 +240,11 @@ class TestValidation:
             ([(0, 0), (1, 0), (0, 1)], [[0, 1, 1, 2]], "cell 0 repeats a vertex"),
             # two disjoint triangles: the Euler check
             ([(0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (2, 1)], [[0, 1, 2], [3, 4, 5]], r"V-E\+F = 2"),
+            # cells that are not flat sequences of indices
+            ([(0, 0), (1, 0), (0, 1)], [[0, 1, [2]]], "cell 0 is not a flat sequence"),
+            (np.zeros((9, 2)), [[0, 1, 2], [[3, 4, 5], [6, 7, 8], [0, 1, 2]]], "cell 1 is not a flat"),
+            (np.zeros((9, 2)), [[[3, 4, 5], [6, 7, 8], [0, 1, 2]]], "cell 0 is not a flat sequence"),
+            ([(0, 0), (1, 0), (0, 1)], [[0, 1, 2], 5], "cell 1 is not a flat sequence"),
         ],
     )
     def test_malformed_input_is_typed(self, vertices, cells, match):

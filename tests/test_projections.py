@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from wgstokes.basis import monomial_gradients
 from wgstokes.mesh import PolygonalMesh, generate_mesh
 from wgstokes.quadrature import edge_rule, polygon_rule
 from wgstokes.projections import (
@@ -14,7 +13,7 @@ from wgstokes.projections import (
 )
 from wgstokes.weakops import ElementOps
 
-from conftest import edge_basis
+from conftest import edge_basis, monomial_gradients
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +30,7 @@ def unit_cell_k2():
 def test_interior_projection_reproduces_constants(unit_cell_k1):
     ops = unit_cell_k1
     v = project_velocity(ops, lambda pts: np.tile([1.0, 2.0], (len(pts), 1)))
-    rule = polygon_rule(ops.mesh.cell_vertices(0), ops.cell_exactness)
+    rule = polygon_rule(ops.mesh.cell_vertices(0), 2 * ops.degree + 2)
     vals = ops.cell_basis[0].eval(rule.points) @ v.interior(0).T
     assert np.allclose(vals, [1.0, 2.0], atol=1e-14)
 
@@ -134,7 +133,7 @@ def test_linear_field_reproduced_everywhere(ops_quad_k1):
     u = lambda pts: np.column_stack([1 + 2 * pts[:, 0] - pts[:, 1], 3 * pts[:, 1]])
     v = project_velocity(ops, u)
     for c in (0, 3):
-        rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
+        rule = polygon_rule(ops.mesh.cell_vertices(c), 2 * ops.degree + 2)
         vals = ops.cell_basis[c].eval(rule.points) @ v.interior(c).T
         assert np.allclose(vals, u(rule.points), atol=1e-13)
     for e in (0, 5):
@@ -186,14 +185,14 @@ def test_trace_inequality_bounded_under_refinement():
         worst = 0.0
         for c in range(ops.mesh.num_cells):
             coeffs = rng.standard_normal(ops.dofmap.dim_cell)
-            rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
+            rule = polygon_rule(ops.mesh.cell_vertices(c), 2 * ops.degree + 2)
             vals = ops.cell_basis[c].eval(rule.points) @ coeffs
             h = ops.mesh.diameters[c]
             local = (rule.points - ops.mesh.centroids[c]) / h
             grads = np.einsum("pij,i->pj", monomial_gradients(local, ops.degree) / h, coeffs)
             bulk = h ** -1 * rule.weights @ vals**2 + h * rule.weights @ (grads**2).sum(axis=1)
             for e in ops.mesh.side_edge[ops.mesh.side_cell == c]:
-                erule = edge_rule(*ops.mesh.vertices[ops.mesh.edges[e]], ops.edge_exactness)
+                erule = edge_rule(*ops.mesh.vertices[ops.mesh.edges[e]], 2 * ops.degree + 1)
                 evals = ops.cell_basis[c].eval(erule.points) @ coeffs
                 worst = max(worst, (erule.weights @ evals**2) / bulk)
         maxima.append(worst)
@@ -205,6 +204,6 @@ def test_projection_on_polygonal_cells(ops_poly_k2):
     ops = ops_poly_k2
     v = project_velocity(ops, lambda pts: np.tile([3.0, -1.0], (len(pts), 1)))
     for c in range(ops.mesh.num_cells):
-        rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
+        rule = polygon_rule(ops.mesh.cell_vertices(c), 2 * ops.degree + 2)
         vals = ops.cell_basis[c].eval(rule.points) @ v.interior(c).T
         assert np.allclose(vals, [3.0, -1.0], atol=1e-13)

@@ -57,10 +57,11 @@ def test_one_factorization_per_level(splu_calls):
 
 
 def test_rule_tables_built_once_per_level(monkeypatch):
-    """Each level builds its scheme tables and one data table per kind, no
-    more, whether the case's data are polynomial or not.  The cell data
-    table is built twice, for assemble and again for error_bundle, since
-    the level drops it across the solve: 3 cell rules and 2 edge rules."""
+    """Each level builds one edge table, which serves the scheme and the
+    data, and one cell rule, for the data only, whether the case's data are
+    polynomial or not.  The cell rule is built twice, for assemble and
+    again for error_bundle, since the level drops it across the solve: 2
+    cell rules and 1 edge rule."""
     calls = {"polygon_rule": 0, "edge_rule": 0}
     for name in calls:
         builder = getattr(weakops, name)
@@ -73,13 +74,13 @@ def test_rule_tables_built_once_per_level(monkeypatch):
     for case in ("taylor-trig", "poly-exact-k1"):
         calls.update(polygon_rule=0, edge_rule=0)
         run_study(StudyConfig(case=case, n0=2, levels=2))
-        assert calls == {"polygon_rule": 6, "edge_rule": 4}, case
+        assert calls == {"polygon_rule": 4, "edge_rule": 2}, case
 
 
 def test_no_data_table_held_across_the_solve(monkeypatch):
-    """The cell data table, the largest array of a level, is gone before
-    the solve, and the scheme tables were never kept, so no cell table sits
-    under the factor; the edge data table is the only one left."""
+    """The cell data table, the largest array of a level and the only cell
+    rule, is gone before the solve, so no cell table sits under the factor;
+    the edge data table is the only one left."""
     seen = []
 
     def spy(system, *args, **kwargs):

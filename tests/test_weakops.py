@@ -7,16 +7,15 @@ import pytest
 
 from wgstokes import quadrature, weakops
 from wgstokes.assembly import eval_grad_product, eval_s
-from wgstokes.basis import monomial_gradients
 from wgstokes.cases import case_names, get_case
 from wgstokes.errors import MeshValidationError
-from wgstokes.mesh import PolygonalMesh, generate_mesh
+from wgstokes.mesh import FAMILIES, PolygonalMesh, generate_mesh
 from wgstokes.quadrature import PolygonError, edge_rule, polygon_rule
 from wgstokes.projections import project_gradient, project_pressure, project_velocity
 from wgstokes.spaces import WeakFunction
 from wgstokes.weakops import DATA_EXACTNESS, CellTable, EdgeTable, ElementOps
 
-from conftest import PolyField, edge_basis
+from conftest import PolyField, edge_basis, monomial_gradients
 
 
 def _grad_values(ops, coeffs, c, pts):
@@ -30,8 +29,9 @@ def test_quadrature_failure_names_the_cell(quad_mesh_4, monkeypatch):
         raise PolygonError(5, "ear clipping failed; polygon may be non-simple")
 
     monkeypatch.setattr(weakops, "polygon_rule", failing_rule)
+    ops = ElementOps(quad_mesh_4, 1)  # the cell data rule is the only one triangulated
     with pytest.raises(MeshValidationError, match=r"^cell 5: ear clipping failed"):
-        ElementOps(quad_mesh_4, 1)
+        ops.cell_data
 
 
 def test_ear_clipping_failure_names_the_cell(hostile_mesh, monkeypatch):
@@ -43,29 +43,51 @@ def test_ear_clipping_failure_names_the_cell(hostile_mesh, monkeypatch):
     loops = [hostile_mesh.side_vertices[hostile_mesh.side_cell == c, 0] for c in (1, 0)]
     mesh = PolygonalMesh(hostile_mesh.vertices, loops)
     monkeypatch.setattr(quadrature, "_ear_clip", failing_clip)
+    ops = ElementOps(mesh, 1)
     with pytest.raises(MeshValidationError, match=r"^cell 1: ear clipping failed"):
-        ElementOps(mesh, 1)
+        ops.cell_data
 
 
-@pytest.mark.parametrize("degree", [1, 3])
-def test_stacks_match_per_cell_reference(degree, poly_mesh_4, hostile_mesh):
-    """The batched kernel reproduces a per-cell evaluation at each cell's own rule."""
-    for mesh in (poly_mesh_4, hostile_mesh):
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_stacks_match_per_cell_reference(degree, hostile_mesh):
+    """The stacks reproduce a per-cell evaluation on each cell's own
+    triangulated rule (2k+2) and Gauss edge rules (2k+1), on every family and
+    on the hostile mesh.  The masses match to 1e-13 relative; so do the
+    weak-gradient and trace moments (mass_low times grad_interior, edge_mass
+    times trace), checked before the solves, which lose what the masses'
+    conditioning costs (1e8 for P_{k-1} on the triangles at k = 5) in the
+    stacks and in any reference alike."""
+
+    def close(got, ref):
+        return np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    for mesh in [generate_mesh(f, 4, seed=1) for f in FAMILIES] + [hostile_mesh]:
         ops = ElementOps(mesh, degree)
+        nlow = ops.dofmap.dim_cell_low
         for c in range(mesh.num_cells):
-            rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
+            rule = polygon_rule(mesh.cell_vertices(c), 2 * degree + 2)
+            scale = mesh.diameters[c]
             vals = ops.cell_basis[c].eval(rule.points)
-            assert np.allclose(ops.mass[c], vals.T @ (vals * rule.weights[:, None]), atol=1e-15)
+            local = (rule.points - mesh.centroids[c]) / scale
+            grads = monomial_gradients(local, degree - 1) / scale
+            mass = vals.T @ (vals * rule.weights[:, None])
+            assert close(ops.mass[c], mass)
+            assert close(ops.mass_low[c], mass[:nlow, :nlow])
+            moments = np.einsum("p,prj,pa->jra", rule.weights, grads, vals)  # (d_j phi_r, phi_a)_T
+            assert close(ops.mass_low[c] @ ops.grad_interior[c], -moments)
             for h in np.flatnonzero(mesh.side_cell == c):
                 e = mesh.side_edge[h]
                 p0, p1 = mesh.vertices[mesh.edges[e]]
-                erule = edge_rule(p0, p1, ops.edge_exactness)
+                erule = edge_rule(p0, p1, 2 * degree + 1)
                 evals = edge_basis(degree - 1, p0, p1, erule.points)
                 kvals = ops.cell_basis[c].eval(erule.points)
                 mass_e = evals.T @ (evals * erule.weights[:, None])
-                trace = np.linalg.solve(mass_e, evals.T @ (kvals * erule.weights[:, None]))
+                moments_e = evals.T @ (kvals * erule.weights[:, None])
                 assert np.allclose(ops.edge_mass[e], mass_e, rtol=1e-13, atol=1e-15)
-                assert np.allclose(ops.trace[h], trace, rtol=1e-12, atol=1e-13)
+                assert close(ops.edge_mass[e] @ ops.trace[h], moments_e)
+                if degree <= 3:  # past it, the edge mass's conditioning alone exceeds this
+                    trace = np.linalg.solve(mass_e, moments_e)
+                    assert np.allclose(ops.trace[h], trace, rtol=1e-12, atol=1e-13)
                 assert (mesh.side_cell[h], mesh.side_edge[h]) == (c, e)
 
 
@@ -86,7 +108,7 @@ def test_linear_field_gradient_oracle(ops_name, request):
     grads = ops.weak_gradient(v)
     for c in range(ops.mesh.num_cells):
         g = grads[c]
-        pts = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness).points[:4]
+        pts = polygon_rule(ops.mesh.cell_vertices(c), 2 * ops.degree + 2).points[:4]
         vals = _grad_values(ops, g, c, pts)
         assert np.allclose(vals, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
@@ -96,7 +118,7 @@ def test_linear_field_divergence_oracle(ops_quad_k1):
     ops = ops_quad_k1
     v = project_velocity(ops, lambda pts: pts.copy())
     for c, d in enumerate(ops.weak_divergence(v)):
-        pts = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness).points[:4]
+        pts = polygon_rule(ops.mesh.cell_vertices(c), 2 * ops.degree + 2).points[:4]
         vals = ops.cell_basis_low[c].eval(pts) @ d
         assert np.allclose(vals, 2.0, atol=1e-12)
 
@@ -207,7 +229,7 @@ def test_interior_gradient_controlled_by_energy():
             energy = eval_grad_product(ops, v, v) + eval_s(ops, v, v)
             broken = 0.0
             for c in range(ops.mesh.num_cells):
-                rule = polygon_rule(ops.mesh.cell_vertices(c), ops.cell_exactness)
+                rule = polygon_rule(ops.mesh.cell_vertices(c), 2 * ops.degree + 2)
                 h = ops.mesh.diameters[c]
                 grads = monomial_gradients((rule.points - ops.mesh.centroids[c]) / h, 1) / h
                 g = np.einsum("pij,ci->pcj", grads, v.interior(c))
@@ -245,9 +267,9 @@ def test_data_rule_at_rounding_floor(family, degree, monkeypatch):
 @pytest.mark.parametrize("degree", [2, 3])
 def test_element_ops_peak_near_what_it_keeps(degree):
     """Building the operator stacks holds at most 3 times the memory the
-    ElementOps keeps plus the scheme tables it builds and drops: the masses
-    and weak-gradient moments are reduced one basis column at a time, with
-    no (points, dim, dim) array.  No quadrature table outlives the build."""
+    ElementOps keeps: the cell integrals come from the side points of the
+    edge table it keeps, with no cell rule and no (points, dim, dim) array.
+    The edge data table is the only quadrature table it keeps."""
     mesh = generate_mesh("perturbed-polygon", 16)
     ElementOps(mesh, degree)  # first calls may allocate caches of their own
     tracemalloc.start()
@@ -257,7 +279,6 @@ def test_element_ops_peak_near_what_it_keeps(degree):
     finally:
         tracemalloc.stop()
     assert ops.mass.shape[0] == mesh.num_cells
-    assert not [name for name, v in vars(ops).items() if isinstance(v, (CellTable, EdgeTable))]
-    tables = (ops._cell_rules(ops.cell_exactness), ops._edge_rules(ops.edge_exactness))
-    scheme_bytes = sum(a.nbytes for table in tables for a in vars(table).values())
-    assert peak <= 3 * (kept + scheme_bytes), peak / (kept + scheme_bytes)
+    tables = [name for name, v in vars(ops).items() if isinstance(v, (CellTable, EdgeTable))]
+    assert tables == ["edge_data"]
+    assert peak <= 3 * kept, peak / kept
