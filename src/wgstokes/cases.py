@@ -2,25 +2,29 @@
 
 Each case carries the exact velocity u (divergence-free), the exact
 zero-mean pressure p, the body force f = -Δu + ∇p, and the boundary data
-g = u restricted to the boundary.  All derived fields (gradient,
-divergence, force) are produced symbolically from the primitive
-expressions and lambdified to vectorized callables, so nothing is
+g = u restricted to the boundary.  Every field is numpy source in
+``case_fields``, generated from primitive expressions that the tests
+derive symbolically (and check that source against), so nothing is
 hand-transcribed; ``verify_case`` cross-checks f against finite
-differences of u and p as an independent guard.
-
-The registry holds the primitive expressions as strings in x and y, and
-sympy is imported only when a case is built, so importing the package or
-its command line does not pay for it.  Velocity fields built as curl of a
-stream function are divergence-free by construction.
+differences of u and p as an independent guard.  Velocity fields built as
+curl of a stream function are divergence-free by construction.
 """
 
 import numpy as np
 
+from . import case_fields
 from .errors import ConfigurationError
+
+#: the fields of a case, as named in ``case_fields``: <case>_<field>
+FIELDS = ("u", "p", "f", "grad_u", "div_u")
 
 
 class ManufacturedCase:
-    """Exact Stokes solution with analytically derived data fields.
+    """Exact Stokes solution: field callables and their metadata.
+
+    The fields u, p, f, grad_u and div_u are given as functions of the
+    coordinate arrays (x, y), each returning an entry or a (nested) list of
+    entries, as ``case_fields`` holds them; constant entries may be scalars.
 
     Attributes
     ----------
@@ -36,111 +40,84 @@ class ManufacturedCase:
         (n,) divergence (identically zero, kept for verification).
     """
 
-    def __init__(self, name, ux, uy, p, data_degree, regularity, description):
-        import sympy as sp
-
+    def __init__(self, name, data_degree, regularity, description, u, p, f, grad_u, div_u):
         self.name = name
         self.description = description
         self.regularity = regularity
         self.data_degree = data_degree
-        x, y = sp.symbols("x y")
-        ux, uy, p = sp.sympify(ux), sp.sympify(uy), sp.sympify(p)
-        fx = -(sp.diff(ux, x, 2) + sp.diff(ux, y, 2)) + sp.diff(p, x)
-        fy = -(sp.diff(uy, x, 2) + sp.diff(uy, y, 2)) + sp.diff(p, y)
-        grads = [[sp.diff(comp, var) for var in (x, y)] for comp in (ux, uy)]
-        div = sp.factor_terms(sp.diff(ux, x) + sp.diff(uy, y))
-
-        self.u = _field([ux, uy])
+        self.u = _field(u, 2)
         self.g = self.u  # Dirichlet data is the velocity trace
         self.p = _field(p)
-        self.f = _field([sp.factor_terms(fx), sp.factor_terms(fy)])
-        self.grad_u = _field(grads)
-        self.div_u = _field(div)
+        self.f = _field(f, 2)
+        self.grad_u = _field(grad_u, 2, 2)
+        self.div_u = _field(div_u)
 
     def __repr__(self):
         deg = "transcendental" if self.data_degree is None else f"degree {self.data_degree}"
         return f"ManufacturedCase({self.name!r}, {deg})"
 
 
-def _field(exprs):
-    """Vectorized field of an expression in x and y, or of a (nested) list of
-    them: it maps (n, 2) points to an (n,) + list-shape float array."""
-    import sympy as sp
-
-    entries = np.array(exprs, dtype=object)
-    fns = [sp.lambdify(sp.symbols("x y"), e, "numpy") for e in entries.flat]
+def _field(fn, *shape):
+    """The field of fn(x, y), an entry or a nested list of entries, as a map
+    from (n, 2) points to an (n, *shape) float array."""
 
     def call(pts):
         x, y = pts[:, 0], pts[:, 1]
-        # constant expressions collapse to scalars: broadcast them to the points
-        cols = [np.broadcast_to(np.asarray(fn(x, y), dtype=float), x.shape) for fn in fns]
-        return np.stack(cols, axis=-1).reshape(len(pts), *entries.shape)
+        # constant entries are scalars: broadcast them to the points
+        cols = [np.broadcast_to(np.asarray(e, dtype=float), x.shape) for e in _flat(fn(x, y))]
+        return np.stack(cols, axis=-1).reshape(len(pts), *shape)
 
     return call
 
 
-# The stream case's velocity is the curl (d/dy, -d/dx) of this bubble.
-_BUBBLE = "x**2*(1 - x)**2*y**2*(1 - y)**2"
+def _flat(entries):
+    """The entries of a nested list, row-major; a lone entry as a list of one."""
+    return [e for item in entries for e in _flat(item)] if isinstance(entries, list) else [entries]
 
+
+# data degree, regularity and description of each case; its fields are the
+# functions <case>_<field> of ``case_fields``
 _CASE_DEFS = {
-    # Rigid rotation with constant (zero) pressure: every projection is
+    # Rigid rotation u = (y, -x) with zero pressure: every projection is
     # reproduced exactly at k = 1 since all data lie in the discrete spaces.
-    "poly-exact-k1": dict(
-        ux="y",
-        uy="-x",
-        p="0",
-        data_degree=1,
-        regularity="polynomial (degree 1)",
-        description="rigid rotation, zero pressure; exact at k = 1",
+    "poly-exact-k1": (1, "polynomial (degree 1)", "rigid rotation, zero pressure; exact at k = 1"),
+    "poly-exact-k2": (
+        2, "polynomial (degree 2)", "quadratic divergence-free field, linear pressure; exact at k = 2"
     ),
-    "poly-exact-k2": dict(
-        ux="x**2 - 2*x*y",
-        uy="y**2 - 2*x*y",
-        p="x + y - 1",
-        data_degree=2,
-        regularity="polynomial (degree 2)",
-        description="quadratic divergence-free field, linear pressure; exact at k = 2",
+    "stream-quartic": (
+        7,
+        "polynomial (degree 7), homogeneous boundary data",
+        "curl of a biquartic bubble stream function, cubic pressure",
     ),
-    "stream-quartic": dict(
-        ux=f"diff({_BUBBLE}, y)",
-        uy=f"-diff({_BUBBLE}, x)",
-        p="x**3 - 1/4",
-        data_degree=7,
-        regularity="polynomial (degree 7), homogeneous boundary data",
-        description="curl of a biquartic bubble stream function, cubic pressure",
-    ),
-    "taylor-trig": dict(
-        ux="sin(pi*x)*cos(pi*y)",
-        uy="-cos(pi*x)*sin(pi*y)",
-        p="cos(pi*x)*cos(pi*y)",
-        data_degree=None,
-        regularity="analytic (trigonometric), nonzero boundary data",
-        description="trigonometric cellular flow with cosine pressure",
+    "taylor-trig": (
+        None,
+        "analytic (trigonometric), nonzero boundary data",
+        "trigonometric cellular flow with cosine pressure",
     ),
 }
 
-_CASES = {}
+_CASES = {
+    name: ManufacturedCase(
+        name, *meta, *(getattr(case_fields, f"{name.replace('-', '_')}_{f}") for f in FIELDS)
+    )
+    for name, meta in _CASE_DEFS.items()
+}
 
 
 def case_names():
-    return sorted(_CASE_DEFS)
+    return sorted(_CASES)
 
 
 def get_case(name):
-    if name not in _CASE_DEFS:
+    if name not in _CASES:
         known = ", ".join(case_names())
         raise ConfigurationError(f"unknown case {name!r}; registered cases: {known}")
-    if name not in _CASES:
-        _CASES[name] = ManufacturedCase(name=name, **_CASE_DEFS[name])
     return _CASES[name]
 
 
 def list_cases():
     """(name, description, regularity) rows for the registry."""
-    return [
-        (name, _CASE_DEFS[name]["description"], _CASE_DEFS[name]["regularity"])
-        for name in case_names()
-    ]
+    return [(c.name, c.description, c.regularity) for c in map(get_case, case_names())]
 
 
 def verify_case(case):
@@ -192,7 +169,7 @@ def verify_case(case):
     f_err = float(np.abs(fd_f - case.f(pts)).max())
     checks["force_consistent"] = (f_err <= tol, f_err)
 
-    # gradient against finite differences (guards the lambdified Jacobian)
+    # gradient against finite differences (guards the generated Jacobian)
     fd_grad = np.empty((len(pts), 2, 2))
     fd_grad[:, :, 0] = (case.u(pts + ex) - case.u(pts - ex)) / (2 * h)
     fd_grad[:, :, 1] = (case.u(pts + ey) - case.u(pts - ey)) / (2 * h)

@@ -22,15 +22,18 @@ xi = (x - x_T)/h_T, and Euler's identity for homogeneous functions gives it
 from the same side points on any simple polygon (Chin, Lasserre & Sukumar,
 Comput. Mech. 56, 2015): int_T xi^a = h_T/(2+|a|) sum_s (xi_s . n_s) int_s xi^a,
 where xi_s . n_s is constant on each side.  The masses and weak-gradient
-moments are gathers on one table of these integrals per cell.  Side stacks
-follow the mesh's side table (one cell seeing one of its edges, cell-major
-in loop order); the edge basis at the Gauss points is one reference table,
-since every edge uses the canonical parameter.  The only cell rule is
-``cell_data``, for data integrals: one ``polygon_rule`` call triangulates
-every cell (for this rule only), exact to DATA_EXACTNESS, built on first use
-and cached until its owner deletes it (a study level drops it across the
-solve).  Its moments are reduced one basis column at a time, so beside the
-table they hold only (points, components) arrays, never one per basis function.
+moments are gathers on one table of these integrals per cell.  A side sum,
+cell sum or edge mass within the rounding bound of its own terms is set to
+an exact zero, so integrals that vanish by symmetry store no matrix entries.
+Side stacks follow the mesh's side table (one cell seeing one of its edges,
+cell-major in loop order); the edge basis at the Gauss points is one
+reference table, since every edge uses the canonical parameter.  The only
+cell rule is ``cell_data``, for data integrals: one ``polygon_rule`` call
+triangulates every cell (for this rule only), exact to DATA_EXACTNESS, built
+on first use and cached until its owner deletes it (a study level drops it
+across the solve).  Its moments are reduced one basis column at a time, so
+beside the table they hold only (points, components) arrays, never one per
+basis function.
 """
 
 from dataclasses import dataclass
@@ -125,10 +128,17 @@ class ElementOps:
         w = eq.weights[side_edge] * (corner * mesh.side_normal).sum(axis=1)[:, None]
         moments = np.empty((mesh.num_cells, len(pairs[0])))
         for col, (i, j) in enumerate(zip(*pairs)):
-            side_sums = np.einsum("hq,hq,hq->h", w, side_vals[..., i], side_vals[..., j])
-            moments[:, col] = self.per_cell(side_sums) / (2.0 + exps[i].sum() + exps[j].sum())
+            terms = [w, side_vals[..., i], side_vals[..., j]]
+            sums = self.per_cell(np.einsum("hq,hq,hq->h", *terms))
+            magnitudes = self.per_cell(np.einsum("hq,hq,hq->h", *map(np.abs, terms)))
+            moments[:, col] = _drop_rounding(sums, magnitudes, len(s))
+            moments[:, col] /= 2.0 + exps[i].sum() + exps[j].sum()
+        del terms  # its views would keep side_vals alive
         moments *= mesh.diameters[:, None]
-        del side_vals  # the largest array here; the stacks below do not need it
+        np.abs(side_vals, out=side_vals)
+        magnitudes = np.einsum("hq,qb,hqa->hba", eq.weights[side_edge], np.abs(eq.values), side_vals)
+        T = _drop_rounding(T, magnitudes, len(s))
+        del side_vals, magnitudes  # the largest arrays here; the stacks below do not need them
 
         self.mass = np.take(moments, products, axis=1)  # C-ordered, unlike moments[:, products]
         self.mass_low = self.mass[:, :nlow, :nlow]
@@ -139,7 +149,11 @@ class ElementOps:
         grads = scale * np.take(moments, _column(shifted[:, :, None] + exps), axis=1)
         self.grad_interior = -np.linalg.solve(self.mass_low[:, None], grads)
 
-        self.edge_mass = np.einsum("eq,qa,qb->eab", eq.weights, eq.values, eq.values)
+        self.edge_mass = _drop_rounding(
+            np.einsum("eq,qa,qb->eab", eq.weights, eq.values, eq.values),
+            np.einsum("eq,qa,qb->eab", eq.weights, np.abs(eq.values), np.abs(eq.values)),
+            len(s),
+        )
         self.trace = np.linalg.solve(self.edge_mass[side_edge], T)
         flux = np.linalg.solve(self.mass_low[side_cell], T[:, :, :nlow].transpose(0, 2, 1))
         self.grad_side = mesh.side_normal[:, :, None, None] * flux[:, None]
@@ -248,6 +262,14 @@ class ElementOps:
     def solve_edge_mass(self, moments):
         """Apply the inverse edge masses to (n_edges, [d,] dim_edge) moments."""
         return _solve_stack(self.edge_mass, moments)
+
+
+def _drop_rounding(sums, magnitudes, terms):
+    """Zero, in place, the `sums` within terms * eps of their terms' `magnitudes`:
+    the rounding bound of a sum of `terms` products, and all that an integral
+    vanishing by symmetry leaves, which the sparse products would keep."""
+    sums[np.abs(sums) <= terms * np.finfo(float).eps * magnitudes] = 0.0
+    return sums
 
 
 def _column(exps):

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy import linalg, sparse
@@ -7,6 +9,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from wgstokes import solver
 from wgstokes.basis import monomial_exponents, monomials, space_dimension
+from wgstokes.cases import ManufacturedCase
 from wgstokes.mesh import PolygonalMesh, generate_mesh
 from wgstokes.quadrature import edge_rule, polygon_rule
 from wgstokes.spaces import WeakFunction
@@ -129,6 +132,80 @@ def energy_at_points(ops, v):
     edge_mass = np.einsum("hq,hqa,hqb->hab", we[se], psi[se], psi[se])
     coeffs = np.linalg.solve(edge_mass[:, None], moments[..., None])[..., 0]
     return energy + np.sum(np.einsum("hib,hib->h", coeffs, moments) / h[sc])
+
+
+# -- manufactured cases, derived by sympy ------------------------------------
+#
+# The primitive expressions of every registered case, in x and y.  Their
+# fields (u, p, f = -Δu + ∇p, grad u and div u) are derived symbolically
+# and printed by sympy.lambdify into wgstokes/case_fields.py; test_cases
+# checks that module's text and values against this derivation.
+
+# The stream case's velocity is the curl (d/dy, -d/dx) of this bubble.
+_BUBBLE = "x**2*(1 - x)**2*y**2*(1 - y)**2"
+
+CASE_EXPRESSIONS = {
+    "poly-exact-k1": ("y", "-x", "0"),
+    "poly-exact-k2": ("x**2 - 2*x*y", "y**2 - 2*x*y", "x + y - 1"),
+    "stream-quartic": (f"diff({_BUBBLE}, y)", f"-diff({_BUBBLE}, x)", "x**3 - 1/4"),
+    "taylor-trig": ("sin(pi*x)*cos(pi*y)", "-cos(pi*x)*sin(pi*y)", "cos(pi*x)*cos(pi*y)"),
+}
+
+CASE_FIELDS_HEADER = '''"""Fields of the registered manufactured cases, as numpy source.
+
+Generated, not written: each function is the source sympy.lambdify prints
+for one field of one case (velocity u, pressure p, body force
+f = -Δu + ∇p, Jacobian grad_u and divergence div_u), named
+<case>_<field>.  The primitive expressions and their derivation live in
+tests/conftest.py; tests/test_cases.py derives every field again, checks
+this text and its values against it, and prints the module to commit when
+they differ.
+"""
+
+from numpy import cos, pi, sin
+'''
+
+
+def sympy_fields(ux, uy, p):
+    """sympy expressions of the fields u, p, f, grad_u and div_u of a case
+    given by its velocity components and pressure (strings in x and y)."""
+    import sympy as sp
+
+    x, y = sp.symbols("x y")
+    ux, uy, p = sp.sympify(ux), sp.sympify(uy), sp.sympify(p)
+    fx = -(sp.diff(ux, x, 2) + sp.diff(ux, y, 2)) + sp.diff(p, x)
+    fy = -(sp.diff(uy, x, 2) + sp.diff(uy, y, 2)) + sp.diff(p, y)
+    return {
+        "u": [ux, uy],
+        "p": p,
+        "f": [sp.factor_terms(fx), sp.factor_terms(fy)],
+        "grad_u": [[sp.diff(comp, var) for var in (x, y)] for comp in (ux, uy)],
+        "div_u": sp.factor_terms(sp.diff(ux, x) + sp.diff(uy, y)),
+    }
+
+
+def lambdified_fields(ux, uy, p):
+    """The fields of `sympy_fields`, each lambdified to a numpy function of (x, y)."""
+    import sympy as sp
+
+    fields = sympy_fields(ux, uy, p)
+    return {name: sp.lambdify(sp.symbols("x y"), e, "numpy") for name, e in fields.items()}
+
+
+def lambdified_case(name, ux, uy, p, data_degree, regularity="", description=""):
+    """A ManufacturedCase whose fields sympy derives and lambdifies here."""
+    fields = lambdified_fields(ux, uy, p)
+    return ManufacturedCase(name, data_degree, regularity, description, **fields)
+
+
+def case_fields_source():
+    """The text of wgstokes/case_fields.py: lambdify's printout of every field."""
+    defs = []
+    for case, exprs in CASE_EXPRESSIONS.items():
+        for field, fn in lambdified_fields(*exprs).items():
+            name = f"{case.replace('-', '_')}_{field}"
+            defs.append(inspect.getsource(fn).replace("_lambdifygenerated", name, 1))
+    return CASE_FIELDS_HEADER + "".join("\n\n" + d for d in defs)
 
 
 def dof_indices(dofmap):

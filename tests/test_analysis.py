@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence, spsolve
 
-from conftest import dense_inf_sup, energy_at_points
+from conftest import dense_inf_sup, energy_at_points, lambdified_case
 from wgstokes import analysis
 from wgstokes.analysis import (
     CSV_COLUMNS,
@@ -25,7 +25,7 @@ from wgstokes.analysis import (
     weak_divergence_norm,
 )
 from wgstokes.assembly import assemble
-from wgstokes.cases import ManufacturedCase, get_case
+from wgstokes.cases import get_case
 from wgstokes.errors import ConfigurationError, SolverError
 from wgstokes.mesh import generate_mesh
 from wgstokes.projections import project_velocity
@@ -255,15 +255,7 @@ def test_inf_sup_known_value():
 
 def test_consistency_functionals_vanish_for_polynomial_data():
     """Fields inside the discrete spaces have zero projection gaps."""
-    case = ManufacturedCase(
-        "inline-poly",
-        ux="x**2 - 2*x*y",
-        uy="y**2 - 2*x*y",
-        p="x + y - 1",
-        data_degree=2,
-        regularity="polynomial",
-        description="",
-    )
+    case = lambdified_case("inline-poly", "x**2 - 2*x*y", "y**2 - 2*x*y", "x + y - 1", 2)
     ops = ElementOps(generate_mesh("perturbed-polygon", 3, seed=5), 2)
     vecs = consistency_functionals(ops, case)
     for name in ("gradient", "pressure", "stabilizer", "total"):

@@ -9,6 +9,7 @@ from wgstokes.errors import CompatibilityError
 from wgstokes.mesh import generate_mesh
 from wgstokes.projections import project_boundary_velocity, project_velocity
 from wgstokes.quadrature import polygon_rule
+from wgstokes.solver import solve
 from wgstokes.spaces import PressureFunction, WeakFunction
 from wgstokes.weakops import DATA_EXACTNESS, ElementOps
 
@@ -171,6 +172,31 @@ def test_matrices_store_only_nonzeros(family, degree):
     system = assemble(ElementOps(generate_mesh(family, 4, seed=1), degree))
     for mat in (system.A, system.B):
         assert mat.nnz == np.count_nonzero(mat.data)
+
+
+@pytest.mark.parametrize(
+    "family, degree, A_nnz, B_nnz",
+    [("uniform-quad", 1, 51_328, 4_096), ("uniform-quad", 2, 147_712, 18_432)],
+)
+def test_symmetric_zeros_store_no_entries(family, degree, A_nnz, B_nnz):
+    """On squares every integral that vanishes by symmetry (an odd edge power,
+    a side and its mirror image) is an exact zero, so A and B store no entry
+    below 1e-14 of their largest (at the one 7-point edge table without the
+    rounding cut: A 71,970 and 310,268 entries, B 4,096 and 32,768)."""
+    system = assemble(ElementOps(generate_mesh(family, 32), degree))
+    assert (system.A.nnz, system.B.nnz) == (A_nnz, B_nnz)
+    for mat in (system.A, system.B):
+        assert np.abs(mat.data).min() > 1e-14 * np.abs(mat.data).max()
+
+
+def test_polygon_divergence_keeps_no_odd_edge_remainders():
+    """On perturbed polygons the odd edge moments of the constant vanish
+    exactly: B stores at most the 95,470 entries of the 2- and 3-point
+    scheme rules (100,040 on the one 7-point table without the rounding cut),
+    and the LU fill is unchanged."""
+    system = assemble(ElementOps(generate_mesh("perturbed-polygon", 32, seed=0), 2))
+    assert system.B.nnz <= 95_470
+    assert solve(system).lu_fill == 3_488_232
 
 
 def test_divergence_rows_are_cell_local(system_quad_k1):

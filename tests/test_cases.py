@@ -2,13 +2,16 @@
 
 import copy
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from wgstokes.cases import case_names, get_case, list_cases, verify_case
+from conftest import CASE_EXPRESSIONS, case_fields_source, lambdified_case
+from wgstokes import case_fields
+from wgstokes.cases import FIELDS, case_names, get_case, list_cases, verify_case
 from wgstokes.errors import ConfigurationError
 
 
@@ -61,11 +64,40 @@ def test_case_lookup_is_cached():
 
 
 def test_sympy_is_not_imported_by_the_cli():
-    # only building a case needs sympy; the package and its CLI import without it
-    code = "import sys, wgstokes.cli\nprint('sympy' in sys.modules)\n"
+    # the case fields are committed numpy source: neither building every case
+    # nor running the commands imports sympy
+    code = """
+import sys
+from wgstokes.cases import case_names, get_case
+from wgstokes.cli import main
+for name in case_names():
+    get_case(name)
+main(["study", "--family", "uniform-quad", "--degree", "1", "--n0", "2", "--levels", "2"])
+main(["verify", "--case", "stream-quartic"])
+main(["infsup", "--n0", "2", "--levels", "2"])
+print("sympy" in sys.modules, file=sys.stderr)
+"""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.stdout.strip() == "False", out.stderr
+    assert out.stderr.strip() == "False", out.stderr
+
+
+def test_case_fields_are_lambdify_printout():
+    """The committed field source is what sympy.lambdify prints for the
+    derivation in conftest; on a mismatch the failure holds the text to commit."""
+    assert set(CASE_EXPRESSIONS) == set(case_names())
+    text = case_fields_source()
+    if pathlib.Path(case_fields.__file__).read_text() != text:
+        pytest.fail(f"commit this text as src/wgstokes/case_fields.py:\n{text}", pytrace=False)
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_fields_equal_sympy_derivation(name):
+    case = get_case(name)
+    oracle = lambdified_case(name, *CASE_EXPRESSIONS[name], case.data_degree)
+    pts = np.random.default_rng(11).uniform(-0.5, 1.5, size=(64, 2))
+    for field in FIELDS:
+        assert np.array_equal(getattr(case, field)(pts), getattr(oracle, field)(pts)), field
 
 
 def test_data_degrees():
