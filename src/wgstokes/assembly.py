@@ -11,9 +11,10 @@ alongside.
 A is G^T M G + J^T S J, where the sparse weak-gradient map G and the
 sparse jump map J are built from the operator stacks of ElementOps in one
 coordinate-format pass each, and M and S are the block-diagonal cell and
-(scaled) edge masses; B is the cell mass times the trace of G.  Both
-store only the nonzeros these sparse products give.  Nothing depends on
-hash order, so assembled matrices are bit-identical run to run.
+(scaled) edge masses; B is built from the divergence moments of the
+same stacks, with no mass solve.  Both store only the nonzeros these
+blocks and products give.  Nothing depends on hash order, so assembled
+matrices are bit-identical run to run.
 """
 
 import numpy as np
@@ -91,13 +92,9 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
         moment uses the data rules of ElementOps.
     """
     dofmap, mesh = ops.dofmap, ops.mesh
-    n_cells, nlow = mesh.num_cells, dofmap.dim_cell_low
-    G, J = _sparse_maps(ops)
+    G, J, B = _sparse_maps(ops)
     A = G.T @ block_diagonal(np.repeat(ops.mass_low, 4, axis=0)) @ G
     A += J.T @ block_diagonal(np.repeat(_side_mass(ops), 2, axis=0)) @ J
-    # the weak divergence sums the rows [i, j] = [0, 0] and [1, 1] of each cell
-    trace = sparse.kron(sparse.eye(n_cells), sparse.kron([[1, 0, 0, 1]], sparse.eye(nlow)))
-    B = block_diagonal(ops.mass_low) @ trace @ G
 
     load = np.zeros(dofmap.num_velocity_dofs)
     if body_force is not None:
@@ -144,14 +141,17 @@ def _from_blocks(shape, *families):
         rows.append(np.broadcast_to(first_row[:, None, None] + np.arange(r)[:, None], (n, r, c)))
         cols.append(np.broadcast_to(first_col[:, None, None] + np.arange(c), (n, r, c)))
     rows, cols = (np.concatenate([x.ravel() for x in xs]) for xs in (rows, cols))
-    return sparse.coo_matrix((np.concatenate(vals), (rows, cols)), shape=shape).tocsr()
+    mat = sparse.coo_matrix((np.concatenate(vals), (rows, cols)), shape=shape).tocsr()
+    mat.eliminate_zeros()  # the blocks' exact zeros
+    return mat
 
 
 def _sparse_maps(ops):
     """Sparse maps on the velocity DOFs, from the operator stacks.
 
     G gives the weak-gradient coefficients, rows ordered (cell, i, j, r);
-    J the jumps P_e v0 - vb, rows (side, i, b).
+    J the jumps P_e v0 - vb, rows (side, i, b); B the divergence moments
+    (div_w v, q_r)_T, rows (cell, r).
     Component i of cell c's interior is DOF block 2c + i, of edge e block
     2e + i after the interior DOFs.
     """
@@ -174,7 +174,13 @@ def _sparse_maps(ops):
         (np.repeat(ops.trace, 2, axis=0), side_i * ne, owner_i * nk),
         (-np.eye(ne)[None], side_i * ne, edge_col),
     )
-    return G, J
+    B = _from_blocks(
+        (nlow * n_cells, n_u),
+        (ops.grad_moments.reshape(-1, nlow, nk), cell_i // 2 * nlow, cell_i * nk),
+        ((mesh.side_normal[..., None, None] * ops.side_moments[:, None]).reshape(-1, nlow, ne),
+         owner_i // 2 * nlow, edge_col),
+    )
+    return G, J, B
 
 
 def _side_mass(ops):

@@ -2,15 +2,15 @@
 
 Polygons come as one stack of CCW vertex loops, (N, 2) points with the
 first vertex of each loop in ``starts``; the same layout serves the mesh's
-side table.  An m-gon is split into m - 2 triangles, fanned from its first
-vertex whose fan triangles all have positive area (never a neighbour of a
-hanging vertex), or ear-clipped when no vertex has that; only the ear-clipped
-polygons are handled one at a time.  Each triangle carries a tensor
-Gauss-Legendre rule mapped through the collapsed-square (Duffy)
-transform, so a rule of requested polynomial exactness ``d`` integrates
-every polynomial of total degree <= d exactly, with strictly positive
-weights.  That rule is built once per exactness on the reference triangle
-and mapped affinely onto all triangles of all polygons in one call.
+side table.  An m-gon is fanned into m - 2 triangles from its first vertex
+whose fan triangles all have positive area (never a neighbour of a hanging
+vertex), or ear-clipped when no vertex has that; only the ear-clipped
+polygons are handled one at a time.  Each rule piece is a bilinear image of
+the unit square: two fan triangles whose union is strictly convex make one
+quad, any other triangle the collapsed quad (a, b, c, a), the Duffy map.  A
+tensor Gauss-Legendre rule exact to degree d + 1 in each variable, mapped onto
+all pieces in one call, integrates every polynomial of total degree <= d
+exactly (the Jacobian is linear in each variable), with positive weights.
 Edge rules likewise take one segment or a stack of them.
 """
 
@@ -69,22 +69,6 @@ def edge_rule(p0, p1, exactness):
     return QuadratureRule(pts.reshape(-1, 2), (lengths[..., None] * w).ravel(), owner)
 
 
-@lru_cache(maxsize=None)
-def _reference_triangle(exactness):
-    """Duffy-collapsed tensor rule on the unit triangle: points (q, 2), weights (q,).
-
-    The weights sum to 1/2; the arrays are shared and read-only.
-    """
-    u, wu = gauss_points(exactness + 1)  # Duffy multiplies degree by (1 - u)
-    v, wv = gauss_points(exactness + 1)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    points = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
-    ref = points, np.outer(wu * (1.0 - u), wv).ravel()
-    for arr in ref:
-        arr.setflags(write=False)
-    return ref
-
-
 def _cross(u, v):
     """z-component of u x v for (..., 2) vectors."""
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
@@ -96,15 +80,24 @@ def _doubled_areas(tris):
     return _cross(tris[..., 1, :] - a, tris[..., 2, :] - a)
 
 
-def _map_triangles(tris, exactness):
-    """The reference rule mapped affinely onto each of (t, 3, 2) CCW triangles.
+def _corner_jacobians(quads):
+    """The bilinear map's Jacobian at each corner of (..., 4, 2) quads: all > 0 iff strictly convex."""
+    return _cross(quads - np.roll(quads, 1, axis=-2), np.roll(quads, -1, axis=-2) - quads)
 
-    Returns points (t * q, 2) and weights (t * q,), triangle-major.
+
+def _map_quads(quads, exactness):
+    """A tensor Gauss rule on the unit square, exact to degree `exactness` + 1
+    in each variable, mapped bilinearly onto each of (t, 4, 2) pieces, whose
+    corners sit at (0, 0), (1, 0), (1, 1), (0, 1).
+
+    Returns points (t * q, 2) and weights (t * q,), piece-major.  The Jacobian
+    is bilinear, so the shape functions interpolate its corner values exactly.
     """
-    lam, w = _reference_triangle(exactness)
-    a = tris[:, :1]
-    pts = a + lam @ (tris[:, 1:] - a)  # a + lam1 (b - a) + lam2 (c - a)
-    return pts.reshape(-1, 2), (_doubled_areas(tris)[:, None] * w).ravel()
+    s, w = gauss_points(exactness + 1)  # the Jacobian adds one degree per variable
+    u, v = (x.ravel() for x in np.meshgrid(s, s, indexing="ij"))
+    shape = np.column_stack([(1 - u) * (1 - v), u * (1 - v), u * v, (1 - u) * v])  # (q, 4)
+    weights = _corner_jacobians(quads) @ shape.T * np.outer(w, w).ravel()
+    return (shape @ quads).reshape(-1, 2), weights.ravel()
 
 
 def loop_groups(loops, starts):
@@ -157,12 +150,13 @@ def polygon_rule(loops, exactness, starts=(0,)):
     total degree `exactness`.
 
     `loops` (N, 2) stacks the vertex loops; `starts` holds the first vertex
-    of each (by default, one polygon).  An m-gon is split into m - 2 CCW
-    triangles, fanned from its first vertex whose fan triangles all have
-    positive area, or else ear-clipped.  A polygon no rule can be built
-    for raises :class:`PolygonError` naming its index.
+    of each (by default, one polygon).  An m-gon is fanned into m - 2 CCW
+    triangles from its first vertex whose fan triangles all have positive
+    area, or else ear-clipped; fan triangles 2l + 1 and 2l + 2 form one
+    bilinear piece where their union is strictly convex.  A polygon no rule
+    can be built for raises :class:`PolygonError` naming its index.
     """
-    tris, owner = [], []
+    pieces, owner = [], []
     for group, p in loop_groups(np.asarray(loops, dtype=float), np.asarray(starts)):
         m = p.shape[1]
         if m < 3:
@@ -178,15 +172,24 @@ def polygon_rule(loops, exactness, starts=(0,)):
         fans = p[:, (np.arange(m)[:, None, None] + corners) % m]  # (g, m, m - 2, 3, 2)
         sees = (_doubled_areas(fans) > 0.0).all(axis=2)  # (g, m): apex j sees all
         star = sees.any(axis=1)
-        tris.append(fans[star, sees[star].argmax(axis=1)].reshape(-1, 3, 2))
-        owner.append(np.repeat(group[star], m - 2))
+        apex = sees[star].argmax(axis=1)[:, None]
+        loop = np.take_along_axis(p[star], (apex + np.arange(m))[..., None] % m, axis=1)
+        # Triangles i, i + 1 (i odd): the quad (p_0, p_i, p_i+1, p_i+2) if strictly convex,
+        # else (p_0, p_i, p_i+1, p_0), (p_0, p_i+1, p_i+2, p_0); a lone last one has p_i+2 = p_0.
+        i = np.arange(1, m - 1, 2)
+        ring = np.stack([0 * i, i, i + 1, i + 2, 0 * i], axis=-1) % m
+        quads = loop[:, ring[:, [[0, 1, 2, 3], [0, 1, 2, 4], [0, 2, 3, 4]]]]  # (s, pairs, 3, 4, 2)
+        convex = (_corner_jacobians(quads[:, :, 0]) > 0.0).all(axis=-1)  # (s, pairs)
+        keep = np.stack([convex, ~convex, ~convex & (i + 2 < m)], axis=-1)
+        pieces.append(quads[keep])
+        owner.append(np.repeat(group[star], keep.sum(axis=(1, 2))))
         for c, poly in zip(group[~star], p[~star]):  # ear-clip the rest
             try:
-                tris.append(poly[np.asarray(_ear_clip(poly))])
+                pieces.append(poly[np.asarray(_ear_clip(poly))][:, [0, 1, 2, 0]])
             except ValueError as err:
                 raise PolygonError(c, str(err)) from err
             owner.append(np.full(m - 2, c))
     order = np.argsort(np.concatenate(owner), kind="stable")  # polygon-major
-    pts, w = _map_triangles(np.concatenate(tris)[order], exactness)
+    pts, w = _map_quads(np.concatenate(pieces)[order], exactness)
     owner = np.concatenate(owner)[order]
     return QuadratureRule(pts, w, np.repeat(owner, len(w) // len(owner)))

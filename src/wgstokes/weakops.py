@@ -29,11 +29,11 @@ Side stacks follow the mesh's side table (one cell seeing one of its edges,
 cell-major in loop order); the edge basis at the Gauss points is one
 reference table, since every edge uses the canonical parameter.  The only
 cell rule is ``cell_data``, for data integrals: one ``polygon_rule`` call
-triangulates every cell (for this rule only), exact to DATA_EXACTNESS, built
-on first use and cached until its owner deletes it (a study level drops it
-across the solve).  Its moments are reduced one basis column at a time, so
-beside the table they hold only (points, components) arrays, never one per
-basis function.
+splits every cell into bilinear pieces (for this rule only), exact to
+DATA_EXACTNESS, built on first use and cached until its owner deletes it
+(a study level drops it across the solve).  Its moments are reduced one
+basis column at a time, so beside the table they hold only (points,
+components) arrays, never one per basis function.
 """
 
 from dataclasses import dataclass
@@ -89,6 +89,10 @@ class ElementOps:
         coefficients of its weak derivative in direction j.
     grad_side : (n_sides, 2, dim_cell_low, dim_edge)
         The same from the edge coefficients seen through one side.
+    grad_moments : (n_cells, 2, dim_cell_low, dim_cell)
+        -(phi_a, d_j q_r)_T, which grad_interior solves the P_{k-1} masses against.
+    side_moments : (n_sides, dim_cell_low, dim_edge)
+        <psi_b, q_r> on each side, the same for grad_side; B is built from both.
     trace : (n_sides, dim_edge, dim_cell)
         Edge projection of the P_k cell basis restricted to the side.
     edge_data : EdgeTable
@@ -146,8 +150,8 @@ class ElementOps:
         low = exps[:nlow]
         shifted = np.maximum(low - np.eye(2, dtype=int)[:, None], 0)  # (j, r, 2)
         scale = low.T[:, :, None] / mesh.diameters[:, None, None, None]
-        grads = scale * np.take(moments, _column(shifted[:, :, None] + exps), axis=1)
-        self.grad_interior = -np.linalg.solve(self.mass_low[:, None], grads)
+        self.grad_moments = -scale * np.take(moments, _column(shifted[:, :, None] + exps), axis=1)
+        self.grad_interior = np.linalg.solve(self.mass_low[:, None], self.grad_moments)
 
         self.edge_mass = _drop_rounding(
             np.einsum("eq,qa,qb->eab", eq.weights, eq.values, eq.values),
@@ -155,7 +159,8 @@ class ElementOps:
             len(s),
         )
         self.trace = np.linalg.solve(self.edge_mass[side_edge], T)
-        flux = np.linalg.solve(self.mass_low[side_cell], T[:, :, :nlow].transpose(0, 2, 1))
+        self.side_moments = T[:, :, :nlow].transpose(0, 2, 1).copy()
+        flux = np.linalg.solve(self.mass_low[side_cell], self.side_moments)
         self.grad_side = mesh.side_normal[:, :, None, None] * flux[:, None]
 
     @cached_property
@@ -183,8 +188,8 @@ class ElementOps:
 
     @cached_property
     def cell_data(self):
-        """The only cell rule, for data integrals: all cells triangulated by one
-        ``polygon_rule`` call, exact to DATA_EXACTNESS and to 2k+2."""
+        """The only cell rule, for data integrals: all cells split into bilinear
+        pieces by one ``polygon_rule`` call, exact to DATA_EXACTNESS and to 2k+2."""
         mesh = self.mesh
         loops = mesh.vertices[mesh.side_vertices[:, 0]]
         try:

@@ -191,12 +191,25 @@ def test_symmetric_zeros_store_no_entries(family, degree, A_nnz, B_nnz):
 
 def test_polygon_divergence_keeps_no_odd_edge_remainders():
     """On perturbed polygons the odd edge moments of the constant vanish
-    exactly: B stores at most the 95,470 entries of the 2- and 3-point
-    scheme rules (100,040 on the one 7-point table without the rounding cut),
-    and the LU fill is unchanged."""
+    exactly, and B comes from the moment stacks with no cell mass times its
+    own inverse: it stores at most 71,460 entries (94,304 as the mass times
+    the divergence rows of G, 95,470 on the 2- and 3-point scheme rules,
+    100,040 on the one 7-point table without the rounding cut), and the LU
+    fill is unchanged."""
     system = assemble(ElementOps(generate_mesh("perturbed-polygon", 32, seed=0), 2))
-    assert system.B.nnz <= 95_470
+    assert system.B.nnz <= 71_460
     assert solve(system).lu_fill == 3_488_232
+
+
+@pytest.mark.parametrize("family, degree", [("perturbed-polygon", 2), ("hexagonal", 3)])
+def test_divergence_rows_are_mass_times_weak_divergence(family, degree):
+    """B, built from the divergence moments, gives on any v the cell masses
+    times its weak divergence, entry by entry to rounding."""
+    ops = ElementOps(generate_mesh(family, 8, seed=0), degree)
+    B = assemble(ops).B
+    v = WeakFunction.random(ops.dofmap, np.random.default_rng(3))
+    direct = np.einsum("crs,cs->cr", ops.mass_low, ops.weak_divergence(v)).ravel()
+    assert np.abs(B @ v.coeffs - direct).max() <= 1e-13 * (abs(B) @ np.abs(v.coeffs)).max()
 
 
 def test_divergence_rows_are_cell_local(system_quad_k1):

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -128,13 +131,54 @@ def test_u_shapes_have_no_fan_apex():
         assert _fan_apexes(u) == []
 
 
-def test_fan_uses_m_minus_2_triangles(poly_mesh_4):
+def test_fan_pairs_make_bilinear_pieces(poly_mesh_4):
+    """A convex m-gon carries ceil((m - 2) / 2) pieces, each of a triangle's size."""
     q = len(polygon_rule([[0, 0], [1, 0], [0, 1]], 6).weights)
     square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
     voronoi = [poly_mesh_4.cell_vertices(c) for c in range(poly_mesh_4.num_cells)]
-    assert max(len(v) for v in voronoi) >= 6
-    for poly in [PENTAGON[:3], square, PENTAGON, *voronoi]:
-        assert len(polygon_rule(poly, 6).weights) == (len(poly) - 2) * q
+    hexagon = next(v for v in voronoi if len(v) == 6)
+    for poly, pieces in [(PENTAGON[:3], 1), (square, 1), (PENTAGON, 2), (hexagon, 2)]:
+        assert len(polygon_rule(poly, 6).weights) == pieces * q
+    assert max(len(v) for v in voronoi) >= 7
+    for poly in voronoi:  # convex cells
+        assert len(polygon_rule(poly, 6).weights) == (len(poly) - 1) // 2 * q
+
+
+# A convex quad that is not a parallelogram, so the bilinear Jacobian varies,
+# and a pentagon that vertex 0 sees whole but whose first fan pair has a
+# reflex corner at vertex 2: that pair falls back to two collapsed quads.
+SKEW_QUAD = np.array([[0, 0], [3, 0.5], [2.5, 2], [0.5, 1.5]])
+DART = np.array([[0, 0], [2, 0], [1.25, 0.75], [2, 2], [0, 2]])
+
+
+def _exact_monomial(poly, a, b):
+    """The integral of x^a y^b over the polygon in exact rationals: Green's
+    theorem on x^(a+1) y^b / (a+1) dy along each side, expanded binomially."""
+    verts = [tuple(map(Fraction, v)) for v in poly]
+    total = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        total += dy * sum(
+            comb(a + 1, i) * x0 ** (a + 1 - i) * dx**i * comb(b, j) * y0 ** (b - j) * dy**j
+            / (i + j + 1)
+            for i in range(a + 2)
+            for j in range(b + 1)
+        )
+    return total / (a + 1)
+
+
+@pytest.mark.parametrize("poly,pieces", [(SKEW_QUAD, 1), (DART, 3)], ids=["skew-quad", "dart"])
+def test_bilinear_pieces_exact_to_total_degree(poly, pieces):
+    q = len(polygon_rule([[0, 0], [1, 0], [0, 1]], 13).weights)
+    assert len(polygon_rule(poly, 13).weights) == pieces * q
+    exact = {(a, d - a): float(_exact_monomial(poly, a, d - a)) for d in range(14) for a in range(d + 1)}
+    for d in range(14):
+        rule = polygon_rule(poly, d)
+        assert (rule.weights > 0).all()
+        x, y = rule.points.T
+        for (a, b), value in exact.items():
+            if a + b <= d:
+                assert np.sum(rule.weights * x**a * y**b) == pytest.approx(value, rel=1e-13), (d, a, b)
 
 
 @pytest.mark.parametrize("a,b", [(0, 0), (1, 0), (0, 1), (3, 2), (5, 4)])

@@ -264,6 +264,16 @@ def test_data_rule_at_rounding_floor(family, degree, monkeypatch):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
+@pytest.mark.parametrize(
+    "family, points", [("uniform-quad", 3_136), ("hexagonal", 6_615), ("perturbed-polygon", 6_419)]
+)
+def test_data_rule_point_count(family, points):
+    """The data rule at n=8 has 49 points per bilinear piece and one piece per
+    pair of fan triangles (64 x 49 on squares), so a doubled rule shows here."""
+    ops = ElementOps(generate_mesh(family, 8), 2)
+    assert len(ops.cell_data.weights) == points
+
+
 @pytest.mark.parametrize("degree", [2, 3])
 def test_element_ops_peak_near_what_it_keeps(degree):
     """Building the operator stacks holds at most 3 times the memory the
