@@ -8,6 +8,7 @@ from .analysis import (
     dual_norms,
     error_bundle,
     fit_rate,
+    project_case,
     projection_errors,
     triple_bar_norm,
     verify_error_equation,

@@ -5,15 +5,16 @@ operator stacks and the masses; the tests check it against the assembled
 A and against a reference that evaluates the weak gradient and the edge
 jumps at quadrature points of its own.
 
-Conventions: errors against the exact solution use the data rules of
-ElementOps (one exactness for every field); errors between two discrete
-fields use the cell mass matrices, which are exact.
+Conventions: `project_case` reads the exact fields, before the solve, on the
+data rules of ElementOps (one exactness for every field); errors between
+two discrete fields use the cell mass matrices, which are exact.
 The inf-sup constant, by contrast, is algebraic: an iterative eigensolve
 that reuses the sparse factorization the level's solve already made.
 """
 
 import csv
 import dataclasses
+import math
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
@@ -22,6 +23,7 @@ from .assembly import _side_mass, block_diagonal, eval_a
 from .errors import ConfigurationError, SolverError
 from .projections import project_gradient, project_pressure, project_velocity
 from .solver import factorize
+from .spaces import PressureFunction, WeakFunction
 
 # Relative accuracy asked of the Lanczos eigensolve behind beta_h.
 INF_SUP_TOL = 1e-10
@@ -76,35 +78,46 @@ def _root(total):
     return float(np.sqrt(max(total, 0.0)))
 
 
-def _l2_error(ops, exact, coeffs):
-    """L2 distance between a field and cellwise polynomials.
-
-    exact maps (n, 2) points to (n, ...) values; coeffs (n_cells, ..., dim)
-    holds the polynomial coefficients of each cell.  The approximation is
-    subtracted from a copy of the field one basis column at a time, through
-    one reused (n, ...) buffer.
-    """
+def _project_data(ops, values, degree):
+    """Cellwise P_degree projection of a field's values (n, ...) at the cell data
+    points, and the L2 norm of what it misses: (coeffs, residual).  The
+    projection comes off a copy of the values one basis column at a time."""
     table = ops.cell_data
-    diff = np.array(exact(table.points), dtype=float).reshape(len(table.cell), -1)
+    coeffs = ops.solve_cell_mass(ops.cell_moments(values, degree), degree)
+    diff = np.array(values, dtype=float).reshape(len(table.cell), -1)
     columns = np.moveaxis(coeffs.reshape(len(coeffs), diff.shape[1], -1), -1, 0)
     term = np.empty_like(diff)
     for r, column in enumerate(columns):
         np.take(column, table.cell, axis=0, out=term, mode="clip")  # "clip": unbuffered
         diff -= np.multiply(term, table.values[:, r, None], out=term)
-    return _root(np.einsum("p,pi,pi->", table.weights, diff, diff))
-
-
-def velocity_interior_error(ops, v, u):
-    """L2 distance between an exact velocity and the interior part of v."""
-    return _l2_error(ops, u, v.v0)
-
-
-def pressure_error(ops, p_h, p):
-    """L2 distance between an exact pressure and a discrete one."""
-    return _l2_error(ops, p, p_h.cellwise)
+    return coeffs, _root(np.einsum("p,pi,pi->", table.weights, diff, diff))
 
 
 # -- error bundles -------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class CaseProjection:
+    """The exact side of a level's errors, measured before its solve: the
+    projections {Q0 u, Qb u} and Q_h p of a case's fields, and the L2 norms of
+    what they miss, ||u - Q0 u|| and ||p - Q_h p||, on the cell data rule."""
+
+    velocity: WeakFunction
+    pressure: PressureFunction
+    velocity_residual: float
+    pressure_residual: float
+
+
+def project_case(ops, case):
+    """Project a case's velocity and pressure on the data table that `assemble`
+    built, evaluating u and p there once each, one after the other."""
+    points = ops.cell_data.points
+    velocity = WeakFunction.zeros(ops.dofmap)
+    velocity.v0[:], velocity_residual = _project_data(ops, case.u(points), ops.degree)
+    velocity.vb[:] = ops.solve_edge_mass(ops.edge_moments(case.u))
+    pressure, pressure_residual = _project_data(ops, case.p(points), ops.degree - 1)
+    pressure = PressureFunction(ops.dofmap, pressure.ravel())
+    return CaseProjection(velocity, pressure, velocity_residual, pressure_residual)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,7 +126,11 @@ class ErrorBundle:
 
     triple_bar compares the solution with the projected exact velocity in
     the energy norm; vel_l2_proj does the same in L2 (interior part only);
-    vel_l2_true and pres_l2_true measure against the exact fields directly.
+    vel_l2_true and pres_l2_true measure against the exact fields.  As
+    u - Q0 u is orthogonal to cellwise P_k and p - Q_h p to cellwise P_{k-1},
+    ||u - v0||² = ||u - Q0 u||² + ||Q0 u - v0||² and likewise for p.  On the
+    data rule this holds to rounding: the rule integrates the masses exactly,
+    so in its own arithmetic the projections leave orthogonal residuals.
     """
 
     triple_bar: float
@@ -126,30 +143,18 @@ class ErrorBundle:
         return dataclasses.asdict(self)
 
 
-def error_bundle(ops, case, velocity, pressure):
-    """Measure a discrete solution against a manufactured case.
-
-    A field's projection and its true error read it at the same data
-    points, so u and p are evaluated there once each, one after the other.
-    """
-    u = _at_data_points(ops, case.u)
-    qu, vel_l2_true = project_velocity(ops, u), velocity_interior_error(ops, velocity, u)
-    p = _at_data_points(ops, case.p)
-    qp, pres_l2_true = project_pressure(ops, p), pressure_error(ops, pressure, p)
+def error_bundle(ops, projection, velocity, pressure):
+    """Errors of a discrete solution against a `project_case` record, by masses and `eval_a`."""
+    error = projection.velocity - velocity
+    vel_l2_proj = velocity_interior_norm(ops, error)
+    pres_l2 = pressure_norm(ops, projection.pressure - pressure)
     return ErrorBundle(
-        triple_bar=triple_bar_norm(ops, qu - velocity),
-        vel_l2_proj=velocity_interior_norm(ops, qu - velocity),
-        vel_l2_true=vel_l2_true,
-        pres_l2=pressure_norm(ops, qp - pressure),
-        pres_l2_true=pres_l2_true,
+        triple_bar=triple_bar_norm(ops, error),
+        vel_l2_proj=vel_l2_proj,
+        vel_l2_true=math.hypot(projection.velocity_residual, vel_l2_proj),
+        pres_l2=pres_l2,
+        pres_l2_true=math.hypot(projection.pressure_residual, pres_l2),
     )
-
-
-def _at_data_points(ops, field):
-    """field, evaluated once at the cell data points: calls there return that result."""
-    points = ops.cell_data.points
-    values = field(points)
-    return lambda x: values if x is points else field(x)
 
 
 def projection_errors(ops, case):
@@ -157,16 +162,12 @@ def projection_errors(ops, case):
 
     Returns L2 errors of the interior velocity projection, the pressure
     projection, and the gradient projection; these decay at one order
-    higher than, equal to, and equal to the energy-norm rate.  As in
-    `error_bundle`, each field is evaluated once at the cell data points.
+    higher than, equal to, and equal to the energy-norm rate.  The first
+    two are `project_case`'s residuals.  Each field is read once.
     """
-    u = _at_data_points(ops, case.u)
-    velocity = velocity_interior_error(ops, project_velocity(ops, u), u)
-    p = _at_data_points(ops, case.p)
-    pressure = pressure_error(ops, project_pressure(ops, p), p)
-    grad_u = _at_data_points(ops, case.grad_u)
-    gradient = _l2_error(ops, grad_u, project_gradient(ops, grad_u))
-    return {"velocity": velocity, "pressure": pressure, "gradient": gradient}
+    proj = project_case(ops, case)
+    _, gradient = _project_data(ops, case.grad_u(ops.cell_data.points), ops.degree - 1)
+    return dict(velocity=proj.velocity_residual, pressure=proj.pressure_residual, gradient=gradient)
 
 
 # -- inf-sup stability ---------------------------------------------------
@@ -298,10 +299,9 @@ def verify_error_equation(system, case, report):
     via the dual norm of the weak divergence moments of the velocity error.
     """
     ops = system.ops
-    qu = project_velocity(ops, case.u)
-    qp = project_pressure(ops, case.p)
-    e_vec = qu.coeffs - report.velocity.coeffs
-    eps_vec = qp.coeffs - report.pressure.coeffs
+    projection = project_case(ops, case)
+    e_vec = projection.velocity.coeffs - report.velocity.coeffs
+    eps_vec = projection.pressure.coeffs - report.pressure.coeffs
     phi = consistency_functionals(ops, case)["total"]
     residual = system.A @ e_vec - system.B.T @ eps_vec - phi
 

@@ -98,7 +98,8 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
 
     load = np.zeros(dofmap.num_velocity_dofs)
     if body_force is not None:
-        load[: dofmap.interior_size] = ops.cell_moments(body_force, ops.degree).ravel()
+        field = body_force(ops.cell_data.points)
+        load[: dofmap.interior_size] = ops.cell_moments(field, ops.degree).ravel()
     # the first scaled monomial is 1, so mass rows 0 hold the basis integrals
     pressure_moments = ops.mass_low[:, 0, :].ravel()
 

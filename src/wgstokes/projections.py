@@ -19,7 +19,7 @@ def project_velocity(ops, u):
         Maps (n, 2) points to (n, 2) velocity values.
     """
     out = WeakFunction.zeros(ops.dofmap)
-    out.v0[:] = ops.solve_cell_mass(ops.cell_moments(u, ops.degree))
+    out.v0[:] = ops.solve_cell_mass(ops.cell_moments(u(ops.cell_data.points), ops.degree))
     out.vb[:] = ops.solve_edge_mass(ops.edge_moments(u))
     return out
 
@@ -39,7 +39,7 @@ def project_pressure(ops, p):
     """Cellwise P_{k-1} projection of a scalar field."""
     out = PressureFunction.zeros(ops.dofmap)
     low = ops.degree - 1
-    out.cellwise[:] = ops.solve_cell_mass(ops.cell_moments(p, low), low)
+    out.cellwise[:] = ops.solve_cell_mass(ops.cell_moments(p(ops.cell_data.points), low), low)
     return out
 
 
@@ -50,4 +50,4 @@ def project_gradient(ops, grad_u):
     d u_i / d x_j).  Returns an (num_cells, 2, 2, dim_cell_low) array.
     """
     low = ops.degree - 1
-    return ops.solve_cell_mass(ops.cell_moments(grad_u, low), low)
+    return ops.solve_cell_mass(ops.cell_moments(grad_u(ops.cell_data.points), low), low)

@@ -9,7 +9,7 @@ factorization as the level's solve.
 
 import dataclasses
 
-from .analysis import ConvergenceRecord, discrete_inf_sup, error_bundle, fit_rate
+from .analysis import ConvergenceRecord, discrete_inf_sup, error_bundle, fit_rate, project_case
 from .assembly import assemble
 from .cases import get_case
 from .mesh import generate_mesh, refinement_ladder
@@ -82,16 +82,14 @@ def _run_level(config, case, level, n):
     mesh = generate_mesh(config.family, n, seed=config.seed)
     ops = ElementOps(mesh, config.degree)
     system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
-    # nothing reads the cell data table until error_bundle, which builds it
-    # again: held across the solve, it would sit under the factor at the peak
+    projection = project_case(ops, case)
+    # nothing reads the cell data table again: held across the solve, it would sit under the factor
     del ops.cell_data
     if config.dump_prefix:
         system.dump_matrices(f"{config.dump_prefix}L{level}_")
     report = solve(system)
     beta = discrete_inf_sup(system, report.factor)
-    # free the factor first, so the level's peak memory stays the solve's
-    report.factor = None
-    errors = error_bundle(ops, case, report.velocity, report.pressure)
+    errors = error_bundle(ops, projection, report.velocity, report.pressure)
     return mesh.mesh_size, mesh.num_cells, errors, beta
 
 

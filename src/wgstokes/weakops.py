@@ -230,15 +230,15 @@ class ElementOps:
 
     # -- data moments ------------------------------------------------------
 
-    def cell_moments(self, func, degree):
-        """Integrals of `func` against the degree-`degree` basis of every cell.
+    def cell_moments(self, field, degree):
+        """Integrals of a field against the degree-`degree` basis of every cell.
 
-        func maps (n, 2) points to (n,) scalars or (n, d) stacks; returns
-        (n_cells, dim) or (n_cells, d, dim) accordingly.  The weights scale
-        a copy of the values once, and one basis column is reduced at a time
-        through one reused (n, ...) product, so no (n, ..., dim) array is built.
+        field holds (n,) scalars or (n, d) stacks at the `cell_data` points;
+        returns (n_cells, dim) or (n_cells, d, dim) accordingly.  The weights
+        scale a copy of the values once, and one basis column is reduced at a
+        time through one reused (n, ...) product, so no (n, ..., dim) array is built.
         """
-        table, field = self.cell_data, func(self.cell_data.points)
+        table = self.cell_data
         per_point = (-1,) + (1,) * (np.ndim(field) - 1)  # an (n,) array against (n, ...) values
         f = table.weights.reshape(per_point) * field
         out = np.empty((len(table.starts),) + f.shape[1:] + (space_dimension(degree),))

@@ -134,6 +134,25 @@ def energy_at_points(ops, v):
     return energy + np.sum(np.einsum("hib,hib->h", coeffs, moments) / h[sc])
 
 
+def true_errors_at_points(ops, case, velocity, pressure):
+    """Reference ||u - v0|| and ||p - p_h||, by point evaluation alone.
+
+    Evaluates the exact fields and the discrete ones at the points of
+    `ops.cell_data` and sums the weighted squared differences; reads no
+    projection of the exact fields.
+    """
+    table = ops.cell_data
+
+    def l2(exact, coeffs):
+        """L2 distance from `exact` to cellwise polynomials with coeffs (n_cells, ..., dim)."""
+        values = table.values[:, : coeffs.shape[-1]]
+        approx = np.einsum("pr,p...r->p...", values, coeffs[table.cell])
+        diff = (np.asarray(exact(table.points), dtype=float) - approx).reshape(len(approx), -1)
+        return float(np.sqrt(table.weights @ (diff**2).sum(axis=1)))
+
+    return l2(case.u, velocity.v0), l2(case.p, pressure.cellwise)
+
+
 # -- manufactured cases, derived by sympy ------------------------------------
 #
 # The primitive expressions of every registered case, in x and y.  Their

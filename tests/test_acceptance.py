@@ -18,6 +18,7 @@ from wgstokes.analysis import (
     dual_norms,
     error_bundle,
     fit_rate,
+    project_case,
     projection_errors,
     triple_bar_norm,
     verify_error_equation,
@@ -62,8 +63,9 @@ def sweep():
             mesh = generate_mesh(family, 4 * 2**level, seed=0)
             ops = ElementOps(mesh, degree)
             system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
+            projection = project_case(ops, case)
             report = solve(system)
-            bundle = error_bundle(ops, case, report.velocity, report.pressure)
+            bundle = error_bundle(ops, projection, report.velocity, report.pressure)
             momentum, mass = verify_error_equation(system, case, report)
             rows.append(
                 {

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence, spsolve
 
-from conftest import dense_inf_sup, energy_at_points, lambdified_case
-from wgstokes import analysis
+from conftest import dense_inf_sup, energy_at_points, lambdified_case, true_errors_at_points
+from wgstokes import analysis, weakops
 from wgstokes.analysis import (
     CSV_COLUMNS,
     ConvergenceRecord,
@@ -17,18 +17,20 @@ from wgstokes.analysis import (
     dual_norms,
     error_bundle,
     fit_rate,
+    pressure_norm,
+    project_case,
     projection_errors,
     rate_label,
     triple_bar_norm,
-    velocity_interior_error,
+    velocity_interior_norm,
     verify_error_equation,
     weak_divergence_norm,
 )
 from wgstokes.assembly import assemble
 from wgstokes.cases import get_case
 from wgstokes.errors import ConfigurationError, SolverError
-from wgstokes.mesh import generate_mesh
-from wgstokes.projections import project_velocity
+from wgstokes.mesh import FAMILIES, generate_mesh
+from wgstokes.quadrature import polygon_rule
 from wgstokes.solver import factorize, solve
 from wgstokes.spaces import PressureFunction, WeakFunction
 from wgstokes.weakops import ElementOps
@@ -115,27 +117,25 @@ def test_energy_is_norm_on_free_dofs(ops_quad_k1):
 
 
 def test_error_bundle_matches_projection_errors(ops_quad_k2):
-    """With the zero discrete solution, errors reduce to norms of the data."""
+    """With the zero discrete solution, the projected errors are the norms of
+    the projections, and the true errors are the fields' own norms: the
+    projection residuals of `projection_errors` added in quadrature."""
     ops = ops_quad_k2
     case = get_case("taylor-trig")
-    zero_v = WeakFunction.zeros(ops.dofmap)
-    from wgstokes.spaces import PressureFunction
-
-    zero_p = PressureFunction.zeros(ops.dofmap)
-    bundle = error_bundle(ops, case, zero_v, zero_p)
+    zero_v, zero_p = WeakFunction.zeros(ops.dofmap), PressureFunction.zeros(ops.dofmap)
+    projection = project_case(ops, case)
+    bundle = error_bundle(ops, projection, zero_v, zero_p)
     proj = projection_errors(ops, case)
-    # |||Q_h u - 0||| >= projected gradient norm; true-field errors equal field norms
-    from wgstokes.projections import project_pressure, project_velocity
-
-    qu = project_velocity(ops, case.u)
-    qp = project_pressure(ops, case.p)
-    from wgstokes.analysis import pressure_norm, velocity_interior_norm
-
+    assert proj["velocity"] == projection.velocity_residual
+    assert proj["pressure"] == projection.pressure_residual
+    qu, qp = projection.velocity, projection.pressure
     assert np.isclose(bundle.vel_l2_proj, velocity_interior_norm(ops, qu), rtol=1e-12)
     assert np.isclose(bundle.pres_l2, pressure_norm(ops, qp), rtol=1e-12)
-    # true-solution errors of the zero field: ||u|| and ||p|| themselves
-    assert bundle.vel_l2_true > 0 and bundle.pres_l2_true > 0
-    assert proj["velocity"] < bundle.vel_l2_true
+    table = ops.cell_data
+    for true, field in ((bundle.vel_l2_true, case.u), (bundle.pres_l2_true, case.p)):
+        values = field(table.points).reshape(len(table.weights), -1)
+        assert np.isclose(true, np.sqrt(table.weights @ (values**2).sum(axis=1)), rtol=1e-12)
+    assert 0 < proj["velocity"] < bundle.vel_l2_true
 
 
 def test_error_bundle_near_zero_for_exact_case():
@@ -143,7 +143,7 @@ def test_error_bundle_near_zero_for_exact_case():
     ops = ElementOps(generate_mesh("uniform-quad", 4), 2)
     system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
     report = solve(system)
-    bundle = error_bundle(ops, case, report.velocity, report.pressure)
+    bundle = error_bundle(ops, project_case(ops, case), report.velocity, report.pressure)
     assert bundle.triple_bar <= 1e-10
     assert bundle.vel_l2_proj <= 1e-11
     assert bundle.pres_l2 <= 1e-10
@@ -151,10 +151,31 @@ def test_error_bundle_near_zero_for_exact_case():
     assert set(d) == {"triple_bar", "vel_l2_proj", "vel_l2_true", "pres_l2", "pres_l2_true"}
 
 
+@pytest.mark.parametrize(
+    "family, degree",
+    [(f, k) for f in FAMILIES + ("hostile",) for k in (1, 2, 3)],
+)
+def test_true_errors_match_pointwise_reference(family, degree, request):
+    """vel_l2_true and pres_l2_true, built from the projection residuals and
+    the projected errors, equal ||u - v0|| and ||p - p_h|| summed point by
+    point on the data rule, for a computed solution."""
+    if family == "hostile":
+        mesh = request.getfixturevalue("hostile_mesh")
+    else:
+        mesh = generate_mesh(family, 4, seed=0)
+    ops, case = ElementOps(mesh, degree), get_case("taylor-trig")
+    report = solve(assemble(ops, body_force=case.f, boundary_velocity=case.g))
+    bundle = error_bundle(ops, project_case(ops, case), report.velocity, report.pressure)
+    velocity, pressure = true_errors_at_points(ops, case, report.velocity, report.pressure)
+    assert bundle.vel_l2_true == pytest.approx(velocity, rel=1e-11)
+    assert bundle.pres_l2_true == pytest.approx(pressure, rel=1e-11)
+
+
 @pytest.mark.parametrize("measure", ["projection_errors", "error_bundle"])
 def test_exact_fields_read_once_at_the_data_points(ops_quad_k2, measure):
-    """A projection and its L2 error read an exact field at the same cell
-    data points, so each field is evaluated there once, not once per use."""
+    """A projection and its residual read an exact field at the same cell
+    data points, so each field is evaluated there once, not once per use;
+    a level's errors read u and p in the projection pass alone."""
     ops, case = ops_quad_k2, get_case("taylor-trig")
     calls = dict.fromkeys(["u", "p", "grad_u"], 0)
 
@@ -171,21 +192,52 @@ def test_exact_fields_read_once_at_the_data_points(ops_quad_k2, measure):
         assert calls == {"u": 1, "p": 1, "grad_u": 1}
     else:
         zero_v, zero_p = WeakFunction.zeros(ops.dofmap), PressureFunction.zeros(ops.dofmap)
-        error_bundle(ops, spied, zero_v, zero_p)
+        error_bundle(ops, project_case(ops, spied), zero_v, zero_p)
         assert calls == {"u": 1, "p": 1, "grad_u": 0}
+
+
+def test_error_bundle_reads_no_field_and_no_cell_rule(monkeypatch):
+    """After the projection pass and the table's deletion, error_bundle
+    evaluates no case field and builds no cell rule: algebra on
+    coefficient vectors alone."""
+    ops, case = ElementOps(generate_mesh("perturbed-polygon", 4), 2), get_case("taylor-trig")
+    calls = {"fields": 0, "polygon_rule": 0}
+
+    def counted(field):
+        def evaluate(x):
+            calls["fields"] += 1
+            return field(x)
+
+        return evaluate
+
+    spied = SimpleNamespace(u=counted(case.u), p=counted(case.p), grad_u=counted(case.grad_u))
+    projection = project_case(ops, spied)
+    del ops.cell_data
+    calls.update(fields=0)
+
+    def counting_rule(*args, **kwargs):
+        calls["polygon_rule"] += 1
+        return polygon_rule(*args, **kwargs)
+
+    monkeypatch.setattr(weakops, "polygon_rule", counting_rule)
+    zero_v, zero_p = WeakFunction.zeros(ops.dofmap), PressureFunction.zeros(ops.dofmap)
+    error_bundle(ops, projection, zero_v, zero_p)
+    assert calls == {"fields": 0, "polygon_rule": 0}
+    assert "cell_data" not in vars(ops)
 
 
 @pytest.mark.parametrize("family, degree", [("perturbed-polygon", 2), ("uniform-quad", 3)])
 def test_data_kernels_stay_within_five_fields(family, degree):
-    """Beside the data tables, a data moment and an L2 error against the exact
-    field hold at most 5 (points, 2) fields at once: no (points, 2, dim) array."""
+    """Beside the data tables, a data moment and the projection pass against
+    the exact fields hold at most 5 (points, 2) fields at once: no
+    (points, 2, dim) array."""
     ops = ElementOps(generate_mesh(family, 8), degree)
     case = get_case("taylor-trig")
     field = ops.cell_data.points.nbytes  # one (points, 2) float field
     ops.edge_data  # both tables are built before the measurement
     runs = {
-        "moments": lambda: ops.cell_moments(case.f, degree),
-        "error": lambda: velocity_interior_error(ops, project_velocity(ops, case.u), case.u),
+        "moments": lambda: ops.cell_moments(case.f(ops.cell_data.points), degree),
+        "projection": lambda: project_case(ops, case),
     }
     for name, run in runs.items():
         run()  # first calls may allocate caches of their own

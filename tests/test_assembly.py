@@ -232,7 +232,7 @@ def test_load_vector_is_interior_moments(ops_quad_k1):
     system = assemble(ops_quad_k1, body_force=f)
     dm = ops_quad_k1.dofmap
     interior, edge = dof_indices(dm)
-    all_moments = ops_quad_k1.cell_moments(f, ops_quad_k1.degree)
+    all_moments = ops_quad_k1.cell_moments(f(ops_quad_k1.cell_data.points), ops_quad_k1.degree)
     for c, moments in enumerate(all_moments):
         assert np.allclose(system.load[interior[c]], moments, atol=1e-14)
     assert np.all(system.load[edge] == 0.0)

@@ -39,7 +39,7 @@ def test_level_profile_demo(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["level_profile.py", "perturbed-polygon", "2", "8"])
     out = _run("level_profile.py", capsys)
     rows = re.findall(r"^(\S+) +(\S+) s +(\S+) s +(\S+) MB +(\S+) MB$", out, re.MULTILINE)
-    stages = ["mesh", "ElementOps", "assemble", "solve", "beta_h", "error_bundle"]
+    stages = ["mesh", "ElementOps", "assemble", "project_case", "solve", "beta_h", "error_bundle"]
     assert [row[0] for row in rows] == stages
     times, collecting, resident, peak = (
         np.array([row[i] for row in rows], dtype=float) for i in (1, 2, 3, 4)

@@ -59,9 +59,9 @@ def test_one_factorization_per_level(splu_calls):
 def test_rule_tables_built_once_per_level(monkeypatch):
     """Each level builds one edge table, which serves the scheme and the
     data, and one cell rule, for the data only, whether the case's data are
-    polynomial or not.  The cell rule is built twice, for assemble and
-    again for error_bundle, since the level drops it across the solve: 2
-    cell rules and 1 edge rule."""
+    polynomial or not.  The cell rule serves assemble and the projection
+    pass before the solve, and error_bundle after it reads no rule: 1 cell
+    rule and 1 edge rule."""
     calls = {"polygon_rule": 0, "edge_rule": 0}
     for name in calls:
         builder = getattr(weakops, name)
@@ -74,7 +74,15 @@ def test_rule_tables_built_once_per_level(monkeypatch):
     for case in ("taylor-trig", "poly-exact-k1"):
         calls.update(polygon_rule=0, edge_rule=0)
         run_study(StudyConfig(case=case, n0=2, levels=2))
-        assert calls == {"polygon_rule": 4, "edge_rule": 2}, case
+        assert calls == {"polygon_rule": 2, "edge_rule": 2}, case
+
+
+@pytest.mark.parametrize("family", ["hexagonal", "uniform-triangle"])
+def test_degree_three_rate_gates_pass(family):
+    """k=3 meets every gated rate on the hexagon and triangle families too
+    (n = 2..16; the smallest headroom is uniform-triangle triple_bar's)."""
+    result = run_study(StudyConfig(degree=3, family=family, n0=2, levels=4))
+    assert result.passed, result.failures
 
 
 def test_no_data_table_held_across_the_solve(monkeypatch):

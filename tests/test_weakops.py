@@ -255,9 +255,9 @@ def test_data_rule_at_rounding_floor(family, degree, monkeypatch):
     for name in case_names():
         case = get_case(name)
         for moments in (
-            lambda o: o.cell_moments(case.f, degree),
-            lambda o: o.cell_moments(case.u, degree),
-            lambda o: o.cell_moments(case.p, degree - 1),
+            lambda o: o.cell_moments(case.f(o.cell_data.points), degree),
+            lambda o: o.cell_moments(case.u(o.cell_data.points), degree),
+            lambda o: o.cell_moments(case.p(o.cell_data.points), degree - 1),
             lambda o: o.edge_moments(case.u),
         ):
             got, ref = moments(ops), moments(finer)
