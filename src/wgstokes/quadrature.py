@@ -110,14 +110,20 @@ def loop_groups(loops, starts):
 
 
 def polygon_geometry(p):
-    """Signed areas (...) and area centroids (..., 2) of (..., m, 2) vertex loops."""
+    """Signed areas (...) and area centroids (..., 2) of (..., m, 2) vertex loops.
+
+    The shoelace sums run about each loop's first vertex, so a small loop
+    far from the origin keeps its centroid to rounding in its own scale.
+    """
     p = np.asarray(p, dtype=float)
+    first = p[..., 0, :]
+    p = p - first[..., None, :]
     q = np.roll(p, -1, axis=-2)
     cross = _cross(p, q)
     doubled = cross.sum(axis=-1)
     moments = np.stack([((p[..., i] + q[..., i]) * cross).sum(axis=-1) for i in (0, 1)], -1)
     with np.errstate(divide="ignore", invalid="ignore"):  # degenerate loops
-        return 0.5 * doubled, moments / (3.0 * doubled[..., None])
+        return 0.5 * doubled, moments / (3.0 * doubled[..., None]) + first
 
 
 def _ear_clip(poly):

@@ -266,12 +266,18 @@ def test_inf_sup_positive_and_family_consistent():
 
 @pytest.mark.parametrize(
     "family, degree, n",
-    [(f, k, 8) for f in ("uniform-quad", "perturbed-polygon", "hexagonal") for k in (1, 2)]
-    + [("perturbed-polygon", 2, 16)],
+    [(f, k, 8) for f in FAMILIES for k in (1, 2, 3)]
+    + [("perturbed-polygon", 2, 16)]
+    + [("hostile", k, 1) for k in (1, 2, 3)],
 )
-def test_inf_sup_matches_dense_oracle(family, degree, n):
-    """Shift-invert on either factor path gives the dense beta_h."""
-    system = assemble(ElementOps(generate_mesh(family, n, seed=0), degree))
+def test_inf_sup_matches_dense_oracle(family, degree, n, request):
+    """Shift-invert on either factor path gives the dense beta_h, on every
+    mesh family and degree and on the nonconvex cell with a hanging node."""
+    if family == "hostile":
+        mesh = request.getfixturevalue("hostile_mesh")
+    else:
+        mesh = generate_mesh(family, n, seed=0)
+    system = assemble(ElementOps(mesh, degree))
     expected = dense_inf_sup(system)
     assert discrete_inf_sup(system) == pytest.approx(expected, rel=1e-8)
     for condense in (False, True):

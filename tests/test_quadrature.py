@@ -233,6 +233,20 @@ def test_geometry_of_stacked_loops():
     np.testing.assert_allclose(centroids, [centroid, centroid + [1, 2]], rtol=1e-14)
 
 
+def test_small_polygon_far_from_origin_keeps_its_centroid():
+    """Pentagons of size h = 1/32 .. 1/128 near (0.8, 0.6) get their centroids
+    to 1e-14 of h, against the exact centroids of their floating-point
+    vertices (in absolute coordinates the shoelace sums lose 5e-13 of h at
+    h = 1/32 and 2.5e-11 at h = 1/128)."""
+    sizes = np.array([1 / 32, 1 / 64, 1 / 128])
+    loops = PENTAGON * sizes[:, None, None] + np.array([[0.7, 0.4], [0.9, 0.8], [0.93, 0.61]])[:, None]
+    centroids = polygon_geometry(loops)[1]
+    for loop, centroid, h in zip(loops, centroids, sizes):
+        area = _exact_monomial(loop, 0, 0)
+        exact = [_exact_monomial(loop, 1, 0) / area, _exact_monomial(loop, 0, 1) / area]
+        assert np.abs(centroid - np.array(exact, dtype=float)).max() <= 1e-14 * h
+
+
 def test_batched_polygon_rule_equals_single_rules():
     """The ear-clipped polygon sits between fanned ones: its triangles
     must land in its own slot, not at the end."""

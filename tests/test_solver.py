@@ -80,14 +80,32 @@ def test_pressure_gauge_and_mass_rows(ops_quad_k2):
         # LU rounding in the full path reached 4e-9 here before the
         # refinement step in the pinned solve
         pytest.param("perturbed-polygon", 2, 32, 1, id="perturbed-polygon-k2-n32"),
-    ],
+    ]
+    + [
+        pytest.param(family, degree, 4, 1, id=f"{family}-k{degree}")
+        for family, degree in [
+            ("uniform-triangle", 1),
+            ("uniform-triangle", 2),
+            ("uniform-triangle", 3),
+            ("uniform-quad", 2),
+            ("perturbed-polygon", 1),
+            ("perturbed-polygon", 3),
+            ("hexagonal", 1),
+            ("hexagonal", 3),
+        ]
+    ]
+    + [pytest.param("hostile", degree, None, None, id=f"hostile-k{degree}") for degree in (1, 2, 3)],
 )
-def test_condensed_solve_matches_full(family, degree, n, seed):
+def test_condensed_solve_matches_full(family, degree, n, seed, request):
     """Both solver paths agree with the plain-scipy full solve, here with
-    nonzero Dirichlet data."""
+    nonzero Dirichlet data, on every mesh family and degree and on the
+    nonconvex cell with a hanging node."""
     case = get_case("taylor-trig")
-    ops = ElementOps(generate_mesh(family, n, seed=seed), degree)
-    system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
+    if family == "hostile":
+        mesh = request.getfixturevalue("hostile_mesh")
+    else:
+        mesh = generate_mesh(family, n, seed=seed)
+    system = assemble(ElementOps(mesh, degree), body_force=case.f, boundary_velocity=case.g)
     assert np.abs(system.fixed_values).max() > 0.1
     u, p = full_solve(system)
     full = solve(system, condense=False)
