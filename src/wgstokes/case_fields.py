@@ -2,11 +2,10 @@
 
 Generated, not written: each function is the source sympy.lambdify prints
 for one field of one case (velocity u, pressure p, body force
-f = -Δu + ∇p, Jacobian grad_u and divergence div_u), named
-<case>_<field>.  The primitive expressions and their derivation live in
-tests/conftest.py; tests/test_cases.py derives every field again, checks
-this text and its values against it, and prints the module to commit when
-they differ.
+f = -Δu + ∇p and Jacobian grad_u), named <case>_<field>.  The primitive
+expressions and their derivation live in tests/conftest.py;
+tests/test_cases.py derives every field again, checks this text and its
+values against it, and prints the module to commit when they differ.
 """
 
 from numpy import cos, pi, sin
@@ -28,10 +27,6 @@ def poly_exact_k1_grad_u(x, y):
     return [[0, 1], [-1, 0]]
 
 
-def poly_exact_k1_div_u(x, y):
-    return 0
-
-
 def poly_exact_k2_u(x, y):
     return [x**2 - 2*x*y, -2*x*y + y**2]
 
@@ -46,10 +41,6 @@ def poly_exact_k2_f(x, y):
 
 def poly_exact_k2_grad_u(x, y):
     return [[2*x - 2*y, -2*x], [-2*y, -2*x + 2*y]]
-
-
-def poly_exact_k2_div_u(x, y):
-    return 0
 
 
 def stream_quartic_u(x, y):
@@ -68,10 +59,6 @@ def stream_quartic_grad_u(x, y):
     return [[x**2*y**2*(2*x - 2)*(2*y - 2) + 2*x**2*y*(1 - y)**2*(2*x - 2) + 2*x*y**2*(1 - x)**2*(2*y - 2) + 4*x*y*(1 - x)**2*(1 - y)**2, 2*x**2*y**2*(1 - x)**2 + 4*x**2*y*(1 - x)**2*(2*y - 2) + 2*x**2*(1 - x)**2*(1 - y)**2], [-2*x**2*y**2*(1 - y)**2 - 4*x*y**2*(1 - y)**2*(2*x - 2) - 2*y**2*(1 - x)**2*(1 - y)**2, -x**2*y**2*(2*x - 2)*(2*y - 2) - 2*x**2*y*(1 - y)**2*(2*x - 2) - 2*x*y**2*(1 - x)**2*(2*y - 2) - 4*x*y*(1 - x)**2*(1 - y)**2]]
 
 
-def stream_quartic_div_u(x, y):
-    return 0
-
-
 def taylor_trig_u(x, y):
     return [sin(pi*x)*cos(pi*y), -sin(pi*y)*cos(pi*x)]
 
@@ -86,7 +73,3 @@ def taylor_trig_f(x, y):
 
 def taylor_trig_grad_u(x, y):
     return [[pi*cos(pi*x)*cos(pi*y), -pi*sin(pi*x)*sin(pi*y)], [pi*sin(pi*x)*sin(pi*y), -pi*cos(pi*x)*cos(pi*y)]]
-
-
-def taylor_trig_div_u(x, y):
-    return 0

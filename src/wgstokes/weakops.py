@@ -139,6 +139,7 @@ class ElementOps:
             moments[:, col] /= 2.0 + exps[i].sum() + exps[j].sum()
         del terms  # its views would keep side_vals alive
         moments *= mesh.diameters[:, None]
+        moments[:, 1:3] = 0.0  # int_T xi_x and int_T xi_y, zero about the centroid
         np.abs(side_vals, out=side_vals)
         magnitudes = np.einsum("hq,qb,hqa->hba", eq.weights[side_edge], np.abs(eq.values), side_vals)
         T = _drop_rounding(T, magnitudes, len(s))

@@ -156,7 +156,7 @@ def true_errors_at_points(ops, case, velocity, pressure):
 # -- manufactured cases, derived by sympy ------------------------------------
 #
 # The primitive expressions of every registered case, in x and y.  Their
-# fields (u, p, f = -Δu + ∇p, grad u and div u) are derived symbolically
+# fields (u, p, f = -Δu + ∇p and grad u) are derived symbolically
 # and printed by sympy.lambdify into wgstokes/case_fields.py; test_cases
 # checks that module's text and values against this derivation.
 
@@ -174,11 +174,10 @@ CASE_FIELDS_HEADER = '''"""Fields of the registered manufactured cases, as numpy
 
 Generated, not written: each function is the source sympy.lambdify prints
 for one field of one case (velocity u, pressure p, body force
-f = -Δu + ∇p, Jacobian grad_u and divergence div_u), named
-<case>_<field>.  The primitive expressions and their derivation live in
-tests/conftest.py; tests/test_cases.py derives every field again, checks
-this text and its values against it, and prints the module to commit when
-they differ.
+f = -Δu + ∇p and Jacobian grad_u), named <case>_<field>.  The primitive
+expressions and their derivation live in tests/conftest.py;
+tests/test_cases.py derives every field again, checks this text and its
+values against it, and prints the module to commit when they differ.
 """
 
 from numpy import cos, pi, sin
@@ -186,8 +185,8 @@ from numpy import cos, pi, sin
 
 
 def sympy_fields(ux, uy, p):
-    """sympy expressions of the fields u, p, f, grad_u and div_u of a case
-    given by its velocity components and pressure (strings in x and y)."""
+    """sympy expressions of the fields u, p, f and grad_u of a case given
+    by its velocity components and pressure (strings in x and y)."""
     import sympy as sp
 
     x, y = sp.symbols("x y")
@@ -199,7 +198,6 @@ def sympy_fields(ux, uy, p):
         "p": p,
         "f": [sp.factor_terms(fx), sp.factor_terms(fy)],
         "grad_u": [[sp.diff(comp, var) for var in (x, y)] for comp in (ux, uy)],
-        "div_u": sp.factor_terms(sp.diff(ux, x) + sp.diff(uy, y)),
     }
 
 

@@ -192,13 +192,14 @@ def test_symmetric_zeros_store_no_entries(family, degree, A_nnz, B_nnz):
 def test_polygon_divergence_keeps_no_odd_edge_remainders():
     """On perturbed polygons the odd edge moments of the constant vanish
     exactly, and B comes from the moment stacks with no cell mass times its
-    own inverse: it stores at most 69,822 entries (71,460 with the cell
+    own inverse: it stores at most 67,604 entries (69,822 with the first
+    moments about the centroid as rounded sums, 71,460 with the cell
     centroids from absolute-coordinate shoelace sums, 94,304 as the mass
     times the divergence rows of G, 95,470 on the 2- and 3-point scheme
     rules, 100,040 on the one 7-point table without the rounding cut), and
     the LU fill is unchanged."""
     system = assemble(ElementOps(generate_mesh("perturbed-polygon", 32, seed=0), 2))
-    assert system.B.nnz <= 69_822
+    assert system.B.nnz <= 67_604
     assert solve(system).lu_fill == 3_488_232
 
 

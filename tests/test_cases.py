@@ -11,7 +11,7 @@ import pytest
 
 from conftest import CASE_EXPRESSIONS, case_fields_source, lambdified_case
 from wgstokes import case_fields
-from wgstokes.cases import FIELDS, case_names, get_case, list_cases, verify_case
+from wgstokes.cases import FIELDS, ManufacturedCase, case_names, get_case, list_cases, verify_case
 from wgstokes.errors import ConfigurationError
 
 
@@ -26,6 +26,9 @@ def test_registry_contents():
 @pytest.mark.parametrize("name", case_names())
 def test_registered_cases_verify(name):
     checks = verify_case(name)
+    assert list(checks) == [
+        "divergence_free", "pressure_zero_mean", "force_consistent", "gradient_consistent"
+    ]
     assert all(ok for ok, _ in checks.values())
     assert checks["divergence_free"][1] <= 1e-12
     assert checks["pressure_zero_mean"][1] <= 1e-10
@@ -39,7 +42,7 @@ def test_fields_return_float_arrays_of_their_rank(name):
     # Jacobian) come back broadcast to the points like the others
     case = get_case(name)
     pts = np.random.default_rng(3).uniform(size=(7, 2))
-    shapes = {"u": (7, 2), "g": (7, 2), "f": (7, 2), "p": (7,), "grad_u": (7, 2, 2), "div_u": (7,)}
+    shapes = {"u": (7, 2), "g": (7, 2), "f": (7, 2), "p": (7,), "grad_u": (7, 2, 2)}
     for field, shape in shapes.items():
         values = getattr(case, field)(pts)
         assert isinstance(values, np.ndarray) and values.dtype == float, field
@@ -108,8 +111,11 @@ def test_data_degrees():
 
 
 def test_dirichlet_data_is_velocity_trace():
-    case = get_case("taylor-trig")
-    assert case.g is case.u
+    for case in map(get_case, case_names()):
+        assert case.g is case.u
+        moved = copy.copy(case)
+        moved.u = lambda pts: pts.copy()
+        assert moved.g is moved.u  # g follows a reassigned u
 
 
 def test_taylor_trig_pointwise_values():
@@ -141,8 +147,24 @@ def test_corrupted_force_detected():
         verify_case(broken)
 
 
-def test_corrupted_divergence_detected():
+def test_corrupted_velocity_detected():
+    # u = (x, y) with taylor-trig's f and grad u: -Δu + ∇p and the finite
+    # differences of u no longer match them
     broken = copy.copy(get_case("taylor-trig"))
-    broken.u = lambda pts: pts.copy()  # div = 2, not divergence-free
-    with pytest.raises(ConfigurationError):
+    broken.u = lambda pts: pts.copy()
+    with pytest.raises(ConfigurationError) as exc:
         verify_case(broken)
+    assert "force_consistent" in str(exc.value)
+    assert "gradient_consistent" in str(exc.value)
+
+
+def test_non_solenoidal_case_fails_divergence():
+    # u = (x², 0), p = 0 and f = -Δu = (-2, 0), with its true Jacobian: every
+    # field agrees with the others, but div u = 2x
+    case = ManufacturedCase(
+        "x-squared", 2, "", "",
+        u=lambda x, y: [x**2, 0], p=lambda x, y: 0, f=lambda x, y: [-2, 0],
+        grad_u=lambda x, y: [[2 * x, 0], [0, 0]],
+    )  # fmt: skip
+    with pytest.raises(ConfigurationError, match="divergence_free"):
+        verify_case(case)

@@ -40,6 +40,10 @@ def test_verify_ok(capsys):
     assert "ok" in out
     assert "divergence_free" in out
     assert "FAIL" not in out
+    names = [line.split()[1] for line in out.splitlines()]
+    assert names == [
+        "divergence_free", "pressure_zero_mean", "force_consistent", "gradient_consistent"
+    ]
 
 
 def test_verify_unknown_case(capsys):
@@ -326,7 +330,9 @@ def test_benchmark_entry_points_resolve(ops_quad_k1, ops_quad_k2):
     assert callable(SaddleSystem.pressure_mass)
     # it passes the case's data degree to assemble, which accepts and ignores it
     assert "data_degree" in inspect.signature(assemble).parameters
-    assert get_case("poly-exact-k2").data_degree == 2
+    case = get_case("poly-exact-k2")
+    assert case.data_degree == 2
+    assert all(callable(getattr(case, field)) for field in ("u", "p", "f", "g"))
     assert "condense" in inspect.signature(solve).parameters
     # its "full vs condensed" check compares two different elimination sequences
     for ops, n_steps in ((ops_quad_k1, 1), (ops_quad_k2, 2)):
