@@ -3,18 +3,13 @@
 from .analysis import (
     ConvergenceRecord,
     ErrorBundle,
-    consistency_functionals,
     discrete_inf_sup,
-    dual_norms,
     error_bundle,
     fit_rate,
     project_case,
-    projection_errors,
     triple_bar_norm,
-    verify_error_equation,
-    weak_divergence_norm,
 )
-from .assembly import SaddleSystem, assemble, eval_a, eval_b, eval_s
+from .assembly import SaddleSystem, assemble, eval_a, eval_s
 from .cases import ManufacturedCase, case_names, get_case, list_cases, verify_case
 from .errors import (
     CompatibilityError,

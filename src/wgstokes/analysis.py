@@ -17,11 +17,10 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .assembly import _side_mass, block_diagonal, eval_a
+from .assembly import block_diagonal, eval_a
 from .errors import ConfigurationError, SolverError
-from .projections import project_gradient, project_pressure, project_velocity
 from .solver import factorize
 from .spaces import PressureFunction, WeakFunction
 
@@ -52,11 +51,6 @@ ERROR_COLUMNS = CSV_COLUMNS[3:8]
 def triple_bar_norm(ops, v):
     """Energy norm of a discrete velocity: sqrt(a(v, v)), which equals sqrt(v' A v)."""
     return _root(eval_a(ops, v, v))
-
-
-def weak_divergence_norm(ops, v):
-    """L2 norm of the weak divergence over the whole mesh."""
-    return _mass_norm(ops.weak_divergence(v), ops.mass_low)
 
 
 def velocity_interior_norm(ops, v):
@@ -157,19 +151,6 @@ def error_bundle(ops, projection, velocity, pressure):
     )
 
 
-def projection_errors(ops, case):
-    """Approximation quality of the projections alone (no solve).
-
-    Returns L2 errors of the interior velocity projection, the pressure
-    projection, and the gradient projection; these decay at one order
-    higher than, equal to, and equal to the energy-norm rate.  The first
-    two are `project_case`'s residuals.  Each field is read once.
-    """
-    proj = project_case(ops, case)
-    _, gradient = _project_data(ops, case.grad_u(ops.cell_data.points), ops.degree - 1)
-    return dict(velocity=proj.velocity_residual, pressure=proj.pressure_residual, gradient=gradient)
-
-
 # -- inf-sup stability ---------------------------------------------------
 
 
@@ -212,108 +193,6 @@ def discrete_inf_sup(system, factor=None):
             f"inf-sup eigensolve did not converge on {n_p} pressure DOFs: {err}"
         ) from err
     return float(1.0 / np.sqrt(mu[0]))
-
-
-# -- consistency functionals ----------------------------------------------
-
-
-def consistency_functionals(ops, case):
-    """The three boundary functionals appearing in the discrete error equation.
-
-    Each is returned as a vector over all velocity DOFs.  "gradient"
-    pairs the trace mismatch of a test field with the projection residual
-    of the exact velocity gradient; "pressure" does the same with the
-    pressure residual; "stabilizer" is the jump form against the projected
-    exact velocity.  "total" = gradient - pressure + stabilizer, the
-    right-hand side of the error equation.
-    """
-    gproj = project_gradient(ops, case.grad_u)
-    pproj = project_pressure(ops, case.p).cellwise
-    jump = ops.trace_jump(project_velocity(ops, case.u))
-
-    cells, edges, normals = ops.mesh.side_cell, ops.mesh.side_edge, ops.mesh.side_normal
-    table = ops.edge_data
-    pts = table.points[edges]  # (n_sides, q, 2)
-    flat = pts.reshape(-1, 2)
-    kvals = ops.basis_values(pts, cells[:, None])  # (n_sides, q, dim_cell)
-    lowvals = kvals[..., : ops.dofmap.dim_cell_low]
-    grad_res = np.asarray(case.grad_u(flat), dtype=float).reshape(pts.shape + (2,))
-    grad_res -= np.einsum("hqr,hijr->hqij", lowvals, gproj[cells])
-    pres_res = np.asarray(case.p(flat), dtype=float).reshape(pts.shape[:2])
-    pres_res -= np.einsum("hqr,hr->hq", lowvals, pproj[cells])
-    wts = table.weights[edges][..., None]
-
-    def edge_integrals(res):
-        """Pair (n_sides, q, 2) weighted values with P_k traces and, negated, edge bases."""
-        return _side_functional(
-            ops,
-            np.einsum("hqa,hqi->hia", kvals, res),
-            -np.einsum("qb,hqi->hib", table.values, res),
-        )
-
-    ell = edge_integrals(wts * np.einsum("hqij,hj->hqi", grad_res, normals))
-    theta = edge_integrals(wts * pres_res[..., None] * normals[:, None, :])
-    mjump = np.einsum("hib,hcb->hic", jump, _side_mass(ops))
-    stab = _side_functional(ops, np.einsum("hba,hib->hia", ops.trace, mjump), -mjump)
-    return {
-        "gradient": ell,
-        "pressure": theta,
-        "stabilizer": stab,
-        "total": ell - theta + stab,
-    }
-
-
-def _side_functional(ops, interior, edge):
-    """Velocity-DOF vector from per-side interior (n_sides, 2, dim_cell) and
-    edge (n_sides, 2, dim_edge) contributions."""
-    vb = np.zeros((ops.mesh.num_edges,) + edge.shape[1:])
-    np.add.at(vb, ops.mesh.side_edge, edge)
-    return np.concatenate([ops.per_cell(interior).ravel(), vb.ravel()])
-
-
-def dual_norms(system, vectors):
-    """Dual energy norms of functionals over the homogeneous test space.
-
-    For each vector L the value is sup over v of L(v)/|||v|||, realized as
-    sqrt(L' A_ff^{-1} L) on the free DOFs.  One factorization serves all;
-    A_ff is SPD, so a symmetric order with diagonal pivots is safe.
-    """
-    free = system.free
-    lu = splu(
-        system.A[free][:, free].tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
-    return {name: _root(vec[free] @ lu.solve(vec[free])) for name, vec in vectors.items()}
-
-
-def verify_error_equation(system, case, report):
-    """Residuals of the discrete error equation for a computed solution.
-
-    The momentum identity pairs the projected-minus-computed errors with
-    50 seeded random homogeneous test fields; the returned worst value is
-    relative to the test field's energy norm (evaluated as the A quadratic
-    form, which the energy-identity check guarantees matches the norm).  The
-    mass identity is checked against every pressure test function at once
-    via the dual norm of the weak divergence moments of the velocity error.
-    """
-    ops = system.ops
-    projection = project_case(ops, case)
-    e_vec = projection.velocity.coeffs - report.velocity.coeffs
-    eps_vec = projection.pressure.coeffs - report.pressure.coeffs
-    phi = consistency_functionals(ops, case)["total"]
-    residual = system.A @ e_vec - system.B.T @ eps_vec - phi
-
-    free = system.free
-    A_ff = system.A[free][:, free]
-    tests = np.random.default_rng(0).standard_normal((len(free), 50))
-    energies = np.sqrt(np.einsum("if,if->f", tests, A_ff @ tests))
-    worst = float(np.max(np.abs(residual[free] @ tests) / energies))
-
-    moments = (system.B @ e_vec).reshape(ops.mesh.num_cells, -1)
-    mass = np.sum(moments * ops.solve_cell_mass(moments, degree=ops.degree - 1))
-    return worst, _root(mass)
 
 
 # -- convergence rates -----------------------------------------------------

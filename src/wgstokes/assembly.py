@@ -208,7 +208,3 @@ def eval_s(ops, v, w):
     jv, jw = ops.trace_jump(v), ops.trace_jump(w)
     return float(np.einsum("hir,hrs,his->", jv, _side_mass(ops), jw))
 
-
-def eval_b(ops, v, q):
-    """Divergence form: (weak div of v, q) over all cells."""
-    return float(np.einsum("cr,crs,cs->", q.cellwise, ops.mass_low, ops.weak_divergence(v)))

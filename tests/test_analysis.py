@@ -1,6 +1,9 @@
 """Norms, rate fitting, inf-sup estimation, and the convergence record."""
 
+import ast
+import re
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,28 +11,31 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence, spsolve
 
 from conftest import dense_inf_sup, energy_at_points, lambdified_case, true_errors_at_points
+from paper_checks import (
+    consistency_functionals,
+    dual_norms,
+    projection_errors,
+    verify_error_equation,
+    weak_divergence_norm,
+)
 from wgstokes import analysis, weakops
 from wgstokes.analysis import (
     CSV_COLUMNS,
     ConvergenceRecord,
-    consistency_functionals,
     discrete_inf_sup,
-    dual_norms,
     error_bundle,
     fit_rate,
     pressure_norm,
     project_case,
-    projection_errors,
     rate_label,
     triple_bar_norm,
     velocity_interior_norm,
-    verify_error_equation,
-    weak_divergence_norm,
 )
 from wgstokes.assembly import assemble
-from wgstokes.cases import get_case
+from wgstokes.cases import case_names, get_case
 from wgstokes.errors import ConfigurationError, SolverError
 from wgstokes.mesh import FAMILIES, generate_mesh
+from wgstokes.projections import project_pressure, project_velocity
 from wgstokes.quadrature import polygon_rule
 from wgstokes.solver import factorize, solve
 from wgstokes.spaces import PressureFunction, WeakFunction
@@ -171,11 +177,13 @@ def test_true_errors_match_pointwise_reference(family, degree, request):
     assert bundle.pres_l2_true == pytest.approx(pressure, rel=1e-11)
 
 
-@pytest.mark.parametrize("measure", ["projection_errors", "error_bundle"])
+@pytest.mark.parametrize("measure", ["projection_errors", "error_bundle", "verify_error_equation"])
 def test_exact_fields_read_once_at_the_data_points(ops_quad_k2, measure):
     """A projection and its residual read an exact field at the same cell
     data points, so each field is evaluated there once, not once per use;
-    a level's errors read u and p in the projection pass alone."""
+    a level's errors read u and p in the projection pass alone, and the
+    error-equation check reads only grad u, taking Q_h u and Q_h p from the
+    level's projection."""
     ops, case = ops_quad_k2, get_case("taylor-trig")
     calls = dict.fromkeys(["u", "p", "grad_u"], 0)
 
@@ -190,6 +198,11 @@ def test_exact_fields_read_once_at_the_data_points(ops_quad_k2, measure):
     if measure == "projection_errors":
         projection_errors(ops, spied)
         assert calls == {"u": 1, "p": 1, "grad_u": 1}
+    elif measure == "verify_error_equation":
+        system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
+        projection = project_case(ops, case)
+        verify_error_equation(system, spied, projection, solve(system))
+        assert calls == {"u": 0, "p": 0, "grad_u": 1}
     else:
         zero_v, zero_p = WeakFunction.zeros(ops.dofmap), PressureFunction.zeros(ops.dofmap)
         error_bundle(ops, project_case(ops, spied), zero_v, zero_p)
@@ -311,18 +324,31 @@ def test_inf_sup_known_value():
 # -- consistency functionals and the error equation ---------------------
 
 
+@pytest.mark.parametrize("family, degree", [(f, k) for f in FAMILIES for k in (1, 2, 3)])
+def test_project_case_equals_the_projections(family, degree):
+    """project_case's Q_h u and Q_h p are project_velocity's and
+    project_pressure's bit for bit, for every registered case, so the
+    lemma checks that read a level's projection record see the same
+    coefficients as the projections themselves."""
+    ops = ElementOps(generate_mesh(family, 8, seed=0), degree)
+    for case in map(get_case, case_names()):
+        projection = project_case(ops, case)
+        assert np.array_equal(projection.velocity.coeffs, project_velocity(ops, case.u).coeffs)
+        assert np.array_equal(projection.pressure.coeffs, project_pressure(ops, case.p).coeffs)
+
+
 def test_consistency_functionals_vanish_for_polynomial_data():
     """Fields inside the discrete spaces have zero projection gaps."""
     case = lambdified_case("inline-poly", "x**2 - 2*x*y", "y**2 - 2*x*y", "x + y - 1", 2)
     ops = ElementOps(generate_mesh("perturbed-polygon", 3, seed=5), 2)
-    vecs = consistency_functionals(ops, case)
+    vecs = consistency_functionals(ops, case, project_case(ops, case))
     for name in ("gradient", "pressure", "stabilizer", "total"):
         assert np.abs(vecs[name]).max() <= 1e-12
 
 
 def test_consistency_dual_norms_positive_for_smooth_case(ops_quad_k1):
-    system = assemble(ops_quad_k1)
-    norms = dual_norms(system, consistency_functionals(system.ops, get_case("taylor-trig")))
+    ops, case = ops_quad_k1, get_case("taylor-trig")
+    norms = dual_norms(assemble(ops), consistency_functionals(ops, case, project_case(ops, case)))
     assert set(norms) == {"gradient", "pressure", "stabilizer", "total"}
     for value in norms.values():
         assert value > 0.0
@@ -331,11 +357,11 @@ def test_consistency_dual_norms_positive_for_smooth_case(ops_quad_k1):
 
 @pytest.mark.parametrize("family, degree", [("uniform-quad", 1), ("perturbed-polygon", 2)])
 def test_dual_norms_match_sparse_solve(family, degree):
-    """The cell-by-cell elimination gives sqrt(L' A_ff⁻¹ L) of a plain sparse solve."""
+    """The one SuperLU factor of A_ff gives sqrt(L' A_ff⁻¹ L) of a plain sparse solve."""
     case = get_case("taylor-trig")
     ops = ElementOps(generate_mesh(family, 8, seed=0), degree)
     system = assemble(ops)
-    vectors = consistency_functionals(ops, case)
+    vectors = consistency_functionals(ops, case, project_case(ops, case))
     vectors["random"] = np.random.default_rng(4).standard_normal(system.num_velocity_dofs)
     free = system.free
     A_ff = system.A[free][:, free].tocsc()
@@ -357,9 +383,23 @@ def test_error_equation_residual_small(family):
     ops = ElementOps(generate_mesh(family, 4, seed=3), 1)
     system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
     report = solve(system)
-    momentum, mass = verify_error_equation(system, case, report)
+    momentum, mass = verify_error_equation(system, case, project_case(ops, case), report)
     assert momentum <= 1e-9
     assert mass <= 1e-9
+
+
+def test_src_factors_in_solver_only():
+    """`solver.py` is the one module of the package that names `splu`, and
+    `analysis` imports nothing from `projections`."""
+    src = Path(analysis.__file__).parent
+    texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert [name for name, text in texts.items() if re.search(r"\bsplu\b", text)] == ["solver.py"]
+    imported = set()
+    for node in ast.walk(ast.parse(texts["analysis.py"])):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+            imported.add(getattr(node, "module", None) or "")
+    assert not [name for name in imported if "projections" in name.split(".")]
 
 
 # -- convergence record and CSV ------------------------------------------

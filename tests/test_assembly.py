@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wgstokes.analysis import triple_bar_norm
-from wgstokes.assembly import assemble, eval_a, eval_b, eval_grad_product, eval_s
+from wgstokes.assembly import assemble, eval_a, eval_grad_product, eval_s
 from wgstokes.errors import CompatibilityError
 from wgstokes.mesh import generate_mesh
 from wgstokes.projections import project_boundary_velocity, project_velocity
@@ -14,6 +14,7 @@ from wgstokes.spaces import PressureFunction, WeakFunction
 from wgstokes.weakops import DATA_EXACTNESS, ElementOps
 
 from conftest import PolyField, dof_indices, energy_at_points
+from paper_checks import eval_b
 
 
 @pytest.fixture(scope="module")

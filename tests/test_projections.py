@@ -158,7 +158,8 @@ def test_boundary_projection_matches_full(ops_quad_k2):
 @pytest.mark.parametrize("degree", [1, 2])
 def test_projection_error_rates(degree):
     """Approximation orders of the three projections for smooth data."""
-    from wgstokes.analysis import fit_rate, projection_errors
+    from paper_checks import projection_errors
+    from wgstokes.analysis import fit_rate
     from wgstokes.cases import get_case
 
     case = get_case("taylor-trig")
