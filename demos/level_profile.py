@@ -9,6 +9,10 @@ stages are those of one level of `wgstokes study`: mesh, ElementOps,
 assemble, project_case (the exact fields' side of every error), solve,
 beta_h and error_bundle, in that order.  As in the study, the cell data
 table is built once and dropped after project_case, before the solve.
+After the ElementOps row comes the MB that ElementOps keeps: the bytes of
+its ndarray attributes and of its edge table's arrays, each block of
+memory once (``mass_low`` is a view into ``mass``), without the cell data
+table, which is built later and dropped before the solve.
 The gc column is the part of the stage's time spent in garbage-collection
 passes (`gc.callbacks`).
 The peak is the process's resident high-water mark (`ru_maxrss`), so it
@@ -24,6 +28,8 @@ import os
 import resource
 import sys
 import time
+
+import numpy as np
 
 from wgstokes.analysis import discrete_inf_sup, error_bundle, project_case
 from wgstokes.assembly import assemble
@@ -59,6 +65,13 @@ def gc_clock(phase, info):
         gc_seconds += time.perf_counter() - gc_started
 
 
+def kept_mb(ops):
+    """MB of the arrays that `ops` keeps, each block of memory counted once."""
+    values = list(vars(ops).values()) + list(vars(ops.edge_data).values())
+    owners = [v if v.base is None else v.base for v in values if isinstance(v, np.ndarray)]
+    return sum({id(a): a.nbytes for a in owners}.values()) / 2**20
+
+
 def stage(name, run):
     global peak
     gc_before, t0 = gc_seconds, time.perf_counter()
@@ -77,6 +90,7 @@ print(f"{'stage':<14}{'time':>10}{'gc':>10}{'resident':>12}{'peak':>12}")
 gc.callbacks.append(gc_clock)
 mesh = stage("mesh", lambda: generate_mesh(family, n))
 ops = stage("ElementOps", lambda: ElementOps(mesh, degree))
+print(f"ElementOps keeps {kept_mb(ops):.2f} MB")
 system = stage("assemble", lambda: assemble(ops, body_force=case.f, boundary_velocity=case.g))
 projection = stage("project_case", lambda: project_case(ops, case))
 data_points = len(ops.cell_data.weights)

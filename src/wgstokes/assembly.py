@@ -8,13 +8,14 @@ The solver pins one pressure DOF and then shifts the pressure to zero
 mean, measuring the mean with the pressure moment vector assembled
 alongside.
 
-A is G^T M G + J^T S J, where the sparse weak-gradient map G and the
-sparse jump map J are built from the operator stacks of ElementOps in one
-coordinate-format pass each, and M and S are the block-diagonal cell and
-(scaled) edge masses; B is built from the divergence moments of the
-same stacks, with no mass solve.  Both store only the nonzeros these
-blocks and products give.  Nothing depends on hash order, so assembled
-matrices are bit-identical run to run.
+A is G^T M^{-1} G + J^T S J.  The sparse map G gives the weak-gradient
+moments (grad_w v, q)_T, the sparse map J the jumps P_e v0 - vb; each is
+built from the operator stacks of ElementOps in one coordinate-format
+pass.  M is the block-diagonal P_{k-1} cell mass, so each mass inverse
+enters A once, and S the block-diagonal (scaled) edge mass.  B is the sum
+of G's divergence rows (d v_x/dx and d v_y/dy), with no mass solve.  Both
+store only the nonzeros these blocks and products give.  Nothing depends
+on hash order, so assembled matrices are bit-identical run to run.
 """
 
 import numpy as np
@@ -93,7 +94,7 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
     """
     dofmap, mesh = ops.dofmap, ops.mesh
     G, J, B = _sparse_maps(ops)
-    A = G.T @ block_diagonal(np.repeat(ops.mass_low, 4, axis=0)) @ G
+    A = G.T @ block_diagonal(np.repeat(np.linalg.inv(ops.mass_low), 4, axis=0)) @ G
     A += J.T @ block_diagonal(np.repeat(_side_mass(ops), 2, axis=0)) @ J
 
     load = np.zeros(dofmap.num_velocity_dofs)
@@ -150,9 +151,9 @@ def _from_blocks(shape, *families):
 def _sparse_maps(ops):
     """Sparse maps on the velocity DOFs, from the operator stacks.
 
-    G gives the weak-gradient coefficients, rows ordered (cell, i, j, r);
-    J the jumps P_e v0 - vb, rows (side, i, b); B the divergence moments
-    (div_w v, q_r)_T, rows (cell, r).
+    G gives the weak-gradient moments (grad_w v, q_r)_T, rows ordered
+    (cell, i, j, r); B the divergence moments (div_w v, q_r)_T, rows (cell, r),
+    as the sum of G's rows with i = j; J the jumps P_e v0 - vb, rows (side, i, b).
     Component i of cell c's interior is DOF block 2c + i, of edge e block
     2e + i after the interior DOFs.
     """
@@ -163,23 +164,19 @@ def _sparse_maps(ops):
     cell_i, side_i = np.arange(2 * n_cells), np.arange(2 * len(mesh.side_cell))
     owner_i = 2 * np.repeat(mesh.side_cell, 2) + side_i % 2
     edge_col = dm.interior_size + (2 * np.repeat(mesh.side_edge, 2) + side_i % 2) * ne
-    interior = np.repeat(ops.grad_interior.reshape(n_cells, 2 * nlow, nk), 2, axis=0)
-    sides = np.repeat(ops.grad_side.reshape(-1, 2 * nlow, ne), 2, axis=0)
+    interior = np.repeat(ops.grad_moments.reshape(n_cells, 2 * nlow, nk), 2, axis=0)
+    sides = mesh.side_normal[:, :, None, None] * ops.side_moments[:, None]  # (side, j, r, b)
     G = _from_blocks(
         (4 * nlow * n_cells, n_u),
         (interior, cell_i * 2 * nlow, cell_i * nk),
-        (sides, owner_i * 2 * nlow, edge_col),
+        (np.repeat(sides.reshape(-1, 2 * nlow, ne), 2, axis=0), owner_i * 2 * nlow, edge_col),
     )
+    rows = np.arange(G.shape[0]).reshape(n_cells, 2, 2, nlow)
+    B = G[rows[:, 0, 0].ravel()] + G[rows[:, 1, 1].ravel()]
     J = _from_blocks(
         (len(side_i) * ne, n_u),
         (np.repeat(ops.trace, 2, axis=0), side_i * ne, owner_i * nk),
         (-np.eye(ne)[None], side_i * ne, edge_col),
-    )
-    B = _from_blocks(
-        (nlow * n_cells, n_u),
-        (ops.grad_moments.reshape(-1, nlow, nk), cell_i // 2 * nlow, cell_i * nk),
-        ((mesh.side_normal[..., None, None] * ops.side_moments[:, None]).reshape(-1, nlow, ne),
-         owner_i // 2 * nlow, edge_col),
     )
     return G, J, B
 

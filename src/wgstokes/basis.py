@@ -30,13 +30,14 @@ def monomials(loc, degree):
     Columns follow `monomial_exponents`, so the values of a lower degree
     are the leading columns.
     """
-    px, py = [np.ones(loc.shape[:-1])], [np.ones(loc.shape[:-1])]  # [x^0 .. x^degree], [y^0 ..]
-    for _ in range(degree):
-        px.append(px[-1] * loc[..., 0])
-        py.append(py[-1] * loc[..., 1])
+    x, y = loc[..., 0], loc[..., 1]
+    px, py = [1.0, x], [1.0, y]  # [x^0 .. x^degree], [y^0 ..]: a scalar 1, then views of loc
+    for _ in range(1, degree):
+        px.append(px[-1] * x)
+        py.append(py[-1] * y)
     out = np.empty(loc.shape[:-1] + (space_dimension(degree),))
     for col, (a, b) in enumerate(monomial_exponents(degree)):
-        out[..., col] = px[a] * py[b]
+        np.multiply(px[a], py[b], out=out[..., col])
     return out
 
 

@@ -8,7 +8,8 @@ tensor q of the same space through integration by parts,
 
 where div acts row-wise and n is the outward normal; the weak divergence
 is the scalar analogue in P_{k-1}(T).  Both reduce to scalar problems per
-velocity component, solved with the P_{k-1} mass matrix.
+velocity component, solved with the P_{k-1} mass matrix; only the moments
+on the right-hand side are kept, and each use applies the mass inverse once.
 
 The stabilizer couples the trace of v0 with vb through the edgewise L2
 projection: s_T(v, w) = h_T^{-1} <P_e v0 - vb, P_e w0 - wb>_dT summed over
@@ -84,15 +85,10 @@ class ElementOps:
     mass : (n_cells, dim_cell, dim_cell)
         P_k cell masses; ``mass_low`` is the leading P_{k-1} block.
     edge_mass : (n_edges, dim_edge, dim_edge)
-    grad_interior : (n_cells, 2, dim_cell_low, dim_cell)
-        [c, j] maps a scalar's interior coefficients to the P_{k-1}
-        coefficients of its weak derivative in direction j.
-    grad_side : (n_sides, 2, dim_cell_low, dim_edge)
-        The same from the edge coefficients seen through one side.
     grad_moments : (n_cells, 2, dim_cell_low, dim_cell)
-        -(phi_a, d_j q_r)_T, which grad_interior solves the P_{k-1} masses against.
+        [c, j, r, a] = -(phi_a, d_j q_r)_T, the interior term of the weak gradient's moments.
     side_moments : (n_sides, dim_cell_low, dim_edge)
-        <psi_b, q_r> on each side, the same for grad_side; B is built from both.
+        <psi_b, q_r> on each side; times the normal's n_j, the side term of the same moments.
     trace : (n_sides, dim_edge, dim_cell)
         Edge projection of the P_k cell basis restricted to the side.
     edge_data : EdgeTable
@@ -152,7 +148,6 @@ class ElementOps:
         shifted = np.maximum(low - np.eye(2, dtype=int)[:, None], 0)  # (j, r, 2)
         scale = low.T[:, :, None] / mesh.diameters[:, None, None, None]
         self.grad_moments = -scale * np.take(moments, _column(shifted[:, :, None] + exps), axis=1)
-        self.grad_interior = np.linalg.solve(self.mass_low[:, None], self.grad_moments)
 
         self.edge_mass = _drop_rounding(
             np.einsum("eq,qa,qb->eab", eq.weights, eq.values, eq.values),
@@ -161,8 +156,6 @@ class ElementOps:
         )
         self.trace = np.linalg.solve(self.edge_mass[side_edge], T)
         self.side_moments = T[:, :, :nlow].transpose(0, 2, 1).copy()
-        flux = np.linalg.solve(self.mass_low[side_cell], self.side_moments)
-        self.grad_side = mesh.side_normal[:, :, None, None] * flux[:, None]
 
     @cached_property
     def cell_basis(self):
@@ -214,10 +207,14 @@ class ElementOps:
     def weak_gradient(self, v):
         """Weak gradients of v on all cells: (n_cells, 2, 2, dim_cell_low).
 
-        Entry [c, i, j] holds the P_{k-1} coefficients of d v_i / d x_j.
+        Entry [c, i, j] holds the P_{k-1} coefficients of d v_i / d x_j: the
+        moments -(v0_i, d_j q_r)_T + <vb_i, q_r n_j>_dT, solved against the masses.
         """
-        sides = np.einsum("hjrb,hib->hijr", self.grad_side, v.vb[self.mesh.side_edge])
-        return np.einsum("cjra,cia->cijr", self.grad_interior, v.v0) + self.per_cell(sides)
+        mesh = self.mesh
+        vb = v.vb[mesh.side_edge]
+        sides = np.einsum("hj,hrb,hib->hijr", mesh.side_normal, self.side_moments, vb)
+        moments = np.einsum("cjra,cia->cijr", self.grad_moments, v.v0) + self.per_cell(sides)
+        return self.solve_cell_mass(moments, self.degree - 1)
 
     def weak_divergence(self, v):
         """Weak divergences of v on all cells: (n_cells, dim_cell_low)."""

@@ -53,10 +53,10 @@ def test_stacks_match_per_cell_reference(degree, hostile_mesh):
     """The stacks reproduce a per-cell evaluation on each cell's own
     triangulated rule (2k+2) and Gauss edge rules (2k+1), on every family and
     on the hostile mesh.  The masses match to 1e-13 relative; so do the
-    weak-gradient and trace moments (mass_low times grad_interior, edge_mass
-    times trace), checked before the solves, which lose what the masses'
-    conditioning costs (1e8 for P_{k-1} on the triangles at k = 5) in the
-    stacks and in any reference alike."""
+    weak-gradient moments (grad_moments, side_moments) and the trace moments
+    (edge_mass times trace), checked before any solve, which loses what the
+    masses' conditioning costs (1e8 for P_{k-1} on the triangles at k = 5)
+    in the stacks and in any reference alike."""
 
     def close(got, ref):
         return np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -74,7 +74,7 @@ def test_stacks_match_per_cell_reference(degree, hostile_mesh):
             assert close(ops.mass[c], mass)
             assert close(ops.mass_low[c], mass[:nlow, :nlow])
             moments = np.einsum("p,prj,pa->jra", rule.weights, grads, vals)  # (d_j phi_r, phi_a)_T
-            assert close(ops.mass_low[c] @ ops.grad_interior[c], -moments)
+            assert close(ops.grad_moments[c], -moments)
             for h in np.flatnonzero(mesh.side_cell == c):
                 e = mesh.side_edge[h]
                 p0, p1 = mesh.vertices[mesh.edges[e]]
@@ -85,6 +85,7 @@ def test_stacks_match_per_cell_reference(degree, hostile_mesh):
                 moments_e = evals.T @ (kvals * erule.weights[:, None])
                 assert np.allclose(ops.edge_mass[e], mass_e, rtol=1e-13, atol=1e-15)
                 assert close(ops.edge_mass[e] @ ops.trace[h], moments_e)
+                assert close(ops.side_moments[h], moments_e[:, :nlow].T)  # <psi_b, q_r>_e
                 if degree <= 3:  # past it, the edge mass's conditioning alone exceeds this
                     trace = np.linalg.solve(mass_e, moments_e)
                     assert np.allclose(ops.trace[h], trace, rtol=1e-12, atol=1e-13)
@@ -279,7 +280,8 @@ def test_element_ops_peak_near_what_it_keeps(degree):
     """Building the operator stacks holds at most 3 times the memory the
     ElementOps keeps: the cell integrals come from the side points of the
     edge table it keeps, with no cell rule and no (points, dim, dim) array.
-    The edge data table is the only quadrature table it keeps."""
+    The edge data table is the only quadrature table it keeps, and the weak
+    gradient is kept once, as its moments, with no mass-solved copy."""
     mesh = generate_mesh("perturbed-polygon", 16)
     ElementOps(mesh, degree)  # first calls may allocate caches of their own
     tracemalloc.start()
@@ -291,4 +293,5 @@ def test_element_ops_peak_near_what_it_keeps(degree):
     assert ops.mass.shape[0] == mesh.num_cells
     tables = [name for name, v in vars(ops).items() if isinstance(v, (CellTable, EdgeTable))]
     assert tables == ["edge_data"]
+    assert not hasattr(ops, "grad_interior") and not hasattr(ops, "grad_side")
     assert peak <= 3 * kept, peak / kept
