@@ -98,7 +98,7 @@ del ops.cell_data
 report = stage("solve", lambda: solve(system))
 beta = stage("beta_h", lambda: discrete_inf_sup(system, report.factor))
 errors = stage(
-    "error_bundle", lambda: error_bundle(ops, projection, report.velocity, report.pressure)
+    "error_bundle", lambda: error_bundle(system, projection, report.velocity, report.pressure)
 )
 gc.callbacks.remove(gc_clock)
 print(f"cells {mesh.num_cells}, L+U {report.lu_fill:,}, beta_h {beta:.6f}")

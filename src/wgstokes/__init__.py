@@ -7,9 +7,8 @@ from .analysis import (
     error_bundle,
     fit_rate,
     project_case,
-    triple_bar_norm,
 )
-from .assembly import SaddleSystem, assemble, eval_a, eval_s
+from .assembly import SaddleSystem, assemble
 from .cases import ManufacturedCase, case_names, get_case, list_cases, verify_case
 from .errors import (
     CompatibilityError,

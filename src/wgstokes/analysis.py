@@ -1,9 +1,9 @@
 """Error measurement, convergence rates, and discrete stability checks.
 
-The energy norm is the quadratic form of `assembly.eval_a`, built from the
-operator stacks and the masses; the tests check it against the assembled
-A and against a reference that evaluates the weak gradient and the edge
-jumps at quadrature points of its own.
+The energy norm of an error e is sqrt(e'Ae) on the level's assembled A, the
+matrix its solve factors; the tests check A against a reference that
+evaluates the weak gradient and the edge jumps at quadrature points of its
+own.
 
 Conventions: `project_case` reads the exact fields, before the solve, on the
 data rules of ElementOps (one exactness for every field); errors between
@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .assembly import block_diagonal, eval_a
+from .assembly import block_diagonal
 from .errors import ConfigurationError, SolverError
 from .solver import factorize
 from .spaces import PressureFunction, WeakFunction
@@ -46,11 +46,6 @@ ERROR_COLUMNS = CSV_COLUMNS[3:8]
 
 
 # -- discrete norms ------------------------------------------------------
-
-
-def triple_bar_norm(ops, v):
-    """Energy norm of a discrete velocity: sqrt(a(v, v)), which equals sqrt(v' A v)."""
-    return _root(eval_a(ops, v, v))
 
 
 def velocity_interior_norm(ops, v):
@@ -137,13 +132,14 @@ class ErrorBundle:
         return dataclasses.asdict(self)
 
 
-def error_bundle(ops, projection, velocity, pressure):
-    """Errors of a discrete solution against a `project_case` record, by masses and `eval_a`."""
-    error = projection.velocity - velocity
+def error_bundle(system, projection, velocity, pressure):
+    """Errors of a discrete solution against a `project_case` record: the
+    energy norm on the level's assembled A, the L2 norms by the masses."""
+    ops, error = system.ops, projection.velocity - velocity
     vel_l2_proj = velocity_interior_norm(ops, error)
     pres_l2 = pressure_norm(ops, projection.pressure - pressure)
     return ErrorBundle(
-        triple_bar=triple_bar_norm(ops, error),
+        triple_bar=_root(error.coeffs @ (system.A @ error.coeffs)),
         vel_l2_proj=vel_l2_proj,
         vel_l2_true=math.hypot(projection.velocity_residual, vel_l2_proj),
         pres_l2=pres_l2,

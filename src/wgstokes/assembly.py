@@ -8,13 +8,15 @@ The solver pins one pressure DOF and then shifts the pressure to zero
 mean, measuring the mean with the pressure moment vector assembled
 alongside.
 
-A is G^T M^{-1} G + J^T S J.  The sparse map G gives the weak-gradient
-moments (grad_w v, q)_T, the sparse map J the jumps P_e v0 - vb; each is
-built from the operator stacks of ElementOps in one coordinate-format
-pass.  M is the block-diagonal P_{k-1} cell mass, so each mass inverse
-enters A once, and S the block-diagonal (scaled) edge mass.  B is the sum
-of G's divergence rows (d v_x/dx and d v_y/dy), with no mass solve.  Both
-store only the nonzeros these blocks and products give.  Nothing depends
+A is G^T M^{-1} G + J^T S J, the energy form a(v, w): the solve factors
+it, and `analysis.error_bundle` measures |||e|||² = e'Ae with it.  The
+sparse map G gives the weak-gradient moments (grad_w v, q)_T, the sparse
+map J the jumps P_e v0 - vb; each is built from the operator stacks of
+ElementOps in one coordinate-format pass.  M is the block-diagonal
+P_{k-1} cell mass, so each mass inverse enters A once, and S the
+block-diagonal (scaled) edge mass.  B is the sum of G's divergence rows
+(d v_x/dx and d v_y/dy), with no mass solve.  Both store only the
+nonzeros these blocks and products give.  Nothing depends
 on hash order, so assembled matrices are bit-identical run to run.
 """
 
@@ -34,7 +36,8 @@ class SaddleSystem:
     Attributes
     ----------
     A : (n_u, n_u) csr
-        Velocity bilinear form on the full space (boundary DOFs included).
+        Velocity bilinear form a(v, w) on the full space (boundary DOFs
+        included); v'Av is the energy norm squared.
     B : (n_p, n_u) csr
         Divergence-pressure coupling.
     load : (n_u,) array
@@ -185,23 +188,4 @@ def _side_mass(ops):
     """Stabilizer weight of each side: its edge mass over the cell diameter."""
     mesh = ops.mesh
     return ops.edge_mass[mesh.side_edge] / mesh.diameters[mesh.side_cell][:, None, None]
-
-
-# -- matrix-free bilinear forms (independent of the assembled matrices) --
-
-
-def eval_a(ops, v, w):
-    """Energy form: weak-gradient inner products plus the jump stabilizer."""
-    return eval_grad_product(ops, v, w) + eval_s(ops, v, w)
-
-
-def eval_grad_product(ops, v, w):
-    gv, gw = ops.weak_gradient(v), ops.weak_gradient(w)
-    return float(np.einsum("cijr,crs,cijs->", gv, ops.mass_low, gw))
-
-
-def eval_s(ops, v, w):
-    """Jump stabilizer alone: h_T^{-1} <P_e v0 - vb, P_e w0 - wb> over cell sides."""
-    jv, jw = ops.trace_jump(v), ops.trace_jump(w)
-    return float(np.einsum("hir,hrs,his->", jv, _side_mass(ops), jw))
 

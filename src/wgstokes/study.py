@@ -89,7 +89,7 @@ def _run_level(config, case, level, n):
         system.dump_matrices(f"{config.dump_prefix}L{level}_")
     report = solve(system)
     beta = discrete_inf_sup(system, report.factor)
-    errors = error_bundle(ops, projection, report.velocity, report.pressure)
+    errors = error_bundle(system, projection, report.velocity, report.pressure)
     return mesh.mesh_size, mesh.num_cells, errors, beta
 
 

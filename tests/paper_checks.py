@@ -1,12 +1,16 @@
 """The paper's lemma checks: the discrete error equation, its consistency
 functionals and their dual norms, the projections' approximation errors,
-the weak divergence of a computed velocity, and the divergence form.
+the weak divergence of a computed velocity, the divergence form, and the
+two parts of the energy form a(v, v): the weak-gradient part and the jump
+stabilizer, each summed from the paper's operators on its own.
 
-No `wgstokes` command needs these to solve Stokes; the acceptance and
-analysis tests use them as oracles.  They read a level's `project_case`
-record for Q_h u and Q_h p, and use two private `src/` helpers:
-`assembly._side_mass` (the stabilizer's side weights) and
-`analysis._project_data` (a cellwise projection and its residual).
+No `wgstokes` command needs these to solve Stokes; the tests use them as
+oracles.  They read a level's `project_case` record for Q_h u and Q_h p,
+and use two private `src/` helpers: `assembly._side_mass` (the
+stabilizer's side weights) and `analysis._project_data` (a cellwise
+projection and its residual).  The two energy parts read
+`ops.weak_gradient`, `ops.trace_jump`, `ops.mass_low` and `_side_mass`,
+never the assembled A, so the tests can check A against their sum.
 """
 
 import numpy as np
@@ -20,6 +24,18 @@ from wgstokes.spaces import PressureFunction
 
 def _root(total):
     return float(np.sqrt(max(total, 0.0)))
+
+
+def gradient_energy(ops, v):
+    """(grad_w v, grad_w v) summed over the cells: the gradient part of |||v|||²."""
+    g = ops.weak_gradient(v)
+    return float(np.einsum("cijr,crs,cijs->", g, ops.mass_low, g))
+
+
+def stabilizer_energy(ops, v):
+    """s(v, v) = sum over cell sides of h_T⁻¹ |P_e v0 - vb|²: the stabilizer part of |||v|||²."""
+    jump = ops.trace_jump(v)
+    return float(np.einsum("hir,hrs,his->", jump, _side_mass(ops), jump))
 
 
 def eval_b(ops, v, q):

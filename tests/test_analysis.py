@@ -21,6 +21,7 @@ from paper_checks import (
 from wgstokes import analysis, weakops
 from wgstokes.analysis import (
     CSV_COLUMNS,
+    CaseProjection,
     ConvergenceRecord,
     discrete_inf_sup,
     error_bundle,
@@ -28,7 +29,6 @@ from wgstokes.analysis import (
     pressure_norm,
     project_case,
     rate_label,
-    triple_bar_norm,
     velocity_interior_norm,
 )
 from wgstokes.assembly import assemble
@@ -86,18 +86,21 @@ def test_rate_label_states():
 
 
 def test_triple_bar_of_zero(ops_quad_k1):
-    v = WeakFunction.zeros(ops_quad_k1.dofmap)
-    assert triple_bar_norm(ops_quad_k1, v) == 0.0
-    assert weak_divergence_norm(ops_quad_k1, v) == 0.0
+    """A zero error measures exactly zero, in the energy norm and in every
+    other column of the error bundle, and its weak divergence too."""
+    ops = ops_quad_k1
+    v, p = WeakFunction.zeros(ops.dofmap), PressureFunction.zeros(ops.dofmap)
+    bundle = error_bundle(assemble(ops), CaseProjection(v, p, 0.0, 0.0), v, p)
+    assert set(bundle.as_dict().values()) == {0.0}
+    assert weak_divergence_norm(ops, v) == 0.0
 
 
 @pytest.mark.parametrize(
     "ops_name", ["ops_quad_k1", "ops_poly_k2", "hostile_k1", "hostile_k2", "hostile_k3"]
 )
 def test_triple_bar_squared_is_energy(ops_name, request):
-    """|||v|||² from the stacks and v'Av both equal the point-evaluation
-    reference, on the hostile mesh (nonconvex, collinear and hanging
-    vertices) too."""
+    """|||v|||² = v'Av equals the point-evaluation reference, on the hostile
+    mesh (nonconvex, collinear and hanging vertices) too."""
     if ops_name.startswith("hostile"):
         ops = ElementOps(request.getfixturevalue("hostile_mesh"), int(ops_name[-1]))
     else:
@@ -107,8 +110,7 @@ def test_triple_bar_squared_is_energy(ops_name, request):
     for _ in range(5):
         v = WeakFunction.random(ops.dofmap, rng)
         energy = energy_at_points(ops, v)
-        for n2 in (triple_bar_norm(ops, v) ** 2, v.coeffs @ (A @ v.coeffs)):
-            assert abs(n2 - energy) <= 1e-12 * max(energy, 1.0)
+        assert abs(v.coeffs @ (A @ v.coeffs) - energy) <= 1e-12 * max(energy, 1.0)
 
 
 def test_energy_is_norm_on_free_dofs(ops_quad_k1):
@@ -130,7 +132,7 @@ def test_error_bundle_matches_projection_errors(ops_quad_k2):
     case = get_case("taylor-trig")
     zero_v, zero_p = WeakFunction.zeros(ops.dofmap), PressureFunction.zeros(ops.dofmap)
     projection = project_case(ops, case)
-    bundle = error_bundle(ops, projection, zero_v, zero_p)
+    bundle = error_bundle(assemble(ops), projection, zero_v, zero_p)
     proj = projection_errors(ops, case)
     assert proj["velocity"] == projection.velocity_residual
     assert proj["pressure"] == projection.pressure_residual
@@ -149,7 +151,7 @@ def test_error_bundle_near_zero_for_exact_case():
     ops = ElementOps(generate_mesh("uniform-quad", 4), 2)
     system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
     report = solve(system)
-    bundle = error_bundle(ops, project_case(ops, case), report.velocity, report.pressure)
+    bundle = error_bundle(system, project_case(ops, case), report.velocity, report.pressure)
     assert bundle.triple_bar <= 1e-10
     assert bundle.vel_l2_proj <= 1e-11
     assert bundle.pres_l2 <= 1e-10
@@ -164,17 +166,24 @@ def test_error_bundle_near_zero_for_exact_case():
 def test_true_errors_match_pointwise_reference(family, degree, request):
     """vel_l2_true and pres_l2_true, built from the projection residuals and
     the projected errors, equal ||u - v0|| and ||p - p_h|| summed point by
-    point on the data rule, for a computed solution."""
+    point on the data rule, for a computed solution; triple_bar is
+    sqrt(e'Ae) for e = Q_h u - u_h, and equals the point-evaluation energy
+    of e."""
     if family == "hostile":
         mesh = request.getfixturevalue("hostile_mesh")
     else:
         mesh = generate_mesh(family, 4, seed=0)
     ops, case = ElementOps(mesh, degree), get_case("taylor-trig")
-    report = solve(assemble(ops, body_force=case.f, boundary_velocity=case.g))
-    bundle = error_bundle(ops, project_case(ops, case), report.velocity, report.pressure)
+    system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
+    report = solve(system)
+    projection = project_case(ops, case)
+    bundle = error_bundle(system, projection, report.velocity, report.pressure)
     velocity, pressure = true_errors_at_points(ops, case, report.velocity, report.pressure)
     assert bundle.vel_l2_true == pytest.approx(velocity, rel=1e-11)
     assert bundle.pres_l2_true == pytest.approx(pressure, rel=1e-11)
+    error = projection.velocity - report.velocity
+    assert bundle.triple_bar == np.sqrt(error.coeffs @ (system.A @ error.coeffs))
+    assert bundle.triple_bar == pytest.approx(np.sqrt(energy_at_points(ops, error)), rel=1e-12)
 
 
 @pytest.mark.parametrize("measure", ["projection_errors", "error_bundle", "verify_error_equation"])
@@ -205,7 +214,7 @@ def test_exact_fields_read_once_at_the_data_points(ops_quad_k2, measure):
         assert calls == {"u": 0, "p": 0, "grad_u": 1}
     else:
         zero_v, zero_p = WeakFunction.zeros(ops.dofmap), PressureFunction.zeros(ops.dofmap)
-        error_bundle(ops, project_case(ops, spied), zero_v, zero_p)
+        error_bundle(assemble(ops), project_case(ops, spied), zero_v, zero_p)
         assert calls == {"u": 1, "p": 1, "grad_u": 0}
 
 
@@ -224,6 +233,7 @@ def test_error_bundle_reads_no_field_and_no_cell_rule(monkeypatch):
         return evaluate
 
     spied = SimpleNamespace(u=counted(case.u), p=counted(case.p), grad_u=counted(case.grad_u))
+    system = assemble(ops)
     projection = project_case(ops, spied)
     del ops.cell_data
     calls.update(fields=0)
@@ -234,7 +244,7 @@ def test_error_bundle_reads_no_field_and_no_cell_rule(monkeypatch):
 
     monkeypatch.setattr(weakops, "polygon_rule", counting_rule)
     zero_v, zero_p = WeakFunction.zeros(ops.dofmap), PressureFunction.zeros(ops.dofmap)
-    error_bundle(ops, projection, zero_v, zero_p)
+    error_bundle(system, projection, zero_v, zero_p)
     assert calls == {"fields": 0, "polygon_rule": 0}
     assert "cell_data" not in vars(ops)
 

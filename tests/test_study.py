@@ -106,9 +106,9 @@ def test_cell_bases_not_built_by_a_level(monkeypatch):
     they are built on first use only."""
     seen = []
 
-    def spy(ops, *args, **kwargs):
-        errors = error_bundle(ops, *args, **kwargs)
-        seen.append({"cell_basis", "cell_basis_low"} & set(vars(ops)))
+    def spy(system, *args, **kwargs):
+        errors = error_bundle(system, *args, **kwargs)
+        seen.append({"cell_basis", "cell_basis_low"} & set(vars(system.ops)))
         return errors
 
     monkeypatch.setattr(study, "error_bundle", spy)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from wgstokes import quadrature, weakops
-from wgstokes.assembly import eval_grad_product, eval_s
 from wgstokes.cases import case_names, get_case
 from wgstokes.errors import MeshValidationError
 from wgstokes.mesh import FAMILIES, PolygonalMesh, generate_mesh
@@ -16,6 +15,7 @@ from wgstokes.spaces import WeakFunction
 from wgstokes.weakops import DATA_EXACTNESS, CellTable, EdgeTable, ElementOps
 
 from conftest import PolyField, edge_basis, monomial_gradients
+from paper_checks import gradient_energy, stabilizer_energy
 
 
 def _grad_values(ops, coeffs, c, pts):
@@ -150,8 +150,8 @@ def test_stabilizer_matrix_symmetric_psd(degree, poly_mesh_4):
     assert np.allclose(S, S.T, atol=1e-14)
     assert np.linalg.eigvalsh(S).min() >= -1e-12
     v, w = np.random.default_rng(degree).standard_normal((2, n))
-    form = eval_s(ops, WeakFunction(ops.dofmap, v), WeakFunction(ops.dofmap, w))
-    assert np.isclose(v @ S @ w, form)
+    s = [stabilizer_energy(ops, WeakFunction(ops.dofmap, x)) for x in (v + w, v - w)]
+    assert np.isclose(v @ S @ w, (s[0] - s[1]) / 4)  # by polarization
 
 
 def test_stabilizer_vanishes_for_conforming_linears(ops_quad_k2):
@@ -159,7 +159,7 @@ def test_stabilizer_vanishes_for_conforming_linears(ops_quad_k2):
     ops = ops_quad_k2
     u = lambda pts: np.column_stack([1 + pts[:, 0] - 2 * pts[:, 1], pts[:, 1] ** 2])
     v = project_velocity(ops, u)
-    assert eval_s(ops, v, v) < 1e-24
+    assert stabilizer_energy(ops, v) < 1e-24
 
 
 def test_stabilizer_single_edge_oracle(ops_quad_k1):
@@ -172,7 +172,7 @@ def test_stabilizer_single_edge_oracle(ops_quad_k1):
     length = np.linalg.norm(np.diff(ops.mesh.vertices[ops.mesh.edges[e]], axis=0))
     cells = ops.mesh.side_cell[ops.mesh.side_edge == e]
     expected = sum(length / ops.mesh.diameters[c] for c in cells)
-    assert np.isclose(eval_s(ops, v, v), expected, rtol=1e-12)
+    assert np.isclose(stabilizer_energy(ops, v), expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("ops_name", ["ops_quad_k2", "ops_poly_k2"])
@@ -212,8 +212,8 @@ def test_commutativity_random_fields(degree, poly_mesh_4):
 def test_zero_function_maps_to_zero(ops_quad_k1):
     ops = ops_quad_k1
     v = WeakFunction.zeros(ops.dofmap)
-    assert eval_grad_product(ops, v, v) == 0.0
-    assert eval_s(ops, v, v) == 0.0
+    assert gradient_energy(ops, v) == 0.0
+    assert stabilizer_energy(ops, v) == 0.0
     assert np.all(ops.weak_gradient(v) == 0.0)
     assert np.all(ops.weak_divergence(v) == 0.0)
 
@@ -227,7 +227,7 @@ def test_interior_gradient_controlled_by_energy():
         worst = 0.0
         for _ in range(50):
             v = WeakFunction.random(ops.dofmap, rng, zero_boundary=True)
-            energy = eval_grad_product(ops, v, v) + eval_s(ops, v, v)
+            energy = gradient_energy(ops, v) + stabilizer_energy(ops, v)
             broken = 0.0
             for c in range(ops.mesh.num_cells):
                 rule = polygon_rule(ops.mesh.cell_vertices(c), 2 * ops.degree + 2)
