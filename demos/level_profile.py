@@ -7,8 +7,12 @@ resident and peak memory after it.
 Defaults to perturbed-polygon, k=2, n=32 with the taylor-trig case.  The
 stages are those of one level of `wgstokes study`: mesh, ElementOps,
 assemble, project_case (the exact fields' side of every error), solve,
-beta_h and error_bundle, in that order.  As in the study, the cell data
-table is built once and dropped after project_case, before the solve.
+beta_h and error_bundle, in that order.  The solve's sparse LU (SuperLU's
+gstrf, wrapped here around `wgstokes.solver.splu`) has its own row, printed
+when it returns, so before the solve row that contains it; the solve's
+time outside the LU is the difference of the two.  As in the study, the
+cell data table is built once and dropped after project_case, before the
+solve.
 After the ElementOps row comes the MB that ElementOps keeps: the bytes of
 its ndarray attributes and of its edge table's arrays, each block of
 memory once (``mass_low`` is a view into ``mass``), without the cell data
@@ -31,6 +35,7 @@ import time
 
 import numpy as np
 
+from wgstokes import solver
 from wgstokes.analysis import discrete_inf_sup, error_bundle, project_case
 from wgstokes.assembly import assemble
 from wgstokes.cases import get_case
@@ -85,6 +90,8 @@ def stage(name, run):
     return out
 
 
+splu = solver.splu
+solver.splu = lambda *args, **kwargs: stage("gstrf", lambda: splu(*args, **kwargs))
 print(f"{family} k={degree} n={n}, taylor-trig")
 print(f"{'stage':<14}{'time':>10}{'gc':>10}{'resident':>12}{'peak':>12}")
 gc.callbacks.append(gc_clock)

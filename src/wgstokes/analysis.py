@@ -1,15 +1,16 @@
 """Error measurement, convergence rates, and discrete stability checks.
 
-The energy norm of an error e is sqrt(e'Ae) on the level's assembled A, the
-matrix its solve factors; the tests check A against a reference that
-evaluates the weak gradient and the edge jumps at quadrature points of its
-own.
+The energy norm of an error e is sqrt(e'Ae) on the level's A, the sum of
+the cell matrices that its solve condenses; the tests check A against a
+reference that evaluates the weak gradient and the edge jumps at quadrature
+points of its own.
 
 Conventions: `project_case` reads the exact fields, before the solve, on the
 data rules of ElementOps (one exactness for every field); errors between
 two discrete fields use the cell mass matrices, which are exact.
 The inf-sup constant, by contrast, is algebraic: an iterative eigensolve
-that reuses the sparse factorization the level's solve already made.
+that reuses the factorization the level's solve already made, with the
+pressure mass's Cholesky factor applied cell by cell.
 """
 
 import csv
@@ -19,7 +20,6 @@ import math
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .assembly import block_diagonal
 from .errors import ConfigurationError, SolverError
 from .solver import factorize
 from .spaces import PressureFunction, WeakFunction
@@ -171,14 +171,15 @@ def discrete_inf_sup(system, factor=None):
         )
     if factor is None:
         factor = factorize(system)
-    R = block_diagonal(np.linalg.cholesky(ops.mass_low))
-    z = R.T @ ops.dofmap.constant_pressure()
+    R = np.linalg.cholesky(ops.mass_low)  # one block per cell
+    cellwise = (len(R), -1, 1)
+    z = (R.swapaxes(1, 2) @ ops.dofmap.constant_pressure().reshape(cellwise)).ravel()
     z /= np.linalg.norm(z)
 
     def apply(y):
         y = y - z * (z @ y)
-        x = R.T @ factor.pressure(-(R @ y))
-        return x - z * (z @ x)
+        x = R.swapaxes(1, 2) @ factor.pressure(-(R @ y.reshape(cellwise)).ravel()).reshape(cellwise)
+        return x.ravel() - z * (z @ x.ravel())
 
     op = LinearOperator((n_p, n_p), matvec=apply, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n_p)

@@ -1,33 +1,56 @@
 """Global assembly of the Stokes saddle-point system.
 
-The velocity matrix A sums the weak-gradient Gram matrices and the jump
-stabilizer over cells; B couples the weak divergence with the pressure
-test space.  Boundary-edge velocity DOFs carry projected Dirichlet data
-and are eliminated at solve time (they are marked, not removed, here).
-The solver pins one pressure DOF and then shifts the pressure to zero
-mean, measuring the mean with the pressure moment vector assembled
-alongside.
+The velocity form a(v, w) sums the weak-gradient Gram matrices and the
+jump stabilizer over cells; b(v, q) couples the weak divergence with the
+pressure test space.  Both are dense cell matrices, batched by side count,
+built from the operator stacks of ElementOps on first use.  On one velocity
+component's DOFs of a cell (interior block, then each side's edge block), a
+is Dᵀ M⁻¹ D + Jᵀ S J for both components: D gives the weak-gradient moments
+(grad_w v, q)_T in each direction, M is the P_{k-1} cell mass, J gives the
+jumps P_e v0 - vb and S is the scaled edge mass; b's rows are D's.  An
+entry of a within the rounding bound of its own terms is an exact zero, so
+integrals that vanish by symmetry store no entries.  The solver condenses
+the cell matrices; `SaddleSystem.A` and `.B` sum them on first read, one
+coordinate pass each, and `analysis.error_bundle` measures |||e|||² = e'Ae
+on that A.  Assembled matrices are bit-identical run to run.
 
-A is G^T M^{-1} G + J^T S J, the energy form a(v, w): the solve factors
-it, and `analysis.error_bundle` measures |||e|||² = e'Ae with it.  The
-sparse map G gives the weak-gradient moments (grad_w v, q)_T, the sparse
-map J the jumps P_e v0 - vb; each is built from the operator stacks of
-ElementOps in one coordinate-format pass.  M is the block-diagonal
-P_{k-1} cell mass, so each mass inverse enters A once, and S the
-block-diagonal (scaled) edge mass.  B is the sum of G's divergence rows
-(d v_x/dx and d v_y/dy), with no mass solve.  Both store only the
-nonzeros these blocks and products give.  Nothing depends
-on hash order, so assembled matrices are bit-identical run to run.
+Boundary-edge velocity DOFs carry projected Dirichlet data and are
+eliminated at solve time (they are marked, not removed, here).  The
+solver pins one pressure DOF and then shifts the pressure to zero mean,
+measuring the mean with the pressure moment vector assembled alongside.
 """
+
+import dataclasses
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from .errors import CompatibilityError
 from .projections import project_boundary_velocity
+from .weakops import _drop_rounding
 
 # Largest net boundary flux of Dirichlet data that counts as compatible.
 COMPAT_TOL = 1e-10
+
+
+@dataclasses.dataclass
+class _CellBatch:
+    """The cells (n,) with one side count, the velocity DOFs (n, 2, nv) of each
+    component (interior block, then each side's edge block in loop order), a(., .)
+    on them (n, 2, nv, nv: one block, seen twice, unless set) and b(., .) (n, nlow, 2, nv)."""
+
+    cells: np.ndarray
+    dofs: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def entries(self, field):
+        """Rows and columns of the entries of a or b."""
+        if field == "a":
+            return self.dofs[..., None], self.dofs[..., None, :]
+        nlow = self.b.shape[1]
+        return (self.cells[:, None] * nlow + np.arange(nlow))[..., None, None], self.dofs[:, None]
 
 
 class SaddleSystem:
@@ -37,9 +60,9 @@ class SaddleSystem:
     ----------
     A : (n_u, n_u) csr
         Velocity bilinear form a(v, w) on the full space (boundary DOFs
-        included); v'Av is the energy norm squared.
+        included); v'Av is the energy norm squared.  Built on first read.
     B : (n_p, n_u) csr
-        Divergence-pressure coupling.
+        Divergence-pressure coupling, built on first read.
     load : (n_u,) array
         Body-force moments (nonzero only on interior DOFs).
     pressure_moments : (n_p,) array
@@ -52,22 +75,49 @@ class SaddleSystem:
         Net flux of the projected Dirichlet data through the boundary.
     """
 
-    def __init__(self, ops, A, B, load, pressure_moments, fixed_mask, fixed_values, boundary_flux):
+    def __init__(self, ops, load, pressure_moments, fixed_mask, fixed_values, boundary_flux):
         self.ops = ops
-        self.A = A
-        self.B = B
         self.load = load
         self.pressure_moments = pressure_moments
         self.fixed_mask = fixed_mask
         self.fixed_values = fixed_values
         self.boundary_flux = boundary_flux
         self.free = np.nonzero(~fixed_mask)[0]
-        self.num_velocity_dofs = A.shape[0]
-        self.num_pressure_dofs = B.shape[0]
+        self.num_velocity_dofs = ops.dofmap.num_velocity_dofs
+        self.num_pressure_dofs = ops.dofmap.num_pressure_dofs
+        self._matrices, self._set = {}, {}
+
+    @cached_property
+    def _cells(self):
+        """The cell matrices, one _CellBatch per side count, from the operator
+        stacks; a set A or B gives its entries, those that cells share split evenly."""
+        cells = _cell_matrices(self.ops)
+        for field, mat in self._set.items():
+            count = _scatter(mat.shape, [(1.0, *c.entries(field)) for c in cells])
+            for c in cells:
+                rows, cols = (x.ravel() for x in np.broadcast_arrays(*c.entries(field)))
+                values = np.asarray(mat[rows, cols] / count[rows, cols])
+                setattr(c, field, values.reshape(getattr(c, field).shape))
+        return cells
+
+    A = property(lambda self: self._matrix("a"), lambda self, A: self._matrix("a", A))
+    B = property(lambda self: self._matrix("b"), lambda self, B: self._matrix("b", B))
+
+    def _matrix(self, field, new=None):
+        """A or B, summed from the cell matrices on first read, or as set."""
+        if new is not None:
+            self._matrices[field] = self._set[field] = new
+            self.__dict__.pop("_cells", None)
+        elif field not in self._matrices:
+            rows = self.num_velocity_dofs if field == "a" else self.num_pressure_dofs
+            blocks = [(getattr(c, field), *c.entries(field)) for c in self._cells]
+            self._matrices[field] = _scatter((rows, self.num_velocity_dofs), blocks)
+        return self._matrices[field]
 
     def pressure_mass(self):
         """Block-diagonal pressure mass matrix (csr)."""
-        return block_diagonal(self.ops.mass_low)
+        n = self.ops.mesh.num_cells
+        return sparse.bsr_matrix((self.ops.mass_low, np.arange(n), np.arange(n + 1))).tocsr()
 
     def dump_matrices(self, prefix):
         """Write A and B in `row col value` coordinate text format."""
@@ -96,10 +146,6 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
         moment uses the data rules of ElementOps.
     """
     dofmap, mesh = ops.dofmap, ops.mesh
-    G, J, B = _sparse_maps(ops)
-    A = G.T @ block_diagonal(np.repeat(np.linalg.inv(ops.mass_low), 4, axis=0)) @ G
-    A += J.T @ block_diagonal(np.repeat(_side_mass(ops), 2, axis=0)) @ J
-
     load = np.zeros(dofmap.num_velocity_dofs)
     if body_force is not None:
         field = body_force(ops.cell_data.points)
@@ -124,68 +170,47 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
         fixed_values = np.zeros(dofmap.num_velocity_dofs)
         flux = 0.0
 
-    return SaddleSystem(ops, A, B, load, pressure_moments, fixed_mask, fixed_values, flux)
+    return SaddleSystem(ops, load, pressure_moments, fixed_mask, fixed_values, flux)
 
 
-def block_diagonal(blocks):
-    """csr matrix with an (n, b, b) stack of blocks on its diagonal."""
-    n = len(blocks)
-    return sparse.bsr_matrix((blocks, np.arange(n), np.arange(n + 1))).tocsr()
-
-
-def _from_blocks(shape, *families):
-    """Sparse matrix from (blocks (n, r, c), first rows (n,), first columns (n,)) triples.
-
-    Block t covers rows first_row[t] + range(r) and columns
-    first_column[t] + range(c); duplicate entries add up.
-    """
-    vals, rows, cols = [], [], []
-    for blocks, first_row, first_col in families:
-        n, (r, c) = len(first_row), blocks.shape[1:]
-        vals.append(np.broadcast_to(blocks, (n, r, c)).ravel())
-        rows.append(np.broadcast_to(first_row[:, None, None] + np.arange(r)[:, None], (n, r, c)))
-        cols.append(np.broadcast_to(first_col[:, None, None] + np.arange(c), (n, r, c)))
-    rows, cols = (np.concatenate([x.ravel() for x in xs]) for xs in (rows, cols))
-    mat = sparse.coo_matrix((np.concatenate(vals), (rows, cols)), shape=shape).tocsr()
-    mat.eliminate_zeros()  # the blocks' exact zeros
+def _scatter(shape, families, fmt="csr"):
+    """Sparse matrix summing (values, rows, columns) triples of broadcastable
+    arrays, duplicates added up; it stores no exact zeros."""
+    flat = (map(np.ravel, np.broadcast_arrays(*family)) for family in families)
+    vals, rows, cols = map(np.concatenate, zip(*flat))
+    mat = sparse.coo_matrix((vals, (rows, cols)), shape=shape).asformat(fmt)
+    mat.eliminate_zeros()
     return mat
 
 
-def _sparse_maps(ops):
-    """Sparse maps on the velocity DOFs, from the operator stacks.
-
-    G gives the weak-gradient moments (grad_w v, q_r)_T, rows ordered
-    (cell, i, j, r); B the divergence moments (div_w v, q_r)_T, rows (cell, r),
-    as the sum of G's rows with i = j; J the jumps P_e v0 - vb, rows (side, i, b).
-    Component i of cell c's interior is DOF block 2c + i, of edge e block
-    2e + i after the interior DOFs.
-    """
-    dm = ops.dofmap
-    nk, nlow, ne, n_u = dm.dim_cell, dm.dim_cell_low, dm.dim_edge, dm.num_velocity_dofs
-    mesh = ops.mesh
-    n_cells = mesh.num_cells
-    cell_i, side_i = np.arange(2 * n_cells), np.arange(2 * len(mesh.side_cell))
-    owner_i = 2 * np.repeat(mesh.side_cell, 2) + side_i % 2
-    edge_col = dm.interior_size + (2 * np.repeat(mesh.side_edge, 2) + side_i % 2) * ne
-    interior = np.repeat(ops.grad_moments.reshape(n_cells, 2 * nlow, nk), 2, axis=0)
-    sides = mesh.side_normal[:, :, None, None] * ops.side_moments[:, None]  # (side, j, r, b)
-    G = _from_blocks(
-        (4 * nlow * n_cells, n_u),
-        (interior, cell_i * 2 * nlow, cell_i * nk),
-        (np.repeat(sides.reshape(-1, 2 * nlow, ne), 2, axis=0), owner_i * 2 * nlow, edge_col),
-    )
-    rows = np.arange(G.shape[0]).reshape(n_cells, 2, 2, nlow)
-    B = G[rows[:, 0, 0].ravel()] + G[rows[:, 1, 1].ravel()]
-    J = _from_blocks(
-        (len(side_i) * ne, n_u),
-        (np.repeat(ops.trace, 2, axis=0), side_i * ne, owner_i * nk),
-        (-np.eye(ne)[None], side_i * ne, edge_col),
-    )
-    return G, J, B
+def _cell_matrices(ops):
+    """One _CellBatch per side count, from the operator stacks: D maps one
+    component's DOFs to the weak-gradient moments in each direction
+    (n, 2, nlow, nv), J to the jumps on each side (n, m, ne, nv)."""
+    mesh, dm, nlow, ne = ops.mesh, ops.dofmap, ops.dofmap.dim_cell_low, ops.dofmap.dim_edge
+    v0, vb = np.split(np.arange(dm.num_velocity_dofs, dtype=np.int32), [dm.interior_size])
+    sides_of = np.diff(mesh.side_starts, append=len(mesh.side_cell))
+    minv, side_mass = np.linalg.inv(ops.mass_low), _side_mass(ops)
+    # Dᵀ M D summed over the directions, plus Jᵀ S J summed over the sides
+    flat = lambda X: X.reshape(len(X), -1, X.shape[-1])
+    gram = lambda M, D, S, J: sum(flat(X).swapaxes(1, 2) @ flat(W @ X) for W, X in ((M, D), (S, J)))
+    batches = []
+    for m in np.unique(sides_of):
+        cells = np.flatnonzero(sides_of == m)
+        n, sides = len(cells), mesh.side_starts[cells, None] + np.arange(m)
+        outward = np.einsum("csj,csrb->cjrsb", mesh.side_normal[sides], ops.side_moments[sides])
+        D = np.concatenate([ops.grad_moments[cells], outward.reshape(n, 2, nlow, m * ne)], -1)
+        J = np.concatenate([ops.trace[sides], -np.eye(m * ne).reshape(1, m, ne, -1).repeat(n, 0)], -1)
+        terms = (minv[cells, None], D, side_mass[sides], J)
+        a = _drop_rounding(gram(*terms), gram(*map(np.abs, terms)), 2 * (nlow + m * ne))
+        edges = vb.reshape(-1, 2, ne)[mesh.side_edge[sides]].swapaxes(1, 2).reshape(n, 2, -1)
+        dofs = np.concatenate([v0.reshape(-1, 2, dm.dim_cell)[cells], edges], -1)
+        a = np.broadcast_to(a[:, None], (n, 2) + a.shape[1:])  # one block for both components
+        batches.append(_CellBatch(cells, dofs, a, D.swapaxes(1, 2)))
+    return batches
 
 
 def _side_mass(ops):
     """Stabilizer weight of each side: its edge mass over the cell diameter."""
     mesh = ops.mesh
     return ops.edge_mass[mesh.side_edge] / mesh.diameters[mesh.side_cell][:, None, None]
-

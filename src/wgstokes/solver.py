@@ -10,10 +10,10 @@ where x marks the eliminated Dirichlet DOFs.  The pressure is fixed only
 up to a constant, so pressure DOF 0 (the constant coefficient of cell 0)
 is pinned to zero by leaving it out of the solved unknowns; its equation
 follows from the others for compatible boundary data.  A shift by the
-pressure mean then sets the zero-mean gauge.  A SaddleFactor orders the
-cell-local unknowns first and takes them off a leading block at a time
-(the interior velocities, then each cell's non-constant pressures), then
-factors the free edge velocities and one pressure per cell by sparse LU.
+pressure mean then sets the zero-mean gauge.  A SaddleFactor takes the
+interior velocities, then the non-constant pressures off each cell's dense
+saddle matrix, batched, sums what is left on the free edge velocities and
+one pressure per cell into one matrix, and factors that by sparse LU.
 What is left is a planar mesh graph, and the LU takes it in a nested
 dissection order of the cells (George, SIAM J. Numer. Anal. 10(2),
 1973) with each cell's pressure after the last of its edges, so no
@@ -36,9 +36,9 @@ import json
 import time
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from .assembly import _scatter
 from .errors import SolverError
 from .spaces import PressureFunction, WeakFunction
 
@@ -136,19 +136,15 @@ def solve(system, condense=True):
 
 
 class SaddleFactor:
-    """Cell-local eliminations of leading blocks of a sparse symmetric matrix, then one sparse LU.
+    """Cell-local eliminations, then one sparse LU (in csc) of what they leave, K.
 
-    The saddle matrix was scaled to D K D on both sides by ``scale`` (in
-    ``order``) and permuted to ``order``; unknowns left out of it, the
-    pinned pressure, come out as 0.  ``steps`` are the `_eliminate` steps
-    in turn, and `splu` factors what they leave, K, in csc: its caller
-    converts it, so that no csr copy is held under the LU.  Each step is
-    kept as (W, Wᵀ, G, Gᵀ, sign), its transposes made once.
-    """
+    Unknowns: the free velocities, the pressures and a slot reading 0 (fixed
+    velocities, pinned pressure, padding), scaled by ``scale``; ``order`` ends
+    with K's.  ``steps``: the `_eliminate` steps, each a padded batch over the
+    cells (eliminated unknowns, the rest, W, G, sign)."""
 
     def __init__(self, K, order, steps, what, scale):
-        self.order = order
-        self.scale = scale
+        self.order, self.scale, self.steps = order, scale, steps
         if malloc_trim is not None:
             malloc_trim(0)  # the heap freed so far, back to the system before the LU maps its own
         try:
@@ -160,27 +156,22 @@ class SaddleFactor:
             )
         except RuntimeError as err:  # singular factorization
             raise SolverError(f"{what} factorization failed: {err}") from err
-        # Gᵀ is a view; Wᵀ copies W's blocks, so it is built after the LU's peak
-        self.steps = [(W, W.T, G, G.T, sign) for W, G, sign in steps]
 
     def apply(self, f, skip=0):
-        """Solution for f: forward substitutions, LU solve, back substitutions, scatter.
+        """Solution for f: forward substitutions, LU solve, back substitutions.
 
         The first `skip` steps must meet a zero block of f, and their
         unknowns come out as 0: both of their substitutions are left out.
         """
-        n = sum(step[0].shape[0] for step in self.steps[:skip])
-        order, scale, steps = self.order[n:], self.scale[n:], self.steps[skip:]
-        g, ws = f[order] * scale, []
-        for W, _, _, Gt, sign in steps:
-            ws.append(W @ g[: W.shape[0]])  # L⁻¹ f_c
-            g = g[W.shape[0] :] - sign * (Gt @ ws[-1])
-        x = self.lu.solve(g)
-        for (_, Wt, G, _, sign), w in zip(steps[::-1], ws[::-1]):
-            x = np.concatenate([sign * (Wt @ (w - G @ x)), x])
-        out = np.zeros(len(f))
-        out[order] = x * scale
-        return out
+        g, ws, steps = np.append(f, 0.0) * self.scale, [], self.steps[skip:]
+        for index, rest, W, G, sign in steps:
+            ws.append(np.einsum("cij,cj->ci", W, g[index]))  # L⁻¹ f_c
+            g -= np.bincount(rest.ravel(), sign * np.einsum("cij,ci->cj", G, ws[-1]).ravel(), len(g))
+        x, lu_part = np.zeros(len(g)), self.order[len(self.order) - self.lu.shape[0] :]
+        x[lu_part] = self.lu.solve(g[lu_part])
+        for (index, rest, W, G, sign), w in zip(steps[::-1], ws[::-1]):
+            x[index] = sign * np.einsum("cji,cj->ci", W, w - np.einsum("cij,cj->ci", G, x[rest]))
+        return (x * self.scale)[:-1]
 
     def solve(self, rhs_u, rhs_p):
         """Free velocity and pressure, p[0] = 0; rhs_p[0], the pinned row, is unused."""
@@ -190,78 +181,101 @@ class SaddleFactor:
     def pressure(self, rhs_p):
         """solve(0, rhs_p)'s pressure, bit for bit, without its velocity substitutions.
 
-        A leading positive definite step eliminates velocities (the
-        interior ones): they have a zero right-hand side and are not returned.
+        The leading positive definite steps (one per velocity component) eliminate
+        the interior velocities: they have a zero right-hand side and are not returned.
         """
-        skip = int(bool(self.steps) and self.steps[0][-1] > 0)
+        skip = sum(step[-1] > 0 for step in self.steps)
         n_u = len(self.order) + 1 - len(rhs_p)  # the order leaves out the pinned pressure
         return self.apply(np.concatenate([np.zeros(n_u), rhs_p]), skip)[n_u:]
 
 
-def _eliminate(K, n_cells, n, sign, name):
-    """Eliminate the leading n unknowns of symmetric K (csr), n / n_cells per cell.
-
-    Their block K_cc must be sign × (block-diagonal SPD), one block per
-    cell.  With K_cc = sign·L Lᵀ, W = L⁻¹ (block-diagonal too) and
-    G = W K_cr, the Schur complement on the rest is K_rr - sign·GᵀG,
-    symmetric by construction.  Returns it (csr) and the step
-    (W, G, sign) that `SaddleFactor.apply` replays.
-    """
-    nb = n // n_cells
-    K_c = K[:n]
-    coo = K_c[:, :n].tocoo()
-    blocks = np.zeros((n_cells, nb, nb))
-    blocks[coo.row // nb, coo.row % nb, coo.col % nb] = sign * coo.data
+def _eliminate(K, n, sign, cells, name):
+    """Eliminate the leading n unknowns of a stack of symmetric cell matrices K,
+    whose block K_cc is sign·L Lᵀ in every cell.  With W = L⁻¹ and G = W K_cr,
+    returns the Schur complement K_rr - sign·GᵀG, W and G."""
     try:
-        L = np.linalg.cholesky(blocks)
+        L = np.linalg.cholesky(sign * K[:, :n, :n])
     except np.linalg.LinAlgError as err:
-        lowest = np.linalg.eigvalsh(blocks)[:, 0]
+        lowest = np.linalg.eigvalsh(sign * K[:, :n, :n])[:, 0]
         c, kind = int(np.argmin(lowest)), "positive" if sign > 0 else "negative"
         raise SolverError(
-            f"{name} block of cell {c} is not {kind} definite (eigenvalue {sign * lowest[c]:.3e})"
+            f"{name} block of cell {cells[c]} is not {kind} definite"
+            f" (eigenvalue {sign * lowest[c]:.3e})"
         ) from err
-    index = np.arange(n_cells)
-    W = sparse.bsr_matrix((np.linalg.inv(L), index, np.append(index, n_cells)), shape=(n, n))
-    G = (W @ K_c[:, n:]).tocsr()
-    return K[n:, n:] - sign * (G.T @ G), (W, G, sign)
+    W = np.linalg.inv(L)
+    G = W @ K[:, :n, n:]
+    return K[:, n:, n:] - sign * (G.swapaxes(1, 2) @ G), W, G
+
+
+def _condense(batch, nk, unknown, pressure, h_inv, sizes):
+    """A batch's scaled cell saddle matrices, unknowns numbered by ``unknown`` and
+    ``pressure``, less their leading blocks of ``sizes``: the steps' parts and the rest."""
+    (n, _, nv), nlow = batch.dofs.shape, batch.b.shape[1]
+    l = np.arange(2 * nv + nlow)
+    K = np.zeros((n, len(l), len(l)))  # [[a, 0, -b_xᵀ], [0, a, -b_yᵀ], [-b_x, -b_y, 0]]
+    K[:, :nv, :nv], K[:, nv:-nlow, nv:-nlow] = batch.a.swapaxes(0, 1)
+    K[:, -nlow:, :-nlow] = -batch.b.reshape(n, nlow, -1) * h_inv[batch.cells, None, None]
+    K[:, :-nlow, -nlow:] = K[:, -nlow:, :-nlow].swapaxes(1, 2)
+    index = np.concatenate([unknown[batch.dofs].reshape(n, -1), pressure[batch.cells]], axis=1)
+    # the interior velocities, the non-constant pressures, then the rest
+    first = np.argsort(np.where(l < 2 * nv, 2 * (l % nv >= nk), 1 + (l == 2 * nv)), kind="stable")
+    K = K.reshape(n, -1).take((first[:, None] * len(l) + first).ravel(), axis=1).reshape(K.shape)
+    index, parts = index[:, first], []
+    for size, sign, name in sizes:
+        K, W, G = _eliminate(K, size, sign, batch.cells, name)
+        live = G.any(axis=(0, 1))  # G keeps no column that is zero in every cell
+        parts.append((index[:, :size], index[:, size:][:, live], W, G[:, :, live]))
+        index = index[:, size:]
+    return parts, (K, index[:, :, None], index[:, None, :])
+
+
+def _pad(stacks, value):
+    """The stacks joined along axis 0, each padded with ``value`` to the widest last axis."""
+    width = max(x.shape[-1] for x in stacks)
+    pads = [np.full(x.shape[:-1] + (width - x.shape[-1],), value) for x in stacks]
+    return np.concatenate([np.concatenate(pair, axis=-1) for pair in zip(stacks, pads)])
 
 
 def factorize(system, condense=True):
     """The SaddleFactor of the free saddle equations, condensed or not.
 
-    DofMap numbers the interior velocities first, cell-major, and fixes
-    none; they couple only within their cell, so A_ii is block-diagonal
-    SPD.  What is left of the pressure block, -B_i A_ii⁻¹ B_iᵀ, is
-    block-diagonal by cell too, and negative definite on each cell's
-    non-constant pressures: for v_b = 0, (∇_w·v, q) = -(v₀, ∇q).  So the
-    order is: interior velocities, non-constant pressures (both
-    cell-major), then the free edge DOFs by `_dissection`, each cell's
-    constant pressure after its last edge (cell 0's is pinned).  Without
-    condensing, the LU takes the interior velocities first and all of a
-    cell's pressures after its last edge.
+    The interior velocities couple only within their cell, where their block
+    is SPD; what is left of a cell's pressure block, -B_i A_ii⁻¹ B_iᵀ, is negative
+    definite on its non-constant pressures: for v_b = 0, (∇_w·v, q) = -(v₀, ∇q).
+    So each cell sheds both (one step per velocity component; none for k=1
+    pressures), batched by side count, and what the cells leave is summed into
+    K in one coordinate pass, in `_dissection`'s order: the free edge DOFs, each
+    cell's constant pressure after its last edge (cell 0's is pinned).  Without
+    condensing there are no steps: K sums the whole cell matrices, the interior
+    velocities first and all of a cell's pressures after its last edge.
 
     Cell T's pressures are scaled by 1/h_T.  A pressure pivot, -bᵀA⁻¹b, is
     O(h²) and its column's largest entry, a coupling to an edge velocity,
     O(h), so unscaled the pivot ratio falls like h; scaled, both are O(1).
     """
-    free, n_i, n_cells = system.free, system.ops.dofmap.interior_size, system.ops.mesh.num_cells
-    p = len(free) + np.arange(system.num_pressure_dofs).reshape(n_cells, -1)
-    kept = 1 if condense else p.shape[1]  # pressures per cell left to the LU
-    tail = _dissection(system.ops, p[:, :kept])
-    order = np.concatenate([np.arange(n_i), p[:, kept:].ravel(), tail])
-    scale = np.ones(len(free) + system.num_pressure_dofs)
-    scale[len(free) :] = np.repeat(1 / system.ops.mesh.diameters, p.shape[1])
-    B_f = sparse.diags(scale[len(free) :]) @ system.B[:, free]
-    # the unpermuted K is a temporary, gone before the LU's peak memory
-    K = sparse.bmat([[system.A[free][:, free], -B_f.T], [-B_f, None]], format="csr")[order][:, order]
-    del B_f
-    steps = []
-    for n, sign, name in [(n_i, 1, "interior"), (p[:, 1:].size, -1, "pressure")] if condense else []:
-        if n:  # a k=1 cell has no non-constant pressure
-            K, step = _eliminate(K, n_cells, n, sign, name)
-            steps.append(step)
-    K = K.tocsc()  # the csr goes before the LU
-    return SaddleFactor(K, order, steps, "condensed" if condense else "sparse", scale[order])
+    ops, dm, mesh = system.ops, system.ops.dofmap, system.ops.mesh
+    n_f, n_p, nlow = len(system.free), system.num_pressure_dofs, dm.dim_cell_low
+    p = n_f + np.arange(n_p).reshape(mesh.num_cells, -1)
+    kept = 1 if condense else nlow  # pressures per cell left to the LU
+    tail = _dissection(ops, p[:, :kept])
+    order = np.concatenate([np.arange(dm.interior_size), p[:, kept:].ravel(), tail])
+    dummy = p.flat[0] = n_f + n_p  # the fixed velocities and the pinned pressure
+    unknown = np.where(system.fixed_mask, dummy, np.cumsum(~system.fixed_mask) - 1)
+    sizes = [(dm.dim_cell, 1, "interior")] * 2 + [(nlow - 1, -1, "pressure")] * (nlow > 1)
+    sizes, lu_part = (sizes, tail) if condense else ([], order)
+    args = (dm.dim_cell, unknown, p, 1 / mesh.diameters, sizes)
+    parts, left = zip(*(_condense(batch, *args) for batch in system._cells))
+    del system._cells  # not held under the LU; the next read builds them again
+    row = np.full(dummy + 1, len(lu_part), np.int32)  # unknowns outside K: a last row and column
+    row[lu_part] = np.arange(len(lu_part))
+    K = _scatter((len(lu_part) + 1,) * 2, [(R, row[i], row[j]) for R, i, j in left], "csc")[:-1, :-1]
+    steps = [
+        (*map(_pad, zip(*step), (dummy, dummy, 0.0, 0.0)), sign)
+        for step, (_, sign, _) in zip(zip(*parts), sizes)
+    ]
+    del left, parts  # the cell stacks go before the LU
+    scale = np.concatenate([np.ones(n_f), np.repeat(1 / mesh.diameters, nlow), [0.0]])
+    return SaddleFactor(K, order, steps, "condensed" if condense else "sparse", scale)
 
 
 def _dissection(ops, cell_unknowns):

@@ -7,11 +7,16 @@ import pathlib
 
 import pytest
 
+from scipy.sparse.linalg import splu
+
+from wgstokes import assembly, solver
 from wgstokes.assembly import SaddleSystem, assemble
 from wgstokes.cases import get_case
 from wgstokes.cli import build_parser, main
+from wgstokes.mesh import generate_mesh
 from wgstokes.solver import factorize, solve
-from wgstokes.spaces import PressureFunction, WeakFunction
+from wgstokes.spaces import DofMap, PressureFunction, WeakFunction
+from wgstokes.study import StudyConfig, run_study
 
 
 def test_version(capsys):
@@ -243,6 +248,34 @@ def test_infsup_factorizes_once_per_level(splu_calls):
         assert len(splu_calls) == 2
 
 
+def test_global_matrices_built_only_where_read(monkeypatch):
+    """`infsup` factors the condensed cell matrices and never builds the
+    global A or B.  A study level builds each once: its solve reads them for
+    the right-hand side and the residuals, before the LU, so that their
+    coordinate transients do not land on top of the factor."""
+    events, scatter = [], assembly._scatter
+
+    def spy_scatter(shape, *args):
+        events.append(shape)
+        return scatter(shape, *args)
+
+    def spy_splu(*args, **kwargs):
+        events.append("splu")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "_scatter", spy_scatter)
+    monkeypatch.setattr(solver, "splu", spy_splu)
+    assert main(["infsup", "--degree", "2", "--n0", "2", "--levels", "2"]) == 0
+    assert events == ["splu", "splu"]
+    events.clear()
+    run_study(StudyConfig(case="poly-exact-k1", degree=2, n0=2, levels=2))
+    expected = []
+    for n in (2, 4):
+        dm = DofMap(generate_mesh("uniform-quad", n), 2)
+        expected += [(dm.num_velocity_dofs,) * 2, (dm.num_pressure_dofs, dm.num_velocity_dofs), "splu"]
+    assert events == expected
+
+
 def test_infsup_up_to_n64(capsys):
     """n = 64 has 4,096 pressure DOFs; beta_h still comes from one sparse factor."""
     code = main(["infsup", "--family", "uniform-quad", "--degree", "1", "--n0", "16", "--levels", "3"])
@@ -334,8 +367,10 @@ def test_benchmark_entry_points_resolve(ops_quad_k1, ops_quad_k2):
     assert case.data_degree == 2
     assert all(callable(getattr(case, field)) for field in ("u", "p", "f", "g"))
     assert "condense" in inspect.signature(solve).parameters
-    # its "full vs condensed" check compares two different elimination sequences
-    for ops, n_steps in ((ops_quad_k1, 1), (ops_quad_k2, 2)):
+    # its "full vs condensed" check compares two different elimination sequences:
+    # the condensed one takes each velocity component's interior block, and at
+    # k >= 2 the non-constant pressures
+    for ops, n_steps in ((ops_quad_k1, 2), (ops_quad_k2, 3)):
         system = assemble(ops)
         assert factorize(system, condense=False).steps == []
         assert len(factorize(system).steps) == n_steps

@@ -39,12 +39,13 @@ def test_level_profile_demo(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["level_profile.py", "perturbed-polygon", "2", "8"])
     out = _run("level_profile.py", capsys)
     rows = re.findall(r"^(\S+) +(\S+) s +(\S+) s +(\S+) MB +(\S+) MB$", out, re.MULTILINE)
-    stages = ["mesh", "ElementOps", "assemble", "project_case", "solve", "beta_h", "error_bundle"]
-    assert [row[0] for row in rows] == stages
+    stages = ["mesh", "ElementOps", "assemble", "project_case", "gstrf", "solve", "beta_h"]
+    assert [row[0] for row in rows] == stages + ["error_bundle"]
     times, collecting, resident, peak = (
         np.array([row[i] for row in rows], dtype=float) for i in (1, 2, 3, 4)
     )
     assert (times >= 0).all()
+    assert times[4] <= times[5] + 0.01  # the LU is part of the solve; printed to 2 decimals
     assert ((collecting >= 0) & (collecting <= times + 0.01)).all()  # printed to 3 and 2 decimals
     assert np.all(np.diff(peak) >= 0)  # a high-water mark
     assert not np.any(resident > peak)  # NaN where the resident set cannot be read

@@ -184,13 +184,17 @@ def test_condensed_system_size(ops_quad_k1, ops_quad_k2):
 
 
 def test_condensed_lu_fill_stays_low():
-    """The pressure elimination and the dissection order each keep the condensed LU's fill down."""
+    """The pressure elimination, the dissection order and the exact zeros of
+    the cell matrices each keep the condensed LU's fill down."""
     for family, degree, n, bound in [
-        # L+U by dissection, under COLAMD, and with only the interior
-        # velocities eliminated: 73,850, 134,868 and 505,826 here,
-        ("uniform-quad", 3, 8, 100_000),
+        # L+U by dissection: 70,294 here (73,900 with the rounding-level
+        # entries that global sparse products left in A); under COLAMD
+        # 134,868, and 505,826 with only the interior velocities eliminated,
+        ("uniform-quad", 3, 8, 70_294),
         # and 581,296, 972,373 and 7,754,721 here
         ("perturbed-polygon", 2, 16, 750_000),
+        # 719,407 (720,256 with those rounding-level entries)
+        ("hexagonal", 2, 16, 719_407),
     ]:
         system = assemble(ElementOps(generate_mesh(family, n), degree))
         assert solve(system).lu_fill <= bound, family
