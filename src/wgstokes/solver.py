@@ -211,15 +211,15 @@ def _condense(batch, nk, unknown, pressure, h_inv, sizes):
     """A batch's scaled cell saddle matrices, unknowns numbered by ``unknown`` and
     ``pressure``, less their leading blocks of ``sizes``: the steps' parts and the rest."""
     (n, _, nv), nlow = batch.dofs.shape, batch.b.shape[1]
-    l = np.arange(2 * nv + nlow)
-    K = np.zeros((n, len(l), len(l)))  # [[a, 0, -b_xᵀ], [0, a, -b_yᵀ], [-b_x, -b_y, 0]]
+    j = np.arange(2 * nv + nlow)
+    K = np.zeros((n, len(j), len(j)))  # [[a, 0, -b_xᵀ], [0, a, -b_yᵀ], [-b_x, -b_y, 0]]
     K[:, :nv, :nv], K[:, nv:-nlow, nv:-nlow] = batch.a.swapaxes(0, 1)
     K[:, -nlow:, :-nlow] = -batch.b.reshape(n, nlow, -1) * h_inv[batch.cells, None, None]
     K[:, :-nlow, -nlow:] = K[:, -nlow:, :-nlow].swapaxes(1, 2)
     index = np.concatenate([unknown[batch.dofs].reshape(n, -1), pressure[batch.cells]], axis=1)
     # the interior velocities, the non-constant pressures, then the rest
-    first = np.argsort(np.where(l < 2 * nv, 2 * (l % nv >= nk), 1 + (l == 2 * nv)), kind="stable")
-    K = K.reshape(n, -1).take((first[:, None] * len(l) + first).ravel(), axis=1).reshape(K.shape)
+    first = np.argsort(np.where(j < 2 * nv, 2 * (j % nv >= nk), 1 + (j == 2 * nv)), kind="stable")
+    K = K.reshape(n, -1).take((first[:, None] * len(j) + first).ravel(), axis=1).reshape(K.shape)
     index, parts = index[:, first], []
     for size, sign, name in sizes:
         K, W, G = _eliminate(K, size, sign, batch.cells, name)
