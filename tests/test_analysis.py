@@ -96,29 +96,18 @@ def test_triple_bar_of_zero(ops_quad_k1):
 
 
 @pytest.mark.parametrize(
-    "ops_name, count",
-    [
-        pytest.param(name, count, id=name)
-        for name, count in [
-            ("ops_quad_k1", 10),
-            ("ops_poly_k2", 20),
-            ("hostile_k1", 5),
-            ("hostile_k2", 5),
-            ("hostile_k3", 5),
-        ]
-    ],
+    "ops_name", ["ops_quad_k1", "ops_poly_k2", "hostile_k1", "hostile_k2", "hostile_k3"]
 )
-def test_triple_bar_squared_is_energy(ops_name, count, request):
-    """|||v|||² = v'Av equals the point-evaluation reference on `count`
-    random velocities: squares at k=1, perturbed polygons at k=2, and the
-    hostile mesh (nonconvex, collinear and hanging vertices)."""
+def test_triple_bar_squared_is_energy(ops_name, request):
+    """|||v|||² = v'Av equals the point-evaluation reference, on the hostile
+    mesh (nonconvex, collinear and hanging vertices) too."""
     if ops_name.startswith("hostile"):
         ops = ElementOps(request.getfixturevalue("hostile_mesh"), int(ops_name[-1]))
     else:
         ops = request.getfixturevalue(ops_name)
     A = assemble(ops).A
     rng = np.random.default_rng(31)
-    for _ in range(count):
+    for _ in range(5):
         v = WeakFunction.random(ops.dofmap, rng)
         energy = energy_at_points(ops, v)
         assert abs(v.coeffs @ (A @ v.coeffs) - energy) <= 1e-12 * max(energy, 1.0)

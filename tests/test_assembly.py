@@ -49,6 +49,25 @@ def test_shapes_and_free_dofs(system_quad_k1):
     assert len(system.free) + system.fixed_mask.sum() == dm.num_velocity_dofs
 
 
+def test_matrix_energy_matches_matrix_free(system_poly_k2):
+    system = system_poly_k2
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        v = WeakFunction.random(system.ops.dofmap, rng)
+        quad = float(v.coeffs @ (system.A @ v.coeffs))
+        direct = energy_at_points(system.ops, v)
+        assert abs(quad - direct) <= 1e-12 * max(abs(quad), 1.0)
+
+
+def test_energy_equals_triple_bar_squared(system_quad_k1):
+    system = system_quad_k1
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        v = WeakFunction.random(system.ops.dofmap, rng)
+        quad = float(v.coeffs @ (system.A @ v.coeffs))
+        assert abs(quad - energy_at_points(system.ops, v)) <= 1e-12 * max(quad, 1.0)
+
+
 def test_cauchy_schwarz(system_quad_k1):
     system = system_quad_k1
     rng = np.random.default_rng(12)
