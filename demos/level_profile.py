@@ -24,8 +24,9 @@ never falls: a stage that does not raise it ran below an earlier stage's
 peak.  The resident set (from /proc/self/statm, where it exists) is what
 the process holds once the stage is done; freed heap that the C library
 keeps shows there.  After the table come the cell count, the LU's fill,
-beta_h, the cell data rule's point count and points per cell, and the
-five errors.
+beta_h, the Lanczos steps of the pressure solve and of beta_h (counted
+around `wgstokes.solver.lanczos`), the cell data rule's point count and
+points per cell, and the five errors.
 """
 import gc
 import os
@@ -35,7 +36,7 @@ import time
 
 import numpy as np
 
-from wgstokes import solver
+from wgstokes import analysis, solver
 from wgstokes.analysis import discrete_inf_sup, error_bundle, project_case
 from wgstokes.assembly import assemble
 from wgstokes.cases import get_case
@@ -92,6 +93,17 @@ def stage(name, run):
 
 splu = solver.splu
 solver.splu = lambda *args, **kwargs: stage("gstrf", lambda: splu(*args, **kwargs))
+lanczos, beta_steps = analysis.lanczos, []
+
+
+def counted_lanczos(*args):
+    """beta_h's Lanczos, its step count kept."""
+    vectors, T = lanczos(*args)
+    beta_steps.append(len(T))
+    return vectors, T
+
+
+analysis.lanczos = counted_lanczos
 print(f"{family} k={degree} n={n}, taylor-trig")
 print(f"{'stage':<14}{'time':>10}{'gc':>10}{'resident':>12}{'peak':>12}")
 gc.callbacks.append(gc_clock)
@@ -109,5 +121,6 @@ errors = stage(
 )
 gc.callbacks.remove(gc_clock)
 print(f"cells {mesh.num_cells}, L+U {report.lu_fill:,}, beta_h {beta:.6f}")
+print(f"Lanczos steps: solve {report.lanczos_steps}, beta_h {beta_steps[0]}")
 print(f"cell data rule {data_points:,} points, {data_points / mesh.num_cells:.1f} per cell")
 print("  ".join(f"{name} {value:.6e}" for name, value in errors.as_dict().items()))

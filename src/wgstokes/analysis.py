@@ -8,9 +8,8 @@ points of its own.
 Conventions: `project_case` reads the exact fields, before the solve, on the
 data rules of ElementOps (one exactness for every field); errors between
 two discrete fields use the cell mass matrices, which are exact.
-The inf-sup constant, by contrast, is algebraic: an iterative eigensolve
-that reuses the factorization the level's solve already made, with the
-pressure mass's Cholesky factor applied cell by cell.
+The inf-sup constant, by contrast, is algebraic: a Lanczos eigensolve on
+the pressure operator of the level's solve, which applies its factor.
 """
 
 import csv
@@ -18,10 +17,10 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConfigurationError, SolverError
-from .solver import factorize
+from .errors import ConfigurationError
+from .solver import factorize, lanczos
 from .spaces import PressureFunction, WeakFunction
 
 # Relative accuracy asked of the Lanczos eigensolve behind beta_h.
@@ -154,42 +153,28 @@ def discrete_inf_sup(system, factor=None):
     """Discrete inf-sup constant of the assembled saddle system.
 
     beta_h² is the smallest eigenvalue of S_p q = lam M_p q over zero-mean
-    pressures, S_p = B_f A_ff⁻¹ B_fᵀ, M_p the pressure mass.  Solving the
-    pinned SaddleFactor (``factor`` from `solve`, else a new condensed
-    one: same result) with right-hand side [0; -r] gives p = T r, and
-    T S_p q = q - q_0 c for the constant pressure c.  With M_p = R Rᵀ and
-    z = Rᵀc / |Rᵀc|, Op = (I - zzᵀ) Rᵀ T R (I - zzᵀ) is symmetric, zero on
-    z and has eigenvalue 1/lam for every other eigenpair, so
-    beta_h = 1/sqrt(mu_max); Lanczos iteration (ARPACK) from a fixed start
-    vector finds mu_max.
+    pressures, S_p = B_f A_ff⁻¹ B_fᵀ, M_p the pressure mass: of the operator
+    that the pressure's Lanczos applies (``factor``, from `solve`, else a new
+    one: same result).  Lanczos from a fixed seeded start, the constant
+    projected out, stops when the smallest Ritz value θ has |β_j s_j| <=
+    INF_SUP_TOL·θ.  A start in the solve's Krylov space would miss modes
+    that a symmetric right-hand side leaves out.
     """
-    ops, n_p = system.ops, system.num_pressure_dofs
+    n_p = system.num_pressure_dofs
     if n_p < 2:
         raise ConfigurationError(
             f"the mesh has {n_p} pressure DOF and no nonzero zero-mean pressure; "
             "the inf-sup constant needs at least 2"
         )
-    if factor is None:
-        factor = factorize(system)
-    R = np.linalg.cholesky(ops.mass_low)  # one block per cell
-    cellwise = (len(R), -1, 1)
-    z = (R.swapaxes(1, 2) @ ops.dofmap.constant_pressure().reshape(cellwise)).ravel()
-    z /= np.linalg.norm(z)
+    factor = factor or factorize(system)
+    start, z = np.random.default_rng(0).standard_normal(n_p), factor.z
 
-    def apply(y):
-        y = y - z * (z @ y)
-        x = R.swapaxes(1, 2) @ factor.pressure(-(R @ y.reshape(cellwise)).ravel()).reshape(cellwise)
-        return x.ravel() - z * (z @ x.ravel())
+    def converged(T, beta):  # the smallest Ritz value θ, by its residual bound
+        theta, s = eigh_tridiagonal(np.diag(T), np.diag(T, 1), select="i", select_range=(0, 0))
+        return beta * abs(s[-1, 0]) <= INF_SUP_TOL * theta[0]
 
-    op = LinearOperator((n_p, n_p), matvec=apply, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n_p)
-    try:
-        mu = eigsh(op, k=1, which="LA", v0=v0, tol=INF_SUP_TOL, return_eigenvectors=False)
-    except ArpackNoConvergence as err:
-        raise SolverError(
-            f"inf-sup eigensolve did not converge on {n_p} pressure DOFs: {err}"
-        ) from err
-    return float(1.0 / np.sqrt(mu[0]))
+    _, T = lanczos(factor.operator, start - z * (z @ start), converged, z)
+    return float(np.sqrt(np.linalg.eigvalsh(T)[0]))
 
 
 # -- convergence rates -----------------------------------------------------

@@ -38,7 +38,7 @@ COMPAT_TOL = 1e-10
 class _CellBatch:
     """The cells (n,) with one side count, the velocity DOFs (n, 2, nv) of each
     component (interior block, then each side's edge block in loop order), a(., .)
-    on them (n, 2, nv, nv: one block, seen twice, unless set) and b(., .) (n, nlow, 2, nv)."""
+    on them (n, 2, nv, nv: one block, seen twice) and b(., .) (n, nlow, 2, nv)."""
 
     cells: np.ndarray
     dofs: np.ndarray
@@ -85,31 +85,19 @@ class SaddleSystem:
         self.free = np.nonzero(~fixed_mask)[0]
         self.num_velocity_dofs = ops.dofmap.num_velocity_dofs
         self.num_pressure_dofs = ops.dofmap.num_pressure_dofs
-        self._matrices, self._set = {}, {}
+        self._matrices = {}
 
     @cached_property
     def _cells(self):
-        """The cell matrices, one _CellBatch per side count, from the operator
-        stacks; a set A or B gives its entries, those that cells share split evenly."""
-        cells = _cell_matrices(self.ops)
-        for field, mat in self._set.items():
-            count = _scatter(mat.shape, [(1.0, *c.entries(field)) for c in cells])
-            for c in cells:
-                rows, cols = (x.ravel() for x in np.broadcast_arrays(*c.entries(field)))
-                values = np.asarray(mat[rows, cols] / count[rows, cols])
-                setattr(c, field, values.reshape(getattr(c, field).shape))
-        return cells
+        """The cell matrices, one _CellBatch per side count, from the operator stacks."""
+        return _cell_matrices(self.ops)
 
-    A = property(lambda self: self._matrix("a"), lambda self, A: self._matrix("a", A))
-    B = property(lambda self: self._matrix("b"), lambda self, B: self._matrix("b", B))
+    A = property(lambda self: self._matrix("a", self.num_velocity_dofs))
+    B = property(lambda self: self._matrix("b", self.num_pressure_dofs))
 
-    def _matrix(self, field, new=None):
-        """A or B, summed from the cell matrices on first read, or as set."""
-        if new is not None:
-            self._matrices[field] = self._set[field] = new
-            self.__dict__.pop("_cells", None)
-        elif field not in self._matrices:
-            rows = self.num_velocity_dofs if field == "a" else self.num_pressure_dofs
+    def _matrix(self, field, rows):
+        """A or B (read-only), summed from the cell matrices on first read."""
+        if field not in self._matrices:
             blocks = [(getattr(c, field), *c.entries(field)) for c in self._cells]
             self._matrices[field] = _scatter((rows, self.num_velocity_dofs), blocks)
         return self._matrices[field]
@@ -175,9 +163,13 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
 
 def _scatter(shape, families, fmt="csr"):
     """Sparse matrix summing (values, rows, columns) triples of broadcastable
-    arrays, duplicates added up; it stores no exact zeros."""
+    arrays, duplicates added up and entries at a negative row or column left
+    out; it stores no exact zeros."""
     flat = (map(np.ravel, np.broadcast_arrays(*family)) for family in families)
     vals, rows, cols = map(np.concatenate, zip(*flat))
+    if min(rows.min(initial=0), cols.min(initial=0)) < 0:
+        keep = (rows >= 0) & (cols >= 0)
+        vals, rows, cols = vals[keep], rows[keep], cols[keep]
     mat = sparse.coo_matrix((vals, (rows, cols)), shape=shape).asformat(fmt)
     mat.eliminate_zeros()
     return mat

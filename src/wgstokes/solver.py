@@ -1,33 +1,25 @@
-"""Saddle-point solves by cell-local elimination, then one sparse LU.
-
-The solved system couples the free velocity DOFs (interior blocks plus
-interior-edge blocks) with the pressure DOFs:
+"""Saddle-point solves: cell-local elimination, one scalar sparse LU, and
+the pressure by Lanczos.  The free velocities u_f and the pressures solve
 
     [ A_ff   -B_fᵀ ] [u_f]   [F_f - A_fx u_x]
-    [ -B_f    0    ] [ p ] = [    B_x u_x    ]
+    [ -B_f    0    ] [ p ] = [    B_x u_x    ],
 
-where x marks the eliminated Dirichlet DOFs.  The pressure is fixed only
-up to a constant, so pressure DOF 0 (the constant coefficient of cell 0)
-is pinned to zero by leaving it out of the solved unknowns; its equation
-follows from the others for compatible boundary data.  A shift by the
-pressure mean then sets the zero-mean gauge.  A SaddleFactor takes the
-interior velocities, then the non-constant pressures off each cell's dense
-saddle matrix, batched, sums what is left on the free edge velocities and
-one pressure per cell into one matrix, and factors that by sparse LU.
-What is left is a planar mesh graph, and the LU takes it in a nested
-dissection order of the cells (George, SIAM J. Numer. Anal. 10(2),
-1973) with each cell's pressure after the last of its edges, so no
-COLAMD ordering is run.  The pressures' zero diagonals have filled in by
-the time they are reached, and with each cell's pressures scaled by 1/h_T
-every pivot stays on the diagonal at every mesh size (as in de Niet &
-Wubs, IMA J. Numer. Anal. 29(1), 2009).  ``condense=False`` leaves the
-eliminations to the LU.  `solve` hands its factor back, so
-β_h needs no other.
-
-Right before each LU, glibc's ``malloc_trim(0)`` hands back the heap that
-assembly and the eliminations freed: SuperLU's factor could not reuse it
-and would land on top.  Without glibc (macOS, musl, Windows) the step is
-skipped; the arithmetic is the same either way.
+x marking the Dirichlet DOFs.  A_ff is one scalar form's matrix for each
+velocity component.  A CondensedFactor takes the cells' interior velocities
+off it and factors the SPD edge Schur complement S by one sparse LU with
+diagonal pivots, in a nested dissection order of the cells (George, SIAM J.
+Numer. Anal. 10(2), 1973).  The zero-mean pressure solves B_f A_ff⁻¹ B_fᵀ p
+= r by Lanczos-CG preconditioned by the pressure mass, against which that
+operator's spectrum lies in [β_h², 2]: the step count is bounded by the
+inf-sup constant, not by h (Verfürth, IMA J. Numer. Anal. 4, 1984).  A step
+is one two-column solve by S's factor; β_h is the same operator's.
+``condense=False``, the reference, factors the whole matrix in that order,
+with each cell's pressures after its last edge, scaled by 1/h_T to keep the
+pivots on the diagonal (de Niet & Wubs, IMA J. Numer. Anal. 29(1), 2009),
+and pressure DOF 0 pinned by leaving it out; it refines once and shifts p
+to zero mean.  Before each LU, glibc's ``malloc_trim(0)`` hands back the
+heap that assembly and the eliminations freed, which SuperLU's factor could
+not reuse; without glibc the step is skipped, with the same arithmetic.
 """
 
 import ctypes
@@ -45,11 +37,11 @@ from .spaces import PressureFunction, WeakFunction
 # Largest admissible relative algebraic residual of a solve.
 RESIDUAL_TOL = 1e-10
 
-# SuperLU keeps a diagonal pivot down to this fraction of its column's
-# largest entry.  In the dissection order, with each cell's pressures
-# scaled by its diameter, every diagonal pivot passes at every mesh size,
-# and thresholds from 0 to 0.01 give the same factor.
-PIVOT_THRESH = 0.01
+# The pressure's Lanczos stops at this relative mass-weighted residual.
+PRESSURE_TOL = 1e-13
+
+# Lanczos steps after which the pressure solve and beta_h give up.
+LANCZOS_CAP = 400
 
 
 try:  # glibc's malloc_trim; None where the C library has none, or cannot be opened
@@ -61,7 +53,7 @@ except (OSError, TypeError, AttributeError):
 
 @dataclasses.dataclass
 class SolveReport:
-    """Solution plus algebraic diagnostics and the SaddleFactor that produced them."""
+    """Solution plus algebraic diagnostics and the factor that produced them."""
 
     velocity: WeakFunction
     pressure: PressureFunction
@@ -73,8 +65,9 @@ class SolveReport:
     num_pressure: int
     num_reduced: int
     lu_fill: int
+    lanczos_steps: int
     wall_time: float
-    factor: "SaddleFactor"
+    factor: "CondensedFactor"
 
     def to_json(self):
         fields = dataclasses.fields(self)[2:-1]  # the diagnostics
@@ -82,7 +75,7 @@ class SolveReport:
 
 
 def solve(system, condense=True):
-    """Solve an assembled SaddleSystem with the SaddleFactor of `factorize`.
+    """Solve an assembled SaddleSystem with the factor of `factorize`.
 
     The report keeps the factor; drop it when done with it.
     """
@@ -95,15 +88,14 @@ def solve(system, condense=True):
 
     factor = factorize(system, condense)
     u[free], p = factor.solve(rhs_u, rhs_p)
-    # one refinement step on the free equations: LU rounding grows with the mesh
-    du, dp = factor.solve((system.load - A @ u + B.T @ p)[free], B @ u)
-    u[free] += du
-    p += dp
+    if not condense:  # one refinement step on the free equations: LU rounding grows with the mesh
+        du, dp = factor.solve((system.load - A @ u + B.T @ p)[free], B @ u)
+        u[free], p = u[free] + du, p + dp
 
     if not np.isfinite(u).all() or not np.isfinite(p).all():
         raise SolverError("solve produced non-finite values (singular system?)")
 
-    # pressure gauge: shift the pinned solution to zero mean (m @ p integrates p_h)
+    # pressure gauge: zero mean (m @ p integrates p_h), which the condensed p has to rounding
     mean = float(m @ p) / float(system.ops.mesh.areas.sum())
     p = p - mean * system.ops.dofmap.constant_pressure()
 
@@ -128,154 +120,185 @@ def solve(system, condense=True):
         condensed=condense,
         num_free_velocity=len(free),
         num_pressure=system.num_pressure_dofs,
-        num_reduced=factor.lu.shape[0] + 1,  # with the pinned pressure
+        num_reduced=factor.lu.shape[0] + (not condense),  # the full path's with the pinned pressure
         lu_fill=factor.lu.nnz,  # SuperLU's own count: factor.lu.L and .U are copies
+        lanczos_steps=factor.lanczos_steps,
         wall_time=time.perf_counter() - t0,
         factor=factor,
     )
 
 
-class SaddleFactor:
-    """Cell-local eliminations, then one sparse LU (in csc) of what they leave, K.
+def lanczos(apply, start, done, lock):
+    """Lanczos on the symmetric map `apply` from `start`, orthogonal to the unit
+    vector `lock`; each new vector is orthogonalized against `lock` and all
+    before it, until done(T, beta) holds for the tridiagonal T so far and the
+    next off-diagonal beta.  Returns the vectors (rows) and T; SolverError
+    after LANCZOS_CAP steps."""
+    V, alpha, beta = np.zeros((LANCZOS_CAP + 2, len(start))), [], []  # pages touched as reached
+    V[0], V[1] = lock, start / np.linalg.norm(start)
+    for j in range(1, LANCZOS_CAP + 1):
+        w = apply(V[j]) - (beta[-1] * V[j - 1] if beta else 0.0)
+        alpha.append(V[j] @ w)
+        w -= alpha[-1] * V[j]
+        w -= V[: j + 1].T @ (V[: j + 1] @ w)  # full reorthogonalization, against `lock` too
+        beta.append(float(np.linalg.norm(w)))
+        T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+        if done(T, beta[-1]):
+            return V[1 : j + 1], T
+        V[j + 1] = w / beta[-1]
+    raise SolverError(f"Lanczos reached its cap of {LANCZOS_CAP} steps on {len(start)} pressure DOFs")
 
-    Unknowns: the free velocities, the pressures and a slot reading 0 (fixed
-    velocities, pinned pressure, padding), scaled by ``scale``; ``order`` ends
-    with K's.  ``steps``: the `_eliminate` steps, each a padded batch over the
-    cells (eliminated unknowns, the rest, W, G, sign)."""
 
-    def __init__(self, K, order, steps, what, scale):
-        self.order, self.scale, self.steps = order, scale, steps
-        if malloc_trim is not None:
-            malloc_trim(0)  # the heap freed so far, back to the system before the LU maps its own
-        try:
-            self.lu = splu(
-                K,
-                permc_spec="NATURAL",
-                diag_pivot_thresh=PIVOT_THRESH,
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as err:  # singular factorization
-            raise SolverError(f"{what} factorization failed: {err}") from err
+class CondensedFactor:
+    """The interior velocities' cell eliminations, ``steps`` (one per component
+    and side count, batched over the cells: the eliminated unknowns, the rest, W, G), on
+    the free velocities, the pressures and a last slot reading 0; then one
+    sparse LU (in csc) of the edge Schur complement S, whose rows hold the
+    unknowns ``edges`` (n_S, 2) of each component.  With M_p = R Rᵀ, the
+    pressure operator R⁻¹ S_p R⁻ᵀ is ``D`` + C S⁻¹ Cᵀ, and ``z``, Rᵀ of the
+    constant pressure, normalized, is its null vector."""
 
-    def apply(self, f, skip=0):
-        """Solution for f: forward substitutions, LU solve, back substitutions.
+    def __init__(self, S, C, D, R_inv, steps, edges, z):
+        self.C, self.D, self.R_inv, self.steps, self.edges, self.z = C, D, R_inv, steps, edges, z
+        self.lanczos_steps, self.lu = 0, _lu(S, "condensed", 0.0)
 
-        The first `skip` steps must meet a zero block of f, and their
-        unknowns come out as 0: both of their substitutions are left out.
-        """
-        g, ws, steps = np.append(f, 0.0) * self.scale, [], self.steps[skip:]
-        for index, rest, W, G, sign in steps:
+    def _two(self, v):
+        """S⁻¹ on both components (v and the result: x, then y), one two-column solve."""
+        return self.lu.solve(v.reshape(2, -1).T).T.ravel()
+
+    def operator(self, y):
+        """R⁻¹ S_p R⁻ᵀ y."""
+        return self.D @ y + self.C @ self._two(self.C.T @ y)
+
+    def solve(self, rhs_u, rhs_p):
+        """Free velocity and zero-mean pressure, the pressure by Lanczos-CG."""
+        g, ws, p = np.concatenate([rhs_u, rhs_p, [0.0]]), [], slice(len(rhs_u), -1)
+        for index, rest, W, G in self.steps:
             ws.append(np.einsum("cij,cj->ci", W, g[index]))  # L⁻¹ f_c
-            g -= np.bincount(rest.ravel(), sign * np.einsum("cij,ci->cj", G, ws[-1]).ravel(), len(g))
-        x, lu_part = np.zeros(len(g)), self.order[len(self.order) - self.lu.shape[0] :]
-        x[lu_part] = self.lu.solve(g[lu_part])
-        for (index, rest, W, G, sign), w in zip(steps[::-1], ws[::-1]):
-            x[index] = sign * np.einsum("cji,cj->ci", W, w - np.einsum("cij,cj->ci", G, x[rest]))
-        return (x * self.scale)[:-1]
+            g -= np.bincount(rest.ravel(), np.einsum("cij,ci->cj", G, ws[-1]).ravel(), len(g))
+        x, g_e = np.zeros(len(g)), g[self.edges.T].ravel()
+        b = self.C @ self._two(g_e) - self.R_inv @ g[p]
+        b -= self.z * (self.z @ b)
+        y = np.zeros(len(b))
+        if b.any():
+            cg = lambda T: np.linalg.solve(T, np.eye(len(T))[0])  # T⁻¹e₁: y in the Lanczos basis
+            V, T = lanczos(self.operator, b, lambda T, beta: beta * abs(cg(T)[-1]) <= PRESSURE_TOL, self.z)
+            y, self.lanczos_steps = np.linalg.norm(b) * (V.T @ cg(T)), len(T)
+        x[p], x[self.edges.T] = self.R_inv.T @ y, self._two(g_e - self.C.T @ y).reshape(2, -1)
+        for (index, rest, W, G), w in zip(self.steps[::-1], ws[::-1]):
+            x[index] = np.einsum("cji,cj->ci", W, w - np.einsum("cij,cj->ci", G, x[rest]))
+        return x[: len(rhs_u)], x[p]
+
+
+class SaddleFactor:
+    """The sparse LU (in csc) of the whole free saddle matrix K, pressure 0
+    pinned: ``order`` lists K's unknowns (the free velocities, then the
+    pressures), ``scale`` scales them (1/h_T on cell T's pressures)."""
+
+    def __init__(self, K, order, scale):
+        self.order, self.scale, self.lanczos_steps = order, scale, 0
+        self.lu = _lu(K, "sparse", 0.01)  # diagonal pivots down to 0.01 of the column's largest: all pass
 
     def solve(self, rhs_u, rhs_p):
         """Free velocity and pressure, p[0] = 0; rhs_p[0], the pinned row, is unused."""
-        x = self.apply(np.concatenate([rhs_u, rhs_p]))
+        g, x = np.concatenate([rhs_u, rhs_p]) * self.scale, np.zeros(len(self.scale))
+        x[self.order] = self.lu.solve(g[self.order])
+        x *= self.scale
         return x[: len(rhs_u)], x[len(rhs_u) :]
 
-    def pressure(self, rhs_p):
-        """solve(0, rhs_p)'s pressure, bit for bit, without its velocity substitutions.
 
-        The leading positive definite steps (one per velocity component) eliminate
-        the interior velocities: they have a zero right-hand side and are not returned.
-        """
-        skip = sum(step[-1] > 0 for step in self.steps)
-        n_u = len(self.order) + 1 - len(rhs_p)  # the order leaves out the pinned pressure
-        return self.apply(np.concatenate([np.zeros(n_u), rhs_p]), skip)[n_u:]
-
-
-def _eliminate(K, n, sign, cells, name):
-    """Eliminate the leading n unknowns of a stack of symmetric cell matrices K,
-    whose block K_cc is sign·L Lᵀ in every cell.  With W = L⁻¹ and G = W K_cr,
-    returns the Schur complement K_rr - sign·GᵀG, W and G."""
+def _lu(M, what, pivot):
+    """SuperLU's factor of M in its own order, once the freed heap is handed back."""
+    if malloc_trim is not None:
+        malloc_trim(0)  # the heap freed so far, back to the system before the LU maps its own
     try:
-        L = np.linalg.cholesky(sign * K[:, :n, :n])
+        return splu(M, permc_spec="NATURAL", diag_pivot_thresh=pivot, options=dict(SymmetricMode=True))
+    except RuntimeError as err:  # singular factorization
+        raise SolverError(f"{what} factorization failed: {err}") from err
+
+
+def _cholesky(K, sign, cells, name):
+    """L Lᵀ = sign·K for a stack of symmetric cell blocks K, or a SolverError."""
+    try:
+        return np.linalg.cholesky(sign * K)
     except np.linalg.LinAlgError as err:
-        lowest = np.linalg.eigvalsh(sign * K[:, :n, :n])[:, 0]
+        lowest = np.linalg.eigvalsh(sign * K)[:, 0]
         c, kind = int(np.argmin(lowest)), "positive" if sign > 0 else "negative"
-        raise SolverError(
-            f"{name} block of cell {cells[c]} is not {kind} definite"
-            f" (eigenvalue {sign * lowest[c]:.3e})"
-        ) from err
-    W = np.linalg.inv(L)
-    G = W @ K[:, :n, n:]
-    return K[:, n:, n:] - sign * (G.swapaxes(1, 2) @ G), W, G
+        message = f"{name} block of cell {cells[c]} is not {kind} definite (eigenvalue {sign * lowest[c]:.3e})"
+        raise SolverError(message) from err
 
 
-def _condense(batch, nk, unknown, pressure, h_inv, sizes):
-    """A batch's scaled cell saddle matrices, unknowns numbered by ``unknown`` and
-    ``pressure``, less their leading blocks of ``sizes``: the steps' parts and the rest."""
-    (n, _, nv), nlow = batch.dofs.shape, batch.b.shape[1]
-    j = np.arange(2 * nv + nlow)
-    K = np.zeros((n, len(j), len(j)))  # [[a, 0, -b_xᵀ], [0, a, -b_yᵀ], [-b_x, -b_y, 0]]
-    K[:, :nv, :nv], K[:, nv:-nlow, nv:-nlow] = batch.a.swapaxes(0, 1)
-    K[:, -nlow:, :-nlow] = -batch.b.reshape(n, nlow, -1) * h_inv[batch.cells, None, None]
-    K[:, :-nlow, -nlow:] = K[:, -nlow:, :-nlow].swapaxes(1, 2)
+def _scalar_cells(batch, nk, unknown, pressure, R_inv):
+    """A batch's scalar cell matrix a, bordered by -b of both components, less
+    its interior block: with L Lᵀ that block, W = L⁻¹ and G = W K_ir, the
+    two components' steps, and the (values, rows, columns) of S, C, D, R⁻¹."""
+    (n, _, nv), low, R_inv = batch.dofs.shape, batch.b.shape[1], R_inv[batch.cells]
+    K = np.zeros((n, nv + 2 * low, nv + 2 * low))  # [[a, -b_xᵀ, -b_yᵀ], [-b_x, 0, 0], [-b_y, 0, 0]]
+    K[:, :nv, :nv] = batch.a[:, 0]
+    K[:, nv:, :nv] = -batch.b.swapaxes(1, 2).reshape(n, 2 * low, nv)
+    K[:, :nv, nv:] = K[:, nv:, :nv].swapaxes(1, 2)
+    W = np.linalg.inv(_cholesky(K[:, :nk, :nk], 1, batch.cells, "interior"))
+    G = W @ K[:, :nk, nk:]
+    K, m = K[:, nk:, nk:] - G.swapaxes(1, 2) @ G, nv - nk  # on the edges, then the x and y pressures
+    D = -(K[:, m : m + low, m : m + low] + K[:, m + low :, m + low :])  # B_i A_ii⁻¹ B_iᵀ
+    _cholesky(-D[:, 1:, 1:], -1, batch.cells, "pressure")  # the interior controls the non-constant p
+    steps, rows, edges = [], pressure[batch.cells], unknown[batch.dofs[:, :, nk:]]
+    for c in range(2):  # the component's edges, then the cell's pressures
+        rest, cols = np.concatenate([edges[:, c], rows], axis=1), np.r_[:m, m + c * low : m + (c + 1) * low]
+        steps.append((unknown[batch.dofs[:, c, :nk]], rest, W, G[:, :, cols]))
+    C = R_inv @ K[:, m:, :m].reshape(n, 2, low, m).swapaxes(1, 2).reshape(n, low, 2 * m)
+    edges, rows, cols = edges.reshape(n, -1), rows[..., None], rows[:, None]
+    blocks = [(K[:, :m, :m], edges[:, :m, None], edges[:, None, :m]), (C, rows, edges[:, None])]
+    return steps, blocks + [(R_inv @ D @ R_inv.swapaxes(1, 2), rows, cols), (R_inv, rows, cols)]
+
+
+def _saddle_cells(batch, unknown, pressure, h_inv):
+    """A batch's cell saddle matrices, each cell's pressures scaled by h_inv, as
+    (values, rows, columns) of K, the unknowns numbered by ``unknown`` and ``pressure``."""
+    (n, _, nv), low = batch.dofs.shape, batch.b.shape[1]
+    K = np.zeros((n, 2 * nv + low, 2 * nv + low))  # [[a, 0, -b_xᵀ], [0, a, -b_yᵀ], [-b_x, -b_y, 0]]
+    K[:, :nv, :nv], K[:, nv:-low, nv:-low] = batch.a.swapaxes(0, 1)
+    K[:, -low:, :-low] = -batch.b.reshape(n, low, -1) * h_inv[batch.cells, None, None]
+    K[:, :-low, -low:] = K[:, -low:, :-low].swapaxes(1, 2)
     index = np.concatenate([unknown[batch.dofs].reshape(n, -1), pressure[batch.cells]], axis=1)
-    # the interior velocities, the non-constant pressures, then the rest
-    first = np.argsort(np.where(j < 2 * nv, 2 * (j % nv >= nk), 1 + (j == 2 * nv)), kind="stable")
-    K = K.reshape(n, -1).take((first[:, None] * len(j) + first).ravel(), axis=1).reshape(K.shape)
-    index, parts = index[:, first], []
-    for size, sign, name in sizes:
-        K, W, G = _eliminate(K, size, sign, batch.cells, name)
-        live = G.any(axis=(0, 1))  # G keeps no column that is zero in every cell
-        parts.append((index[:, :size], index[:, size:][:, live], W, G[:, :, live]))
-        index = index[:, size:]
-    return parts, (K, index[:, :, None], index[:, None, :])
-
-
-def _pad(stacks, value):
-    """The stacks joined along axis 0, each padded with ``value`` to the widest last axis."""
-    width = max(x.shape[-1] for x in stacks)
-    pads = [np.full(x.shape[:-1] + (width - x.shape[-1],), value) for x in stacks]
-    return np.concatenate([np.concatenate(pair, axis=-1) for pair in zip(stacks, pads)])
+    return [], [(K, index[:, :, None], index[:, None, :])]
 
 
 def factorize(system, condense=True):
-    """The SaddleFactor of the free saddle equations, condensed or not.
+    """The factor of the free saddle equations, condensed or not.
 
-    The interior velocities couple only within their cell, where their block
-    is SPD; what is left of a cell's pressure block, -B_i A_ii⁻¹ B_iᵀ, is negative
-    definite on its non-constant pressures: for v_b = 0, (∇_w·v, q) = -(v₀, ∇q).
-    So each cell sheds both (one step per velocity component; none for k=1
-    pressures), batched by side count, and what the cells leave is summed into
-    K in one coordinate pass, in `_dissection`'s order: the free edge DOFs, each
-    cell's constant pressure after its last edge (cell 0's is pinned).  Without
-    condensing there are no steps: K sums the whole cell matrices, the interior
-    velocities first and all of a cell's pressures after its last edge.
-
-    Cell T's pressures are scaled by 1/h_T.  A pressure pivot, -bᵀA⁻¹b, is
-    O(h²) and its column's largest entry, a coupling to an edge velocity,
-    O(h), so unscaled the pivot ratio falls like h; scaled, both are O(1).
+    Each cell sheds its interior velocities (an SPD block of a) by one
+    Cholesky factor for both components, batched by side count.  What the
+    cells leave, less the fixed edges, is summed in one coordinate pass
+    each: on one component's edges into S, the pressures' couplings to the
+    edges into C and the pressure blocks into D.  Without condensing, K sums
+    the whole cell matrices, cell 0's constant pressure left out (pinned).
     """
     ops, dm, mesh = system.ops, system.ops.dofmap, system.ops.mesh
-    n_f, n_p, nlow = len(system.free), system.num_pressure_dofs, dm.dim_cell_low
+    n_f, n_p, low = len(system.free), system.num_pressure_dofs, dm.dim_cell_low
     p = n_f + np.arange(n_p).reshape(mesh.num_cells, -1)
-    kept = 1 if condense else nlow  # pressures per cell left to the LU
-    tail = _dissection(ops, p[:, :kept])
-    order = np.concatenate([np.arange(dm.interior_size), p[:, kept:].ravel(), tail])
-    dummy = p.flat[0] = n_f + n_p  # the fixed velocities and the pinned pressure
+    tail = _dissection(ops, p[:, : 0 if condense else low])
+    dummy, where = n_f + n_p, np.full(n_f + n_p + 1, -1)  # dummy: the fixed velocities (and pinned p)
     unknown = np.where(system.fixed_mask, dummy, np.cumsum(~system.fixed_mask) - 1)
-    sizes = [(dm.dim_cell, 1, "interior")] * 2 + [(nlow - 1, -1, "pressure")] * (nlow > 1)
-    sizes, lu_part = (sizes, tail) if condense else ([], order)
-    args = (dm.dim_cell, unknown, p, 1 / mesh.diameters, sizes)
-    parts, left = zip(*(_condense(batch, *args) for batch in system._cells))
+    if condense:  # where: a pressure's number, an edge unknown's column in C (x: S's row)
+        edges = tail.reshape(-1, 2, dm.dim_edge).swapaxes(1, 2).reshape(-1, 2)
+        where[edges.T], where[n_f:dummy] = np.arange(edges.size).reshape(2, -1), np.arange(n_p)
+        R_inv = np.linalg.inv(R := np.linalg.cholesky(ops.mass_low))
+        cells = (_scalar_cells(c, dm.dim_cell, unknown, p, R_inv) for c in system._cells)
+        shapes = [(len(edges),) * 2, (n_p, edges.size)] + [(n_p, n_p)] * 2
+    else:  # where: the row of K
+        order, p.flat[0] = np.concatenate([np.arange(dm.interior_size), tail]), dummy
+        where[order] = np.arange(len(order))
+        cells = (_saddle_cells(c, unknown, p, 1 / mesh.diameters) for c in system._cells)
+        shapes = [(len(order),) * 2]
+    steps, left = zip(*cells)
     del system._cells  # not held under the LU; the next read builds them again
-    row = np.full(dummy + 1, len(lu_part), np.int32)  # unknowns outside K: a last row and column
-    row[lu_part] = np.arange(len(lu_part))
-    K = _scatter((len(lu_part) + 1,) * 2, [(R, row[i], row[j]) for R, i, j in left], "csc")[:-1, :-1]
-    steps = [
-        (*map(_pad, zip(*step), (dummy, dummy, 0.0, 0.0)), sign)
-        for step, (_, sign, _) in zip(zip(*parts), sizes)
-    ]
-    del left, parts  # the cell stacks go before the LU
-    scale = np.concatenate([np.ones(n_f), np.repeat(1 / mesh.diameters, nlow), [0.0]])
-    return SaddleFactor(K, order, steps, "condensed" if condense else "sparse", scale)
+    mats = [_scatter(s, [(M, where[i], where[j]) for M, i, j in b], "csc") for s, b in zip(shapes, zip(*left))]
+    del left
+    if not condense:
+        return SaddleFactor(mats[0], order, np.concatenate([np.ones(n_f), np.repeat(1 / mesh.diameters, low)]))
+    z = R[:, 0].ravel()  # Rᵀ of the constant pressure: each cell's first scaled monomial is 1
+    return CondensedFactor(*mats, sum(steps, []), edges, z / np.linalg.norm(z))
 
 
 def _dissection(ops, cell_unknowns):

@@ -251,6 +251,29 @@ def test_inf_sup_convergence():
     assert elapsed < 10.0
 
 
+def test_pressure_steps_flat():
+    """The pressure solve's Lanczos-CG step count, mass-preconditioned, stays
+    flat as h falls on perturbed polygons at k=2: the algebraic face of the
+    uniform inf-sup bound (M_p⁻¹S_p has its spectrum in [β_h², 2])."""
+    t0 = time.perf_counter()
+    case = get_case("taylor-trig")
+    steps = []
+    for n in (8, 16, 32, 64):
+        ops = ElementOps(generate_mesh("perturbed-polygon", n, seed=0), 2)
+        steps.append(solve(assemble(ops, body_force=case.f, boundary_velocity=case.g)).lanczos_steps)
+    elapsed = time.perf_counter() - t0
+    ok = max(steps) <= 45 and steps[-1] <= 1.3 * steps[0] and elapsed < 10.0
+    record_acceptance(
+        "pressure-steps-flat",
+        ok,
+        elapsed,
+        f"Lanczos steps at n=8..64 {steps} (at most 45, n=64 at most 1.3x n=8)",
+    )
+    assert max(steps) <= 45, steps
+    assert steps[-1] <= 1.3 * steps[0], steps
+    assert elapsed < 10.0
+
+
 def test_error_equation_residual(sweep):
     """The projected-error identity holds on every solved study level."""
     t0 = time.perf_counter()
@@ -379,4 +402,4 @@ def test_projection_rates():
         f"6 slopes fitted, min headroom {worst:+.3f}" + (f"; misses: {failures}" if failures else ""),
     )
     assert not failures, failures
-    assert elapsed < 20.0
+    assert elapsed < 10.0

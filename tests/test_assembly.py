@@ -197,10 +197,11 @@ def test_polygon_divergence_keeps_no_odd_edge_remainders():
     centroids from absolute-coordinate shoelace sums, 94,304 as the mass
     times the divergence rows of G, 95,470 on the 2- and 3-point scheme
     rules, 100,040 on the one 7-point table without the rounding cut), and
-    the LU fill is unchanged."""
+    the scalar factor's L+U stays at most 684,582 (the condensed saddle
+    matrix's was 3,488,232)."""
     system = assemble(ElementOps(generate_mesh("perturbed-polygon", 32, seed=0), 2))
     assert system.B.nnz <= 67_604
-    assert solve(system).lu_fill == 3_488_232
+    assert solve(system).lu_fill <= 684_582
 
 
 @pytest.mark.parametrize("family, degree", [("perturbed-polygon", 2), ("hexagonal", 3)])

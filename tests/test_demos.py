@@ -50,6 +50,8 @@ def test_level_profile_demo(capsys, monkeypatch):
     assert np.all(np.diff(peak) >= 0)  # a high-water mark
     assert not np.any(resident > peak)  # NaN where the resident set cannot be read
     assert 0 < float(re.search(r"beta_h (\S+)", out).group(1)) < 1
+    steps = re.search(r"^Lanczos steps: solve (\d+), beta_h (\d+)$", out, re.MULTILINE)
+    assert all(int(count) > 0 for count in steps.groups())
     kept = float(re.search(r"^ElementOps keeps (\S+) MB$", out, re.MULTILINE).group(1))
     assert 0 < kept < peak[1]  # printed right after the ElementOps row
     # 6,419 points over 64 cells: one 49-point piece per pair of fan triangles

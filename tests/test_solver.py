@@ -5,7 +5,6 @@ import platform
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from conftest import dof_indices, full_solve
@@ -116,37 +115,58 @@ def test_condensed_solve_matches_full(family, degree, n, seed, request):
     assert red.condensed and not full.condensed
 
 
+def _corrupt_cell(system, cell, field, change):
+    """Apply ``change`` to the ``field`` (a or b) of one cell in the system's cell batches."""
+    for batch in system._cells:
+        if cell in batch.cells:
+            values = np.array(getattr(batch, field))
+            change(values[np.flatnonzero(batch.cells == cell)[0]])
+            setattr(batch, field, values)
+
+
 def test_condensed_solve_names_indefinite_cell(ops_quad_k1):
     case = get_case("taylor-trig")
     system = assemble(ops_quad_k1, body_force=case.f, boundary_velocity=case.g)
-    A = system.A.tocsr(copy=True)
-    idx = dof_indices(ops_quad_k1.dofmap)[0][5].ravel()
-    A[idx, idx] = -np.abs(A.diagonal()[idx])
-    system.A = A
+    interior = np.arange(ops_quad_k1.dofmap.dim_cell)
+
+    def negate(a):  # the interior diagonal of both components' (one) block
+        a[:, interior, interior] = -np.abs(a[:, interior, interior])
+
+    _corrupt_cell(system, 5, "a", negate)
     with pytest.raises(SolverError, match=r"interior block of cell 5 "):
         solve(system)
 
 
 def test_condensed_solve_names_singular_pressure_cell(ops_quad_k2):
-    """Without divergence rows a cell's non-constant pressures have a zero block."""
+    """Without divergence rows a cell's non-constant pressures have a zero block:
+    the interior velocities no longer control them."""
     system = assemble(ops_quad_k2)
-    keep = np.ones(system.num_pressure_dofs)
-    low = ops_quad_k2.dofmap.dim_cell_low
-    keep[6 * low + 1 : 7 * low] = 0.0
-    system.B = (sparse.diags(keep) @ system.B).tocsr()
+
+    def drop_rows(b):  # the cell's non-constant pressure rows
+        b[1:] = 0.0
+
+    _corrupt_cell(system, 6, "b", drop_rows)
     with pytest.raises(SolverError, match=r"pressure block of cell 6 is not negative definite "):
         solve(system)
 
 
 @pytest.mark.parametrize("condense", [True, False])
 def test_pinned_pressure_is_left_out(ops_quad_k2, condense):
-    """The factor returns p[0] = 0 exactly and never reads rhs_p[0]."""
+    """The full factor returns p[0] = 0 exactly and never reads rhs_p[0].  The
+    condensed one pins nothing: its pressure has zero mean, and it never reads
+    the part of rhs_p along the pressure moments, which only the mean would meet."""
     system = assemble(ops_quad_k2)
     factor = factorize(system, condense)
     rng = np.random.default_rng(0)
     rhs_u, rhs_p = rng.standard_normal(len(system.free)), rng.standard_normal(system.num_pressure_dofs)
     u, p = factor.solve(rhs_u, rhs_p)
-    assert p[0] == 0.0 and np.abs(p).max() > 0
+    assert np.abs(p).max() > 0
+    if condense:
+        assert abs(system.pressure_moments @ p) <= 1e-13 * np.abs(p).max()
+        u2, p2 = factor.solve(rhs_u, rhs_p + system.pressure_moments)
+        assert np.allclose(u, u2, rtol=0, atol=1e-12) and np.allclose(p, p2, rtol=0, atol=1e-12)
+        return
+    assert p[0] == 0.0
     rhs_p[0] += 1.0
     u2, p2 = factor.solve(rhs_u, rhs_p)
     assert np.array_equal(u, u2) and np.array_equal(p, p2)
@@ -155,13 +175,37 @@ def test_pinned_pressure_is_left_out(ops_quad_k2, condense):
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("condense", [True, False])
 def test_pressure_alone_matches_solve(degree, condense):
-    """The pressure-only path, which skips the interior velocities'
-    substitutions, gives solve's pressure bit for bit."""
+    """The pressure Schur complement S_p = B_f A_ff⁻¹ B_fᵀ of the global matrices
+    is what each path works with: the condensed factor's Lanczos operator,
+    which never substitutes for the interior velocities, is R⁻¹ S_p R⁻ᵀ
+    (M_p = R Rᵀ), and the full factor's pinned pressure p solves S_p p = -rhs_p
+    on every row but the pinned one."""
     system = assemble(ElementOps(generate_mesh("perturbed-polygon", 4), degree))
+    free, B = system.free, system.B.toarray()
+    B_f = B[:, free]
+    S_p = B_f @ np.linalg.solve(system.A[free][:, free].toarray(), B_f.T)
     factor = factorize(system, condense)
-    rhs_p = np.random.default_rng(1).standard_normal(system.num_pressure_dofs)
-    p = factor.solve(np.zeros(len(system.free)), rhs_p)[1]
-    assert np.array_equal(factor.pressure(rhs_p), p) and np.abs(p).max() > 0
+    rng = np.random.default_rng(1)
+    if condense:
+        R = np.linalg.cholesky(system.pressure_mass().toarray())
+        y = rng.standard_normal(system.num_pressure_dofs)
+        expected = np.linalg.solve(R, S_p @ np.linalg.solve(R.T, y))
+        assert np.abs(factor.operator(y) - expected).max() <= 1e-12 * np.abs(expected).max()
+        return
+    rhs_p = rng.standard_normal(system.num_pressure_dofs)
+    p = factor.solve(np.zeros(len(free)), rhs_p)[1]
+    assert np.abs(p).max() > 0
+    assert np.abs((S_p @ p + rhs_p)[1:]).max() <= 1e-10 * np.abs(rhs_p).max()
+
+
+def test_lanczos_cap_is_typed(monkeypatch):
+    """A pressure solve that reaches the Lanczos cap raises SolverError with the
+    step count and the pressure DOF count."""
+    case = get_case("taylor-trig")
+    system = assemble(ElementOps(generate_mesh("uniform-quad", 4), 2), body_force=case.f, boundary_velocity=case.g)
+    monkeypatch.setattr(solver, "LANCZOS_CAP", 3)
+    with pytest.raises(SolverError, match=f"cap of 3 steps on {system.num_pressure_dofs} pressure DOFs"):
+        solve(system)
 
 
 def test_residual_above_tolerance_raises(ops_quad_k1, monkeypatch):
@@ -173,28 +217,29 @@ def test_residual_above_tolerance_raises(ops_quad_k1, monkeypatch):
 
 
 def test_condensed_system_size(ops_quad_k1, ops_quad_k2):
-    """The reduced system keeps the free edge DOFs and one pressure per cell,
-    at k=1 (all pressures) and at k=2 (the constant ones)."""
+    """The factored system keeps one velocity component's free edge DOFs and no
+    cell unknowns, at k=1 and at k=2: the scalar S serves both components."""
     for ops in (ops_quad_k1, ops_quad_k2):
         report = solve(assemble(ops))
         n_interior_edges = int((~ops.mesh.boundary_edges).sum())
-        expected = 2 * ops.dofmap.dim_edge * n_interior_edges + ops.mesh.num_cells
-        assert report.num_reduced == expected
+        expected = ops.dofmap.dim_edge * n_interior_edges
+        assert report.num_reduced == expected == report.factor.lu.shape[0]
         assert np.allclose(report.velocity.coeffs, 0.0, atol=1e-13)
 
 
 def test_condensed_lu_fill_stays_low():
-    """The pressure elimination, the dissection order and the exact zeros of
-    the cell matrices each keep the condensed LU's fill down."""
+    """The scalar factor of one component's edge Schur complement, in the
+    dissection order, keeps the condensed LU's fill down."""
     for family, degree, n, bound in [
-        # L+U by dissection: 70,294 here (73,900 with the rounding-level
-        # entries that global sparse products left in A); under COLAMD
-        # 134,868, and 505,826 with only the interior velocities eliminated,
-        ("uniform-quad", 3, 8, 70_294),
-        # and 581,296, 972,373 and 7,754,721 here
-        ("perturbed-polygon", 2, 16, 750_000),
-        # 719,407 (720,256 with those rounding-level entries)
-        ("hexagonal", 2, 16, 719_407),
+        # L+U of S: 14,626 here; the condensed saddle matrix of both components
+        # and one pressure per cell had 70,294 by dissection, 134,868 under
+        # COLAMD and 505,826 with only the interior velocities eliminated,
+        ("uniform-quad", 3, 8, 14_626),
+        # 116,430 here (581,296, 972,373 and 7,754,721),
+        ("perturbed-polygon", 2, 16, 116_430),
+        # and 144,128 here (719,407), of which 1,654 of S's 32,608 entries are
+        # below 1e-14 of its largest
+        ("hexagonal", 2, 16, 144_128),
     ]:
         system = assemble(ElementOps(generate_mesh(family, n), degree))
         assert solve(system).lu_fill <= bound, family
@@ -212,23 +257,27 @@ def test_condensed_lu_fill_stays_low():
 )
 @pytest.mark.parametrize("condense", [True, False])
 def test_lu_keeps_diagonal_pivots(mesh, degree, condense, request):
-    """In the dissection order SuperLU interchanges no rows, condensed or not."""
+    """In the dissection order SuperLU interchanges no rows, condensed or not,
+    and the condensed factor's pivots are positive: S is SPD."""
     mesh = request.getfixturevalue(mesh) if isinstance(mesh, str) else generate_mesh(*mesh)
     lu = factorize(assemble(ElementOps(mesh, degree)), condense).lu
     assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
+    assert np.array_equal(lu.perm_c, np.arange(lu.shape[0]))
+    if condense:
+        assert (lu.U.diagonal() > 0).all()
 
 
 def test_pressure_pivots_keep_their_scale():
-    """With each cell's pressures scaled by its diameter, the condensed LU's
+    """With each cell's pressures scaled by its diameter, the full LU's
     smallest pressure pivot ratio, 1 / max |L_ij| over the pressure columns,
     stays above 0.1 and does not fall with h (unscaled it halves with h)."""
     ratios = []
     for n in (8, 16, 32):
         system = assemble(ElementOps(generate_mesh("uniform-quad", n), 2))
-        factor = factorize(system)
+        factor = factorize(system, condense=False)
         lu = factor.lu
         assert np.array_equal(lu.perm_c, np.arange(lu.shape[0]))
-        pressure = factor.order[len(factor.order) - lu.shape[0] :] >= len(system.free)
+        pressure = factor.order >= len(system.free)
         largest = abs(lu.L.tocsc()).max(axis=0).toarray().ravel()  # unit diagonal included
         ratios.append(1 / largest[pressure].max())
     assert min(ratios) > 0.1, ratios
@@ -263,19 +312,27 @@ def test_dissection_order():
     """The LU's order of the edge DOFs and cell pressures: a permutation,
     reproducible, each edge's DOFs together, each cell's pressures after all
     of its free edges, and the first split's separator (the interior edges
-    on x = 1/2) last among the edges."""
+    on x = 1/2) last among the edges.  The condensed factor orders one
+    component's edges the same way, those of the other alongside, and no
+    cell unknowns."""
     mesh = generate_mesh("uniform-quad", 16)
     system = assemble(ElementOps(mesh, 2))
     n_f, n_p, dofmap = len(system.free), system.num_pressure_dofs, system.ops.dofmap
     de, interior_edges = 2 * dofmap.dim_edge, np.flatnonzero(~mesh.boundary_edges)
     middle = interior_edges[np.all(mesh.vertices[mesh.edges[interior_edges], 0] == 0.5, axis=1)]
     assert len(middle) == 16
-    for condense, kept in [(True, 1), (False, dofmap.dim_cell_low)]:
-        order = factorize(system, condense).order
-        assert np.array_equal(order, factorize(system, condense).order)
-        pinned = n_f  # pressure 0
-        assert np.array_equal(np.sort(order), np.delete(np.arange(n_f + n_p), pinned))
-        tail = order[len(order) - len(interior_edges) * de - mesh.num_cells * kept + 1 :]
+    edges = factorize(system).edges
+    assert np.array_equal(edges, factorize(system).edges)
+    assert np.array_equal(np.sort(edges.ravel()), np.arange(dofmap.interior_size, n_f))
+    assert np.array_equal(edges[:, 1] - edges[:, 0], np.full(len(edges), dofmap.dim_edge))
+    condensed = edges.reshape(-1, dofmap.dim_edge, 2).transpose(0, 2, 1).ravel()
+    for condense, kept in [(True, 0), (False, dofmap.dim_cell_low)]:
+        order = factorize(system, condense).order if not condense else condensed
+        if not condense:
+            assert np.array_equal(order, factorize(system, condense).order)
+            pinned = n_f  # pressure 0
+            assert np.array_equal(np.sort(order), np.delete(np.arange(n_f + n_p), pinned))
+        tail = order[len(order) - len(interior_edges) * de - mesh.num_cells * kept + (kept > 0) :]
         is_edge = tail < n_f
         assert tail[is_edge].min() >= dofmap.interior_size
         edge = np.full(len(tail), -1)
@@ -283,15 +340,17 @@ def test_dissection_order():
         cell = np.where(is_edge, -1, (tail - n_f) // dofmap.dim_cell_low)
         for c in range(mesh.num_cells):
             mine = np.flatnonzero(cell == c)
-            assert len(mine) == kept - (c == 0)
-            edges = np.flatnonzero(np.isin(edge, mesh.side_edge[mesh.side_cell == c]))
-            assert mine.min(initial=len(tail)) > edges.max()
-        edges = edge[is_edge].reshape(-1, de)
-        assert (edges == edges[:, :1]).all()
-        assert np.array_equal(np.sort(edges[-len(middle) :, 0]), middle)
+            assert len(mine) == max(kept - (c == 0), 0)
+            edges_here = np.flatnonzero(np.isin(edge, mesh.side_edge[mesh.side_cell == c]))
+            assert mine.min(initial=len(tail)) > edges_here.max()
+        by_edge = edge[is_edge].reshape(-1, de)
+        assert (by_edge == by_edge[:, :1]).all()
+        assert np.array_equal(np.sort(by_edge[-len(middle) :, 0]), middle)
 
 
 def test_report_serializes(system_quad_k1):
+    """Both paths' diagnostics go to JSON, the Lanczos step count with them:
+    none on the full path, and on the condensed one as many as the solve took."""
     report = solve(system_quad_k1, condense=False)
     blob = json.loads(report.to_json())
     assert blob["condensed"] is False
@@ -300,6 +359,12 @@ def test_report_serializes(system_quad_k1):
     assert blob["lu_fill"] == report.factor.lu.nnz > blob["num_reduced"]
     assert blob["residual"] <= 1e-10
     assert blob["wall_time"] > 0
+    assert blob["lanczos_steps"] == 0
+    case = get_case("taylor-trig")
+    report = solve(assemble(system_quad_k1.ops, body_force=case.f, boundary_velocity=case.g))
+    blob = json.loads(report.to_json())
+    assert blob["condensed"] is True and blob["lanczos_steps"] == report.lanczos_steps > 0
+    assert blob["num_reduced"] == report.factor.lu.shape[0] and blob["lu_fill"] == report.factor.lu.nnz
 
 
 def test_residuals_reported_small(ops_quad_k2):
