@@ -67,7 +67,7 @@ class SolveReport:
     lu_fill: int
     lanczos_steps: int
     wall_time: float
-    factor: "CondensedFactor"
+    factor: "CondensedFactor | SaddleFactor"
 
     def to_json(self):
         fields = dataclasses.fields(self)[2:-1]  # the diagnostics

@@ -294,9 +294,10 @@ def test_inf_sup_positive_and_family_consistent():
     + [("hostile", k, 1) for k in (1, 2, 3)],
 )
 def test_inf_sup_matches_dense_oracle(family, degree, n, request):
-    """Lanczos on the solve's factor, on a new one and on one from `factorize`
-    gives the dense beta_h, on every mesh family and degree and on the
-    nonconvex cell with a hanging node."""
+    """Lanczos on the solve's factor, on a new one, on one from `factorize`
+    and on a new one in place of a full-path factor gives the dense beta_h,
+    on every mesh family and degree and on the nonconvex cell with a
+    hanging node."""
     if family == "hostile":
         mesh = request.getfixturevalue("hostile_mesh")
     else:
@@ -304,7 +305,7 @@ def test_inf_sup_matches_dense_oracle(family, degree, n, request):
     system = assemble(ElementOps(mesh, degree))
     expected = dense_inf_sup(system)
     assert discrete_inf_sup(system) == pytest.approx(expected, rel=1e-8)
-    for factor in (solve(system).factor, factorize(system)):
+    for factor in (solve(system).factor, factorize(system), factorize(system, condense=False)):
         assert discrete_inf_sup(system, factor) == pytest.approx(expected, rel=1e-8)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from conftest import dof_indices, full_solve
+from conftest import full_solve
 from wgstokes import solver
 from wgstokes.assembly import assemble
 from wgstokes.cases import get_case
