@@ -9,10 +9,10 @@ free edge unknowns; the pressures are left to a Lanczos-CG on the
 pressure Schur complement, preconditioned by the pressure mass.  For each
 mesh the demo prints the unknown count of the full saddle system and the
 order of the factored matrix, the Lanczos steps, the L+U fill of the full
-LU (``condense=False``: one LU of the whole saddle matrix, in the same
-dissection order with each cell's pressures after its last edge) and of
-the scalar one, the largest coefficient gap between the two solutions
-(rounding level), and the wall time of each solve.
+LU (``condense=False``: SuperLU's own LU of the whole saddle matrix, in
+its COLAMD order with partial pivoting) and of the scalar one, the
+largest coefficient gap between the two solutions (rounding level), and
+the wall time of each solve.
 """
 import numpy as np
 
@@ -40,7 +40,7 @@ for degree in (1, 2):
         print(
             f"  n={n:<3d} unknowns {n_full} -> {red.num_reduced} factored "
             f"({100 * red.num_reduced / n_full:.0f}%), {red.lanczos_steps} Lanczos steps  "
-            f"L+U {full.lu_fill} -> {red.lu_fill}\n"
+            f"L+U {full.lu_fill} (COLAMD) -> {red.lu_fill} (scalar S)\n"
             f"         max DOF gap {gap:.2e}  "
             f"wall {full.wall_time * 1e3:.1f}ms -> {red.wall_time * 1e3:.1f}ms"
         )

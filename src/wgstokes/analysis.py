@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigurationError
-from .solver import CondensedFactor, factorize, lanczos
+from .solver import factorize, lanczos
 from .spaces import PressureFunction, WeakFunction
 
 # Relative accuracy asked of the Lanczos eigensolve behind beta_h.
@@ -154,11 +154,11 @@ def discrete_inf_sup(system, factor=None):
 
     beta_h² is the smallest eigenvalue of S_p q = lam M_p q over zero-mean
     pressures, S_p = B_f A_ff⁻¹ B_fᵀ, M_p the pressure mass: of the operator
-    that the pressure's Lanczos applies (a condensed ``factor``, else a new
-    one: same result).  Lanczos from a fixed seeded start, the constant
-    projected out, stops when the smallest Ritz value θ has |β_j s_j| <=
-    INF_SUP_TOL·θ.  A start in the solve's Krylov space would miss modes
-    that a symmetric right-hand side leaves out.
+    that the pressure's Lanczos applies (the solve's ``factor``, or a new
+    one when it is None: same result).  Lanczos from a fixed seeded start,
+    the constant projected out, stops when the smallest Ritz value θ has
+    |β_j s_j| <= INF_SUP_TOL·θ.  A start in the solve's Krylov space would
+    miss modes that a symmetric right-hand side leaves out.
     """
     n_p = system.num_pressure_dofs
     if n_p < 2:
@@ -166,7 +166,7 @@ def discrete_inf_sup(system, factor=None):
             f"the mesh has {n_p} pressure DOF and no nonzero zero-mean pressure; "
             "the inf-sup constant needs at least 2"
         )
-    factor = factor if isinstance(factor, CondensedFactor) else factorize(system)
+    factor = factor or factorize(system)
     start, z = np.random.default_rng(0).standard_normal(n_p), factor.z
 
     def converged(T, beta):  # the smallest Ritz value θ, by its residual bound

@@ -16,8 +16,8 @@ on that A.  Assembled matrices are bit-identical run to run.
 
 Boundary-edge velocity DOFs carry projected Dirichlet data and are
 eliminated at solve time (they are marked, not removed, here).  The
-solver pins one pressure DOF and then shifts the pressure to zero mean,
-measuring the mean with the pressure moment vector assembled alongside.
+solver's pressure has zero mean (the full path pins one DOF first), as
+measured by the pressure moment vector assembled alongside.
 """
 
 import dataclasses

@@ -13,13 +13,12 @@ Numer. Anal. 10(2), 1973).  The zero-mean pressure solves B_f A_ff⁻¹ B_fᵀ p
 operator's spectrum lies in [β_h², 2]: the step count is bounded by the
 inf-sup constant, not by h (Verfürth, IMA J. Numer. Anal. 4, 1984).  A step
 is one two-column solve by S's factor; β_h is the same operator's.
-``condense=False``, the reference, factors the whole matrix in that order,
-with each cell's pressures after its last edge, scaled by 1/h_T to keep the
-pivots on the diagonal (de Niet & Wubs, IMA J. Numer. Anal. 29(1), 2009),
-and pressure DOF 0 pinned by leaving it out; it refines once and shifts p
-to zero mean.  Before each LU, glibc's ``malloc_trim(0)`` hands back the
-heap that assembly and the eliminations freed, which SuperLU's factor could
-not reuse; without glibc the step is skipped, with the same arithmetic.
+``condense=False``, the reference, is SuperLU's plain LU (COLAMD, partial
+pivoting) of the whole matrix, pressure DOF 0 pinned by leaving it out; it
+refines once and shifts p to zero mean.  Before each LU, glibc's
+``malloc_trim(0)`` hands back the heap that assembly and the eliminations
+freed, which SuperLU's factor could not reuse; without glibc the step is
+skipped, with the same arithmetic.
 """
 
 import ctypes
@@ -28,6 +27,7 @@ import json
 import time
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .assembly import _scatter
@@ -67,7 +67,7 @@ class SolveReport:
     lu_fill: int
     lanczos_steps: int
     wall_time: float
-    factor: "CondensedFactor | SaddleFactor"
+    factor: "CondensedFactor | None"  # None on the full path
 
     def to_json(self):
         fields = dataclasses.fields(self)[2:-1]  # the diagnostics
@@ -75,7 +75,8 @@ class SolveReport:
 
 
 def solve(system, condense=True):
-    """Solve an assembled SaddleSystem with the factor of `factorize`.
+    """Solve an assembled SaddleSystem with the factor of `factorize`, or with
+    condense=False by one sparse LU of the whole free saddle matrix.
 
     The report keeps the factor; drop it when done with it.
     """
@@ -86,11 +87,17 @@ def solve(system, condense=True):
     u = system.fixed_values.copy()
     rhs_u, rhs_p = system.load[free] - (A @ u)[free], B @ u
 
-    factor = factorize(system, condense)
-    u[free], p = factor.solve(rhs_u, rhs_p)
-    if not condense:  # one refinement step on the free equations: LU rounding grows with the mesh
-        du, dp = factor.solve((system.load - A @ u + B.T @ p)[free], B @ u)
-        u[free], p = u[free] + du, p + dp
+    if condense:
+        factor = factorize(system)
+        u[free], p = factor.solve(rhs_u, rhs_p)
+        lu, steps = factor.lu, factor.lanczos_steps
+    else:  # pressure 0 pinned to 0 by leaving its row and column out
+        factor, B_f = None, B[1:][:, free]
+        K = sparse.bmat([[A[free][:, free], -B_f.T], [-B_f, None]], format="csc")
+        rhs, lu, steps = np.concatenate([rhs_u, rhs_p[1:]]), _lu(K, "sparse"), 0
+        x = lu.solve(rhs)
+        x += lu.solve(rhs - K @ x)  # one refinement step: LU rounding grows with the mesh
+        u[free], p = x[: len(free)], np.concatenate([[0.0], x[len(free) :]])
 
     if not np.isfinite(u).all() or not np.isfinite(p).all():
         raise SolverError("solve produced non-finite values (singular system?)")
@@ -120,9 +127,9 @@ def solve(system, condense=True):
         condensed=condense,
         num_free_velocity=len(free),
         num_pressure=system.num_pressure_dofs,
-        num_reduced=factor.lu.shape[0] + (not condense),  # the full path's with the pinned pressure
-        lu_fill=factor.lu.nnz,  # SuperLU's own count: factor.lu.L and .U are copies
-        lanczos_steps=factor.lanczos_steps,
+        num_reduced=lu.shape[0] + (not condense),  # the full path's with the pinned pressure
+        lu_fill=lu.nnz,  # SuperLU's own count: lu.L and lu.U are copies
+        lanczos_steps=steps,
         wall_time=time.perf_counter() - t0,
         factor=factor,
     )
@@ -160,7 +167,8 @@ class CondensedFactor:
 
     def __init__(self, S, C, D, R_inv, steps, edges, z):
         self.C, self.D, self.R_inv, self.steps, self.edges, self.z = C, D, R_inv, steps, edges, z
-        self.lanczos_steps, self.lu = 0, _lu(S, "condensed", 0.0)
+        self.lanczos_steps, symmetric = 0, dict(SymmetricMode=True)  # S is SPD: diagonal pivots
+        self.lu = _lu(S, "condensed", permc_spec="NATURAL", diag_pivot_thresh=0.0, options=symmetric)
 
     def _two(self, v):
         """S⁻¹ on both components (v and the result: x, then y), one two-column solve."""
@@ -190,29 +198,12 @@ class CondensedFactor:
         return x[: len(rhs_u)], x[p]
 
 
-class SaddleFactor:
-    """The sparse LU (in csc) of the whole free saddle matrix K, pressure 0
-    pinned: ``order`` lists K's unknowns (the free velocities, then the
-    pressures), ``scale`` scales them (1/h_T on cell T's pressures)."""
-
-    def __init__(self, K, order, scale):
-        self.order, self.scale, self.lanczos_steps = order, scale, 0
-        self.lu = _lu(K, "sparse", 0.01)  # diagonal pivots down to 0.01 of the column's largest: all pass
-
-    def solve(self, rhs_u, rhs_p):
-        """Free velocity and pressure, p[0] = 0; rhs_p[0], the pinned row, is unused."""
-        g, x = np.concatenate([rhs_u, rhs_p]) * self.scale, np.zeros(len(self.scale))
-        x[self.order] = self.lu.solve(g[self.order])
-        x *= self.scale
-        return x[: len(rhs_u)], x[len(rhs_u) :]
-
-
-def _lu(M, what, pivot):
-    """SuperLU's factor of M in its own order, once the freed heap is handed back."""
+def _lu(M, what, **options):
+    """SuperLU's factor of M with `options`, once the freed heap is handed back."""
     if malloc_trim is not None:
         malloc_trim(0)  # the heap freed so far, back to the system before the LU maps its own
     try:
-        return splu(M, permc_spec="NATURAL", diag_pivot_thresh=pivot, options=dict(SymmetricMode=True))
+        return splu(M, **options)
     except RuntimeError as err:  # singular factorization
         raise SolverError(f"{what} factorization failed: {err}") from err
 
@@ -252,57 +243,35 @@ def _scalar_cells(batch, nk, unknown, pressure, R_inv):
     return steps, blocks + [(R_inv @ D @ R_inv.swapaxes(1, 2), rows, cols), (R_inv, rows, cols)]
 
 
-def _saddle_cells(batch, unknown, pressure, h_inv):
-    """A batch's cell saddle matrices, each cell's pressures scaled by h_inv, as
-    (values, rows, columns) of K, the unknowns numbered by ``unknown`` and ``pressure``."""
-    (n, _, nv), low = batch.dofs.shape, batch.b.shape[1]
-    K = np.zeros((n, 2 * nv + low, 2 * nv + low))  # [[a, 0, -b_xᵀ], [0, a, -b_yᵀ], [-b_x, -b_y, 0]]
-    K[:, :nv, :nv], K[:, nv:-low, nv:-low] = batch.a.swapaxes(0, 1)
-    K[:, -low:, :-low] = -batch.b.reshape(n, low, -1) * h_inv[batch.cells, None, None]
-    K[:, :-low, -low:] = K[:, -low:, :-low].swapaxes(1, 2)
-    index = np.concatenate([unknown[batch.dofs].reshape(n, -1), pressure[batch.cells]], axis=1)
-    return [], [(K, index[:, :, None], index[:, None, :])]
-
-
-def factorize(system, condense=True):
-    """The factor of the free saddle equations, condensed or not.
+def factorize(system):
+    """The condensed factor of the free saddle equations.
 
     Each cell sheds its interior velocities (an SPD block of a) by one
     Cholesky factor for both components, batched by side count.  What the
     cells leave, less the fixed edges, is summed in one coordinate pass
     each: on one component's edges into S, the pressures' couplings to the
-    edges into C and the pressure blocks into D.  Without condensing, K sums
-    the whole cell matrices, cell 0's constant pressure left out (pinned).
+    edges into C and the pressure blocks into D.
     """
     ops, dm, mesh = system.ops, system.ops.dofmap, system.ops.mesh
-    n_f, n_p, low = len(system.free), system.num_pressure_dofs, dm.dim_cell_low
+    n_f, n_p = len(system.free), system.num_pressure_dofs
     p = n_f + np.arange(n_p).reshape(mesh.num_cells, -1)
-    tail = _dissection(ops, p[:, : 0 if condense else low])
-    dummy, where = n_f + n_p, np.full(n_f + n_p + 1, -1)  # dummy: the fixed velocities (and pinned p)
+    dummy, where = n_f + n_p, np.full(n_f + n_p + 1, -1)  # dummy: the fixed velocities
     unknown = np.where(system.fixed_mask, dummy, np.cumsum(~system.fixed_mask) - 1)
-    if condense:  # where: a pressure's number, an edge unknown's column in C (x: S's row)
-        edges = tail.reshape(-1, 2, dm.dim_edge).swapaxes(1, 2).reshape(-1, 2)
-        where[edges.T], where[n_f:dummy] = np.arange(edges.size).reshape(2, -1), np.arange(n_p)
-        R_inv = np.linalg.inv(R := np.linalg.cholesky(ops.mass_low))
-        cells = (_scalar_cells(c, dm.dim_cell, unknown, p, R_inv) for c in system._cells)
-        shapes = [(len(edges),) * 2, (n_p, edges.size)] + [(n_p, n_p)] * 2
-    else:  # where: the row of K
-        order, p.flat[0] = np.concatenate([np.arange(dm.interior_size), tail]), dummy
-        where[order] = np.arange(len(order))
-        cells = (_saddle_cells(c, unknown, p, 1 / mesh.diameters) for c in system._cells)
-        shapes = [(len(order),) * 2]
-    steps, left = zip(*cells)
+    edges = _dissection(ops)
+    # where: a pressure's number, an edge unknown's column in C (x: S's row)
+    where[edges.T], where[n_f:dummy] = np.arange(edges.size).reshape(2, -1), np.arange(n_p)
+    R_inv = np.linalg.inv(R := np.linalg.cholesky(ops.mass_low))
+    steps, left = zip(*(_scalar_cells(c, dm.dim_cell, unknown, p, R_inv) for c in system._cells))
     del system._cells  # not held under the LU; the next read builds them again
+    shapes = [(len(edges),) * 2, (n_p, edges.size)] + [(n_p, n_p)] * 2
     mats = [_scatter(s, [(M, where[i], where[j]) for M, i, j in b], "csc") for s, b in zip(shapes, zip(*left))]
     del left
-    if not condense:
-        return SaddleFactor(mats[0], order, np.concatenate([np.ones(n_f), np.repeat(1 / mesh.diameters, low)]))
     z = R[:, 0].ravel()  # Rᵀ of the constant pressure: each cell's first scaled monomial is 1
     return CondensedFactor(*mats, sum(steps, []), edges, z / np.linalg.norm(z))
 
 
-def _dissection(ops, cell_unknowns):
-    """Free edge DOFs by nested dissection of the cells, each cell's unknowns after its last edge.
+def _dissection(ops):
+    """Free edge DOFs by nested dissection of the cells, as (x, y) pairs.
 
     The cells are split in two at the median centroid along the wider
     side of their bounding box, and each half again, down to single
@@ -310,11 +279,7 @@ def _dissection(ops, cell_unknowns):
     free edge belongs to the separator of the split that parts its two
     cells, and the order is left half, right half, separator: the edges
     sort by the last leaf under their split, deeper splits first.  Each
-    edge's DOFs stay together.  Row c of ``cell_unknowns`` (n_cells, m)
-    follows cell c's last free edge, less its first entry in cell 0, the
-    pinned pressure.  A cell's pressures couple only to its own
-    velocities; once those are all eliminated, each zero diagonal has
-    filled in with -bᵀ A⁻¹ b < 0, so the pivots can stay on the diagonal.
+    edge's DOFs stay together, x and y of each side by side.
     """
     mesh, n = ops.mesh, ops.mesh.num_cells
     depth, rows, s, start = (n - 1).bit_length(), np.arange(n), np.arange(n), np.zeros(1, dtype=int)
@@ -330,13 +295,7 @@ def _dissection(ops, cell_unknowns):
         start = np.flatnonzero(np.diff(code[s], prepend=-1))
     a, b = mesh.edge_cells[~mesh.boundary_edges].T
     height = np.frexp(code[a] ^ code[b])[1]  # of the split that parts the edge's cells
-    last_leaf = code[a] | ((1 << height) - 1)
-    rank = np.argsort(np.argsort(last_leaf * (depth + 1) + height, kind="stable"))
-    last = np.full(n, -1)  # each cell's last free edge
-    np.maximum.at(last, np.concatenate([a, b]), np.tile(rank, 2))
-    de = 2 * ops.dofmap.dim_edge
-    unknowns = ops.dofmap.interior_size + np.arange(len(rank) * de)
-    key = np.repeat(2 * rank, de)
-    unknowns = np.concatenate([unknowns, cell_unknowns.ravel()[1:]])
-    key = np.concatenate([key, np.repeat(2 * last + 1, cell_unknowns.shape[1])[1:]])
-    return unknowns[np.argsort(key, kind="stable")]
+    order = np.argsort((code[a] | ((1 << height) - 1)) * (depth + 1) + height, kind="stable")
+    d = ops.dofmap.dim_edge  # a free edge's x DOFs, then its y ones
+    dofs = ops.dofmap.interior_size + 2 * d * order[:, None, None] + np.arange(d)[:, None] + d * np.arange(2)
+    return dofs.reshape(-1, 2)

@@ -367,12 +367,13 @@ def test_benchmark_entry_points_resolve(ops_quad_k1, ops_quad_k2):
     assert case.data_degree == 2
     assert all(callable(getattr(case, field)) for field in ("u", "p", "f", "g"))
     assert "condense" in inspect.signature(solve).parameters
-    # its "full vs condensed" check compares two different solvers: the full
-    # saddle LU with no cell eliminations, and the condensed one, which takes
-    # each velocity component's interior block off (one step per component
-    # and side count) and leaves the pressures to Lanczos
+    # its "full vs condensed" check compares two different solvers: SuperLU's
+    # plain LU of the whole saddle matrix, which keeps no factor, and the
+    # condensed one, which takes each velocity component's interior block off
+    # (one step per component and side count) and leaves the pressures to Lanczos
     for ops in (ops_quad_k1, ops_quad_k2):
         system = assemble(ops)
-        assert not hasattr(factorize(system, condense=False), "steps")
+        full = solve(system, condense=False)
+        assert full.factor is None and full.lanczos_steps == 0
         assert len(factorize(system).steps) == 2
     assert callable(WeakFunction.interior) and callable(PressureFunction.cell)

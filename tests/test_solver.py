@@ -5,7 +5,7 @@ import platform
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from conftest import full_solve
 from wgstokes import solver
@@ -137,65 +137,81 @@ def test_condensed_solve_names_indefinite_cell(ops_quad_k1):
         solve(system)
 
 
+def _drop_pressure_rows(b):
+    """Zero a cell's divergence rows of its non-constant pressures."""
+    b[1:] = 0.0
+
+
 def test_condensed_solve_names_singular_pressure_cell(ops_quad_k2):
     """Without divergence rows a cell's non-constant pressures have a zero block:
     the interior velocities no longer control them."""
     system = assemble(ops_quad_k2)
-
-    def drop_rows(b):  # the cell's non-constant pressure rows
-        b[1:] = 0.0
-
-    _corrupt_cell(system, 6, "b", drop_rows)
+    _corrupt_cell(system, 6, "b", _drop_pressure_rows)
     with pytest.raises(SolverError, match=r"pressure block of cell 6 is not negative definite "):
         solve(system)
 
 
-@pytest.mark.parametrize("condense", [True, False])
-def test_pinned_pressure_is_left_out(ops_quad_k2, condense):
-    """The full factor returns p[0] = 0 exactly and never reads rhs_p[0].  The
-    condensed one pins nothing: its pressure has zero mean, and it never reads
-    the part of rhs_p along the pressure moments, which only the mean would meet."""
+def test_full_solve_raises_typed_on_singular_matrix(ops_quad_k2):
+    """The same corruption leaves the whole saddle matrix with zero rows and
+    columns; the full path's sparse LU fails, as a SolverError."""
     system = assemble(ops_quad_k2)
-    factor = factorize(system, condense)
+    _corrupt_cell(system, 6, "b", _drop_pressure_rows)
+    with pytest.raises(SolverError, match="sparse factorization failed"):
+        solve(system, condense=False)
+
+
+@pytest.mark.parametrize("condense", [True, False])
+def test_pinned_pressure_is_left_out(ops_quad_k2, condense, splu_calls):
+    """The full path factors the free saddle matrix less pressure 0's row and
+    column, and still returns a zero-mean pressure.  The condensed factor pins
+    nothing: its pressure has zero mean, and it never reads the part of rhs_p
+    along the pressure moments, which only the mean would meet."""
+    if not condense:
+        case = get_case("taylor-trig")
+        system = assemble(ops_quad_k2, body_force=case.f, boundary_velocity=case.g)
+        report = solve(system, condense=False)
+        n = len(system.free) + system.num_pressure_dofs
+        assert splu_calls == [(n - 1, n - 1)] and report.num_reduced == n
+        p = report.pressure.coeffs
+        assert np.abs(p).max() > 0 and abs(system.pressure_moments @ p) <= 1e-13 * np.abs(p).max()
+        return
+    system = assemble(ops_quad_k2)
+    factor = factorize(system)
     rng = np.random.default_rng(0)
     rhs_u, rhs_p = rng.standard_normal(len(system.free)), rng.standard_normal(system.num_pressure_dofs)
     u, p = factor.solve(rhs_u, rhs_p)
     assert np.abs(p).max() > 0
-    if condense:
-        assert abs(system.pressure_moments @ p) <= 1e-13 * np.abs(p).max()
-        u2, p2 = factor.solve(rhs_u, rhs_p + system.pressure_moments)
-        assert np.allclose(u, u2, rtol=0, atol=1e-12) and np.allclose(p, p2, rtol=0, atol=1e-12)
-        return
-    assert p[0] == 0.0
-    rhs_p[0] += 1.0
-    u2, p2 = factor.solve(rhs_u, rhs_p)
-    assert np.array_equal(u, u2) and np.array_equal(p, p2)
+    assert abs(system.pressure_moments @ p) <= 1e-13 * np.abs(p).max()
+    u2, p2 = factor.solve(rhs_u, rhs_p + system.pressure_moments)
+    assert np.allclose(u, u2, rtol=0, atol=1e-12) and np.allclose(p, p2, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("condense", [True, False])
 def test_pressure_alone_matches_solve(degree, condense):
     """The pressure Schur complement S_p = B_f A_ff⁻¹ B_fᵀ of the global matrices
-    is what each path works with: the condensed factor's Lanczos operator,
+    is what each path's pressure meets: the condensed factor's Lanczos operator,
     which never substitutes for the interior velocities, is R⁻¹ S_p R⁻ᵀ
-    (M_p = R Rᵀ), and the full factor's pinned pressure p solves S_p p = -rhs_p
-    on every row but the pinned one."""
-    system = assemble(ElementOps(generate_mesh("perturbed-polygon", 4), degree))
+    (M_p = R Rᵀ), and the full path's pressure solves, on every row,
+    S_p p = -rhs_p - B_f A_ff⁻¹ rhs_u, the velocity eliminated."""
+    case = get_case("taylor-trig")
+    ops = ElementOps(generate_mesh("perturbed-polygon", 4), degree)
+    system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
     free, B = system.free, system.B.toarray()
-    B_f = B[:, free]
-    S_p = B_f @ np.linalg.solve(system.A[free][:, free].toarray(), B_f.T)
-    factor = factorize(system, condense)
-    rng = np.random.default_rng(1)
+    A_ff, B_f = system.A[free][:, free].toarray(), B[:, free]
+    S_p = B_f @ np.linalg.solve(A_ff, B_f.T)
     if condense:
         R = np.linalg.cholesky(system.pressure_mass().toarray())
-        y = rng.standard_normal(system.num_pressure_dofs)
+        y = np.random.default_rng(1).standard_normal(system.num_pressure_dofs)
         expected = np.linalg.solve(R, S_p @ np.linalg.solve(R.T, y))
-        assert np.abs(factor.operator(y) - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(factorize(system).operator(y) - expected).max() <= 1e-12 * np.abs(expected).max()
         return
-    rhs_p = rng.standard_normal(system.num_pressure_dofs)
-    p = factor.solve(np.zeros(len(free)), rhs_p)[1]
-    assert np.abs(p).max() > 0
-    assert np.abs((S_p @ p + rhs_p)[1:]).max() <= 1e-10 * np.abs(rhs_p).max()
+    u = system.fixed_values
+    rhs_u, rhs_p = system.load[free] - (system.A @ u)[free], B @ u
+    expected = -rhs_p - B_f @ np.linalg.solve(A_ff, rhs_u)
+    p = solve(system, condense=False).pressure.coeffs
+    assert np.abs(expected).max() > 0
+    assert np.abs(S_p @ p - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 def test_lanczos_cap_is_typed(monkeypatch):
@@ -255,33 +271,41 @@ def test_condensed_lu_fill_stays_low():
         pytest.param("hostile_mesh", 2, id="hostile-k2"),
     ],
 )
-@pytest.mark.parametrize("condense", [True, False])
+@pytest.mark.parametrize("condense", [True])  # the full path pivots as SuperLU chooses
 def test_lu_keeps_diagonal_pivots(mesh, degree, condense, request):
-    """In the dissection order SuperLU interchanges no rows, condensed or not,
-    and the condensed factor's pivots are positive: S is SPD."""
+    """In the dissection order SuperLU interchanges no rows of the condensed
+    factor's S, and its pivots are positive: S is SPD."""
     mesh = request.getfixturevalue(mesh) if isinstance(mesh, str) else generate_mesh(*mesh)
-    lu = factorize(assemble(ElementOps(mesh, degree)), condense).lu
+    lu = factorize(assemble(ElementOps(mesh, degree))).lu
     assert np.array_equal(lu.perm_r, np.arange(lu.shape[0]))
     assert np.array_equal(lu.perm_c, np.arange(lu.shape[0]))
-    if condense:
-        assert (lu.U.diagonal() > 0).all()
+    assert (lu.U.diagonal() > 0).all()
+
+
+def _largest_zero_mean_eigenvalue(factor):
+    """The largest eigenvalue of the factor's R⁻¹ S_p R⁻ᵀ on zero-mean pressures."""
+    z = factor.z
+
+    def apply(y):
+        w = factor.operator(y - z * (z @ y))
+        return w - z * (z @ w)
+
+    start = np.random.default_rng(0).standard_normal(len(z))
+    op = LinearOperator((len(z),) * 2, matvec=apply, dtype=float)
+    return eigsh(op, k=1, which="LA", v0=start, tol=1e-6)[0][0]  # the top of the spectrum is clustered
 
 
 def test_pressure_pivots_keep_their_scale():
-    """With each cell's pressures scaled by its diameter, the full LU's
-    smallest pressure pivot ratio, 1 / max |L_ij| over the pressure columns,
-    stays above 0.1 and does not fall with h (unscaled it halves with h)."""
-    ratios = []
-    for n in (8, 16, 32):
-        system = assemble(ElementOps(generate_mesh("uniform-quad", n), 2))
-        factor = factorize(system, condense=False)
-        lu = factor.lu
-        assert np.array_equal(lu.perm_c, np.arange(lu.shape[0]))
-        pressure = factor.order >= len(system.free)
-        largest = abs(lu.L.tocsc()).max(axis=0).toarray().ravel()  # unit diagonal included
-        ratios.append(1 / largest[pressure].max())
-    assert min(ratios) > 0.1, ratios
-    assert all(b >= a * (1 - 1e-9) for a, b in zip(ratios, ratios[1:])), ratios
+    """The mass-scaled pressure operator R⁻¹ S_p R⁻ᵀ (M_p = R Rᵀ) that the
+    pressure's Lanczos steps through keeps its scale: on zero-mean pressures
+    its largest eigenvalue stays at most 2 and grows by at most 1 % as h
+    halves (1.842, 1.848, 1.850 here)."""
+    largest = [
+        _largest_zero_mean_eigenvalue(factorize(assemble(ElementOps(generate_mesh("uniform-quad", n), 2))))
+        for n in (8, 16, 32)
+    ]
+    assert max(largest) <= 2.0, largest
+    assert all(b <= 1.01 * a for a, b in zip(largest, largest[1:])), largest
 
 
 def test_heap_handed_back_before_every_lu(ops_quad_k2, monkeypatch):
@@ -302,61 +326,41 @@ def test_heap_handed_back_before_every_lu(ops_quad_k2, monkeypatch):
     monkeypatch.setattr(solver, "malloc_trim", spy_trim)
     monkeypatch.setattr(solver, "splu", spy_splu)
     system = assemble(ops_quad_k2)
-    for path in (factorize, lambda s: factorize(s, condense=False)):
+    for path in (factorize, lambda s: solve(s, condense=False)):
         events.clear()
         path(system)
         assert events == [("trim", 0), "splu"]
 
 
 def test_dissection_order():
-    """The LU's order of the edge DOFs and cell pressures: a permutation,
-    reproducible, each edge's DOFs together, each cell's pressures after all
-    of its free edges, and the first split's separator (the interior edges
-    on x = 1/2) last among the edges.  The condensed factor orders one
-    component's edges the same way, those of the other alongside, and no
-    cell unknowns."""
+    """The LU's order of the free edge DOFs: a permutation, reproducible, each
+    edge's DOFs together, x and y of each side by side, and the first split's
+    separator (the interior edges on x = 1/2) last."""
     mesh = generate_mesh("uniform-quad", 16)
     system = assemble(ElementOps(mesh, 2))
-    n_f, n_p, dofmap = len(system.free), system.num_pressure_dofs, system.ops.dofmap
-    de, interior_edges = 2 * dofmap.dim_edge, np.flatnonzero(~mesh.boundary_edges)
+    dofmap, interior_edges = system.ops.dofmap, np.flatnonzero(~mesh.boundary_edges)
     middle = interior_edges[np.all(mesh.vertices[mesh.edges[interior_edges], 0] == 0.5, axis=1)]
     assert len(middle) == 16
     edges = factorize(system).edges
     assert np.array_equal(edges, factorize(system).edges)
-    assert np.array_equal(np.sort(edges.ravel()), np.arange(dofmap.interior_size, n_f))
+    assert np.array_equal(np.sort(edges.ravel()), np.arange(dofmap.interior_size, len(system.free)))
     assert np.array_equal(edges[:, 1] - edges[:, 0], np.full(len(edges), dofmap.dim_edge))
-    condensed = edges.reshape(-1, dofmap.dim_edge, 2).transpose(0, 2, 1).ravel()
-    for condense, kept in [(True, 0), (False, dofmap.dim_cell_low)]:
-        order = factorize(system, condense).order if not condense else condensed
-        if not condense:
-            assert np.array_equal(order, factorize(system, condense).order)
-            pinned = n_f  # pressure 0
-            assert np.array_equal(np.sort(order), np.delete(np.arange(n_f + n_p), pinned))
-        tail = order[len(order) - len(interior_edges) * de - mesh.num_cells * kept + (kept > 0) :]
-        is_edge = tail < n_f
-        assert tail[is_edge].min() >= dofmap.interior_size
-        edge = np.full(len(tail), -1)
-        edge[is_edge] = interior_edges[(tail[is_edge] - dofmap.interior_size) // de]
-        cell = np.where(is_edge, -1, (tail - n_f) // dofmap.dim_cell_low)
-        for c in range(mesh.num_cells):
-            mine = np.flatnonzero(cell == c)
-            assert len(mine) == max(kept - (c == 0), 0)
-            edges_here = np.flatnonzero(np.isin(edge, mesh.side_edge[mesh.side_cell == c]))
-            assert mine.min(initial=len(tail)) > edges_here.max()
-        by_edge = edge[is_edge].reshape(-1, de)
-        assert (by_edge == by_edge[:, :1]).all()
-        assert np.array_equal(np.sort(by_edge[-len(middle) :, 0]), middle)
+    de, order = 2 * dofmap.dim_edge, edges.reshape(-1, dofmap.dim_edge, 2).transpose(0, 2, 1).ravel()
+    by_edge = interior_edges[(order - dofmap.interior_size) // de].reshape(-1, de)
+    assert (by_edge == by_edge[:, :1]).all()
+    assert np.array_equal(np.sort(by_edge[-len(middle) :, 0]), middle)
 
 
 def test_report_serializes(system_quad_k1):
     """Both paths' diagnostics go to JSON, the Lanczos step count with them:
-    none on the full path, and on the condensed one as many as the solve took."""
+    none on the full path, which keeps no factor, and on the condensed one as
+    many as the solve took."""
     report = solve(system_quad_k1, condense=False)
     blob = json.loads(report.to_json())
     assert blob["condensed"] is False
     assert blob["num_pressure"] == system_quad_k1.num_pressure_dofs
     assert blob["num_reduced"] == len(system_quad_k1.free) + system_quad_k1.num_pressure_dofs
-    assert blob["lu_fill"] == report.factor.lu.nnz > blob["num_reduced"]
+    assert blob["lu_fill"] > blob["num_reduced"] and report.factor is None
     assert blob["residual"] <= 1e-10
     assert blob["wall_time"] > 0
     assert blob["lanczos_steps"] == 0
