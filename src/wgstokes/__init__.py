@@ -27,12 +27,6 @@ from .mesh import (
     save_mesh,
     shape_regularity,
 )
-from .projections import (
-    project_boundary_velocity,
-    project_gradient,
-    project_pressure,
-    project_velocity,
-)
 from .solver import SolveReport, solve
 from .spaces import DofMap, PressureFunction, WeakFunction
 from .study import StudyConfig, StudyResult, default_grid, run_study

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import CompatibilityError
-from .projections import project_boundary_velocity
+from .spaces import WeakFunction
 from .weakops import _drop_rounding
 
 # Largest net boundary flux of Dirichlet data that counts as compatible.
@@ -143,9 +143,11 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
 
     fixed_mask = dofmap.boundary_velocity_mask()
     if boundary_velocity is not None:
-        bc = project_boundary_velocity(ops, boundary_velocity)
+        boundary = mesh.boundary_edges
+        bc = WeakFunction.zeros(dofmap)  # the data's edge projection, on the boundary edges only
+        bc.vb[boundary] = ops.solve_edge_mass(ops.edge_moments(boundary_velocity))[boundary]
         fixed_values = bc.coeffs
-        s = np.flatnonzero(mesh.boundary_edges[mesh.side_edge])  # the boundary sides
+        s = np.flatnonzero(boundary[mesh.side_edge])  # the boundary sides
         e = mesh.side_edge[s]
         # n is constant on a side and edge basis function 0 is 1: each term is n·∫_e Q_b g
         flux = float(np.einsum("sb,sib,si->", ops.edge_mass[e, 0], bc.vb[e], mesh.side_normal[s]))

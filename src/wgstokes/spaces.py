@@ -71,13 +71,6 @@ class WeakFunction(_Coefficients):
 
     _size = "num_velocity_dofs"
 
-    @classmethod
-    def random(cls, dofmap, rng, zero_boundary=False):
-        f = cls(dofmap, rng.standard_normal(dofmap.num_velocity_dofs))
-        if zero_boundary:
-            f.coeffs[dofmap.boundary_velocity_mask()] = 0.0
-        return f
-
     def interior(self, c):
         """(2, dim_cell) view of cell c's interior coefficients."""
         nk = self.dofmap.dim_cell
@@ -99,10 +92,6 @@ class PressureFunction(_Coefficients):
     """Coefficients of one discrete pressure (cellwise P_{k-1})."""
 
     _size = "num_pressure_dofs"
-
-    @classmethod
-    def random(cls, dofmap, rng):
-        return cls(dofmap, rng.standard_normal(dofmap.num_pressure_dofs))
 
     def cell(self, c):
         """(dim_cell_low,) view of cell c's coefficients."""

@@ -8,8 +8,9 @@ tensor q of the same space through integration by parts,
 
 where div acts row-wise and n is the outward normal; the weak divergence
 is the scalar analogue in P_{k-1}(T).  Both reduce to scalar problems per
-velocity component, solved with the P_{k-1} mass matrix; only the moments
-on the right-hand side are kept, and each use applies the mass inverse once.
+velocity component against the P_{k-1} mass matrix; only the moments on
+the right-hand side are kept, and `assembly` applies the mass inverse once
+per cell, inside the cell matrices of a.
 
 The stabilizer couples the trace of v0 with vb through the edgewise L2
 projection: s_T(v, w) = h_T^{-1} <P_e v0 - vb, P_e w0 - wb>_dT summed over
@@ -198,35 +199,11 @@ class ElementOps:
             values=self.basis_values(rule.points, rule.owner),
         )
 
-    # -- weak operators applied to coefficient vectors --------------------
+    # -- side sums and data moments ----------------------------------------
 
     def per_cell(self, side_values):
         """Sum a (n_sides, ...) stack over the sides of each cell; (n_cells, ...)."""
         return np.add.reduceat(side_values, self.mesh.side_starts, axis=0)
-
-    def weak_gradient(self, v):
-        """Weak gradients of v on all cells: (n_cells, 2, 2, dim_cell_low).
-
-        Entry [c, i, j] holds the P_{k-1} coefficients of d v_i / d x_j: the
-        moments -(v0_i, d_j q_r)_T + <vb_i, q_r n_j>_dT, solved against the masses.
-        """
-        mesh = self.mesh
-        vb = v.vb[mesh.side_edge]
-        sides = np.einsum("hj,hrb,hib->hijr", mesh.side_normal, self.side_moments, vb)
-        moments = np.einsum("cjra,cia->cijr", self.grad_moments, v.v0) + self.per_cell(sides)
-        return self.solve_cell_mass(moments, self.degree - 1)
-
-    def weak_divergence(self, v):
-        """Weak divergences of v on all cells: (n_cells, dim_cell_low)."""
-        grad = self.weak_gradient(v)
-        return grad[:, 0, 0] + grad[:, 1, 1]
-
-    def trace_jump(self, v):
-        """Edge coefficients of (P_e v0 - vb) on every side: (n_sides, 2, dim_edge)."""
-        interior = np.einsum("hba,hia->hib", self.trace, v.v0[self.mesh.side_cell])
-        return interior - v.vb[self.mesh.side_edge]
-
-    # -- data moments ------------------------------------------------------
 
     def cell_moments(self, field, degree):
         """Integrals of a field against the degree-`degree` basis of every cell.

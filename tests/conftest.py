@@ -8,6 +8,8 @@ from scipy import linalg, sparse
 from scipy.sparse.linalg import splu, spsolve
 
 from wgstokes import solver
+from wgstokes.analysis import _project_data
+from wgstokes.assembly import _cell_matrices
 from wgstokes.basis import monomial_exponents, monomials, space_dimension
 from wgstokes.cases import ManufacturedCase
 from wgstokes.mesh import PolygonalMesh, generate_mesh
@@ -85,15 +87,19 @@ def edge_basis(degree, p0, p1, pts):
     return t[..., None] ** np.arange(degree + 1)
 
 
-def energy_at_points(ops, v):
-    """Reference |||v|||² of a discrete velocity, by point evaluation alone.
+def weak_operators_at_points(ops, v):
+    """Reference weak gradient and trace jumps of a discrete velocity, by
+    point evaluation alone.
 
     Builds its own rules at the scheme's exactness (2k+2 on cells, 2k+1 on
     edges), solves every cell's weak gradient G from its definition,
     (G, q)_T = -(v0, div q)_T + <vb, q n>_dT for q in [P_{k-1}(T)]^{2x2}, and
-    projects each side's v0 - vb on the edge polynomials; then sums |G|² over
-    the cells and h_T⁻¹ |Q_b v0 - vb|² over the sides.  Reads the mesh and
-    degree of `ops`, but none of its operator stacks, masses or tables.
+    projects each side's v0 - vb on the edge polynomials.  Returns the P_{k-1}
+    coefficients of G (n_cells, 2, 2, dim_cell_low), [c, i, j] those of
+    d v_i / d x_j, with the cell masses they were solved against, and the edge
+    coefficients of Q_b v0 - vb on every side (n_sides, 2, k) with their
+    moments against the edge basis.  Reads the mesh and degree of `ops`, but
+    none of its operator stacks, masses or tables.
     """
     mesh, k = ops.mesh, ops.degree
     nlow = space_dimension(k - 1)
@@ -124,14 +130,46 @@ def energy_at_points(ops, v):
     flux = np.einsum("hq,hqi,hqr,hj->hijr", we[se], vb[se], side_low, mesh.side_normal)
     np.add.at(rhs, sc, flux)
     grad = np.linalg.solve(mass[:, None, None], rhs[..., None])[..., 0]  # (n_cells, 2, 2, nlow)
-    grad_at = np.einsum("pr,pijr->pij", low, grad[c])
-    energy = w @ (grad_at**2).sum(axis=(1, 2))
 
     diff = np.einsum("hqa,hia->hqi", monomials(side_loc, k), v.v0[sc]) - vb[se]
     moments = np.einsum("hq,hqb,hqi->hib", we[se], psi[se], diff)
     edge_mass = np.einsum("hq,hqa,hqb->hab", we[se], psi[se], psi[se])
-    coeffs = np.linalg.solve(edge_mass[:, None], moments[..., None])[..., 0]
-    return energy + np.sum(np.einsum("hib,hib->h", coeffs, moments) / h[sc])
+    jump = np.linalg.solve(edge_mass[:, None], moments[..., None])[..., 0]
+    return grad, mass, jump, moments
+
+
+def energy_at_points(ops, v):
+    """Reference |||v|||² of a discrete velocity, by point evaluation alone:
+    (G, G) summed over the cells and h_T⁻¹ |Q_b v0 - vb|² over the sides,
+    from `weak_operators_at_points`."""
+    grad, mass, jump, moments = weak_operators_at_points(ops, v)
+    stabilizer = np.einsum("hib,hib->h", jump, moments) / ops.mesh.diameters[ops.mesh.side_cell]
+    return np.einsum("cijr,crs,cijs->", grad, mass, grad) + np.sum(stabilizer)
+
+
+def weak_gradient(ops, v):
+    """The weak gradient of v that the solve runs: (n_cells, 2, 2, dim_cell_low),
+    [c, i, j] the P_{k-1} coefficients of d v_i / d x_j.  Applies each cell
+    matrix batch's b, the weak-gradient moments in each direction of one
+    component's DOFs, to v, and the inverse P_{k-1} masses to the result."""
+    moments = np.empty((ops.mesh.num_cells, 2, 2, ops.dofmap.dim_cell_low))
+    for batch in _cell_matrices(ops):
+        moments[batch.cells] = np.einsum("crja,cia->cijr", batch.b, v.coeffs[batch.dofs])
+    return ops.solve_cell_mass(moments, ops.degree - 1)
+
+
+def project(ops, field, degree=None):
+    """L2 projection of an exact field as `analysis._project_data` computes it:
+    a velocity (degree None) as the WeakFunction {Q0 u, Qb u}, Qb u by the edge
+    masses; any other field as its cellwise P_degree coefficients (n_cells, ..., dim)."""
+    values = field(ops.cell_data.points)
+    cells = _project_data(ops, values, ops.degree if degree is None else degree)[0]
+    if degree is not None:
+        return cells
+    velocity = WeakFunction.zeros(ops.dofmap)
+    velocity.v0[:] = cells
+    velocity.vb[:] = ops.solve_edge_mass(ops.edge_moments(field))
+    return velocity
 
 
 def true_errors_at_points(ops, case, velocity, pressure):

@@ -8,18 +8,19 @@ No `wgstokes` command needs these to solve Stokes; the tests use them as
 oracles.  They read a level's `project_case` record for Q_h u and Q_h p,
 and use two private `src/` helpers: `assembly._side_mass` (the
 stabilizer's side weights) and `analysis._project_data` (a cellwise
-projection and its residual).  The two energy parts read
-`ops.weak_gradient`, `ops.trace_jump`, `ops.mass_low` and `_side_mass`,
-never the assembled A, so the tests can check A against their sum.
+projection and its residual, through `conftest.project`).  The two energy
+parts, the divergence form and the weak-divergence norm read the weak
+gradient and the trace jumps of `conftest.weak_operators_at_points`, which
+evaluates them at quadrature points of its own, never the `ElementOps`
+stacks or the assembled A and B, so the tests can check A and B against them.
 """
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from wgstokes.analysis import _project_data, pressure_norm, project_case
+from conftest import project, weak_operators_at_points
+from wgstokes.analysis import _project_data, project_case
 from wgstokes.assembly import _side_mass
-from wgstokes.projections import project_gradient
-from wgstokes.spaces import PressureFunction
 
 
 def _root(total):
@@ -28,24 +29,32 @@ def _root(total):
 
 def gradient_energy(ops, v):
     """(grad_w v, grad_w v) summed over the cells: the gradient part of |||v|||²."""
-    g = ops.weak_gradient(v)
-    return float(np.einsum("cijr,crs,cijs->", g, ops.mass_low, g))
+    grad, mass, _, _ = weak_operators_at_points(ops, v)
+    return float(np.einsum("cijr,crs,cijs->", grad, mass, grad))
 
 
 def stabilizer_energy(ops, v):
     """s(v, v) = sum over cell sides of h_T⁻¹ |P_e v0 - vb|²: the stabilizer part of |||v|||²."""
-    jump = ops.trace_jump(v)
-    return float(np.einsum("hir,hrs,his->", jump, _side_mass(ops), jump))
+    _, _, jump, moments = weak_operators_at_points(ops, v)
+    return float(np.sum(np.einsum("hib,hib->h", jump, moments) / ops.mesh.diameters[ops.mesh.side_cell]))
+
+
+def _weak_divergence(ops, v):
+    """The weak divergence's P_{k-1} coefficients (n_cells, dim_cell_low), with its cell masses."""
+    grad, mass, _, _ = weak_operators_at_points(ops, v)
+    return np.einsum("ciir->cr", grad), mass
 
 
 def eval_b(ops, v, q):
     """Divergence form: (weak div of v, q) over all cells."""
-    return float(np.einsum("cr,crs,cs->", q.cellwise, ops.mass_low, ops.weak_divergence(v)))
+    div, mass = _weak_divergence(ops, v)
+    return float(np.einsum("cr,crs,cs->", q.cellwise, mass, div))
 
 
 def weak_divergence_norm(ops, v):
     """L2 norm of the weak divergence over the whole mesh."""
-    return pressure_norm(ops, PressureFunction(ops.dofmap, ops.weak_divergence(v).ravel()))
+    div, mass = _weak_divergence(ops, v)
+    return _root(np.einsum("cr,crs,cs->", div, mass, div))
 
 
 def projection_errors(ops, case):
@@ -72,11 +81,10 @@ def consistency_functionals(ops, case, projection):
     right-hand side of the error equation.  Q_h u and Q_h p come from
     ``projection``, the `project_case` record of ``case`` on ``ops``.
     """
-    gproj = project_gradient(ops, case.grad_u)
-    pproj = projection.pressure.cellwise
-    jump = ops.trace_jump(projection.velocity)
-
+    gproj = project(ops, case.grad_u, ops.degree - 1)
+    pproj, u = projection.pressure.cellwise, projection.velocity
     cells, edges, normals = ops.mesh.side_cell, ops.mesh.side_edge, ops.mesh.side_normal
+    jump = np.einsum("hba,hia->hib", ops.trace, u.v0[cells]) - u.vb[edges]  # P_e u0 - ub
     table = ops.edge_data
     pts = table.points[edges]  # (n_sides, q, 2)
     flat = pts.reshape(-1, 2)

@@ -1,6 +1,5 @@
 """Norms, rate fitting, inf-sup estimation, and the convergence record."""
 
-import ast
 import re
 import tracemalloc
 from pathlib import Path
@@ -35,7 +34,6 @@ from wgstokes.assembly import assemble
 from wgstokes.cases import case_names, get_case
 from wgstokes.errors import ConfigurationError, SolverError
 from wgstokes.mesh import FAMILIES, generate_mesh
-from wgstokes.projections import project_pressure, project_velocity
 from wgstokes.quadrature import polygon_rule
 from wgstokes.solver import factorize, solve
 from wgstokes.spaces import PressureFunction, WeakFunction
@@ -99,16 +97,16 @@ def test_triple_bar_of_zero(ops_quad_k1):
     "ops_name", ["ops_quad_k1", "ops_poly_k2", "hostile_k1", "hostile_k2", "hostile_k3"]
 )
 def test_triple_bar_squared_is_energy(ops_name, request):
-    """|||v|||² = v'Av equals the point-evaluation reference, on the hostile
-    mesh (nonconvex, collinear and hanging vertices) too."""
+    """|||v|||² = v'Av equals the point-evaluation reference for 20 random
+    fields on each mesh, the hostile one (nonconvex, collinear and hanging
+    vertices) included."""
     if ops_name.startswith("hostile"):
         ops = ElementOps(request.getfixturevalue("hostile_mesh"), int(ops_name[-1]))
     else:
         ops = request.getfixturevalue(ops_name)
     A = assemble(ops).A
-    rng = np.random.default_rng(31)
-    for _ in range(5):
-        v = WeakFunction.random(ops.dofmap, rng)
+    for x in np.random.default_rng(31).standard_normal((20, ops.dofmap.num_velocity_dofs)):
+        v = WeakFunction(ops.dofmap, x)
         energy = energy_at_points(ops, v)
         assert abs(v.coeffs @ (A @ v.coeffs) - energy) <= 1e-12 * max(energy, 1.0)
 
@@ -349,15 +347,19 @@ def test_inf_sup_known_value():
 
 @pytest.mark.parametrize("family, degree", [(f, k) for f in FAMILIES for k in (1, 2, 3)])
 def test_project_case_equals_the_projections(family, degree):
-    """project_case's Q_h u and Q_h p are project_velocity's and
-    project_pressure's bit for bit, for every registered case, so the
-    lemma checks that read a level's projection record see the same
-    coefficients as the projections themselves."""
+    """project_case's Q_0 u and Q_h p are the L2 projections, for every
+    registered case: what each misses at the cell data points is orthogonal,
+    on that rule, to every basis function of its cell."""
     ops = ElementOps(generate_mesh(family, 8, seed=0), degree)
+    table = ops.cell_data
     for case in map(get_case, case_names()):
         projection = project_case(ops, case)
-        assert np.array_equal(projection.velocity.coeffs, project_velocity(ops, case.u).coeffs)
-        assert np.array_equal(projection.pressure.coeffs, project_pressure(ops, case.p).coeffs)
+        pairs = (case.u, projection.velocity.v0, degree), (case.p, projection.pressure.cellwise, degree - 1)
+        for field, coeffs, d in pairs:
+            exact = field(table.points)
+            approx = np.einsum("pr,p...r->p...", table.values[:, : coeffs.shape[-1]], coeffs[table.cell])
+            missed = ops.cell_moments(exact - approx, d)
+            assert np.abs(missed).max() <= 1e-12 * np.abs(ops.cell_moments(exact, d)).max()
 
 
 def test_consistency_functionals_vanish_for_polynomial_data():
@@ -412,17 +414,10 @@ def test_error_equation_residual_small(family):
 
 
 def test_src_factors_in_solver_only():
-    """`solver.py` is the one module of the package that names `splu`, and
-    `analysis` imports nothing from `projections`."""
+    """`solver.py` is the one module of the package that names `splu`."""
     src = Path(analysis.__file__).parent
     texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
     assert [name for name, text in texts.items() if re.search(r"\bsplu\b", text)] == ["solver.py"]
-    imported = set()
-    for node in ast.walk(ast.parse(texts["analysis.py"])):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported.update(alias.name for alias in node.names)
-            imported.add(getattr(node, "module", None) or "")
-    assert not [name for name in imported if "projections" in name.split(".")]
 
 
 # -- convergence record and CSV ------------------------------------------

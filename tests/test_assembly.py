@@ -6,13 +6,12 @@ import pytest
 from wgstokes.assembly import assemble
 from wgstokes.errors import CompatibilityError
 from wgstokes.mesh import generate_mesh
-from wgstokes.projections import project_boundary_velocity, project_velocity
 from wgstokes.quadrature import polygon_rule
 from wgstokes.solver import solve
 from wgstokes.spaces import PressureFunction, WeakFunction
 from wgstokes.weakops import DATA_EXACTNESS, ElementOps
 
-from conftest import PolyField, dof_indices, energy_at_points
+from conftest import PolyField, dof_indices, energy_at_points, project, weak_operators_at_points
 from paper_checks import eval_b, gradient_energy, stabilizer_energy
 
 
@@ -49,31 +48,12 @@ def test_shapes_and_free_dofs(system_quad_k1):
     assert len(system.free) + system.fixed_mask.sum() == dm.num_velocity_dofs
 
 
-def test_matrix_energy_matches_matrix_free(system_poly_k2):
-    system = system_poly_k2
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        v = WeakFunction.random(system.ops.dofmap, rng)
-        quad = float(v.coeffs @ (system.A @ v.coeffs))
-        direct = energy_at_points(system.ops, v)
-        assert abs(quad - direct) <= 1e-12 * max(abs(quad), 1.0)
-
-
-def test_energy_equals_triple_bar_squared(system_quad_k1):
-    system = system_quad_k1
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        v = WeakFunction.random(system.ops.dofmap, rng)
-        quad = float(v.coeffs @ (system.A @ v.coeffs))
-        assert abs(quad - energy_at_points(system.ops, v)) <= 1e-12 * max(quad, 1.0)
-
-
 def test_cauchy_schwarz(system_quad_k1):
     system = system_quad_k1
-    rng = np.random.default_rng(12)
+    dm, rng = system.ops.dofmap, np.random.default_rng(12)
     for _ in range(10):
-        v = WeakFunction.random(system.ops.dofmap, rng)
-        w = WeakFunction.random(system.ops.dofmap, rng)
+        v = WeakFunction(dm, rng.standard_normal(dm.num_velocity_dofs))
+        w = WeakFunction(dm, rng.standard_normal(dm.num_velocity_dofs))
         cross = abs(float(v.coeffs @ (system.A @ w.coeffs)))
         bound = np.sqrt(energy_at_points(system.ops, v) * energy_at_points(system.ops, w))
         assert cross <= bound * (1 + 1e-12)
@@ -81,10 +61,10 @@ def test_cauchy_schwarz(system_quad_k1):
 
 def test_divergence_matrix_matches_matrix_free(system_poly_k2):
     system = system_poly_k2
-    rng = np.random.default_rng(5)
+    dm, rng = system.ops.dofmap, np.random.default_rng(5)
     for _ in range(10):
-        v = WeakFunction.random(system.ops.dofmap, rng)
-        q = PressureFunction.random(system.ops.dofmap, rng)
+        v = WeakFunction(dm, rng.standard_normal(dm.num_velocity_dofs))
+        q = PressureFunction(dm, rng.standard_normal(dm.num_pressure_dofs))
         quad = float(q.coeffs @ (system.B @ v.coeffs))
         direct = eval_b(system.ops, v, q)
         assert abs(quad - direct) <= 1e-12 * max(abs(quad), 1.0)
@@ -94,8 +74,8 @@ def test_stabilizer_and_gradient_split(system_quad_k1):
     """v'Av is the gradient part plus the stabilizer, each summed from the
     weak operators, and both pieces are nonnegative."""
     system = system_quad_k1
-    rng = np.random.default_rng(7)
-    v = WeakFunction.random(system.ops.dofmap, rng)
+    dm = system.ops.dofmap
+    v = WeakFunction(dm, np.random.default_rng(7).standard_normal(dm.num_velocity_dofs))
     g = gradient_energy(system.ops, v)
     s = stabilizer_energy(system.ops, v)
     assert g >= 0.0 and s >= 0.0
@@ -108,8 +88,8 @@ def test_divergence_form_exact_for_polynomials(degree, poly_mesh_4):
     ops = ElementOps(poly_mesh_4, degree)
     rng = np.random.default_rng(degree)
     field = PolyField(degree + 1, rng)
-    v = project_velocity(ops, field.u)
-    q = PressureFunction.random(ops.dofmap, rng)
+    v = project(ops, field.u)
+    q = PressureFunction(ops.dofmap, rng.standard_normal(ops.dofmap.num_pressure_dofs))
     exact = 0.0
     for c in range(ops.mesh.num_cells):
         rule = polygon_rule(ops.mesh.cell_vertices(c), DATA_EXACTNESS)
@@ -128,7 +108,7 @@ def test_stabilizer_energy_decays_at_projection_order():
         for n in (4, 8, 16):
             mesh = generate_mesh("uniform-quad", n)
             ops = ElementOps(mesh, degree)
-            v = project_velocity(ops, u)
+            v = project(ops, u)
             values.append(stabilizer_energy(ops, v))
             hs.append(mesh.mesh_size)
         slope = np.polyfit(np.log(hs), np.log(values), 1)[0]
@@ -159,9 +139,9 @@ def test_boundary_flux_reported_for_compatible_data(ops_quad_k1):
 def test_fixed_values_are_boundary_projection(ops_quad_k2):
     g = lambda pts: np.column_stack([pts[:, 1] ** 3, pts[:, 0] ** 2])
     system = assemble(ops_quad_k2, boundary_velocity=g)
-    proj = project_boundary_velocity(ops_quad_k2, g)
-    assert np.allclose(system.fixed_values, proj.coeffs, atol=1e-14)
-    assert np.all(system.fixed_values[~system.fixed_mask] == 0.0)
+    mask = system.fixed_mask
+    assert np.allclose(system.fixed_values[mask], project(ops_quad_k2, g).coeffs[mask], atol=1e-14)
+    assert np.all(system.fixed_values[~mask] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -207,11 +187,13 @@ def test_polygon_divergence_keeps_no_odd_edge_remainders():
 @pytest.mark.parametrize("family, degree", [("perturbed-polygon", 2), ("hexagonal", 3)])
 def test_divergence_rows_are_mass_times_weak_divergence(family, degree):
     """B, built from the divergence moments, gives on any v the cell masses
-    times its weak divergence, entry by entry to rounding."""
+    times its weak divergence, entry by entry to rounding, both from the
+    point-evaluation reference."""
     ops = ElementOps(generate_mesh(family, 8, seed=0), degree)
     B = assemble(ops).B
-    v = WeakFunction.random(ops.dofmap, np.random.default_rng(3))
-    direct = np.einsum("crs,cs->cr", ops.mass_low, ops.weak_divergence(v)).ravel()
+    v = WeakFunction(ops.dofmap, np.random.default_rng(3).standard_normal(ops.dofmap.num_velocity_dofs))
+    grad, mass, _, _ = weak_operators_at_points(ops, v)
+    direct = np.einsum("crs,ciis->cr", mass, grad).ravel()
     assert np.abs(B @ v.coeffs - direct).max() <= 1e-13 * (abs(B) @ np.abs(v.coeffs)).max()
 
 

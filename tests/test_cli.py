@@ -4,11 +4,13 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import pkgutil
 
 import pytest
 
 from scipy.sparse.linalg import splu
 
+import wgstokes
 from wgstokes import assembly, solver
 from wgstokes.assembly import SaddleSystem, assemble
 from wgstokes.cases import get_case
@@ -377,3 +379,26 @@ def test_benchmark_entry_points_resolve(ops_quad_k1, ops_quad_k2):
         assert full.factor is None and full.lanczos_steps == 0
         assert len(factorize(system).steps) == 2
     assert callable(WeakFunction.interior) and callable(PressureFunction.cell)
+
+
+def test_public_names_are_pinned():
+    """`wgstokes` exports these names and ships these modules, no more: a
+    removed name that comes back, or a new export, fails here until it is
+    added on purpose."""
+    exports = sorted(
+        name for name, value in vars(wgstokes).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert exports == [
+        "CompatibilityError", "ConfigurationError", "ConvergenceRecord", "DofMap", "ElementOps",
+        "ErrorBundle", "FAMILIES", "ManufacturedCase", "MeshFormatError", "MeshValidationError",
+        "PolygonalMesh", "PressureFunction", "SaddleSystem", "ShapeRegularityReport", "SolveReport",
+        "SolverError", "StudyConfig", "StudyResult", "WGError", "WeakFunction", "assemble",
+        "case_names", "default_grid", "discrete_inf_sup", "error_bundle", "fit_rate",
+        "generate_mesh", "get_case", "list_cases", "load_mesh", "project_case", "run_study",
+        "save_mesh", "shape_regularity", "solve", "verify_case",
+    ]  # fmt: skip
+    assert sorted(module.name for module in pkgutil.iter_modules(wgstokes.__path__)) == [
+        "__main__", "analysis", "assembly", "basis", "case_fields", "cases", "cli", "errors",
+        "mesh", "quadrature", "solver", "spaces", "study", "weakops",
+    ]  # fmt: skip

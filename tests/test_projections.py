@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
+from wgstokes.assembly import assemble
 from wgstokes.mesh import PolygonalMesh, generate_mesh
 from wgstokes.quadrature import edge_rule, polygon_rule
-from wgstokes.projections import (
-    project_boundary_velocity,
-    project_gradient,
-    project_pressure,
-    project_velocity,
-)
+from wgstokes.spaces import WeakFunction
 from wgstokes.weakops import ElementOps
 
-from conftest import edge_basis, monomial_gradients
+from conftest import edge_basis, monomial_gradients, project
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +25,7 @@ def unit_cell_k2():
 
 def test_interior_projection_reproduces_constants(unit_cell_k1):
     ops = unit_cell_k1
-    v = project_velocity(ops, lambda pts: np.tile([1.0, 2.0], (len(pts), 1)))
+    v = project(ops, lambda pts: np.tile([1.0, 2.0], (len(pts), 1)))
     rule = polygon_rule(ops.mesh.cell_vertices(0), 2 * ops.degree + 2)
     vals = ops.cell_basis[0].eval(rule.points) @ v.interior(0).T
     assert np.allclose(vals, [1.0, 2.0], atol=1e-14)
@@ -39,7 +35,7 @@ def test_interior_projection_linear_fit_oracle(unit_cell_k1):
     """Best linear L2 fit of x^2 on the unit square is x - 1/6."""
     ops = unit_cell_k1
     u = lambda pts: np.column_stack([pts[:, 0] ** 2, np.zeros(len(pts))])
-    v = project_velocity(ops, u)
+    v = project(ops, u)
     pts = np.array([[0.1, 0.3], [0.5, 0.9], [0.8, 0.2], [0.25, 0.75]])
     vals = ops.cell_basis[0].eval(pts) @ v.interior(0).T
     assert np.allclose(vals[:, 0], pts[:, 0] - 1.0 / 6.0, atol=1e-13)
@@ -51,7 +47,7 @@ def test_edge_projection_mean_oracle(unit_cell_k1):
     ops = unit_cell_k1
     # arclength parameter along the bottom edge (0,0)-(1,0) is x
     u = lambda pts: np.column_stack([pts[:, 0], np.zeros(len(pts))])
-    v = project_velocity(ops, u)
+    v = project(ops, u)
     ends = ops.mesh.vertices[ops.mesh.edges]
     (e,) = [e for e in range(ops.mesh.num_edges) if np.allclose(ends[e][:, 1], 0)]
     assert np.allclose(v.vb[e], [[0.5], [0.0]], atol=1e-14)
@@ -61,7 +57,7 @@ def test_edge_projection_line_fit_oracle(unit_cell_k2):
     """Degree-1 edge projection of s^2 on a unit edge is the line s - 1/6."""
     ops = unit_cell_k2
     u = lambda pts: np.column_stack([pts[:, 0] ** 2, np.zeros(len(pts))])
-    v = project_velocity(ops, u)
+    v = project(ops, u)
     ends = ops.mesh.vertices[ops.mesh.edges]
     (e,) = [e for e in range(ops.mesh.num_edges) if np.allclose(ends[e][:, 1], 0)]
     pts = np.column_stack([np.array([0.0, 0.25, 0.6, 1.0]), np.zeros(4)])
@@ -79,18 +75,17 @@ def test_tensor_projection_constant_oracle(unit_cell_k1):
         ],
         axis=1,
     )
-    proj = project_gradient(ops, grad)
+    proj = project(ops, grad, 0)
     assert proj.shape == (1, 2, 2, 1)
     assert np.allclose(proj[0, :, :, 0], [[1.0, 0.0], [0.0, 0.0]], atol=1e-14)
 
 
 def test_scalar_projection_oracles(unit_cell_k1):
     ops = unit_cell_k1
-    p7 = project_pressure(ops, lambda pts: np.full(len(pts), 7.0))
-    assert np.allclose(p7.cell(0), [7.0], atol=1e-14)
-    px = project_pressure(ops, lambda pts: pts[:, 0])
-    assert np.allclose(px.cell(0), [0.5], atol=1e-14)
-    assert np.allclose(px.cellwise, [[0.5]], atol=1e-14)
+    p7 = project(ops, lambda pts: np.full(len(pts), 7.0), 0)
+    assert np.allclose(p7, [[7.0]], atol=1e-14)
+    px = project(ops, lambda pts: pts[:, 0], 0)
+    assert np.allclose(px, [[0.5]], atol=1e-14)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -99,14 +94,14 @@ def test_idempotence(degree):
     ops = ElementOps(generate_mesh("uniform-quad", 1), degree)
     rng = np.random.default_rng(4)
     u = lambda pts: np.column_stack([np.sin(3 * pts[:, 0]) * pts[:, 1], np.cos(pts[:, 1])])
-    once = project_velocity(ops, u)
+    once = project(ops, u)
     as_field = lambda pts: ops.cell_basis[0].eval(pts) @ once.interior(0).T
-    twice_int = project_velocity(ops, as_field)
+    twice_int = project(ops, as_field)
     assert np.allclose(once.interior(0), twice_int.interior(0), atol=1e-12)
-    p_once = project_pressure(ops, lambda pts: np.exp(pts[:, 0] * pts[:, 1]))
-    p_field = lambda pts: ops.cell_basis_low[0].eval(pts) @ p_once.cell(0)
-    p_twice = project_pressure(ops, p_field)
-    assert np.allclose(p_once.cell(0), p_twice.cell(0), atol=1e-14)
+    p_once = project(ops, lambda pts: np.exp(pts[:, 0] * pts[:, 1]), degree - 1)
+    p_field = lambda pts: ops.cell_basis_low[0].eval(pts) @ p_once[0]
+    p_twice = project(ops, p_field, degree - 1)
+    assert np.allclose(p_once, p_twice, atol=1e-14)
     del rng
 
 
@@ -115,8 +110,8 @@ def test_projection_self_adjoint(unit_cell_k2):
     ops = unit_cell_k2
     f = lambda pts: np.column_stack([pts[:, 0] ** 3, pts[:, 1] ** 2 * pts[:, 0]])
     g = lambda pts: np.column_stack([pts[:, 1] ** 3, pts[:, 0] ** 2])
-    qf = project_velocity(ops, f)
-    qg = project_velocity(ops, g)
+    qf = project(ops, f)
+    qg = project(ops, g)
     rule = polygon_rule(ops.mesh.cell_vertices(0), 8)
     w = rule.weights
     fv, gv = f(rule.points), g(rule.points)
@@ -131,7 +126,7 @@ def test_linear_field_reproduced_everywhere(ops_quad_k1):
     """A linear velocity lies in the k=1 spaces: interior and traces match."""
     ops = ops_quad_k1
     u = lambda pts: np.column_stack([1 + 2 * pts[:, 0] - pts[:, 1], 3 * pts[:, 1]])
-    v = project_velocity(ops, u)
+    v = project(ops, u)
     for c in (0, 3):
         rule = polygon_rule(ops.mesh.cell_vertices(c), 2 * ops.degree + 2)
         vals = ops.cell_basis[c].eval(rule.points) @ v.interior(c).T
@@ -144,11 +139,14 @@ def test_linear_field_reproduced_everywhere(ops_quad_k1):
 
 
 def test_boundary_projection_matches_full(ops_quad_k2):
-    """Boundary blocks of the full projection equal the boundary-only one."""
+    """Boundary blocks of the full projection equal the Dirichlet values that
+    `assemble` fixes, and those are zero off the boundary edges.  g is
+    divergence-free, so `assemble` accepts it."""
     ops = ops_quad_k2
-    g = lambda pts: np.column_stack([np.sin(pts[:, 0] + pts[:, 1]), pts[:, 0] ** 2])
-    full = project_velocity(ops, g)
-    bdry = project_boundary_velocity(ops, g)
+    wave = lambda pts: np.sin(pts[:, 0] + pts[:, 1])
+    g = lambda pts: np.column_stack([wave(pts), pts[:, 0] ** 2 - wave(pts)])
+    full = project(ops, g)
+    bdry = WeakFunction(ops.dofmap, assemble(ops, boundary_velocity=g).fixed_values)
     for e in np.nonzero(ops.mesh.boundary_edges)[0]:
         assert np.allclose(full.vb[e], bdry.vb[e], atol=1e-14)
     mask = ops.dofmap.boundary_velocity_mask()
@@ -203,7 +201,7 @@ def test_trace_inequality_bounded_under_refinement():
 def test_projection_on_polygonal_cells(ops_poly_k2):
     """Constants are reproduced on general polygonal (Voronoi) cells too."""
     ops = ops_poly_k2
-    v = project_velocity(ops, lambda pts: np.tile([3.0, -1.0], (len(pts), 1)))
+    v = project(ops, lambda pts: np.tile([3.0, -1.0], (len(pts), 1)))
     for c in range(ops.mesh.num_cells):
         rule = polygon_rule(ops.mesh.cell_vertices(c), 2 * ops.degree + 2)
         vals = ops.cell_basis[c].eval(rule.points) @ v.interior(c).T
