@@ -25,8 +25,10 @@ peak.  The resident set (from /proc/self/statm, where it exists) is what
 the process holds once the stage is done; freed heap that the C library
 keeps shows there.  After the table come the cell count, the LU's fill,
 beta_h, the Lanczos steps of the pressure solve and of beta_h (counted
-around `wgstokes.solver.lanczos`), the cell data rule's point count and
-points per cell, and the five errors.
+around `wgstokes.solver.lanczos`), each with the time that its stage spent
+in S⁻¹ applications (`wgstokes.solver.CondensedFactor._two`, timed here
+around each call; the rest of a step is its bookkeeping), the cell data
+rule's point count and points per cell, and the five errors.
 """
 import gc
 import os
@@ -104,6 +106,18 @@ def counted_lanczos(*args):
 
 
 analysis.lanczos = counted_lanczos
+two, inverse_seconds = solver.CondensedFactor._two, [0.0]
+
+
+def timed_two(factor, v):
+    """S⁻¹ on both components, its time added to inverse_seconds."""
+    t0 = time.perf_counter()
+    out = two(factor, v)
+    inverse_seconds[0] += time.perf_counter() - t0
+    return out
+
+
+solver.CondensedFactor._two = timed_two
 print(f"{family} k={degree} n={n}, taylor-trig")
 print(f"{'stage':<14}{'time':>10}{'gc':>10}{'resident':>12}{'peak':>12}")
 gc.callbacks.append(gc_clock)
@@ -115,12 +129,17 @@ projection = stage("project_case", lambda: project_case(ops, case))
 data_points = len(ops.cell_data.weights)
 del ops.cell_data
 report = stage("solve", lambda: solve(system))
+solve_inverse = inverse_seconds[0]
 beta = stage("beta_h", lambda: discrete_inf_sup(system, report.factor))
+beta_inverse = inverse_seconds[0] - solve_inverse
 errors = stage(
     "error_bundle", lambda: error_bundle(system, projection, report.velocity, report.pressure)
 )
 gc.callbacks.remove(gc_clock)
 print(f"cells {mesh.num_cells}, L+U {report.lu_fill:,}, beta_h {beta:.6f}")
-print(f"Lanczos steps: solve {report.lanczos_steps}, beta_h {beta_steps[0]}")
+print(
+    f"Lanczos steps: solve {report.lanczos_steps} (S^-1 {1e3 * solve_inverse:.3f} ms), "
+    f"beta_h {beta_steps[0]} (S^-1 {1e3 * beta_inverse:.3f} ms)"
+)
 print(f"cell data rule {data_points:,} points, {data_points / mesh.num_cells:.1f} per cell")
 print("  ".join(f"{name} {value:.6e}" for name, value in errors.as_dict().items()))

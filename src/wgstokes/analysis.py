@@ -17,9 +17,9 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SolverError
 from .solver import factorize, lanczos
 from .spaces import PressureFunction, WeakFunction
 
@@ -169,9 +169,14 @@ def discrete_inf_sup(system, factor=None):
     factor = factor or factorize(system)
     start, z = np.random.default_rng(0).standard_normal(n_p), factor.z
 
-    def converged(T, beta):  # the smallest Ritz value θ, by its residual bound
-        theta, s = eigh_tridiagonal(np.diag(T), np.diag(T, 1), select="i", select_range=(0, 0))
-        return beta * abs(s[-1, 0]) <= INF_SUP_TOL * theta[0]
+    def converged(alpha, beta):  # the smallest Ritz value θ, by its residual bound
+        if len(alpha) == 1:  # f2py takes no empty off-diagonal: θ = α₁, s = 1
+            return beta[0] <= INF_SUP_TOL * alpha[0]
+        _, theta, block, split, info = dstebz(alpha, beta[:-1], 2, 0.0, 1.0, 1, 1, 0.0, "B")  # θ by bisection
+        s, failed = dstein(alpha, beta[:-1], theta[:1], block, split)  # its vector by inverse iteration
+        if info or failed:
+            raise SolverError(f"LAPACK stebz/stein failed (info {info}, {failed}) at Lanczos step {len(alpha)}")
+        return beta[-1] * abs(s[-1, 0]) <= INF_SUP_TOL * theta[0]
 
     _, T = lanczos(factor.operator, start - z * (z @ start), converged, z)
     return float(np.sqrt(np.linalg.eigvalsh(T)[0]))

@@ -138,21 +138,22 @@ def solve(system, condense=True):
 def lanczos(apply, start, done, lock):
     """Lanczos on the symmetric map `apply` from `start`, orthogonal to the unit
     vector `lock`; each new vector is orthogonalized against `lock` and all
-    before it, until done(T, beta) holds for the tridiagonal T so far and the
-    next off-diagonal beta.  Returns the vectors (rows) and T; SolverError
-    after LANCZOS_CAP steps."""
-    V, alpha, beta = np.zeros((LANCZOS_CAP + 2, len(start))), [], []  # pages touched as reached
-    V[0], V[1] = lock, start / np.linalg.norm(start)
+    before it, until done(alpha, beta) holds for the running diagonal alpha
+    and off-diagonal beta of the tridiagonal T, beta one longer: its last
+    entry is the next off-diagonal.  Returns the vectors (rows) and T, built
+    once; SolverError after LANCZOS_CAP steps."""
+    V, a, b = np.zeros((LANCZOS_CAP + 2, len(start))), np.zeros(LANCZOS_CAP), np.zeros(LANCZOS_CAP + 1)
+    V[0], V[1] = lock, start / np.linalg.norm(start)  # V's pages touched as reached
     for j in range(1, LANCZOS_CAP + 1):
-        w = apply(V[j]) - (beta[-1] * V[j - 1] if beta else 0.0)
-        alpha.append(V[j] @ w)
-        w -= alpha[-1] * V[j]
+        w = apply(V[j])
+        w -= b[j - 1] * V[j - 1]  # b[0] = 0
+        a[j - 1] = V[j] @ w
+        w -= a[j - 1] * V[j]
         w -= V[: j + 1].T @ (V[: j + 1] @ w)  # full reorthogonalization, against `lock` too
-        beta.append(float(np.linalg.norm(w)))
-        T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
-        if done(T, beta[-1]):
-            return V[1 : j + 1], T
-        V[j + 1] = w / beta[-1]
+        b[j] = np.linalg.norm(w)
+        if done(a[:j], b[1 : j + 1]):
+            return V[1 : j + 1], np.diag(a[:j]) + np.diag(b[1:j], 1) + np.diag(b[1:j], -1)
+        np.divide(w, b[j], out=V[j + 1])
     raise SolverError(f"Lanczos reached its cap of {LANCZOS_CAP} steps on {len(start)} pressure DOFs")
 
 
@@ -166,7 +167,7 @@ class CondensedFactor:
     constant pressure, normalized, is its null vector."""
 
     def __init__(self, S, C, D, R_inv, steps, edges, z):
-        self.C, self.D, self.R_inv, self.steps, self.edges, self.z = C, D, R_inv, steps, edges, z
+        self.C, self.C_T, self.D, self.R_inv, self.steps, self.edges, self.z = C, C.T, D, R_inv, steps, edges, z
         self.lanczos_steps, symmetric = 0, dict(SymmetricMode=True)  # S is SPD: diagonal pivots
         self.lu = _lu(S, "condensed", permc_spec="NATURAL", diag_pivot_thresh=0.0, options=symmetric)
 
@@ -176,7 +177,7 @@ class CondensedFactor:
 
     def operator(self, y):
         """R⁻¹ S_p R⁻ᵀ y."""
-        return self.D @ y + self.C @ self._two(self.C.T @ y)
+        return self.D @ y + self.C @ self._two(self.C_T @ y)
 
     def solve(self, rhs_u, rhs_p):
         """Free velocity and zero-mean pressure, the pressure by Lanczos-CG."""
@@ -189,10 +190,16 @@ class CondensedFactor:
         b -= self.z * (self.z @ b)
         y = np.zeros(len(b))
         if b.any():
-            cg = lambda T: np.linalg.solve(T, np.eye(len(T))[0])  # T⁻¹e₁: y in the Lanczos basis
-            V, T = lanczos(self.operator, b, lambda T, beta: beta * abs(cg(T)[-1]) <= PRESSURE_TOL, self.z)
-            y, self.lanczos_steps = np.linalg.norm(b) * (V.T @ cg(T)), len(T)
-        x[p], x[self.edges.T] = self.R_inv.T @ y, self._two(g_e - self.C.T @ y).reshape(2, -1)
+            cg = [0.0, -1.0]  # β_{j-1}²/d_{j-1} and β_{j-1}(T_{j-1}⁻¹e₁)_{j-1}; at j = 1, 0 and -1
+
+            def converged(alpha, beta):  # CG's residual β_j |(T_j⁻¹e₁)_j| by its pivots d_j (Saad §6.7)
+                d = alpha[-1] - cg[0]
+                cg[:] = beta[-1] ** 2 / d, -beta[-1] * cg[1] / d
+                return abs(cg[1]) <= PRESSURE_TOL
+
+            V, T = lanczos(self.operator, b, converged, self.z)  # y in the Lanczos basis: |b| T⁻¹e₁
+            y, self.lanczos_steps = np.linalg.norm(b) * (V.T @ np.linalg.solve(T, np.eye(len(T))[0])), len(T)
+        x[p], x[self.edges.T] = self.R_inv.T @ y, self._two(g_e - self.C_T @ y).reshape(2, -1)
         for (index, rest, W, G), w in zip(self.steps[::-1], ws[::-1]):
             x[index] = np.einsum("cji,cj->ci", W, w - np.einsum("cij,cj->ci", G, x[rest]))
         return x[: len(rhs_u)], x[p]

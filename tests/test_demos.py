@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from wgstokes import analysis, solver
+
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
@@ -37,6 +39,10 @@ def test_weak_operator_identities_demo(capsys):
 
 def test_level_profile_demo(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["level_profile.py", "perturbed-polygon", "2", "8"])
+    # the demo wraps these in place; set to themselves, they are restored after the test
+    monkeypatch.setattr(solver, "splu", solver.splu)
+    monkeypatch.setattr(analysis, "lanczos", analysis.lanczos)
+    monkeypatch.setattr(solver.CondensedFactor, "_two", solver.CondensedFactor._two)
     out = _run("level_profile.py", capsys)
     rows = re.findall(r"^(\S+) +(\S+) s +(\S+) s +(\S+) MB +(\S+) MB$", out, re.MULTILINE)
     stages = ["mesh", "ElementOps", "assemble", "project_case", "gstrf", "solve", "beta_h"]
@@ -50,8 +56,12 @@ def test_level_profile_demo(capsys, monkeypatch):
     assert np.all(np.diff(peak) >= 0)  # a high-water mark
     assert not np.any(resident > peak)  # NaN where the resident set cannot be read
     assert 0 < float(re.search(r"beta_h (\S+)", out).group(1)) < 1
-    steps = re.search(r"^Lanczos steps: solve (\d+), beta_h (\d+)$", out, re.MULTILINE)
-    assert all(int(count) > 0 for count in steps.groups())
+    line = r"^Lanczos steps: solve (\d+) \(S\^-1 (\S+) ms\), beta_h (\d+) \(S\^-1 (\S+) ms\)$"
+    steps = re.search(line, out, re.MULTILINE).groups()
+    assert all(int(count) > 0 for count in steps[::2])
+    inverse = np.array(steps[1::2], dtype=float) / 1e3
+    assert (inverse > 0).all()
+    assert (inverse <= times[5:7] + 0.005).all()  # within the solve and beta_h rows, printed to 2 decimals
     kept = float(re.search(r"^ElementOps keeps (\S+) MB$", out, re.MULTILINE).group(1))
     assert 0 < kept < peak[1]  # printed right after the ElementOps row
     # 6,419 points over 64 cells: one 49-point piece per pair of fan triangles

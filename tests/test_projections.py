@@ -138,11 +138,12 @@ def test_linear_field_reproduced_everywhere(ops_quad_k1):
         assert np.allclose(vals, u(mid), atol=1e-13)
 
 
-def test_boundary_projection_matches_full(ops_quad_k2):
+def test_boundary_projection_matches_full(ops_poly_k2):
     """Boundary blocks of the full projection equal the Dirichlet values that
-    `assemble` fixes, and those are zero off the boundary edges.  g is
+    `assemble` fixes, and those are zero off the boundary edges, on a Voronoi
+    mesh (tests/test_assembly.py makes the same check on squares).  g is
     divergence-free, so `assemble` accepts it."""
-    ops = ops_quad_k2
+    ops = ops_poly_k2
     wave = lambda pts: np.sin(pts[:, 0] + pts[:, 1])
     g = lambda pts: np.column_stack([wave(pts), pts[:, 0] ** 2 - wave(pts)])
     full = project(ops, g)

@@ -5,15 +5,17 @@ import platform
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from conftest import full_solve, project
-from wgstokes import solver
+from wgstokes import analysis, solver
+from wgstokes.analysis import INF_SUP_TOL, discrete_inf_sup
 from wgstokes.assembly import assemble
 from wgstokes.cases import get_case
 from wgstokes.errors import SolverError
 from wgstokes.mesh import generate_mesh
-from wgstokes.solver import factorize, solve
+from wgstokes.solver import PRESSURE_TOL, factorize, solve
 from wgstokes.weakops import ElementOps
 
 
@@ -221,6 +223,47 @@ def test_lanczos_cap_is_typed(monkeypatch):
     monkeypatch.setattr(solver, "LANCZOS_CAP", 3)
     with pytest.raises(SolverError, match=f"cap of 3 steps on {system.num_pressure_dofs} pressure DOFs"):
         solve(system)
+
+
+def _dense_pressure_stop(alpha, beta):
+    """The pressure's stop test on the dense T: β_j |(T⁻¹e₁)_j| by np.linalg.solve."""
+    T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+    return beta[-1] * abs(np.linalg.solve(T, np.eye(len(T))[0])[-1]) <= PRESSURE_TOL
+
+
+def _dense_inf_sup_stop(alpha, beta):
+    """beta_h's stop test with θ and its vector s from eigh_tridiagonal."""
+    theta, s = eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(0, 0))
+    return beta[-1] * abs(s[-1, 0]) <= INF_SUP_TOL * theta[0]
+
+
+@pytest.mark.parametrize(
+    "ops", [pytest.param("ops_poly_k2", id="ops_poly_k2"), pytest.param(("hexagonal", 8), id="hexagonal-k2-n8")]
+)
+def test_lanczos_stops_where_the_dense_tests_stop(ops, request, monkeypatch):
+    """The stop tests on the running (α, β), CG's pivot recurrence for the
+    pressure and LAPACK's stebz/stein for beta_h, stop Lanczos at the step of
+    the dense tests on T, with a bitwise-equal T: from the pressure's start
+    and from beta_h's seeded one, on the same factor's operator."""
+    ops = request.getfixturevalue(ops) if isinstance(ops, str) else ElementOps(generate_mesh(*ops), 2)
+    case = get_case("taylor-trig")
+    system = assemble(ops, body_force=case.f, boundary_velocity=case.g)
+    lanczos, calls = solver.lanczos, []
+
+    def recorded(*args):
+        vectors, T = lanczos(*args)
+        calls.append((args, T))
+        return vectors, T
+
+    monkeypatch.setattr(solver, "lanczos", recorded)
+    monkeypatch.setattr(analysis, "lanczos", recorded)
+    report = solve(system)
+    discrete_inf_sup(system, report.factor)
+    assert len(calls) == 2 and len(calls[0][1]) == report.lanczos_steps
+    for ((apply, start, _, lock), T), dense in zip(calls, [_dense_pressure_stop, _dense_inf_sup_stop]):
+        reference = lanczos(apply, start, dense, lock)[1]
+        assert len(T) == len(reference) > 1
+        assert np.array_equal(T, reference)
 
 
 def test_residual_above_tolerance_raises(ops_quad_k1, monkeypatch):
