@@ -47,15 +47,6 @@ ERROR_COLUMNS = CSV_COLUMNS[3:8]
 # -- discrete norms ------------------------------------------------------
 
 
-def velocity_interior_norm(ops, v):
-    """L2 norm of the interior (cellwise) part of a discrete velocity."""
-    return _mass_norm(v.v0, ops.mass)
-
-
-def pressure_norm(ops, p):
-    return _mass_norm(p.cellwise, ops.mass_low)
-
-
 def _mass_norm(coeffs, mass):
     """sqrt of the sum over cells of c' M c, for coeffs (n_cells, [d,] n)."""
     c = coeffs.reshape(len(coeffs), -1, mass.shape[-1])
@@ -135,8 +126,8 @@ def error_bundle(system, projection, velocity, pressure):
     """Errors of a discrete solution against a `project_case` record: the
     energy norm on the level's assembled A, the L2 norms by the masses."""
     ops, error = system.ops, projection.velocity - velocity
-    vel_l2_proj = velocity_interior_norm(ops, error)
-    pres_l2 = pressure_norm(ops, projection.pressure - pressure)
+    vel_l2_proj = _mass_norm(error.v0, ops.mass)  # the interior part only
+    pres_l2 = _mass_norm((projection.pressure - pressure).cellwise, ops.mass_low)
     return ErrorBundle(
         triple_bar=_root(error.coeffs @ (system.A @ error.coeffs)),
         vel_l2_proj=vel_l2_proj,

@@ -27,6 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import CompatibilityError
+from .quadrature import loop_groups
 from .spaces import WeakFunction
 from .weakops import _drop_rounding
 
@@ -37,11 +38,13 @@ COMPAT_TOL = 1e-10
 @dataclasses.dataclass
 class _CellBatch:
     """The cells (n,) with one side count, the velocity DOFs (n, 2, nv) of each
-    component (interior block, then each side's edge block in loop order), a(., .)
-    on them (n, 2, nv, nv: one block, seen twice) and b(., .) (n, nlow, 2, nv)."""
+    component (interior block, then each side's edge block in loop order), the
+    pressure DOFs (n, nlow), a(., .) on the velocities (n, 2, nv, nv: one block,
+    seen twice) and b(., .) (n, nlow, 2, nv)."""
 
     cells: np.ndarray
     dofs: np.ndarray
+    pressures: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
@@ -49,8 +52,7 @@ class _CellBatch:
         """Rows and columns of the entries of a or b."""
         if field == "a":
             return self.dofs[..., None], self.dofs[..., None, :]
-        nlow = self.b.shape[1]
-        return (self.cells[:, None] * nlow + np.arange(nlow))[..., None, None], self.dofs[:, None]
+        return self.pressures[..., None, None], self.dofs[:, None]
 
 
 class SaddleSystem:
@@ -137,7 +139,7 @@ def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):
     load = np.zeros(dofmap.num_velocity_dofs)
     if body_force is not None:
         field = body_force(ops.cell_data.points)
-        load[: dofmap.interior_size] = ops.cell_moments(field, ops.degree).ravel()
+        load[dofmap.cell_dofs] = ops.cell_moments(field, ops.degree)
     # the first scaled monomial is 1, so mass rows 0 hold the basis integrals
     pressure_moments = ops.mass_low[:, 0, :].ravel()
 
@@ -182,25 +184,22 @@ def _cell_matrices(ops):
     component's DOFs to the weak-gradient moments in each direction
     (n, 2, nlow, nv), J to the jumps on each side (n, m, ne, nv)."""
     mesh, dm, nlow, ne = ops.mesh, ops.dofmap, ops.dofmap.dim_cell_low, ops.dofmap.dim_edge
-    v0, vb = np.split(np.arange(dm.num_velocity_dofs, dtype=np.int32), [dm.interior_size])
-    sides_of = np.diff(mesh.side_starts, append=len(mesh.side_cell))
     minv, side_mass = np.linalg.inv(ops.mass_low), _side_mass(ops)
     # Dᵀ M D summed over the directions, plus Jᵀ S J summed over the sides
     flat = lambda X: X.reshape(len(X), -1, X.shape[-1])
     gram = lambda M, D, S, J: sum(flat(X).swapaxes(1, 2) @ flat(W @ X) for W, X in ((M, D), (S, J)))
     batches = []
-    for m in np.unique(sides_of):
-        cells = np.flatnonzero(sides_of == m)
-        n, sides = len(cells), mesh.side_starts[cells, None] + np.arange(m)
+    for cells, sides in loop_groups(np.arange(len(mesh.side_cell)), mesh.side_starts):
+        n, m = sides.shape
         outward = np.einsum("csj,csrb->cjrsb", mesh.side_normal[sides], ops.side_moments[sides])
         D = np.concatenate([ops.grad_moments[cells], outward.reshape(n, 2, nlow, m * ne)], -1)
         J = np.concatenate([ops.trace[sides], -np.eye(m * ne).reshape(1, m, ne, -1).repeat(n, 0)], -1)
         terms = (minv[cells, None], D, side_mass[sides], J)
         a = _drop_rounding(gram(*terms), gram(*map(np.abs, terms)), 2 * (nlow + m * ne))
-        edges = vb.reshape(-1, 2, ne)[mesh.side_edge[sides]].swapaxes(1, 2).reshape(n, 2, -1)
-        dofs = np.concatenate([v0.reshape(-1, 2, dm.dim_cell)[cells], edges], -1)
+        edges = dm.edge_dofs[mesh.side_edge[sides]].swapaxes(1, 2).reshape(n, 2, -1)
+        dofs = np.concatenate([dm.cell_dofs[cells], edges], -1)
         a = np.broadcast_to(a[:, None], (n, 2) + a.shape[1:])  # one block for both components
-        batches.append(_CellBatch(cells, dofs, a, D.swapaxes(1, 2)))
+        batches.append(_CellBatch(cells, dofs, dm.cell_pressures[cells], a, D.swapaxes(1, 2)))
     return batches
 
 

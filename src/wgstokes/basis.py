@@ -40,25 +40,3 @@ def monomials(loc, degree):
         np.multiply(px[a], py[b], out=out[..., col])
     return out
 
-
-class CellBasis:
-    """Scaled monomial basis of P_degree on one cell.
-
-    Parameters
-    ----------
-    degree : int
-    center : (2,) array
-        Scaling center (the cell centroid).
-    scale : float
-        Length scale (the cell diameter).
-    """
-
-    def __init__(self, degree, center, scale):
-        self.degree = degree
-        self.center = np.asarray(center, dtype=float)
-        self.scale = float(scale)
-        self.dim = space_dimension(degree)
-
-    def eval(self, pts):
-        """Basis values at physical points; shape (npts, dim)."""
-        return monomials((np.atleast_2d(pts) - self.center) / self.scale, self.degree)

@@ -85,16 +85,17 @@ def solve(system, condense=True):
     A, B, m = system.A, system.B, system.pressure_moments
     # boundary data sit on the fixed DOFs and are zero on the free ones
     u = system.fixed_values.copy()
-    rhs_u, rhs_p = system.load[free] - (A @ u)[free], B @ u
+    rhs_u, rhs_p = system.load - A @ u, B @ u  # rhs_u on the fixed rows goes unread
 
     if condense:
         factor = factorize(system)
-        u[free], p = factor.solve(rhs_u, rhs_p)
+        x, p = factor.solve(rhs_u, rhs_p)
+        u[free] = x[free]
         lu, steps = factor.lu, factor.lanczos_steps
     else:  # pressure 0 pinned to 0 by leaving its row and column out
         factor, B_f = None, B[1:][:, free]
         K = sparse.bmat([[A[free][:, free], -B_f.T], [-B_f, None]], format="csc")
-        rhs, lu, steps = np.concatenate([rhs_u, rhs_p[1:]]), _lu(K, "sparse"), 0
+        rhs, lu, steps = np.concatenate([rhs_u[free], rhs_p[1:]]), _lu(K, "sparse"), 0
         x = lu.solve(rhs)
         x += lu.solve(rhs - K @ x)  # one refinement step: LU rounding grows with the mesh
         u[free], p = x[: len(free)], np.concatenate([[0.0], x[len(free) :]])
@@ -110,7 +111,7 @@ def solve(system, condense=True):
     r_mom = (A @ u - B.T @ p)[free] - system.load[free]
     r_mass = B @ u
     r_mean = float(m @ p)
-    rhs_norm = float(np.linalg.norm(np.concatenate([rhs_u, rhs_p])))
+    rhs_norm = float(np.linalg.norm(np.concatenate([rhs_u[free], rhs_p])))
     scale = max(rhs_norm, 1e-30)
     momentum_residual = float(np.linalg.norm(r_mom))
     mass_residual = float(np.linalg.norm(r_mass))
@@ -160,9 +161,9 @@ def lanczos(apply, start, done, lock):
 class CondensedFactor:
     """The interior velocities' cell eliminations, ``steps`` (one per component
     and side count, batched over the cells: the eliminated unknowns, the rest, W, G), on
-    the free velocities, the pressures and a last slot reading 0; then one
-    sparse LU (in csc) of the edge Schur complement S, whose rows hold the
-    unknowns ``edges`` (n_S, 2) of each component.  With M_p = R Rᵀ, the
+    the velocities and then the pressures, where the fixed velocities read 0;
+    then one sparse LU (in csc) of the edge Schur complement S, whose rows
+    hold the unknowns ``edges`` (n_S, 2) of each component.  With M_p = R Rᵀ, the
     pressure operator R⁻¹ S_p R⁻ᵀ is ``D`` + C S⁻¹ Cᵀ, and ``z``, Rᵀ of the
     constant pressure, normalized, is its null vector."""
 
@@ -180,8 +181,9 @@ class CondensedFactor:
         return self.D @ y + self.C @ self._two(self.C_T @ y)
 
     def solve(self, rhs_u, rhs_p):
-        """Free velocity and zero-mean pressure, the pressure by Lanczos-CG."""
-        g, ws, p = np.concatenate([rhs_u, rhs_p, [0.0]]), [], slice(len(rhs_u), -1)
+        """Velocity, 0 on the fixed rows (which rhs_u need not hold), and
+        zero-mean pressure, the pressure by Lanczos-CG."""
+        g, ws, p = np.concatenate([rhs_u, rhs_p]), [], slice(len(rhs_u), None)
         for index, rest, W, G in self.steps:
             ws.append(np.einsum("cij,cj->ci", W, g[index]))  # L⁻¹ f_c
             g -= np.bincount(rest.ravel(), np.einsum("cij,ci->cj", G, ws[-1]).ravel(), len(g))
@@ -226,7 +228,7 @@ def _cholesky(K, sign, cells, name):
         raise SolverError(message) from err
 
 
-def _scalar_cells(batch, nk, unknown, pressure, R_inv):
+def _scalar_cells(batch, nk, n_u, R_inv):
     """A batch's scalar cell matrix a, bordered by -b of both components, less
     its interior block: with L Lᵀ that block, W = L⁻¹ and G = W K_ir, the
     two components' steps, and the (values, rows, columns) of S, C, D, R⁻¹."""
@@ -240,10 +242,10 @@ def _scalar_cells(batch, nk, unknown, pressure, R_inv):
     K, m = K[:, nk:, nk:] - G.swapaxes(1, 2) @ G, nv - nk  # on the edges, then the x and y pressures
     D = -(K[:, m : m + low, m : m + low] + K[:, m + low :, m + low :])  # B_i A_ii⁻¹ B_iᵀ
     _cholesky(-D[:, 1:, 1:], -1, batch.cells, "pressure")  # the interior controls the non-constant p
-    steps, rows, edges = [], pressure[batch.cells], unknown[batch.dofs[:, :, nk:]]
+    steps, rows, edges = [], n_u + batch.pressures, batch.dofs[:, :, nk:]
     for c in range(2):  # the component's edges, then the cell's pressures
         rest, cols = np.concatenate([edges[:, c], rows], axis=1), np.r_[:m, m + c * low : m + (c + 1) * low]
-        steps.append((unknown[batch.dofs[:, c, :nk]], rest, W, G[:, :, cols]))
+        steps.append((batch.dofs[:, c, :nk], rest, W, G[:, :, cols]))
     C = R_inv @ K[:, m:, :m].reshape(n, 2, low, m).swapaxes(1, 2).reshape(n, low, 2 * m)
     edges, rows, cols = edges.reshape(n, -1), rows[..., None], rows[:, None]
     blocks = [(K[:, :m, :m], edges[:, :m, None], edges[:, None, :m]), (C, rows, edges[:, None])]
@@ -259,16 +261,12 @@ def factorize(system):
     each: on one component's edges into S, the pressures' couplings to the
     edges into C and the pressure blocks into D.
     """
-    ops, dm, mesh = system.ops, system.ops.dofmap, system.ops.mesh
-    n_f, n_p = len(system.free), system.num_pressure_dofs
-    p = n_f + np.arange(n_p).reshape(mesh.num_cells, -1)
-    dummy, where = n_f + n_p, np.full(n_f + n_p + 1, -1)  # dummy: the fixed velocities
-    unknown = np.where(system.fixed_mask, dummy, np.cumsum(~system.fixed_mask) - 1)
-    edges = _dissection(ops)
-    # where: a pressure's number, an edge unknown's column in C (x: S's row)
-    where[edges.T], where[n_f:dummy] = np.arange(edges.size).reshape(2, -1), np.arange(n_p)
+    ops, n_u, n_p = system.ops, system.num_velocity_dofs, system.num_pressure_dofs
+    edges, where = _dissection(ops), np.full(n_u + n_p, -1)
+    # where: a pressure's number, a free edge unknown's column in C (x: S's row), else -1
+    where[edges.T], where[n_u:] = np.arange(edges.size).reshape(2, -1), np.arange(n_p)
     R_inv = np.linalg.inv(R := np.linalg.cholesky(ops.mass_low))
-    steps, left = zip(*(_scalar_cells(c, dm.dim_cell, unknown, p, R_inv) for c in system._cells))
+    steps, left = zip(*(_scalar_cells(c, ops.dofmap.dim_cell, n_u, R_inv) for c in system._cells))
     del system._cells  # not held under the LU; the next read builds them again
     shapes = [(len(edges),) * 2, (n_p, edges.size)] + [(n_p, n_p)] * 2
     mats = [_scatter(s, [(M, where[i], where[j]) for M, i, j in b], "csc") for s, b in zip(shapes, zip(*left))]
@@ -300,9 +298,7 @@ def _dissection(ops):
         s = s[np.lexsort((x[rows, wide], node))]
         code[s] = 2 * code[s] + (rows - start[node] >= size[node] // 2)
         start = np.flatnonzero(np.diff(code[s], prepend=-1))
-    a, b = mesh.edge_cells[~mesh.boundary_edges].T
+    a, b = mesh.edge_cells[free := np.flatnonzero(~mesh.boundary_edges)].T
     height = np.frexp(code[a] ^ code[b])[1]  # of the split that parts the edge's cells
     order = np.argsort((code[a] | ((1 << height) - 1)) * (depth + 1) + height, kind="stable")
-    d = ops.dofmap.dim_edge  # a free edge's x DOFs, then its y ones
-    dofs = ops.dofmap.interior_size + 2 * d * order[:, None, None] + np.arange(d)[:, None] + d * np.arange(2)
-    return dofs.reshape(-1, 2)
+    return ops.dofmap.edge_dofs[free[order]].swapaxes(1, 2).reshape(-1, 2)

@@ -8,7 +8,8 @@ polynomials of degree k-1 with no continuity.
 
 Global numbering: all interior blocks first (cell-major, x-component then
 y-component), then all edge blocks (edge-major, x then y).  Pressure DOFs
-are numbered cell-major.
+are numbered cell-major.  `DofMap` holds this layout as index arrays, which
+assembly and the solver's factor index.
 """
 
 import numpy as np
@@ -31,6 +32,10 @@ class DofMap:
         self.interior_size = mesh.num_cells * 2 * self.dim_cell
         self.num_velocity_dofs = self.interior_size + mesh.num_edges * 2 * self.dim_edge
         self.num_pressure_dofs = mesh.num_cells * self.dim_cell_low
+        # the layout: (n_cells, 2, dim_cell), (n_edges, 2, dim_edge) and (n_cells, dim_cell_low)
+        cells, edges = np.split(np.arange(self.num_velocity_dofs, dtype=np.int32), [self.interior_size])
+        self.cell_dofs, self.edge_dofs = cells.reshape(-1, 2, self.dim_cell), edges.reshape(-1, 2, self.dim_edge)
+        self.cell_pressures = np.arange(self.num_pressure_dofs, dtype=np.int32).reshape(-1, self.dim_cell_low)
 
     # -- boundary -------------------------------------------------------
 
@@ -73,9 +78,7 @@ class WeakFunction(_Coefficients):
 
     def interior(self, c):
         """(2, dim_cell) view of cell c's interior coefficients."""
-        nk = self.dofmap.dim_cell
-        start = c * 2 * nk
-        return self.coeffs[start : start + 2 * nk].reshape(2, nk)
+        return self.v0[c]
 
     @property
     def v0(self):
@@ -95,8 +98,7 @@ class PressureFunction(_Coefficients):
 
     def cell(self, c):
         """(dim_cell_low,) view of cell c's coefficients."""
-        nl = self.dofmap.dim_cell_low
-        return self.coeffs[c * nl : (c + 1) * nl]
+        return self.cellwise[c]
 
     @property
     def cellwise(self):

@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import CellBasis, monomial_exponents, monomials, space_dimension
+from .basis import monomial_exponents, monomials, space_dimension
 from .errors import MeshValidationError
 from .quadrature import PolygonError, edge_rule, gauss_points, polygon_rule
 from .spaces import DofMap
@@ -160,15 +160,14 @@ class ElementOps:
 
     @cached_property
     def cell_basis(self):
-        """Each cell's P_k basis as a CellBasis, built on first use: no study level reads it."""
-        mesh = self.mesh
-        return [CellBasis(self.degree, c, h) for c, h in zip(mesh.centroids, mesh.diameters)]
+        """Each cell's P_k basis, whose eval(pts) is ``basis_values`` at (npts, 2) or
+        (2,) points, built on first use: perfbench/checks.py reads it, no study level."""
+        return [_CellBasis(self, c, self.dofmap.dim_cell) for c in range(self.mesh.num_cells)]
 
     @cached_property
     def cell_basis_low(self):
-        """Each cell's P_{k-1} basis as a CellBasis, built on first use."""
-        mesh = self.mesh
-        return [CellBasis(self.degree - 1, c, h) for c, h in zip(mesh.centroids, mesh.diameters)]
+        """Each cell's P_{k-1} basis: the leading columns of ``cell_basis``."""
+        return [_CellBasis(self, c, self.dofmap.dim_cell_low) for c in range(self.mesh.num_cells)]
 
     # -- quadrature tables ---------------------------------------------
 
@@ -242,6 +241,18 @@ class ElementOps:
     def solve_edge_mass(self, moments):
         """Apply the inverse edge masses to (n_edges, [d,] dim_edge) moments."""
         return _solve_stack(self.edge_mass, moments)
+
+
+@dataclass(frozen=True)
+class _CellBasis:
+    """The first `dim` basis functions of one cell of `ops`."""
+
+    ops: ElementOps
+    cell: int
+    dim: int
+
+    def eval(self, pts):
+        return self.ops.basis_values(np.atleast_2d(pts), self.cell)[:, : self.dim]
 
 
 def _drop_rounding(sums, magnitudes, terms):

@@ -25,10 +25,8 @@ from wgstokes.analysis import (
     discrete_inf_sup,
     error_bundle,
     fit_rate,
-    pressure_norm,
     project_case,
     rate_label,
-    velocity_interior_norm,
 )
 from wgstokes.assembly import assemble
 from wgstokes.cases import case_names, get_case
@@ -124,8 +122,9 @@ def test_energy_is_norm_on_free_dofs(ops_quad_k1):
 
 def test_error_bundle_matches_projection_errors(ops_quad_k2):
     """With the zero discrete solution, the projected errors are the norms of
-    the projections, and the true errors are the fields' own norms: the
-    projection residuals of `projection_errors` added in quadrature."""
+    the projections, evaluated at the data rule's points, and the true errors
+    are the fields' own norms: the projection residuals of `projection_errors`
+    added in quadrature."""
     ops = ops_quad_k2
     case = get_case("taylor-trig")
     zero_v, zero_p = WeakFunction.zeros(ops.dofmap), PressureFunction.zeros(ops.dofmap)
@@ -134,10 +133,11 @@ def test_error_bundle_matches_projection_errors(ops_quad_k2):
     proj = projection_errors(ops, case)
     assert proj["velocity"] == projection.velocity_residual
     assert proj["pressure"] == projection.pressure_residual
-    qu, qp = projection.velocity, projection.pressure
-    assert np.isclose(bundle.vel_l2_proj, velocity_interior_norm(ops, qu), rtol=1e-12)
-    assert np.isclose(bundle.pres_l2, pressure_norm(ops, qp), rtol=1e-12)
-    table = ops.cell_data
+    table, nlow = ops.cell_data, ops.dofmap.dim_cell_low
+    qu = np.einsum("pa,pia->pi", table.values, projection.velocity.v0[table.cell])
+    qp = np.einsum("pr,pr->p", table.values[:, :nlow], projection.pressure.cellwise[table.cell])
+    assert np.isclose(bundle.vel_l2_proj, np.sqrt(table.weights @ (qu**2).sum(axis=1)), rtol=1e-12)
+    assert np.isclose(bundle.pres_l2, np.sqrt(table.weights @ qp**2), rtol=1e-12)
     for true, field in ((bundle.vel_l2_true, case.u), (bundle.pres_l2_true, case.p)):
         values = field(table.points).reshape(len(table.weights), -1)
         assert np.isclose(true, np.sqrt(table.weights @ (values**2).sum(axis=1)), rtol=1e-12)
@@ -333,6 +333,22 @@ def test_inf_sup_eigensolve_failure_is_typed(ops_quad_k1, monkeypatch):
     system = assemble(ops_quad_k1)
     with pytest.raises(SolverError, match=f"cap of 3 steps on {system.num_pressure_dofs} pressure DOFs"):
         discrete_inf_sup(system)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_inf_sup_lapack_failure_is_typed(ops_quad_k1, monkeypatch, routine):
+    """A failure that LAPACK's tridiagonal eigensolver reports in beta_h's stop
+    test raises SolverError naming the Lanczos step it met."""
+    real = getattr(analysis, routine)
+
+    def failing(*args):  # the real result, with stebz's info or stein's ifail set
+        out = list(real(*args))
+        out[-1] = 1 if routine == "dstebz" else np.ones_like(out[-1])
+        return tuple(out)
+
+    monkeypatch.setattr(analysis, routine, failing)
+    with pytest.raises(SolverError, match=r"LAPACK stebz/stein failed .* at Lanczos step 2$"):
+        discrete_inf_sup(assemble(ops_quad_k1))
 
 
 def test_inf_sup_known_value():

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(), without spawning subprocesses."""
 
+import copy
 import importlib
 import importlib.util
 import inspect
@@ -11,7 +12,7 @@ import pytest
 from scipy.sparse.linalg import splu
 
 import wgstokes
-from wgstokes import assembly, solver
+from wgstokes import assembly, cases, solver
 from wgstokes.assembly import SaddleSystem, assemble
 from wgstokes.cases import get_case
 from wgstokes.cli import build_parser, main
@@ -51,6 +52,18 @@ def test_verify_ok(capsys):
     assert names == [
         "divergence_free", "pressure_zero_mean", "force_consistent", "gradient_consistent"
     ]
+
+
+def test_verify_failing_case(capsys, monkeypatch):
+    """A case whose fields fail a check exits 2, names the check on stderr and
+    prints no row."""
+    broken = copy.copy(get_case("taylor-trig"))
+    broken.p = lambda pts: 1.0 + pts[:, 0]  # a mean of 3/2, and no longer the force's pressure
+    monkeypatch.setitem(cases._CASES, "taylor-trig", broken)
+    assert main(["verify", "--case", "taylor-trig"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pressure_zero_mean" in captured.err and "force_consistent" in captured.err
 
 
 def test_verify_unknown_case(capsys):

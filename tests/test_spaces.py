@@ -34,16 +34,24 @@ def test_degree_validation(mesh):
 
 
 def test_blocks_partition_index_space(mesh):
-    """Every global velocity index belongs to exactly one block."""
+    """Every global velocity index belongs to exactly one block, and every
+    pressure index to one cell; the DofMap's index arrays hold the blocks of
+    the coefficient views."""
     dm = DofMap(mesh, 2)
     interior, edge = dof_indices(dm)
     assert interior.shape == (mesh.num_cells, 2, dm.dim_cell)
     assert edge.shape == (mesh.num_edges, 2, dm.dim_edge)
+    assert np.array_equal(dm.cell_dofs, interior) and np.array_equal(dm.edge_dofs, edge)
+    assert dm.cell_pressures.shape == (mesh.num_cells, dm.dim_cell_low)
     seen = np.zeros(dm.num_velocity_dofs, dtype=int)
     for c in range(mesh.num_cells):
         seen[interior[c]] += 1
     for e in range(mesh.num_edges):
         seen[edge[e]] += 1
+    assert np.all(seen == 1)
+    seen = np.zeros(dm.num_pressure_dofs, dtype=int)
+    for c in range(mesh.num_cells):
+        seen[dm.cell_pressures[c]] += 1
     assert np.all(seen == 1)
 
 
@@ -73,10 +81,13 @@ def test_stacked_views_match_blocks(mesh):
     for c in range(mesh.num_cells):
         assert np.array_equal(v.v0[c], v.interior(c))
         assert np.array_equal(p.cellwise[c], p.cell(c))
+        assert np.array_equal(v.coeffs[dm.cell_dofs[c]], v.v0[c])
+        assert np.array_equal(p.coeffs[dm.cell_pressures[c]], p.cellwise[c])
     n_edge = 2 * dm.dim_edge  # edge-major after all interior blocks, x then y
     for e in range(mesh.num_edges):
         start = dm.interior_size + e * n_edge
         assert np.array_equal(v.vb[e].ravel(), v.coeffs[start : start + n_edge])
+        assert np.array_equal(v.coeffs[dm.edge_dofs[e]], v.vb[e])
     v.vb[3] = 7.0
     assert np.all(v.coeffs[dof_indices(dm)[1][3]] == 7.0)
 

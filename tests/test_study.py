@@ -102,7 +102,7 @@ def test_no_data_table_held_across_the_solve(monkeypatch):
 
 
 def test_cell_bases_not_built_by_a_level(monkeypatch):
-    """Nothing on a level's path reads the per-cell CellBasis lists, so
+    """Nothing on a level's path reads the per-cell basis lists, so
     they are built on first use only."""
     seen = []
 

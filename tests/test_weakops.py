@@ -7,6 +7,7 @@ import pytest
 
 from wgstokes import quadrature, weakops
 from wgstokes.assembly import assemble
+from wgstokes.basis import monomials
 from wgstokes.cases import case_names, get_case
 from wgstokes.errors import MeshValidationError
 from wgstokes.mesh import FAMILIES, PolygonalMesh, generate_mesh
@@ -46,6 +47,26 @@ def test_ear_clipping_failure_names_the_cell(hostile_mesh, monkeypatch):
     ops = ElementOps(mesh, 1)
     with pytest.raises(MeshValidationError, match=r"^cell 1: ear clipping failed"):
         ops.cell_data
+
+
+@pytest.mark.parametrize("name", ["ops_poly_k2", "hostile_mesh"])
+def test_cell_basis_lists_are_basis_values(name, request):
+    """What perfbench/checks.py evaluates: ``cell_basis[c].eval`` is
+    ``basis_values`` on cell c and ``cell_basis_low[c].eval`` its leading
+    dim_cell_low columns, the P_{k-1} scaled monomials, bit for bit, at one
+    (2,) point and at an (n, 2) stack."""
+    ops = request.getfixturevalue(name)
+    ops = ElementOps(ops, 2) if name == "hostile_mesh" else ops
+    mesh, nlow = ops.mesh, ops.dofmap.dim_cell_low
+    assert len(ops.cell_basis) == len(ops.cell_basis_low) == mesh.num_cells
+    for c in range(mesh.num_cells):
+        stack = np.vstack([mesh.cell_vertices(c), mesh.centroids[c]])
+        for pts, n in ((stack[0], 1), (stack, len(stack))):  # array_equal checks the (n, dim) shapes
+            values = ops.basis_values(pts, c).reshape(n, ops.dofmap.dim_cell)
+            assert np.array_equal(ops.cell_basis[c].eval(pts), values)
+            assert np.array_equal(ops.cell_basis_low[c].eval(pts), values[:, :nlow])
+        low = monomials((stack - mesh.centroids[c]) / mesh.diameters[c], ops.degree - 1)
+        assert np.array_equal(ops.cell_basis_low[c].eval(stack), low)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
