@@ -10,23 +10,8 @@ from .analysis import (
 )
 from .assembly import SaddleSystem, assemble
 from .cases import ManufacturedCase, case_names, get_case, list_cases, verify_case
-from .errors import (
-    CompatibilityError,
-    ConfigurationError,
-    MeshFormatError,
-    MeshValidationError,
-    SolverError,
-    WGError,
-)
-from .mesh import (
-    FAMILIES,
-    PolygonalMesh,
-    ShapeRegularityReport,
-    generate_mesh,
-    load_mesh,
-    save_mesh,
-    shape_regularity,
-)
+from .errors import CompatibilityError, ConfigurationError, MeshValidationError, SolverError, WGError
+from .mesh import FAMILIES, PolygonalMesh, generate_mesh, shape_regularity
 from .solver import SolveReport, solve
 from .spaces import DofMap, PressureFunction, WeakFunction
 from .study import StudyConfig, StudyResult, default_grid, run_study

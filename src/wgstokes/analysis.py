@@ -129,7 +129,8 @@ def error_bundle(system, projection, velocity, pressure):
     vel_l2_proj = _mass_norm(error.v0, ops.mass)  # the interior part only
     pres_l2 = _mass_norm((projection.pressure - pressure).cellwise, ops.mass_low)
     return ErrorBundle(
-        triple_bar=_root(error.coeffs @ (system.A @ error.coeffs)),
+        # a fixed-order sum: a BLAS dot splits its sum by the thread count
+        triple_bar=_root((error.coeffs * (system.A @ error.coeffs)).sum()),
         vel_l2_proj=vel_l2_proj,
         vel_l2_true=math.hypot(projection.velocity_residual, vel_l2_proj),
         pres_l2=pres_l2,

@@ -54,10 +54,6 @@ class ManufacturedCase:
         """The Dirichlet data: the velocity trace, so u itself."""
         return self.u
 
-    def __repr__(self):
-        deg = "transcendental" if self.data_degree is None else f"degree {self.data_degree}"
-        return f"ManufacturedCase({self.name!r}, {deg})"
-
 
 def _field(fn, *shape):
     """The field of fn(x, y), an entry or a nested list of entries, as a map

@@ -9,16 +9,6 @@ class ConfigurationError(WGError):
     """Invalid user-facing configuration (unknown family, bad degree, ...)."""
 
 
-class MeshFormatError(WGError):
-    """Malformed mesh file.  Carries the 1-based line number when known."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
 class MeshValidationError(WGError):
     """Structurally broken mesh (bad indices, inconsistent edges, ...)."""
 

@@ -30,7 +30,6 @@ square is the cell that mirroring every generator gives.  Every cell is
 checked, and one that fails raises MeshValidationError.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -38,7 +37,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
-from .errors import ConfigurationError, MeshFormatError, MeshValidationError
+from .errors import ConfigurationError, MeshValidationError
 from .quadrature import loop_groups, polygon_geometry
 
 FAMILIES = ("uniform-triangle", "uniform-quad", "perturbed-polygon", "hexagonal")
@@ -185,12 +184,6 @@ class PolygonalMesh:
         """Vertex coordinates of cell `ci` as a CCW (m, 2) loop."""
         end = self.side_starts[ci + 1] if ci + 1 < self.num_cells else len(self.side_cell)
         return self.vertices[self.side_vertices[self.side_starts[ci] : end, 0]]
-
-    def __repr__(self):
-        return (
-            f"PolygonalMesh({self.num_vertices} vertices, {self.num_edges} edges, "
-            f"{self.num_cells} cells, h={self.mesh_size:.4g})"
-        )
 
 
 def _malformed_cell(cells):
@@ -367,106 +360,11 @@ def _renumber(verts, loops, sizes):
     return pts[kept], np.split(loops[keep], np.cumsum(sizes)[:-1])
 
 
-# -- I/O ---------------------------------------------------------------
-
-_HEADER = "wgmesh 2d v1"
-
-
-def save_mesh(mesh, path):
-    """Write the line-oriented text format (see `load_mesh`)."""
-    with open(path, "w") as f:
-        f.write(_HEADER + "\n")
-        f.write(f"vertices {mesh.num_vertices}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        f.write(f"cells {mesh.num_cells}\n")
-        loops = mesh.side_vertices[:, 0].tolist()
-        ends = [*mesh.side_starts[1:].tolist(), len(loops)]
-        for start, end in zip(mesh.side_starts.tolist(), ends):
-            f.write(" ".join(map(str, loops[start:end])) + "\n")
-
-
-def load_mesh(path):
-    """Read a mesh written by `save_mesh`.
-
-    Format: header line ``wgmesh 2d v1``; ``vertices N`` followed by N
-    ``x y`` lines; ``cells M`` followed by M lines of space-separated CCW
-    0-based vertex indices.  Edges are derived, never stored.
-    """
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as err:
-        raise MeshFormatError("not UTF-8 text", data.count(b"\n", 0, err.start) + 1) from err
-
-    def fail(msg, ln):
-        raise MeshFormatError(msg, line=ln)
-
-    def count(word, ln):
-        if ln >= len(lines) or not lines[ln].startswith(word + " "):
-            fail(f"expected '{word} N'", ln + 1)
-        try:
-            n = int(lines[ln].split()[1])
-        except (IndexError, ValueError):
-            fail(f"expected '{word} N' with integer N", ln + 1)
-        if n < 0:
-            fail(f"negative {word} count {n}", ln + 1)
-        if n > len(lines) - ln - 1:
-            fail(f"{word} count {n} exceeds the {len(lines) - ln - 1} lines that follow", ln + 1)
-        return n
-
-    if not lines or lines[0].strip() != _HEADER:
-        fail(f"expected header {_HEADER!r}", 1)
-    ln = 1
-    verts = np.empty((count("vertices", ln), 2))
-    for i in range(len(verts)):
-        ln += 1
-        parts = lines[ln].split()
-        if len(parts) != 2:
-            fail(f"expected 'x y', got {lines[ln]!r}", ln + 1)
-        try:
-            verts[i] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            fail(f"bad coordinate in {lines[ln]!r}", ln + 1)
-    ln += 1
-    cells = []
-    for i in range(count("cells", ln)):
-        ln += 1
-        try:
-            cells.append(np.array(lines[ln].split(), dtype=np.int64))
-        except (ValueError, OverflowError):
-            fail(f"bad vertex index in {lines[ln]!r}", ln + 1)
-    for ln in range(ln + 1, len(lines)):
-        if lines[ln].strip():
-            fail(f"unexpected content after the cell block: {lines[ln]!r}", ln + 1)
-    return PolygonalMesh(verts, cells)
-
-
 # -- shape regularity ---------------------------------------------------
 
 
-@dataclass
-class ShapeRegularityReport:
-    """Per cell: chunkiness (diameter / star radius) and max/min edge ratio."""
-
-    aspect: np.ndarray
-    edge_ratio: np.ndarray
-    max_aspect: float
-    max_edge_ratio: float
-    threshold: float
-    flagged: np.ndarray
-
-    def summary(self):
-        return (
-            f"max diameter/star radius {self.max_aspect:.3f}, "
-            f"max edge ratio {self.max_edge_ratio:.3f}, "
-            f"{len(self.flagged)} cell(s) above threshold {self.threshold:g}"
-        )
-
-
-def shape_regularity(mesh, threshold=20.0):
-    """Chunkiness (diameter / star radius) and edge-length ratio of every cell.
+def shape_regularity(mesh):
+    """Chunkiness of every cell: its diameter over its star radius, (n_cells,).
 
     The star radius is that of the largest disc with respect to which the
     cell is star-shaped (Brenner & Scott, section 4.2): the largest disc in
@@ -475,18 +373,14 @@ def shape_regularity(mesh, threshold=20.0):
     a vertex of that polyhedron in (x, y, r); so every triple of side lines
     is solved, stacked per side count, and the largest feasible r kept.  For
     a convex cell it is the inradius.  A cell that is not star-shaped raises
-    MeshValidationError; cells whose aspect exceeds `threshold` are flagged,
-    not rejected.
+    MeshValidationError.
     """
-    starts = mesh.side_starts
-    p, q = mesh.vertices[mesh.side_vertices.T]
-    lengths = np.hypot(*(q - p).T)
-    edge_ratio = np.maximum.reduceat(lengths, starts) / np.minimum.reduceat(lengths, starts)
+    p = mesh.vertices[mesh.side_vertices[:, 0]]
     # each side's constraint n . x + r <= n . p as the row [n, 1, n . p]
     normal = mesh.side_normal
     rows = np.column_stack([normal, np.ones(len(p)), np.einsum("ij,ij->i", normal, p)])
     rho = np.empty(mesh.num_cells)
-    for group, s in loop_groups(rows, starts):
+    for group, s in loop_groups(rows, mesh.side_starts):
         triples = list(combinations(range(s.shape[1]), 3))
         A, b = s[:, triples, :3], s[:, triples, 3]
         solvable = np.abs(np.linalg.det(A)) > 1e-12  # singular where two of the sides face one way
@@ -499,12 +393,4 @@ def shape_regularity(mesh, threshold=20.0):
         raise MeshValidationError(
             f"cell {np.argmax(rho <= 0.0)} is not star-shaped: no disc lies in its kernel"
         )
-    aspect = mesh.diameters / rho
-    return ShapeRegularityReport(
-        aspect=aspect,
-        edge_ratio=edge_ratio,
-        max_aspect=float(aspect.max()),
-        max_edge_ratio=float(edge_ratio.max()),
-        threshold=threshold,
-        flagged=np.nonzero(aspect > threshold)[0],
-    )
+    return mesh.diameters / rho

@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 from scipy import linalg, sparse
+from scipy.optimize import linprog
 from scipy.sparse.linalg import splu, spsolve
 
 from wgstokes import solver
@@ -267,6 +268,18 @@ def dof_indices(dofmap):
     """Global velocity indices laid out as the (v0, vb) views of a WeakFunction."""
     idx = WeakFunction(dofmap, np.arange(dofmap.num_velocity_dofs, dtype=float))
     return idx.v0.astype(int), idx.vb.astype(int)
+
+
+def lp_star_radius(loop):
+    """Star radius of a CCW vertex loop by linear programming: the largest r
+    with a centre x such that n_i . x + r <= n_i . p_i for every side i."""
+    t = np.roll(loop, -1, axis=0) - loop
+    normal = np.column_stack([t[:, 1], -t[:, 0]]) / np.hypot(*t.T)[:, None]
+    A = np.column_stack([normal, np.ones(len(loop))])
+    b = (normal * loop).sum(axis=1)
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=b, bounds=[(None, None)] * 3)
+    assert res.success, res.message
+    return res.x[2]
 
 
 def dense_inf_sup(system):

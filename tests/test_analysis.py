@@ -180,7 +180,7 @@ def test_true_errors_match_pointwise_reference(family, degree, request):
     assert bundle.vel_l2_true == pytest.approx(velocity, rel=1e-11)
     assert bundle.pres_l2_true == pytest.approx(pressure, rel=1e-11)
     error = projection.velocity - report.velocity
-    assert bundle.triple_bar == np.sqrt(error.coeffs @ (system.A @ error.coeffs))
+    assert bundle.triple_bar == np.sqrt((error.coeffs * (system.A @ error.coeffs)).sum())
     assert bundle.triple_bar == pytest.approx(np.sqrt(energy_at_points(ops, error)), rel=1e-12)
 
 

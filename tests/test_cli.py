@@ -1,11 +1,15 @@
-"""End-to-end CLI behavior through main(), without spawning subprocesses."""
+"""End-to-end CLI behavior through main().  Only the BLAS-thread check
+spawns processes: a thread count is fixed once BLAS is loaded."""
 
 import copy
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -143,6 +147,21 @@ def test_study_csv_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_study_csv_independent_of_blas_threads(tmp_path):
+    """OpenBLAS splits a long dot product across its threads, which moves a
+    sum's last bit; the CSV must not depend on the thread count."""
+    out = {}
+    for threads in ("1", "2"):
+        out[threads] = tmp_path / f"threads{threads}.csv"
+        argv = ["study", "--degree", "1", "--family", "uniform-quad", "--out", str(out[threads])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-m", "wgstokes", *argv], env=env, capture_output=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+    assert out["1"].read_bytes() == out["2"].read_bytes()
 
 
 def test_study_grid_naming(tmp_path, capsys):
@@ -404,12 +423,11 @@ def test_public_names_are_pinned():
     )
     assert exports == [
         "CompatibilityError", "ConfigurationError", "ConvergenceRecord", "DofMap", "ElementOps",
-        "ErrorBundle", "FAMILIES", "ManufacturedCase", "MeshFormatError", "MeshValidationError",
-        "PolygonalMesh", "PressureFunction", "SaddleSystem", "ShapeRegularityReport", "SolveReport",
-        "SolverError", "StudyConfig", "StudyResult", "WGError", "WeakFunction", "assemble",
-        "case_names", "default_grid", "discrete_inf_sup", "error_bundle", "fit_rate",
-        "generate_mesh", "get_case", "list_cases", "load_mesh", "project_case", "run_study",
-        "save_mesh", "shape_regularity", "solve", "verify_case",
+        "ErrorBundle", "FAMILIES", "ManufacturedCase", "MeshValidationError", "PolygonalMesh",
+        "PressureFunction", "SaddleSystem", "SolveReport", "SolverError", "StudyConfig",
+        "StudyResult", "WGError", "WeakFunction", "assemble", "case_names", "default_grid",
+        "discrete_inf_sup", "error_bundle", "fit_rate", "generate_mesh", "get_case", "list_cases",
+        "project_case", "run_study", "shape_regularity", "solve", "verify_case",
     ]  # fmt: skip
     assert sorted(module.name for module in pkgutil.iter_modules(wgstokes.__path__)) == [
         "__main__", "analysis", "assembly", "basis", "case_fields", "cases", "cli", "errors",

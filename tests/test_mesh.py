@@ -5,20 +5,18 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 from scipy.spatial import Voronoi, cKDTree
 
+from conftest import lp_star_radius
 from wgstokes import mesh as mesh_module
-from wgstokes.errors import ConfigurationError, MeshFormatError, MeshValidationError
+from wgstokes.errors import ConfigurationError, MeshValidationError
 from wgstokes.mesh import (
     _MERGE_TOL,
     FAMILIES,
     PolygonalMesh,
     _renumber,
     generate_mesh,
-    load_mesh,
     refinement_ladder,
-    save_mesh,
     shape_regularity,
 )
 
@@ -291,136 +289,37 @@ class TestValidation:
         assert hostile_mesh.areas.sum() == pytest.approx(1.0, abs=1e-15)
 
 
-class TestIO:
-    def test_roundtrip_identical(self, tmp_path):
-        mesh = generate_mesh("perturbed-polygon", 3, seed=7)
-        path = tmp_path / "mesh.txt"
-        save_mesh(mesh, path)
-        again = load_mesh(path)
-        assert np.array_equal(mesh.vertices, again.vertices)
-        assert np.array_equal(mesh.side_starts, again.side_starts)
-        assert np.array_equal(mesh.side_vertices, again.side_vertices)
-
-    def test_saved_text_is_golden(self, tmp_path):
-        path = tmp_path / "mesh.txt"
-        save_mesh(generate_mesh("uniform-quad", 1), path)
-        assert path.read_text() == (
-            "wgmesh 2d v1\n"
-            "vertices 4\n"
-            "0.0 0.0\n"
-            "1.0 0.0\n"
-            "0.0 1.0\n"
-            "1.0 1.0\n"
-            "cells 1\n"
-            "0 1 3 2\n"
-        )
-
-    def test_header_first_line(self, tmp_path):
-        mesh = generate_mesh("uniform-quad", 2)
-        path = tmp_path / "mesh.txt"
-        save_mesh(mesh, path)
-        assert path.read_text().splitlines()[0] == "wgmesh 2d v1"
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("wgmesh 3d v7\n")
-        with pytest.raises(MeshFormatError, match="line 1"):
-            load_mesh(path)
-
-    def test_bad_coordinate_reports_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("wgmesh 2d v1\nvertices 2\n0 0\n0 oops\ncells 0\n")
-        with pytest.raises(MeshFormatError, match="line 4"):
-            load_mesh(path)
-
-    @pytest.mark.parametrize(
-        "text, line",
-        [
-            ("wgmesh 2d v1\nvertices -3\n", 2),
-            # a count larger than the file, checked before anything is allocated
-            ("wgmesh 2d v1\nvertices 100000000000000\n0 0\n", 2),
-            ("wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells -1\n", 6),
-            # content after the declared cell block
-            ("wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 2\n\n0 1 2\ngarbage here\n", 9),
-        ],
-    )
-    def test_negative_count_reports_line(self, tmp_path, text, line):
-        path = tmp_path / "bad.txt"
-        path.write_text(text)
-        with pytest.raises(MeshFormatError, match=f"line {line}"):
-            load_mesh(path)
-
-    @pytest.mark.parametrize(
-        "data, line",
-        [
-            (b"wgmesh 2d v1\nvertices x\n", 2),
-            (b"wgmesh 2d v1\nvertices 3\n0 0 0\n1 0\n0 1\ncells 1\n0 1 2\n", 3),
-            (b"wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1.5 2\n", 7),
-            # an index past any integer type
-            (b"wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 99999999999999999999999\n", 7),
-            (b"\xff\xfe\x00", 1),  # not UTF-8
-        ],
-    )
-    def test_malformed_file_reports_line(self, tmp_path, data, line):
-        path = tmp_path / "bad.txt"
-        path.write_bytes(data)
-        with pytest.raises(MeshFormatError, match=f"^line {line}: "):
-            load_mesh(path)
-
-    def test_truncated_file(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("wgmesh 2d v1\nvertices 3\n0 0\n")
-        with pytest.raises(MeshFormatError):
-            load_mesh(path)
-
-    def test_cell_with_missing_vertex_is_validation_error(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("wgmesh 2d v1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 9\n")
-        with pytest.raises(MeshValidationError):
-            load_mesh(path)
-
-
 class TestShapeRegularity:
     def test_uniform_quad_all_equal(self):
         mesh = generate_mesh("uniform-quad", 3)
-        rep = shape_regularity(mesh)
         # square of side s: diameter s*sqrt(2), inradius s/2
-        assert rep.aspect == pytest.approx(np.full(9, 2 * np.sqrt(2)), rel=1e-9)
-        assert rep.edge_ratio == pytest.approx(np.ones(9))
-        assert len(rep.flagged) == 0
+        assert shape_regularity(mesh) == pytest.approx(np.full(9, 2 * np.sqrt(2)), rel=1e-9)
 
     def test_uniform_triangle_matches_closed_form(self):
         mesh = generate_mesh("uniform-triangle", 2)
-        rep = shape_regularity(mesh)
         # right isoceles triangle, legs s: inradius s(2-sqrt(2))/2, diameter s*sqrt(2)
         expect = 2 * np.sqrt(2) / (2 - np.sqrt(2))
-        assert rep.aspect == pytest.approx(np.full(8, expect), rel=1e-9)
+        assert shape_regularity(mesh) == pytest.approx(np.full(8, expect), rel=1e-9)
 
     def test_perturbed_reported_finite(self):
-        mesh = generate_mesh("perturbed-polygon", 6, seed=0)
-        rep = shape_regularity(mesh)
-        assert np.isfinite(rep.aspect).all()
-        assert rep.max_aspect >= 2 * np.sqrt(2) - 1e-9  # the disc bound
-        assert "max diameter/star radius" in rep.summary()
-
-    def test_threshold_flags(self):
-        mesh = generate_mesh("perturbed-polygon", 6, seed=0)
-        rep = shape_regularity(mesh, threshold=rep_threshold(mesh))
-        assert len(rep.flagged) >= 1
+        aspect = shape_regularity(generate_mesh("perturbed-polygon", 6, seed=0))
+        assert aspect.shape == (36,)
+        assert np.isfinite(aspect).all()
+        assert aspect.max() >= 2 * np.sqrt(2) - 1e-9  # the disc bound
 
     @pytest.mark.parametrize("n", [4, 16])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_star_radius_matches_lp(self, family, n):
         mesh = generate_mesh(family, n, seed=0)
         rho = [lp_star_radius(mesh.cell_vertices(c)) for c in range(mesh.num_cells)]
-        assert shape_regularity(mesh).aspect == pytest.approx(mesh.diameters / rho, rel=1e-12)
+        assert shape_regularity(mesh) == pytest.approx(mesh.diameters / rho, rel=1e-12)
 
     def test_star_shaped_chevron_is_measured_exactly(self):
         # nonconvex, with its centroid (0.5, 0.6) outside the cell
         mesh = PolygonalMesh([(0, 0), (0.5, 0.8), (1, 0), (0.5, 1)], [[0, 1, 2, 3]])
         rho = lp_star_radius(mesh.vertices)
         assert rho == pytest.approx(0.0485100, abs=1e-7)
-        aspect = shape_regularity(mesh).aspect
+        aspect = shape_regularity(mesh)
         assert aspect == pytest.approx([mesh.diameters[0] / rho], rel=1e-12)
         assert aspect[0] == pytest.approx(23.05, abs=0.005)
 
@@ -430,7 +329,7 @@ class TestShapeRegularity:
             shape_regularity(hostile_mesh)
 
     def test_lp_solver_is_not_imported_by_the_cli(self):
-        # no command and no shape-regularity report needs scipy.optimize
+        # no command and no shape_regularity call needs scipy.optimize
         code = (
             "import sys, wgstokes.cli\n"
             "from wgstokes.cases import get_case\n"
@@ -443,18 +342,6 @@ class TestShapeRegularity:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.stdout.strip() == "False", out.stderr
-
-
-def lp_star_radius(loop):
-    """Star radius of a CCW vertex loop by linear programming: the largest r
-    with a centre x such that n_i . x + r <= n_i . p_i for every side i."""
-    t = np.roll(loop, -1, axis=0) - loop
-    normal = np.column_stack([t[:, 1], -t[:, 0]]) / np.hypot(*t.T)[:, None]
-    A = np.column_stack([normal, np.ones(len(loop))])
-    b = (normal * loop).sum(axis=1)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A, b_ub=b, bounds=[(None, None)] * 3)
-    assert res.success, res.message
-    return res.x[2]
 
 
 def all_mirrors_voronoi(pts):
@@ -475,8 +362,3 @@ def all_mirrors_voronoi(pts):
     ang = np.arctan2(verts[loops, 1] - pts[owner, 1], verts[loops, 0] - pts[owner, 0])
     return _renumber(verts, loops[np.lexsort((ang, owner))], sizes)
 
-
-def rep_threshold(mesh):
-    # pick a threshold strictly inside the observed range so some cell flags
-    rep = shape_regularity(mesh)
-    return float(np.quantile(rep.aspect, 0.9))

@@ -4,8 +4,12 @@ from math import comb
 import numpy as np
 import pytest
 
+from conftest import lp_star_radius
+from wgstokes import quadrature
+from wgstokes.mesh import PolygonalMesh, shape_regularity
 from wgstokes.quadrature import (
     PolygonError,
+    _ear_clip,
     edge_rule,
     gauss_points,
     polygon_geometry,
@@ -129,6 +133,31 @@ def test_u_shapes_have_no_fan_apex():
     assert _fan_apexes(SLOTTED) == [4]
     for u in U_SHAPES:
         assert _fan_apexes(u) == []
+
+
+def test_disc_star_shaped_cell_needs_ear_clipping(monkeypatch):
+    """The paper's cells are star-shaped with respect to a disc, and such a
+    cell can have no vertex that sees it whole: this 7-gon's star radius is
+    0.1504, yet every vertex fan has a reversed triangle, so only `_ear_clip`
+    builds its rule."""
+    poly = np.array(
+        [[0.197, 0.115], [-0.033, 0.226], [-0.094, 0.216], [-0.495, 0.746],
+         [-0.089, -0.458], [0.438, -0.124], [0.834, -0.034]]
+    )  # fmt: skip
+    assert _fan_apexes(poly) == []
+    clipped = []
+    monkeypatch.setattr(quadrature, "_ear_clip", lambda p: clipped.append(p) or _ear_clip(p))
+    rule = polygon_rule(poly, 6)
+    assert len(clipped) == 1
+    x, y = rule.points.T
+    for d in range(7):
+        for a in range(d + 1):
+            exact = float(_exact_monomial(poly, a, d - a))
+            assert np.sum(rule.weights * x**a * y ** (d - a)) == pytest.approx(exact, abs=1e-14)
+    mesh = PolygonalMesh(poly, [list(range(7))])
+    rho = lp_star_radius(poly)
+    assert rho == pytest.approx(0.1504, abs=1e-4)
+    assert shape_regularity(mesh) == pytest.approx(mesh.diameters / rho, rel=1e-12)
 
 
 def test_fan_pairs_make_bilinear_pieces(poly_mesh_4):
