@@ -5,7 +5,8 @@ Runs the trigonometric case at k=1 on both standard mesh families and
 prints the error tables with fitted rates.  Expected orders: energy norm
 and pressure at k, interior velocity (against the projected exact
 velocity) at k+1.  Four levels keep the rate fit clear of the coarse
-pre-asymptotic regime; expect ~30 s including the stability eigensolves.
+pre-asymptotic regime.  With the stability eigensolves it takes about
+1 s with one BLAS thread on a 2-core machine.
 
 Equivalent CLI:  wgstokes study --degree 1
 """

@@ -48,12 +48,6 @@ class _CellBatch:
     a: np.ndarray
     b: np.ndarray
 
-    def entries(self, field):
-        """Rows and columns of the entries of a or b."""
-        if field == "a":
-            return self.dofs[..., None], self.dofs[..., None, :]
-        return self.pressures[..., None, None], self.dofs[:, None]
-
 
 class SaddleSystem:
     """Assembled (but not yet reduced) discrete Stokes system.
@@ -87,36 +81,26 @@ class SaddleSystem:
         self.free = np.nonzero(~fixed_mask)[0]
         self.num_velocity_dofs = ops.dofmap.num_velocity_dofs
         self.num_pressure_dofs = ops.dofmap.num_pressure_dofs
-        self._matrices = {}
 
     @cached_property
     def _cells(self):
         """The cell matrices, one _CellBatch per side count, from the operator stacks."""
         return _cell_matrices(self.ops)
 
-    A = property(lambda self: self._matrix("a", self.num_velocity_dofs))
-    B = property(lambda self: self._matrix("b", self.num_pressure_dofs))
+    @cached_property
+    def A(self):
+        n = self.num_velocity_dofs
+        return _scatter((n, n), [(c.a, c.dofs[..., None], c.dofs[..., None, :]) for c in self._cells])
 
-    def _matrix(self, field, rows):
-        """A or B (read-only), summed from the cell matrices on first read."""
-        if field not in self._matrices:
-            blocks = [(getattr(c, field), *c.entries(field)) for c in self._cells]
-            self._matrices[field] = _scatter((rows, self.num_velocity_dofs), blocks)
-        return self._matrices[field]
+    @cached_property
+    def B(self):
+        shape = (self.num_pressure_dofs, self.num_velocity_dofs)
+        return _scatter(shape, [(c.b, c.pressures[..., None, None], c.dofs[:, None]) for c in self._cells])
 
     def pressure_mass(self):
         """Block-diagonal pressure mass matrix (csr)."""
         n = self.ops.mesh.num_cells
         return sparse.bsr_matrix((self.ops.mass_low, np.arange(n), np.arange(n + 1))).tocsr()
-
-    def dump_matrices(self, prefix):
-        """Write A and B in `row col value` coordinate text format."""
-        for name, mat in (("A", self.A), ("B", self.B)):
-            coo = mat.tocoo()
-            with open(f"{prefix}{name}.txt", "w") as f:
-                f.write(f"# {name} {mat.shape[0]} {mat.shape[1]} {coo.nnz}\n")
-                for i, j, v in zip(coo.row, coo.col, coo.data):
-                    f.write(f"{i} {j} {float(v)!r}\n")
 
 
 def assemble(ops, body_force=None, boundary_velocity=None, data_degree=None):

@@ -48,11 +48,6 @@ def build_parser():
         action="store_true",
         help="ignored: studies always condense (ROADMAP item 2 removes it after item 1)",
     )
-    study.add_argument(
-        "--dump-matrices",
-        action="store_true",
-        help="write assembled matrices per level in coordinate text format",
-    )
 
     cases = sub.add_parser("cases", help="list manufactured cases")
     del cases  # no arguments
@@ -95,9 +90,6 @@ def cmd_study(args):
 
     all_passed = True
     for config, out in zip(configs, outs):
-        if args.dump_matrices:
-            stem = pathlib.Path(f"wgstokes-k{config.degree}-{config.family}")
-            config.dump_prefix = f"{out.with_suffix('') if out else stem}_"
         result = run_study(config)
         print("\n".join(result.summary_lines()))
         if out is not None:

@@ -89,9 +89,8 @@ def solve(system, condense=True):
 
     if condense:
         factor = factorize(system)
-        x, p = factor.solve(rhs_u, rhs_p)
-        u[free] = x[free]
-        lu, steps = factor.lu, factor.lanczos_steps
+        x, p, steps = factor.solve(rhs_u, rhs_p)
+        u[free], lu = x[free], factor.lu
     else:  # pressure 0 pinned to 0 by leaving its row and column out
         factor, B_f = None, B[1:][:, free]
         K = sparse.bmat([[A[free][:, free], -B_f.T], [-B_f, None]], format="csc")
@@ -169,7 +168,7 @@ class CondensedFactor:
 
     def __init__(self, S, C, D, R_inv, steps, edges, z):
         self.C, self.C_T, self.D, self.R_inv, self.steps, self.edges, self.z = C, C.T, D, R_inv, steps, edges, z
-        self.lanczos_steps, symmetric = 0, dict(SymmetricMode=True)  # S is SPD: diagonal pivots
+        symmetric = dict(SymmetricMode=True)  # S is SPD: diagonal pivots
         self.lu = _lu(S, "condensed", permc_spec="NATURAL", diag_pivot_thresh=0.0, options=symmetric)
 
     def _two(self, v):
@@ -181,8 +180,8 @@ class CondensedFactor:
         return self.D @ y + self.C @ self._two(self.C_T @ y)
 
     def solve(self, rhs_u, rhs_p):
-        """Velocity, 0 on the fixed rows (which rhs_u need not hold), and
-        zero-mean pressure, the pressure by Lanczos-CG."""
+        """Velocity, 0 on the fixed rows (which rhs_u need not hold),
+        zero-mean pressure, the pressure by Lanczos-CG, and its step count."""
         g, ws, p = np.concatenate([rhs_u, rhs_p]), [], slice(len(rhs_u), None)
         for index, rest, W, G in self.steps:
             ws.append(np.einsum("cij,cj->ci", W, g[index]))  # L⁻¹ f_c
@@ -190,7 +189,7 @@ class CondensedFactor:
         x, g_e = np.zeros(len(g)), g[self.edges.T].ravel()
         b = self.C @ self._two(g_e) - self.R_inv @ g[p]
         b -= self.z * (self.z @ b)
-        y = np.zeros(len(b))
+        y, steps = np.zeros(len(b)), 0
         if b.any():
             cg = [0.0, -1.0]  # β_{j-1}²/d_{j-1} and β_{j-1}(T_{j-1}⁻¹e₁)_{j-1}; at j = 1, 0 and -1
 
@@ -200,11 +199,11 @@ class CondensedFactor:
                 return abs(cg[1]) <= PRESSURE_TOL
 
             V, T = lanczos(self.operator, b, converged, self.z)  # y in the Lanczos basis: |b| T⁻¹e₁
-            y, self.lanczos_steps = np.linalg.norm(b) * (V.T @ np.linalg.solve(T, np.eye(len(T))[0])), len(T)
+            y, steps = np.linalg.norm(b) * (V.T @ np.linalg.solve(T, np.eye(len(T))[0])), len(T)
         x[p], x[self.edges.T] = self.R_inv.T @ y, self._two(g_e - self.C_T @ y).reshape(2, -1)
         for (index, rest, W, G), w in zip(self.steps[::-1], ws[::-1]):
             x[index] = np.einsum("cji,cj->ci", W, w - np.einsum("cij,cj->ci", G, x[rest]))
-        return x[: len(rhs_u)], x[p]
+        return x[: len(rhs_u)], x[p], steps
 
 
 def _lu(M, what, **options):

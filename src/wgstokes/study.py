@@ -39,7 +39,6 @@ class StudyConfig:
     n0: int = 4
     levels: int = 4
     seed: int = 0
-    dump_prefix: str = ""
 
 
 @dataclasses.dataclass
@@ -72,11 +71,11 @@ def run_study(config):
     case = get_case(config.case)
     record = ConvergenceRecord()
     for level, n in enumerate(refinement_ladder(config.n0, config.levels)):
-        record.add(level, *_run_level(config, case, level, n))
+        record.add(level, *_run_level(config, case, n))
     return _gate(config, record)
 
 
-def _run_level(config, case, level, n):
+def _run_level(config, case, n):
     """Solve and measure one level: (h, cells, errors, beta_h).  Its mesh,
     operators and system go on return, before the next level builds its own."""
     mesh = generate_mesh(config.family, n, seed=config.seed)
@@ -85,8 +84,6 @@ def _run_level(config, case, level, n):
     projection = project_case(ops, case)
     # nothing reads the cell data table again: held across the solve, it would sit under the factor
     del ops.cell_data
-    if config.dump_prefix:
-        system.dump_matrices(f"{config.dump_prefix}L{level}_")
     report = solve(system)
     beta = discrete_inf_sup(system, report.factor)
     errors = error_bundle(system, projection, report.velocity, report.pressure)

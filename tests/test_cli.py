@@ -24,6 +24,7 @@ from wgstokes.mesh import generate_mesh
 from wgstokes.solver import factorize, solve
 from wgstokes.spaces import DofMap, PressureFunction, WeakFunction
 from wgstokes.study import StudyConfig, run_study
+from wgstokes.weakops import ElementOps
 
 
 def test_version(capsys):
@@ -233,40 +234,6 @@ def test_study_out_into_missing_directory_exits_two(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_study_dump_matrices(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    out = tmp_path / "dump.csv"
-    main(
-        [
-            "study",
-            "--case",
-            "poly-exact-k1",
-            "--degree",
-            "1",
-            "--family",
-            "uniform-quad",
-            "--n0",
-            "2",
-            "--levels",
-            "1",
-            "--out",
-            str(out),
-            "--dump-matrices",
-        ]
-    )
-    a_file = tmp_path / "dump_L0_A.txt"
-    b_file = tmp_path / "dump_L0_B.txt"
-    assert a_file.exists() and b_file.exists()
-    header = a_file.read_text().splitlines()[0].split()
-    assert header[0] == "#" and header[1] == "A"
-    rows, cols, nnz = map(int, header[2:])
-    assert rows == cols
-    body = a_file.read_text().splitlines()[1:]
-    assert len(body) == nnz
-    i, j, v = body[0].split()
-    int(i), int(j), float(v)
-
-
 def test_infsup_table(capsys):
     code = main(["infsup", "--n0", "2", "--levels", "2"])
     assert code == 0
@@ -286,7 +253,8 @@ def test_global_matrices_built_only_where_read(monkeypatch):
     """`infsup` factors the condensed cell matrices and never builds the
     global A or B.  A study level builds each once: its solve reads them for
     the right-hand side and the residuals, before the LU, so that their
-    coordinate transients do not land on top of the factor."""
+    coordinate transients do not land on top of the factor.  `solver` calls
+    its own `_scatter`, so the spy sees A and B alone."""
     events, scatter = [], assembly._scatter
 
     def spy_scatter(shape, *args):
@@ -308,6 +276,14 @@ def test_global_matrices_built_only_where_read(monkeypatch):
         dm = DofMap(generate_mesh("uniform-quad", n), 2)
         expected += [(dm.num_velocity_dofs,) * 2, (dm.num_pressure_dofs, dm.num_velocity_dofs), "splu"]
     assert events == expected
+    # built once on one system, and kept across the factorization that drops the cell matrices
+    events.clear()
+    system = assemble(ElementOps(generate_mesh("uniform-quad", 2), 2))
+    A, B = system.A, system.B
+    factorize(system)
+    assert system.A is A and system.B is B
+    n_u, n_p = system.num_velocity_dofs, system.num_pressure_dofs
+    assert events == [(n_u, n_u), (n_p, n_u), "splu"]
 
 
 def test_infsup_up_to_n64(capsys):
@@ -377,8 +353,11 @@ def test_parser_defaults():
     assert args.case == "taylor-trig"
     assert args.n0 == 4 and args.levels == 4
     assert args.degree is None and args.family is None
+    # every option on purpose: one that comes back, or a new one, is added here too
+    assert set(vars(args)) == {"case", "command", "condense", "degree", "family", "levels", "n0", "out", "seed"}
     args = build_parser().parse_args(["infsup"])
     assert args.n0 == 8 and args.levels == 3
+    assert set(vars(args)) == {"command", "degree", "family", "levels", "n0", "seed"}
 
 
 def test_benchmark_entry_points_resolve(ops_quad_k1, ops_quad_k2):

@@ -1,8 +1,8 @@
 """The fast demos run to completion and print what their docstrings promise.
 
-The convergence and inf-sup demos take several seconds each and repeat
-CLI paths that tests/test_cli.py already covers; the level profile runs
-on a small mesh.
+Only the inf-sup scan is left out: it takes about 4 s and repeats a CLI
+path that tests/test_cli.py already covers.  The level profile runs on a
+small mesh.
 """
 
 import re
@@ -20,6 +20,13 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 def _run(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     return capsys.readouterr().out
+
+
+def test_convergence_study_demo(capsys):
+    out = _run("convergence_study.py", capsys)
+    families = re.findall(r"^case=taylor-trig family=(\S+) ", out, re.MULTILINE)
+    assert families == ["uniform-quad", "perturbed-polygon"]
+    assert re.findall(r"^(PASS|FAIL.*)$", out, re.MULTILINE) == ["PASS", "PASS"]
 
 
 def test_static_condensation_demo(capsys):

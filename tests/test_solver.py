@@ -180,11 +180,14 @@ def test_pinned_pressure_is_left_out(ops_quad_k2, condense, splu_calls):
     factor = factorize(system)
     rng = np.random.default_rng(0)
     rhs_u, rhs_p = rng.standard_normal(system.num_velocity_dofs), rng.standard_normal(system.num_pressure_dofs)
-    u, p = factor.solve(rhs_u, rhs_p)
-    assert not u[system.fixed_mask].any() and np.abs(p).max() > 0
+    u, p, steps = factor.solve(rhs_u, rhs_p)
+    assert not u[system.fixed_mask].any() and np.abs(p).max() > 0 and steps > 0
     assert abs(system.pressure_moments @ p) <= 1e-13 * np.abs(p).max()
-    u2, p2 = factor.solve(rhs_u, rhs_p + system.pressure_moments)
-    assert np.allclose(u, u2, rtol=0, atol=1e-12) and np.allclose(p, p2, rtol=0, atol=1e-12)
+    u2, p2, steps2 = factor.solve(rhs_u, rhs_p + system.pressure_moments)
+    assert np.allclose(u, u2, rtol=0, atol=1e-12) and np.allclose(p, p2, rtol=0, atol=1e-12) and steps2 > 0
+    # the count is the solve's own: a zero right-hand side after loaded ones takes no step
+    u0, p0, steps0 = factor.solve(np.zeros_like(rhs_u), np.zeros_like(rhs_p))
+    assert steps0 == 0 and not u0.any() and not p0.any()
 
 
 @pytest.mark.parametrize("degree", [1, 2])
